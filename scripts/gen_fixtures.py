@@ -31,11 +31,11 @@ sys.path.insert(0, str(REPO / "src"))
 from dextra.geometry import (  # noqa: E402
     compose,
     identity_pose,
-    nearest_surface_point,
     pose_from_axis_angle,
     pose_from_rotvec,
     pose_to_record,
     save_obj,
+    surface_query,
     transform_points,
     cylinder_mesh,
 )
@@ -97,7 +97,7 @@ def design_grasp(model, yaw: float, flex: np.ndarray):
     mesh = cylinder_mesh(radius, 2.0 * half_height, segments=48)
 
     tips_obj = transform_points(to_object, tips)
-    targets = np.array([nearest_surface_point(mesh, p).point for p in tips_obj])
+    targets = surface_query(mesh, tips_obj).point
     initial = GraspAction(
         hand_model=model.name,
         config=HandConfiguration(to_object, angles),

@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dextra.kinematics import forward_kinematics, load_hand_model, rest_configuration
+from dextra.kinematics import load_hand_model
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "dextra" / "models"
 
@@ -267,9 +267,7 @@ def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for builder in (human_20dof, inspire_like_6dof, leap_like_16dof, shadow_like_22dof):
         doc = builder()
-        model = load_hand_model(doc)
-        fk = forward_kinematics(model, rest_configuration(model))
-        doc["rest_fingertips"] = [[float(v) for v in p] for p in fk.fingertips]
+        load_hand_model(doc)   # reject a malformed document before writing it
         path = OUT / f"{doc['name']}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path}  links={len(doc['links'])} joints={len(doc['joints'])} "

@@ -22,7 +22,13 @@ import numpy as np
 from .errors import DextraError, FixtureMissing, SchemaError
 from .graspctl import write_trace_csv
 from .kinematics import bundled_model, load_hand_model_file
-from .pipeline import PipelineSettings, canonical, run_pipeline, settings_from_file
+from .pipeline import (
+    DEFAULT_HAND_MODEL,
+    PipelineSettings,
+    canonical,
+    run_pipeline,
+    settings_from_file,
+)
 from .reconstruction import PROMPT_KINDS, SceneFixture
 
 _USAGE_ERROR = 2
@@ -220,7 +226,7 @@ def _validate_scene(scene_dir: Path) -> list:
         kind = scene.get("prompt_kind", "language")
         if kind not in PROMPT_KINDS:
             findings.append(f"scene.json: unknown prompt_kind '{kind}'")
-        model_name = scene.get("hand_model", "inspire-like-6dof")
+        model_name = scene.get("hand_model", DEFAULT_HAND_MODEL)
         try:
             model = bundled_model(model_name)
         except DextraError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -220,15 +221,6 @@ def transform_mesh(mesh: TriangleMesh, pose: SE3Pose) -> TriangleMesh:
     return TriangleMesh(transform_points(pose, mesh.vertices), mesh.triangles, mesh.scale)
 
 
-@dataclass(frozen=True)
-class SurfaceContact:
-    """Nearest surface point, its outward unit normal, signed distance (m)."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    distance: float
-
-
 # ---- closest point on triangles (voronoi-region walk, vectorized) ----
 
 def _closest_on_matched_triangles(a, b, c, p):
@@ -281,6 +273,11 @@ def _closest_on_matched_triangles(a, b, c, p):
     return out
 
 
+# point-triangle pairs per chunk of _closest_points: small enough that the
+# ~25 temporaries of one chunk stay in cache when batches are large
+_CHUNK_PAIRS = 8192
+
+
 def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     """For each query point: squared distance, winning triangle, closest point.
 
@@ -294,7 +291,7 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     out_d2 = np.empty(n)
     out_tri = np.empty(n, dtype=np.int64)
     out_q = np.empty((n, 3))
-    rows = max(1, int(200_000 / max(m, 1)))
+    rows = max(1, _CHUNK_PAIRS // max(m, 1))
     for s in range(0, n, rows):
         p_chunk = points[s:s + rows]
         k = len(p_chunk)
@@ -351,62 +348,78 @@ def _surface_frames(mesh: TriangleMesh):
 _FEATURE_EPS = 1e-7
 
 
-def _feature_normal(mesh: TriangleMesh, tri_idx: int, q: np.ndarray) -> np.ndarray:
-    """Pseudonormal of the feature (face, edge, vertex) the point q lies on."""
-    i0, i1, i2 = (int(i) for i in mesh.triangles[tri_idx])
-    a, b, c = mesh.vertices[i0], mesh.vertices[i1], mesh.vertices[i2]
+def _feature_normals(mesh: TriangleMesh, tri_idx: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Pseudonormal of the feature (face, edge, vertex) each point q lies on.
+
+    Barycentrics are classified for the whole batch; only points on an edge
+    or a vertex build (or reuse) the cached vertex and edge normals.
+    """
+    verts = mesh.triangles[tri_idx]
+    a, b, c = (mesh.vertices[verts[:, k]] for k in range(3))
     ab, ac, qa = b - a, c - a, q - a
-    d00, d01, d11 = float(ab @ ab), float(ab @ ac), float(ac @ ac)
-    d20, d21 = float(qa @ ab), float(qa @ ac)
+    d00 = np.einsum("ij,ij->i", ab, ab)
+    d01 = np.einsum("ij,ij->i", ab, ac)
+    d11 = np.einsum("ij,ij->i", ac, ac)
+    d20 = np.einsum("ij,ij->i", qa, ab)
+    d21 = np.einsum("ij,ij->i", qa, ac)
     den = d00 * d11 - d01 * d01
     v = (d11 * d20 - d01 * d21) / den
     w = (d00 * d21 - d01 * d20) / den
-    u = 1.0 - v - w
-    small = [u < _FEATURE_EPS, v < _FEATURE_EPS, w < _FEATURE_EPS]
-    verts = (i0, i1, i2)
-    if not any(small):
-        return np.array(mesh.face_normals[tri_idx])
+    small = np.stack([1.0 - v - w < _FEATURE_EPS, v < _FEATURE_EPS, w < _FEATURE_EPS], axis=1)
+    count = small.sum(axis=1)
+    normals = mesh.face_normals[tri_idx]
+    if not count.any():
+        return normals
     vertex_normals, edge_normals = _surface_frames(mesh)
-    if sum(small) >= 2:
-        # two barycentrics vanish: the remaining vertex carries the point
-        at = small.index(False) if not all(small) else 0
-        return np.array(vertex_normals[verts[at]])
+    # two barycentrics vanish: the first non-vanishing corner carries the
+    # point (corner 0 if all three vanish)
+    on_vertex = np.nonzero(count >= 2)[0]
+    corner = np.argmin(small[on_vertex], axis=1)
+    normals[on_vertex] = vertex_normals[verts[on_vertex, corner]]
     # exactly one vanishes: the opposite edge carries the point
-    k = small.index(True)
-    e0, e1 = verts[(k + 1) % 3], verts[(k + 2) % 3]
-    return np.array(edge_normals[(min(e0, e1), max(e0, e1))])
+    for i in np.nonzero(count == 1)[0]:
+        k = int(np.argmax(small[i]))
+        e0, e1 = int(verts[i, (k + 1) % 3]), int(verts[i, (k + 2) % 3])
+        normals[i] = edge_normals[(min(e0, e1), max(e0, e1))]
+    return normals
 
 
-def nearest_surface_point(mesh: TriangleMesh, point) -> SurfaceContact:
-    """Closest surface point with outward normal and signed distance.
+class SurfaceProximity:
+    """Nearest-surface answers for a batch of query points, one row each.
 
-    Negative distance means the query point is inside the mesh.  The mesh
-    is assumed watertight for the sign to be meaningful.
+    `sq_distance` (n,), `triangle` (n,) and `point` (n, 3) are computed up
+    front.  The outward unit pseudonormal `normal` (n, 3) and the signed
+    `distance` (n,), negative inside, are computed on first access, so a
+    caller that needs only distances never builds the mesh's vertex and
+    edge normals.  The sign assumes a watertight mesh.
+    """
+
+    def __init__(self, mesh: TriangleMesh, points: np.ndarray):
+        self._mesh = mesh
+        self._points = points
+        self.sq_distance, self.triangle, self.point = _closest_points(mesh, points)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        return _feature_normals(self._mesh, self.triangle, self.point)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        outward = np.einsum("ij,ij->i", self._points - self.point, self.normal)
+        dist = np.sqrt(self.sq_distance)
+        return np.where(outward < 0.0, -dist, dist)
+
+
+def surface_query(mesh: TriangleMesh, points) -> SurfaceProximity:
+    """Nearest surface point, triangle, normal and distance for every point.
+
+    `points` is one point (3,) or a batch (n, 3); the answer always has one
+    row per point.  Rows are computed independently, so a batched query
+    agrees bit for bit with one query per point.
     """
     if mesh.triangles.size == 0:
-        raise EmptyMesh("nearest_surface_point on a mesh with no triangles")
-    p = np.asarray(point, dtype=float).reshape(3)
-    d2, tri_idx, q = _closest_points(mesh, p[None, :])
-    q = q[0]
-    n = _feature_normal(mesh, int(tri_idx[0]), q)
-    dist = math.sqrt(float(d2[0]))
-    if float((p - q) @ n) < 0.0:
-        dist = -dist
-    return SurfaceContact(point=q, normal=n, distance=dist)
-
-
-def signed_distance(mesh: TriangleMesh, point) -> float:
-    """Signed distance to the surface; negative inside."""
-    return nearest_surface_point(mesh, point).distance
-
-
-def squared_surface_distances(mesh: TriangleMesh, points) -> np.ndarray:
-    """Unsigned squared distances to the surface for a batch of points."""
-    if mesh.triangles.size == 0:
-        raise EmptyMesh("surface distances on a mesh with no triangles")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    d2, _, _ = _closest_points(mesh, pts)
-    return d2
+        raise EmptyMesh("surface query on a mesh with no triangles")
+    return SurfaceProximity(mesh, np.asarray(points, dtype=float).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ explicitly, so the default (sigma = 0) episode is bit-for-bit repeatable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,14 +224,6 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         f_target=float(f_target),
         steps=steps,
         trace=trace)
-
-
-def predict_target_force(predictor, object_description: str) -> float:
-    """Ask the force provider for a grasp force and sanity-check it."""
-    force = float(predictor(object_description))
-    if force <= 0.0:
-        raise ValueError(f"predicted force must be positive, got {force}")
-    return force
 
 
 def write_trace_csv(path, result: GraspExecutionResult) -> None:

@@ -71,7 +71,6 @@ class KinematicHandModel:
     approach_axis: np.ndarray       # unit vector in the wrist frame
     finger_drivers: tuple           # one driver joint name per fingertip
     human_fingertip_indices: tuple  # which human fingertip each tip tracks
-    rest_fingertips: np.ndarray | None
 
     # derived, filled by load_hand_model
     link_index: dict
@@ -300,7 +299,6 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
              offset=pose_from_record(links_doc[i]["offset"]) if "offset" in links_doc[i]
              else identity_pose())
         for i in range(len(links_doc)))
-    rest_tips = doc.get("rest_fingertips")
     return KinematicHandModel(
         name=str(doc["name"]),
         links=links,
@@ -311,7 +309,6 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
         approach_axis=axis,
         finger_drivers=drivers,
         human_fingertip_indices=human_tips,
-        rest_fingertips=None if rest_tips is None else np.asarray(rest_tips, dtype=float),
         link_index=link_index,
         joint_index=joint_index,
         joint_of_link=tuple(joint_of_link),

@@ -40,7 +40,7 @@ from .geometry import (
     pose_to_record,
     save_obj,
     save_points_obj,
-    signed_distance,
+    surface_query,
     transform_mesh,
 )
 from .graspctl import (
@@ -99,6 +99,9 @@ STAGE_NAMES = (
     "execute",
 )
 
+# the hand a run uses when neither the settings nor the scene name one
+DEFAULT_HAND_MODEL = "inspire-like-6dof"
+
 # bisection resolution (rad) for the geometric contact-onset search
 ENGAGEMENT_TOL = 1e-6
 _ENGAGEMENT_SAMPLES = 33
@@ -108,7 +111,7 @@ _ENGAGEMENT_SAMPLES = 33
 class PipelineSettings:
     """Everything that shapes a run besides the scene fixture itself."""
 
-    hand_model: str = "inspire-like-6dof"
+    hand_model: str | None = None  # None: the scene's hand, else DEFAULT_HAND_MODEL
     engage_threshold: float = ENGAGE_THRESHOLD
     contact_radius: float = CONTACT_SELECT_RADIUS
     pregrasp_offset: float = PREGRASP_OFFSET
@@ -295,11 +298,14 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     pre_angles = np.array(pre.config.joint_angles)
     tip_row = {j: k for k, j in enumerate(drivers)}
 
-    def tip_depth(joint: int, angle: float) -> float:
-        angles = base.copy()
-        angles[joint] = angle
-        tips = fingertip_positions(model, HandConfiguration(root, angles))
-        return signed_distance(mesh, tips[tip_row[joint]])
+    def tip_depths(joint: int, sweep) -> np.ndarray:
+        """Signed surface distance of the joint's fingertip at every angle."""
+        tips = np.empty((len(sweep), 3))
+        for i, angle in enumerate(sweep):
+            angles = base.copy()
+            angles[joint] = angle
+            tips[i] = fingertip_positions(model, HandConfiguration(root, angles))[tip_row[joint]]
+        return surface_query(mesh, tips).distance
 
     out = np.full(len(drivers), np.inf)
     for k, j in enumerate(drivers):
@@ -308,11 +314,11 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
         if hi <= lo + 1e-12:
             # the driver does not close (or closes the wrong way for a
             # one-sided spring); only a pre-existing touch counts
-            if tip_depth(j, lo) <= 0.0:
+            if tip_depths(j, [lo])[0] <= 0.0:
                 out[k] = lo
             continue
         grid = np.linspace(lo, hi, _ENGAGEMENT_SAMPLES)
-        depths = [tip_depth(j, a) for a in grid]
+        depths = tip_depths(j, grid)
         if depths[0] <= 0.0:
             out[k] = lo
             continue
@@ -322,7 +328,7 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
         a, b = float(grid[crossing - 1]), float(grid[crossing])
         while (b - a) > tol:
             mid = 0.5 * (a + b)
-            if tip_depth(j, mid) <= 0.0:
+            if tip_depths(j, [mid])[0] <= 0.0:
                 b = mid
             else:
                 a = mid
@@ -385,7 +391,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         scene = SceneFixture(scene)
     if settings is None:
         settings = PipelineSettings()
-    model = bundled_model(scene.hand_model or settings.hand_model)
+    model = bundled_model(settings.hand_model or scene.hand_model or DEFAULT_HAND_MODEL)
 
     records = []
     timings = {}

@@ -5,18 +5,17 @@ generation prompt, replaying recorded perception results from scene fixture
 directories, correcting the depth ambiguity of a monocular hand estimate
 against the object mesh, and re-expressing the estimate in the object frame.
 
-Generative models and pose estimators are external services; they enter
-only through the provider protocols below, and the shipped implementation
-replays recorded fixtures so every downstream result is reproducible.
+Generative models and pose estimators are external services; the shipped
+providers replay recorded fixtures so every downstream result is
+reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .geometry import (
     invert,
     load_obj,
     pose_from_record,
-    squared_surface_distances,
+    surface_query,
     transform_points,
 )
 from .kinematics import HandConfiguration, HandPoseEstimate, bundled_model, fingertip_positions
@@ -64,19 +63,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-
-
-@dataclass(frozen=True)
 class SceneObservation:
-    """One captured scene: image reference, intrinsics, object description."""
+    """One captured scene: image reference and object description."""
 
     image_ref: str
-    intrinsics: CameraIntrinsics
     object_name: str
     intent: str = ""
 
@@ -141,28 +131,8 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 
 
 # ---------------------------------------------------------------------------
-# provider protocols and the fixture-backed implementation
+# fixture-backed providers
 # ---------------------------------------------------------------------------
-
-class GraspImageProvider(Protocol):
-    def __call__(self, observation: SceneObservation, prompt: PromptBundle) -> str: ...
-
-
-class HandEstimator(Protocol):
-    def __call__(self, image_ref: str) -> HandPoseEstimate: ...
-
-
-class ObjectPoseEstimator(Protocol):
-    def __call__(self, image_ref: str, mesh: TriangleMesh) -> SE3Pose: ...
-
-
-class MeshProvider(Protocol):
-    def __call__(self, image_ref: str) -> TriangleMesh: ...
-
-
-class ForcePredictor(Protocol):
-    def __call__(self, object_description: str) -> float: ...
-
 
 def _load_json(path: Path) -> dict:
     if not path.is_file():
@@ -192,12 +162,8 @@ class SceneFixture:
         self.object_name = _require(doc, "object_name", "scene.json")
         self.intent = doc.get("intent", "")
         self.prompt_kind = doc.get("prompt_kind", "language")
-        intr = doc.get("intrinsics", {})
         self.observation = SceneObservation(
             image_ref=doc.get("observation_image", "observation.png"),
-            intrinsics=CameraIntrinsics(
-                fx=float(intr.get("fx", 600.0)), fy=float(intr.get("fy", 600.0)),
-                cx=float(intr.get("cx", 320.0)), cy=float(intr.get("cy", 240.0))),
             object_name=self.object_name,
             intent=self.intent)
         self.generated_ref = doc.get("generated_image", "generated.png")
@@ -211,7 +177,7 @@ class SceneFixture:
             self._force_table[key.strip().lower()] = float(val)
         self._poses = None
 
-    # -- provider protocol implementations --
+    # -- providers --
 
     def grasp_image(self, observation: SceneObservation, prompt: PromptBundle) -> str:
         return self.generated_ref
@@ -301,7 +267,7 @@ def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> Reconstr
 def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
                            radius: float = CONTACT_SELECT_RADIUS) -> tuple:
     """Fingertips within `radius` of the surface: the intended contacts."""
-    d2 = squared_surface_distances(mesh, hand.fingertip_points)
+    d2 = surface_query(mesh, hand.fingertip_points).sq_distance
     return tuple(int(i) for i in np.nonzero(d2 <= radius * radius)[0])
 
 
@@ -310,7 +276,7 @@ def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray) ->
     k = len(pts)
     shifted = np.repeat(pts[None, :, :], len(deltas), axis=0)
     shifted[:, :, 2] += deltas[:, None]
-    d2 = squared_surface_distances(mesh, shifted.reshape(-1, 3))
+    d2 = surface_query(mesh, shifted).sq_distance
     return d2.reshape(len(deltas), k).sum(axis=1)
 
 

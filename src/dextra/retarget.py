@@ -28,8 +28,8 @@ from .geometry import (
     SE3Pose,
     TriangleMesh,
     compose,
-    nearest_surface_point,
     rotate_vector,
+    surface_query,
 )
 from .kinematics import (
     ROOT_DOF,
@@ -209,17 +209,9 @@ def compute_contacts(grasp: GraspAction, mesh: TriangleMesh,
     """Nearest surface point per fingertip; grasp must be in the object frame."""
     if grasp.frame != FRAME_OBJECT:
         raise WrongFrame(f"contacts are defined in the object frame, got '{grasp.frame}'")
-    tips = fingertip_positions(model, grasp.config)
-    points = np.empty_like(tips)
-    normals = np.empty_like(tips)
-    distances = np.empty(len(tips))
-    for i, tip in enumerate(tips):
-        hit = nearest_surface_point(mesh, tip)
-        points[i] = hit.point
-        normals[i] = hit.normal
-        distances[i] = hit.distance
-    return ContactSet(points=points, normals=normals, distances=distances,
-                      engaged=distances <= engage_threshold)
+    hits = surface_query(mesh, fingertip_positions(model, grasp.config))
+    return ContactSet(points=hits.point, normals=hits.normal, distances=hits.distance,
+                      engaged=hits.distance <= engage_threshold)
 
 
 def _offset_grasp(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandModel,

@@ -8,8 +8,8 @@ from dextra.geometry import (
     box_mesh,
     cylinder_mesh,
     icosphere,
-    nearest_surface_point,
     pose_from_rotvec,
+    surface_query,
 )
 from dextra.kinematics import HandConfiguration, clamp_to_limits, fingertip_positions
 from dextra.retarget import FRAME_OBJECT, GraspAction, refine_retarget
@@ -72,7 +72,7 @@ def depth_fixture(name):
         dirs = np.array([[0.2, 0.1, 1.0], [-0.3, 0.2, 1.0], [0.1, -0.4, 1.0],
                          [0.4, 0.3, 0.9], [-0.2, -0.2, 1.1]])
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = np.array([nearest_surface_point(mesh, 0.08 * d).point for d in dirs])
+        pts = surface_query(mesh, 0.08 * dirs).point
     elif name == "cylinder":
         mesh = cylinder_mesh(0.05, 0.5)
         pts = np.array([[x, y, 0.25] for x, y in

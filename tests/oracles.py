@@ -156,6 +156,22 @@ def mesh_closest_point(vertices, triangles, point):
     return math.sqrt(best_d2), best_q
 
 
+def convex_side(vertices, triangles, pts):
+    """+1 outside, -1 inside a closed convex mesh, by its face half-spaces.
+
+    Each face plane comes from its own cross product; a point is inside when
+    it lies below every plane, with no nearest-feature reasoning at all.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    vertices = np.asarray(vertices, dtype=float)
+    height = np.full(len(pts), -np.inf)
+    for i, j, k in np.asarray(triangles, dtype=int):
+        a, b, c = vertices[i], vertices[j], vertices[k]
+        n = np.cross(b - a, c - a)
+        height = np.maximum(height, (pts - a) @ (n / np.linalg.norm(n)))
+    return np.where(height > 0.0, 1.0, -1.0)
+
+
 def box_sdf(extents, point):
     """Analytic signed distance of an origin-centered axis-aligned box."""
     q = np.abs(np.asarray(point, dtype=float)) - 0.5 * np.asarray(extents, dtype=float)

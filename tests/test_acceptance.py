@@ -17,7 +17,7 @@ import oracles
 from conftest import MODELS_DIR, SCENES_DIR
 from dextra.cli import main as cli_main
 from dextra.errors import WrongFrame
-from dextra.geometry import pose_from_rotvec, pose_to_matrix, rotate_vector, signed_distance
+from dextra.geometry import pose_from_rotvec, pose_to_matrix, rotate_vector, surface_query
 from dextra.kinematics import (
     HandConfiguration,
     HandPoseEstimate,
@@ -193,11 +193,10 @@ def test_criterion_5_grasp_offsets_on_flat_faces(human_model):
         contacts = compute_contacts(grasp, mesh, human_model)
         assert contacts.engaged_count == 5
         pre = make_pregrasp(grasp, mesh, human_model)
-        heights = np.array([signed_distance(mesh, tip) for tip in
-                            fingertip_positions(human_model, pre.config)])
+        heights = surface_query(mesh, fingertip_positions(human_model, pre.config)).distance
         worst_pre = max(worst_pre, float(np.abs(heights - 0.05).max()))
         targets = contacts.points - 0.01 * contacts.normals
-        depths = np.array([signed_distance(mesh, t) for t in targets])
+        depths = surface_query(mesh, targets).distance
         worst_squeeze = max(worst_squeeze, float(np.abs(depths + 0.01).max()))
         wrist_fixed += pre.config.root_pose is grasp.config.root_pose
     assert worst_pre <= 2e-3

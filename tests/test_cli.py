@@ -75,6 +75,17 @@ def test_run_bad_settings_file_is_usage_error(mug_scene, tmp_path, capsys):
     assert "unknown settings key" in stderr
 
 
+def test_run_hand_model_setting_overrides_scene(mug_scene, tmp_path, capsys):
+    # mug-01's scene.json names the inspire hand; the explicit setting wins
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"hand_model": "leap-like-16dof"}))
+    out = tmp_path / "runs"
+    _run(capsys, "run", str(mug_scene), "--settings", str(settings), "--out", str(out))
+    report = json.loads((out / "mug-01" / "report.json").read_text())
+    assert report["hand_model"] == "leap-like-16dof"
+    assert {g["hand_model"] for g in report["grasps"].values()} == {"leap-like-16dof"}
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------

@@ -1,0 +1,51 @@
+"""Stage digests of every bundled scene, pinned against a checked-in golden file.
+
+A refactor is proven by unchanged digests: the verdict and the input and
+output digest of all nine stages must match `golden/digests.json` on every
+bundled scene at seed 0.  A change that moves digests on purpose regenerates
+the file and says why:
+
+    PYTHONPATH=src python3 tests/test_digests.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TESTS_DIR = Path(__file__).resolve().parent
+SCENES_DIR = TESTS_DIR.parent / "scenes"
+GOLDEN = TESTS_DIR / "golden" / "digests.json"
+
+
+def bundled_scenes():
+    return sorted(p.parent for p in SCENES_DIR.rglob("scene.json"))
+
+
+def scene_digests(scene_dir) -> dict:
+    from dextra.pipeline import PipelineSettings, run_pipeline
+
+    report = run_pipeline(scene_dir, PipelineSettings(seed=0))
+    return {"verdict": report.verdict,
+            "stages": {r["name"]: {"input": r["input"], "output": r["output"]}
+                       for r in report.stages}}
+
+
+def test_golden_covers_every_bundled_scene():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(p.name for p in bundled_scenes())
+    assert len(golden) == 11
+
+
+@pytest.mark.parametrize("scene_dir", bundled_scenes(), ids=lambda p: p.name)
+def test_stage_digests_match_golden(scene_dir):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[scene_dir.name]
+    assert scene_digests(scene_dir) == golden
+
+
+if __name__ == "__main__":
+    doc = {p.name: scene_digests(p) for p in bundled_scenes()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {GOLDEN} ({len(doc)} scenes)\n")

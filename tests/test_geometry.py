@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,6 @@ from dextra.geometry import (
     identity_pose,
     invert,
     load_obj,
-    nearest_surface_point,
     pose_from_axis_angle,
     pose_from_record,
     pose_from_rotvec,
@@ -24,8 +25,7 @@ from dextra.geometry import (
     rotation_angle,
     save_obj,
     save_points_obj,
-    signed_distance,
-    squared_surface_distances,
+    surface_query,
     transform_mesh,
     transform_point,
     transform_points,
@@ -206,67 +206,110 @@ def test_triangle_index_out_of_range():
 # nearest point and signed distance
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mesh", [box_mesh((0.2, 0.3, 0.15)),
-                                  icosphere(0.1, subdivisions=1)],
-                         ids=["box", "sphere"])
-def test_nearest_point_matches_brute_force(mesh):
-    rng = np.random.default_rng(3)
-    for point in rng.uniform(-0.3, 0.3, size=(40, 3)):
-        hit = nearest_surface_point(mesh, point)
+MUG_OBJ = Path(__file__).resolve().parents[1] / "scenes" / "mug-01" / "object.obj"
+# all convex; the tetrahedron's face normals are 109 degrees apart, so
+# outside its edges and corners a face normal alone can give the wrong sign
+SURFACE_MESHES = {
+    "box": lambda: box_mesh((0.2, 0.3, 0.15)),
+    "sphere": lambda: icosphere(0.1, subdivisions=1),
+    "mug": lambda: load_obj(MUG_OBJ),
+    "tetra": lambda: TriangleMesh(
+        0.1 * np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
+        np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])),
+}
+
+
+def _points_around(mesh, n, seed):
+    """Random points in the mesh's bounding box grown by half its size."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 0.5 * (hi - lo)
+    return np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(n, 3))
+
+
+@pytest.mark.parametrize("name", list(SURFACE_MESHES))
+def test_nearest_point_matches_brute_force(name):
+    mesh = SURFACE_MESHES[name]()
+    points = _points_around(mesh, 40, 3)
+    hits = surface_query(mesh, points)
+    assert np.allclose(hits.sq_distance,
+                       oracles.mesh_sqdist(mesh.vertices, mesh.triangles, points),
+                       rtol=0.0, atol=1e-15)
+    assert np.array_equal(np.sign(hits.distance),
+                          oracles.convex_side(mesh.vertices, mesh.triangles, points))
+    for i, point in enumerate(points):
         d_ref, q_ref = oracles.mesh_closest_point(mesh.vertices, mesh.triangles, point)
-        assert abs(abs(hit.distance) - d_ref) < 1e-9
-        assert np.isclose(np.linalg.norm(point - hit.point), d_ref, atol=1e-9)
-        assert np.linalg.norm(hit.point - q_ref) < 1e-6 or np.isclose(
+        assert abs(abs(hits.distance[i]) - d_ref) < 1e-9
+        assert np.isclose(np.linalg.norm(point - hits.point[i]), d_ref, atol=1e-9)
+        assert np.linalg.norm(hits.point[i] - q_ref) < 1e-6 or np.isclose(
             np.linalg.norm(point - q_ref), d_ref, atol=1e-9)
 
 
-def test_signed_distance_matches_analytic_box():
-    extents = (0.2, 0.3, 0.15)
+def test_surface_distance_matches_analytic_box():
+    extents = np.array([0.2, 0.3, 0.15])
     mesh = box_mesh(extents)
     rng = np.random.default_rng(11)
-    for point in rng.uniform(-0.25, 0.25, size=(60, 3)):
-        assert np.isclose(signed_distance(mesh, point),
-                          oracles.box_sdf(extents, point), atol=1e-9)
+    # corners and edge midpoints, pushed a little in and out: outside, the
+    # nearest feature is a vertex or an edge rather than a face
+    corners = 0.5 * extents * np.array(
+        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    edges = np.array([0.5 * (a + b) for i, a in enumerate(corners) for b in corners[i + 1:]
+                      if np.count_nonzero(a != b) == 1])
+    features = np.vstack([corners, edges])
+    near = np.vstack([features * scale for scale in (0.98, 1.0 + 1e-9, 1.02)]
+                     + [features + rng.normal(scale=2e-3, size=features.shape)])
+    points = np.vstack([rng.uniform(-0.25, 0.25, size=(60, 3)), near])
+    expected = [oracles.box_sdf(extents, p) for p in points]
+    assert np.allclose(surface_query(mesh, points).distance, expected, atol=1e-9)
 
 
-def test_signed_distance_sign_inside_sphere():
+def test_surface_distance_sign_inside_sphere():
     mesh = icosphere(0.1, subdivisions=2)
-    assert signed_distance(mesh, (0.0, 0.0, 0.0)) < 0.0
-    assert signed_distance(mesh, (0.3, 0.0, 0.0)) > 0.0
+    distance = surface_query(mesh, [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0)]).distance
+    assert distance[0] < 0.0 < distance[1]
 
 
-def test_nearest_surface_point_normal_is_unit():
+def test_surface_normal_is_unit():
     mesh = box_mesh((0.1, 0.1, 0.1))
-    hit = nearest_surface_point(mesh, (0.0, 0.0, 0.3))
-    assert np.isclose(np.linalg.norm(hit.normal), 1.0)
-    assert np.allclose(hit.normal, [0.0, 0.0, 1.0], atol=1e-12)
+    hits = surface_query(mesh, (0.0, 0.0, 0.3))
+    assert hits.normal.shape == (1, 3)
+    assert np.isclose(np.linalg.norm(hits.normal[0]), 1.0)
+    assert np.allclose(hits.normal[0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_empty_mesh_rejected():
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    with pytest.raises(EmptyMesh):
-        nearest_surface_point(empty, (0.0, 0.0, 0.0))
+    for points in ((0.0, 0.0, 0.0), np.zeros((4, 3))):
+        with pytest.raises(EmptyMesh):
+            surface_query(empty, points)
 
 
 def test_squared_distances_match_nearest_point():
-    mesh = icosphere(0.08, subdivisions=1)
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-0.2, 0.2, size=(25, 3))
-    d2 = squared_surface_distances(mesh, pts)
-    for i, p in enumerate(pts):
-        hit = nearest_surface_point(mesh, p)
-        assert np.isclose(d2[i], hit.distance ** 2, atol=1e-12)
+    for name, make in SURFACE_MESHES.items():
+        mesh = make()
+        pts = _points_around(mesh, 25, 5)
+        batch = surface_query(mesh, pts)
+        # distances alone never build the pseudonormal frames
+        assert batch.sq_distance.shape == (25,)
+        assert "vertex_normals" not in mesh._cache, name
+        for i, p in enumerate(pts):
+            one = surface_query(mesh, p)
+            # rows are independent: a batch agrees with single queries bit for bit
+            assert one.sq_distance[0] == batch.sq_distance[i], name
+            assert one.triangle[0] == batch.triangle[i], name
+            assert np.array_equal(one.point[0], batch.point[i]), name
+            assert np.array_equal(one.normal[0], batch.normal[i]), name
+            assert one.distance[0] == batch.distance[i], name
+            assert np.isclose(batch.sq_distance[i], batch.distance[i] ** 2, atol=1e-12)
 
 
 def test_transform_mesh_is_isometry():
     mesh = box_mesh((0.2, 0.1, 0.3))
     pose = pose_from_rotvec((0.4, -0.1, 0.9), (0.5, -0.2, 0.1))
     moved = transform_mesh(mesh, pose)
-    rng = np.random.default_rng(8)
-    for p in rng.uniform(-0.3, 0.3, size=(20, 3)):
-        assert np.isclose(signed_distance(mesh, p),
-                          signed_distance(moved, transform_point(pose, p)),
-                          atol=1e-9)
+    pts = np.random.default_rng(8).uniform(-0.3, 0.3, size=(20, 3))
+    assert np.allclose(surface_query(mesh, pts).distance,
+                       surface_query(moved, transform_points(pose, pts)).distance,
+                       atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from dextra.graspctl import (
     GraspGains,
     controller_step,
     make_controller_state,
-    predict_target_force,
     run_grasp,
     sense_force,
     write_trace_csv,
@@ -253,12 +252,6 @@ def test_run_grasp_needs_declared_drivers():
                       frame=FRAME_ROBOT, residual=np.zeros(5))
     with pytest.raises(MissingField, match="declares no finger_drivers"):
         run_grasp(pre, pre, _uniform_contact(5), F_TARGET, model)
-
-
-def test_predict_target_force_sanity():
-    assert predict_target_force(lambda name: 4.5, "mug") == 4.5
-    with pytest.raises(ValueError, match="must be positive"):
-        predict_target_force(lambda name: -1.0, "mug")
 
 
 def test_write_trace_csv(robot_model, tmp_path):

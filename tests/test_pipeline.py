@@ -41,7 +41,7 @@ from dextra.pipeline import (
 )
 from dextra.reconstruction import SceneFixture, build_prompt, gather_reconstruction
 from dextra.retarget import FRAME_OBJECT, FRAME_ROBOT, GraspAction
-from dextra.geometry import signed_distance
+from dextra.geometry import surface_query
 
 
 def _mug_bundle(mug_scene):
@@ -184,7 +184,7 @@ def test_pipeline_engagement_is_geometric(mug_scene, robot_model):
         angles[j] = engagement[k]
         tips = fingertip_positions(
             robot_model, HandConfiguration(squeeze.config.root_pose, angles))
-        assert abs(signed_distance(mesh_exec, tips[k])) < 5e-5
+        assert abs(surface_query(mesh_exec, tips[k]).distance[0]) < 5e-5
 
 
 def test_pipeline_engagement_rejects_frame_mismatch(robot_model):

@@ -14,7 +14,7 @@ from dextra.geometry import (
     pose_from_rotvec,
     pose_to_matrix,
     rotate_vector,
-    signed_distance,
+    surface_query,
 )
 from dextra.kinematics import (
     HandConfiguration,
@@ -221,7 +221,7 @@ def test_pregrasp_lifts_tips_off_flat_face(human_model):
 
     pre = make_pregrasp(grasp, mesh, human_model)
     tips = fingertip_positions(human_model, pre.config)
-    heights = np.array([signed_distance(mesh, t) for t in tips])
+    heights = surface_query(mesh, tips).distance
     assert np.all(np.abs(heights - 0.05) <= 2e-3)
     # the wrist never moves during the offset solve
     assert pre.config.root_pose is grasp.config.root_pose
@@ -232,14 +232,14 @@ def test_squeeze_targets_press_into_flat_face(human_model):
     grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(8))
     contacts = compute_contacts(grasp, mesh, human_model)
     targets = contacts.points - 0.01 * contacts.normals
-    depths = np.array([signed_distance(mesh, t) for t in targets])
+    depths = surface_query(mesh, targets).distance
     assert np.allclose(depths, -0.01, atol=1e-9)
 
     squeeze = make_squeeze(grasp, mesh, human_model)
     assert squeeze.config.root_pose is grasp.config.root_pose
     tips = fingertip_positions(human_model, squeeze.config)
-    for tip, res in zip(tips, squeeze.residual):
-        assert signed_distance(mesh, tip) < 0.0 or res > 0.0
+    depths = surface_query(mesh, tips).distance
+    assert np.all((depths < 0.0) | (squeeze.residual > 0.0))
 
 
 # ---------------------------------------------------------------------------
