@@ -9,7 +9,9 @@ are ignored by kinematics and resolved from their driver instead.
 
 The root pose is optimized as a 6-vector twist (rotation vector then
 translation) applied on the body side of the current pose, which stays
-singularity-free for the small increments a solver takes.
+singularity-free for the small increments a solver takes.  The fingertip
+jacobian is geometric: its columns are read off the one FK sweep in closed
+form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .geometry import (
     compose,
 )
 
-JACOBIAN_STEP = 1e-6
 ROOT_DOF = 6
 
 
@@ -123,12 +124,6 @@ class HandPoseEstimate:
         pts = np.asarray(self.fingertip_points, dtype=float).reshape(-1, 3).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "fingertip_points", pts)
-
-
-@dataclass(frozen=True, eq=False)
-class FKResult:
-    link_poses: tuple               # SE3Pose per link, model order
-    fingertips: np.ndarray          # (K, 3) fingertip link origins
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +412,8 @@ def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
     return qs, ts
 
 
-def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> FKResult:
-    """Pose of every link plus fingertip positions for one configuration."""
-    _check_dof(model, config.joint_angles)
-    eff = effective_angles(model, config.joint_angles).tolist()
-    qs, ts = _raw_fk(model, config.root_pose.rotation, config.root_pose.translation, eff)
-    poses = tuple(SE3Pose(np.array(qs[i]), np.array(ts[i])) for i in range(len(model.links)))
-    tips = np.array([ts[i] for i in model.fingertip_link_ids])
-    return FKResult(link_poses=poses, fingertips=tips)
-
-
 def fingertip_positions(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
-    """(K, 3) fingertip positions; cheaper than full forward_kinematics."""
+    """(K, 3) fingertip positions: the model's one forward-kinematics entry point."""
     _check_dof(model, config.joint_angles)
     eff = effective_angles(model, config.joint_angles).tolist()
     _, ts = _raw_fk(model, config.root_pose.rotation, config.root_pose.translation, eff)
@@ -441,41 +426,53 @@ def perturb_root(pose: SE3Pose, twist: np.ndarray) -> SE3Pose:
     return compose(pose, pose_from_rotvec(twist[:3], twist[3:]))
 
 
-def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
-                       step: float = JACOBIAN_STEP) -> np.ndarray:
-    """Numeric jacobian of stacked fingertip positions, central differences.
+def _jacobian_tables(model: KinematicHandModel):
+    """Rotation axes of the jacobian, the root's three first: the link whose
+    frame holds each axis (-1: the root), the axis in that frame, a (K, A, 1)
+    mask of the tips it moves, and the fold of mimic columns onto drivers."""
+    cache = model._cache
+    if "jac" not in cache:
+        frames = (-1, -1, -1) + tuple(jt.child_link for jt in model.joints)
+        axes = np.vstack([np.eye(3)] + [jt.axis for jt in model.joints])
+        moves = np.zeros((model.fingertip_count, len(frames), 1))
+        moves[:, :3] = 1.0
+        for k, i in enumerate(model.fingertip_link_ids):
+            while i >= 0:
+                if model.joint_of_link[i] >= 0:
+                    moves[k, 3 + model.joint_of_link[i]] = 1.0
+                i = model.links[i].parent
+        fold = np.eye(model.dof)
+        for j, (driver, ratio) in model.mimics.items():
+            fold[j, j] = 0.0
+            fold[j, driver] = ratio
+        cache["jac"] = (frames, axes, moves, fold)
+    return cache["jac"]
+
+
+def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
+    """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
     Columns are ordered [root twist (6), joint angles (J)]; rows stack the
-    fingertips as (x0, y0, z0, x1, ...).  Mimic joints contribute zero
-    columns because kinematics resolves them from their drivers.
+    fingertips as (x0, y0, z0, x1, ...).  A rotation column is
+    axis x (tip - axis origin) in world coordinates, for the tips the axis
+    moves; a root translation column is the wrist axis itself.  Mimic joints
+    contribute zero columns because kinematics resolves them from their
+    drivers.
     """
     _check_dof(model, config.joint_angles)
-    k = model.fingertip_count
-    jac = np.empty((3 * k, ROOT_DOF + model.dof))
-    eff0 = effective_angles(model, config.joint_angles).tolist()
-
-    def tips_at(root_q, root_t, eff):
-        _, ts = _raw_fk(model, root_q, root_t, eff)
-        return np.array([ts[i] for i in model.fingertip_link_ids]).reshape(-1)
-
-    for c in range(ROOT_DOF):
-        tw = np.zeros(ROOT_DOF)
-        tw[c] = step
-        plus = perturb_root(config.root_pose, tw)
-        minus = perturb_root(config.root_pose, -tw)
-        f_plus = tips_at(plus.rotation, plus.translation, eff0)
-        f_minus = tips_at(minus.rotation, minus.translation, eff0)
-        jac[:, c] = (f_plus - f_minus) / (2.0 * step)
-
-    rq, rt = config.root_pose.rotation, config.root_pose.translation
-    for j in range(model.dof):
-        angles = np.array(config.joint_angles)
-        angles[j] += step
-        f_plus = tips_at(rq, rt, effective_angles(model, angles).tolist())
-        angles[j] -= 2.0 * step
-        f_minus = tips_at(rq, rt, effective_angles(model, angles).tolist())
-        jac[:, ROOT_DOF + j] = (f_plus - f_minus) / (2.0 * step)
-    return jac
+    frames, axes, moves, fold = _jacobian_tables(model)
+    root = config.root_pose
+    eff = effective_angles(model, config.joint_angles).tolist()
+    qs, ts = _raw_fk(model, root.rotation, root.translation, eff)
+    quats = np.array([root.rotation if i < 0 else qs[i] for i in frames])
+    origins = np.array([root.translation if i < 0 else ts[i] for i in frames])
+    # rotate each axis into the world: v + 2w (u x v) + 2u x (u x v)
+    turn = 2.0 * np.cross(quats[:, 1:], axes)
+    world = axes + quats[:, :1] * turn + np.cross(quats[:, 1:], turn)
+    tips = np.array([ts[i] for i in model.fingertip_link_ids])
+    cols = np.cross(world, tips[:, None] - origins) * moves      # (K, 3 + J, 3)
+    rows = cols.transpose(0, 2, 1).reshape(3 * len(tips), -1)
+    return np.hstack([rows[:, :3], np.tile(world[:3].T, (len(tips), 1)), rows[:, 3:] @ fold])
 
 
 def clamp_to_limits(model: KinematicHandModel, joint_angles: np.ndarray) -> np.ndarray:

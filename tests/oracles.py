@@ -83,6 +83,31 @@ def chain_fingertips(doc, root_matrix, joint_angles):
     return np.array([link_matrix(n)[:3, 3] for n in doc["fingertip_links"]])
 
 
+def chain_jacobian(doc, root_matrix, joint_angles, step=1e-6):
+    """Central-difference jacobian of `chain_fingertips`, (3K, 6 + J).
+
+    The first six columns perturb the root on its body side by a rotation
+    about one wrist axis (Rodrigues) or a shift along it; the rest perturb
+    one joint angle each, so a mimic joint's own column comes out zero.
+    """
+    angles = np.asarray(joint_angles, dtype=float)
+    root_matrix = np.asarray(root_matrix, dtype=float)
+    columns = []
+    for c in range(6 + len(angles)):
+        sides = []
+        for h in (step, -step):
+            root, moved = root_matrix, angles.copy()
+            if c < 3:
+                root = root_matrix @ homogeneous(rodrigues(np.eye(3)[c], h), (0.0, 0.0, 0.0))
+            elif c < 6:
+                root = root_matrix @ homogeneous(np.eye(3), h * np.eye(3)[c - 3])
+            else:
+                moved[c - 6] += h
+            sides.append(chain_fingertips(doc, root, moved).ravel())
+        columns.append((sides[0] - sides[1]) / (2.0 * step))
+    return np.stack(columns, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # point-to-triangle-mesh distance (Ericson region classification)
 # ---------------------------------------------------------------------------

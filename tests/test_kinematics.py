@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import MODELS_DIR
+from dextra import kinematics
 from dextra.errors import (
     BadLimits,
     CyclicTree,
@@ -24,7 +28,6 @@ from dextra.kinematics import (
     effective_angles,
     fingertip_jacobian,
     fingertip_positions,
-    forward_kinematics,
     load_hand_model,
     load_hand_model_file,
     perturb_root,
@@ -71,13 +74,15 @@ def tiny_doc():
 # forward kinematics against the matrix-chain oracle
 # ---------------------------------------------------------------------------
 
+def bundled_doc(name):
+    with open(MODELS_DIR / f"{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_fk_matches_matrix_chain(name):
     model = bundled_model(name)
-    import json
-    from conftest import MODELS_DIR
-    with open(MODELS_DIR / f"{name}.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = bundled_doc(name)
     rng = np.random.default_rng(17)
     for _ in range(10):
         angles = rng.uniform(model.lower_limits, model.upper_limits)
@@ -85,13 +90,6 @@ def test_fk_matches_matrix_chain(name):
         tips = fingertip_positions(model, HandConfiguration(root, angles))
         expected = oracles.chain_fingertips(doc, pose_to_matrix(root), angles)
         assert np.allclose(tips, expected, atol=1e-9)
-
-
-def test_fingertips_agree_with_full_fk(robot_model):
-    cfg = rest_configuration(robot_model)
-    out = forward_kinematics(robot_model, cfg)
-    assert np.array_equal(out.fingertips, fingertip_positions(robot_model, cfg))
-    assert len(out.link_poses) == len(robot_model.links)
 
 
 def test_rest_configuration(robot_model):
@@ -176,6 +174,34 @@ def test_jacobian_directional_derivative(robot_model):
 
         fd = (at(h) - at(-h)) / (2.0 * h)
         assert np.allclose(jac @ delta, fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_jacobian_matches_central_difference_oracle(name):
+    model = bundled_model(name)
+    doc = bundled_doc(name)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        angles = rng.uniform(model.lower_limits, model.upper_limits)
+        root = pose_from_rotvec(rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.1, 3))
+        jac = fingertip_jacobian(model, HandConfiguration(root, angles))
+        expected = oracles.chain_jacobian(doc, pose_to_matrix(root), angles)
+        assert np.abs(jac - expected).max() <= 1e-8
+
+
+def test_jacobian_is_one_fk_sweep(monkeypatch):
+    model = bundled_model("shadow-like-22dof")
+    sweeps = []
+    raw_fk = kinematics._raw_fk
+
+    def counted(*args):
+        sweeps.append(1)
+        return raw_fk(*args)
+
+    monkeypatch.setattr(kinematics, "_raw_fk", counted)
+    fingertip_jacobian(model, rest_configuration(model))
+    fingertip_jacobian(model, rest_configuration(model))
+    assert len(sweeps) == 2
 
 
 def test_jacobian_mimic_columns_zero(robot_model):
