@@ -19,17 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DextraError, FixtureMissing, SchemaError
-from .graspctl import write_trace_csv
-from .kinematics import bundled_model, load_hand_model_file
-from .pipeline import (
-    DEFAULT_HAND_MODEL,
-    PipelineSettings,
-    canonical,
-    run_pipeline,
-    settings_from_file,
-)
-from .reconstruction import PROMPT_KINDS, SceneFixture
+from .errors import DextraError, FixtureMissing, SchemaError, StageError
+from .geometry import load_obj
+from .graspctl import trace_csv
+from .kinematics import load_hand_model_file
+from .pipeline import PipelineSettings, canonical, run_pipeline, settings_from_file
+from .reconstruction import check_scene
 
 _USAGE_ERROR = 2
 _RUN_FAILED = 1
@@ -54,6 +49,8 @@ def _fail(message: str, code: int) -> int:
 def _error_exit(exc: DextraError) -> int:
     stage = getattr(exc, "stage", None)
     prefix = f"stage '{stage}': " if stage else ""
+    if isinstance(exc, StageError):
+        exc = exc.__cause__
     code = _USAGE_ERROR if isinstance(exc, (FixtureMissing, SchemaError)) else _RUN_FAILED
     return _fail(f"error: {prefix}{exc}", code)
 
@@ -67,9 +64,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _emit_scene(out_dir: Path, report) -> None:
     _write_text(out_dir / "report.json", report.to_json(include_timings=True))
-    trace_path = out_dir / "trace.csv"
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace_path, report.result)
+    _write_text(out_dir / "trace.csv", trace_csv(report.result))
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +77,11 @@ def cmd_run(args) -> int:
         return _fail(f"error: no scene at {scene_dir}", _USAGE_ERROR)
     try:
         settings = _load_settings(args)
-        export = None
-        out_dir = Path(args.out) / scene_dir.name
-        if args.export_obj:
-            export = out_dir / "geometry"
+    except (DextraError, OSError, ValueError) as exc:
+        return _fail(f"error: {exc}", _USAGE_ERROR)
+    out_dir = Path(args.out) / scene_dir.name
+    export = out_dir / "geometry" if args.export_obj else None
+    try:
         report = run_pipeline(scene_dir, settings, export_dir=export)
     except DextraError as exc:
         return _error_exit(exc)
@@ -192,139 +188,23 @@ def cmd_batch(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _check_json(path: Path, findings: list) -> dict | None:
-    if not path.is_file():
-        findings.append(f"{path.name}: missing")
-        return None
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        findings.append(f"{path.name}: not valid JSON ({exc})")
-        return None
-
-
-def _check_pose_record(doc: dict, key: str, label: str, findings: list) -> None:
-    rec = doc.get(key)
-    if not isinstance(rec, dict):
-        findings.append(f"{label}: missing pose '{key}'")
-        return
-    rot = rec.get("rotation")
-    trans = rec.get("translation")
-    if not (isinstance(rot, list) and len(rot) == 4):
-        findings.append(f"{label}: pose '{key}' needs a 4-element rotation")
-    if not (isinstance(trans, list) and len(trans) == 3):
-        findings.append(f"{label}: pose '{key}' needs a 3-element translation")
-
-
-def _validate_scene(scene_dir: Path) -> list:
-    findings = []
-    scene = _check_json(scene_dir / "scene.json", findings)
-    model = None
-    if scene is not None:
-        if not scene.get("object_name"):
-            findings.append("scene.json: missing object_name")
-        kind = scene.get("prompt_kind", "language")
-        if kind not in PROMPT_KINDS:
-            findings.append(f"scene.json: unknown prompt_kind '{kind}'")
-        model_name = scene.get("hand_model", DEFAULT_HAND_MODEL)
-        try:
-            model = bundled_model(model_name)
-        except DextraError as exc:
-            findings.append(f"scene.json: hand model '{model_name}': {exc}")
-        if scene.get("object_name"):
-            try:
-                SceneFixture(scene_dir).predict_force(scene["object_name"])
-            except DextraError as exc:
-                findings.append(f"scene.json: {exc}")
-
-    obj_path = scene_dir / "object.obj"
-    if obj_path.is_file():
-        try:
-            from .geometry import load_obj
-            load_obj(obj_path)
-        except SchemaError as exc:
-            findings.extend(f"object.obj: {v}" for v in exc.violations)
-    else:
-        findings.append("object.obj: missing")
-
-    est = _check_json(scene_dir / "hand_estimate.json", findings)
-    if est is not None:
-        skeleton = est.get("skeleton")
-        if not skeleton:
-            findings.append("hand_estimate.json: missing skeleton")
-        else:
-            try:
-                human = bundled_model(skeleton)
-                angles = est.get("joint_angles")
-                if not isinstance(angles, list) or len(angles) != human.dof:
-                    findings.append(
-                        f"hand_estimate.json: joint_angles must list "
-                        f"{human.dof} values for '{skeleton}'")
-            except DextraError as exc:
-                findings.append(f"hand_estimate.json: skeleton '{skeleton}': {exc}")
-        _check_pose_record(est, "root_pose", "hand_estimate.json", findings)
-        tips = est.get("fingertip_points")
-        if tips is not None and (
-                not isinstance(tips, list)
-                or any(not isinstance(p, list) or len(p) != 3 for p in tips)):
-            findings.append("hand_estimate.json: fingertip_points must be Kx3")
-
-    poses = _check_json(scene_dir / "poses.json", findings)
-    if poses is not None:
-        for key in ("object_pose_generated", "object_pose_observed", "hand_eye"):
-            _check_pose_record(poses, key, "poses.json", findings)
-
-    contact = _check_json(scene_dir / "contact.json", findings)
-    if contact is not None:
-        stiffness = contact.get("stiffness")
-        values = stiffness if isinstance(stiffness, list) else [stiffness]
-        if stiffness is None or any(
-                not isinstance(v, (int, float)) or v <= 0 for v in values):
-            findings.append("contact.json: stiffness must be positive")
-        engagement = contact.get("engagement", "auto")
-        if isinstance(engagement, str):
-            if engagement != "auto":
-                findings.append("contact.json: engagement must be 'auto' or a list")
-        elif not isinstance(engagement, list):
-            findings.append("contact.json: engagement must be 'auto' or a list")
-        elif model is not None and len(engagement) != len(model.finger_drivers):
-            findings.append(
-                f"contact.json: engagement lists {len(engagement)} fingers, "
-                f"hand drives {len(model.finger_drivers)}")
-        yield_force = contact.get("yield_force")
-        if yield_force is not None and (
-                not isinstance(yield_force, (int, float)) or yield_force <= 0):
-            findings.append("contact.json: yield_force must be positive or null")
-        noise = contact.get("noise_sigma", 0.0)
-        if not isinstance(noise, (int, float)) or noise < 0:
-            findings.append("contact.json: noise_sigma must be non-negative")
-    return findings
-
-
 def _validate_file(path: Path) -> list:
-    if path.suffix == ".obj":
-        from .geometry import load_obj
-        try:
-            load_obj(path)
-        except SchemaError as exc:
-            return [f"{path.name}: {v}" for v in exc.violations]
-        return []
-    if path.suffix == ".json":
-        try:
-            load_hand_model_file(path)
-        except SchemaError as exc:
-            violations = getattr(exc, "violations", None) or [str(exc)]
-            return [f"{path.name}: {v}" for v in violations]
-        except DextraError as exc:
-            return [f"{path.name}: {exc}"]
-        return []
-    return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
+    readers = {".obj": load_obj, ".json": load_hand_model_file}
+    if path.suffix not in readers:
+        return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
+    try:
+        readers[path.suffix](path)
+    except DextraError as exc:
+        # load_obj names the file in each violation itself
+        return [v if path.suffix == ".obj" else f"{path.name}: {v}"
+                for v in getattr(exc, "violations", [str(exc)])]
+    return []
 
 
 def cmd_validate(args) -> int:
     path = Path(args.fixture)
     if path.is_dir():
-        findings = _validate_scene(path)
+        findings = check_scene(path)
     elif path.is_file():
         findings = _validate_file(path)
     else:

@@ -21,6 +21,10 @@ class SchemaError(DextraError):
         super().__init__("; ".join(self.violations))
 
 
+class MissingField(SchemaError):
+    """A required field is absent or empty."""
+
+
 class CyclicTree(SchemaError):
     """Link graph is not a tree rooted at a single wrist link."""
 
@@ -39,10 +43,6 @@ class EmptyMesh(DextraError):
 
 class DimensionMismatch(DextraError):
     """Array sizes disagree with the model or with each other."""
-
-
-class MissingField(DextraError):
-    """A required field is absent or empty."""
 
 
 class FixtureMissing(DextraError):

@@ -17,12 +17,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMesh, SchemaError
+from .errors import EmptyMesh, FixtureMissing, SchemaError
 
 _DEGENERATE_AREA = 1e-14
 
@@ -430,11 +431,12 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     """Load a triangle mesh from a Wavefront OBJ file.
 
     Only v and f records are honored; faces must be triangles.  Every
-    violation in the file is collected before rejecting it.
+    violation in the file is collected, prefixed with the file name, before
+    rejecting it; a missing file raises FixtureMissing.
     """
-    vertices = []
-    faces = []
-    violations = []
+    if not os.path.isfile(path):
+        raise FixtureMissing(f"fixture file missing: {path}")
+    vertices, faces, violations = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             tokens = raw.split()
@@ -487,7 +489,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
         for k in np.nonzero(areas < _DEGENERATE_AREA)[0]:
             violations.append(f"face {int(k) + 1}: degenerate (zero area)")
     if violations:
-        raise SchemaError(violations)
+        raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])
     return TriangleMesh(v, f, scale=float(scale))
 
 

@@ -226,8 +226,8 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         trace=trace)
 
 
-def write_trace_csv(path, result: GraspExecutionResult) -> None:
-    """Per-step positions, forces, commands, and latch flags as CSV."""
+def trace_csv(result: GraspExecutionResult) -> str:
+    """Per-step positions, forces, commands, and latch flags as CSV text."""
     t = result.trace
     k = t.positions.shape[1]
     header = (["step"]
@@ -243,5 +243,4 @@ def write_trace_csv(path, result: GraspExecutionResult) -> None:
         row += [f"{v:.9g}" for v in t.commands[step]]
         row += [str(int(v)) for v in t.locked[step]]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

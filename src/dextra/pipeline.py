@@ -99,9 +99,6 @@ STAGE_NAMES = (
     "execute",
 )
 
-# the hand a run uses when neither the settings nor the scene name one
-DEFAULT_HAND_MODEL = "inspire-like-6dof"
-
 # bisection resolution (rad) for the geometric contact-onset search
 ENGAGEMENT_TOL = 1e-6
 _ENGAGEMENT_SAMPLES = 33
@@ -136,11 +133,13 @@ _GAINS_KEYS = {f.name for f in dataclasses.fields(GraspGains)}
 
 def settings_from_dict(doc: dict) -> PipelineSettings:
     """Build settings from a plain dict, rejecting unknown keys."""
+    if not isinstance(doc, dict):
+        raise SchemaError("settings must be a JSON object")
     bad = [f"unknown settings key '{k}'" for k in doc if k not in _SETTINGS_KEYS]
     for section, allowed in (("optimizer", _OPTIMIZER_KEYS), ("gains", _GAINS_KEYS)):
-        for k in doc.get(section, {}) if isinstance(doc.get(section), dict) else {}:
-            if k not in allowed:
-                bad.append(f"unknown {section} key '{k}'")
+        keys = doc.get(section, {})
+        bad += ([f"unknown {section} key '{k}'" for k in keys if k not in allowed]
+                if isinstance(keys, dict) else [f"settings section '{section}' must be an object"])
     if bad:
         raise SchemaError(bad)
     kwargs = dict(doc)
@@ -235,6 +234,7 @@ class PipelineReport:
     scene: str
     object_name: str
     hand_model: str
+    hand_source: str    # where hand_model came from: settings, scene or default
     seed: int
     verdict: str
     f_target: float
@@ -250,24 +250,9 @@ class PipelineReport:
     actions: dict = field(repr=False)
 
     def as_dict(self, include_timings: bool = False) -> dict:
-        doc = {
-            "scene": self.scene,
-            "object_name": self.object_name,
-            "hand_model": self.hand_model,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "f_target": self.f_target,
-            "prompt": self.prompt,
-            "alignment": self.alignment,
-            "retarget": self.retarget,
-            "grasps": self.grasps,
-            "plan": self.plan,
-            "execution": self.execution,
-            "stages": list(self.stages),
-        }
-        if include_timings:
-            doc["timings"] = dict(self.timings)
-        return canonical(doc)
+        live = {"result", "actions"} | (set() if include_timings else {"timings"})
+        return canonical({f.name: getattr(self, f.name)
+                          for f in dataclasses.fields(self) if f.name not in live})
 
     def to_json(self, include_timings: bool = False, indent: int = 2) -> str:
         return json.dumps(self.as_dict(include_timings), indent=indent,
@@ -279,16 +264,16 @@ class PipelineReport:
 # ---------------------------------------------------------------------------
 
 def derive_engagement(model: KinematicHandModel, pre: GraspAction,
-                      squeeze: GraspAction, mesh: TriangleMesh,
-                      tol: float = ENGAGEMENT_TOL) -> np.ndarray:
+                      squeeze: GraspAction, mesh: TriangleMesh) -> np.ndarray:
     """Closing coordinate at which each fingertip first meets the surface.
 
     For every finger, hold the other joints at their squeeze values and
     sweep the driver angle from its pre-grasp value toward its squeeze
     value; the first angle whose fingertip crosses the surface (refined by
-    bisection to `tol`) is that finger's contact onset.  Fingers that never
-    reach the surface within the sweep get +inf, which the spring model
-    reads as free air.  `mesh` must live in the same frame as the grasps.
+    bisection to ENGAGEMENT_TOL) is that finger's contact onset.  Fingers
+    that never reach the surface within the sweep get +inf, which the
+    spring model reads as free air.  `mesh` must live in the same frame as
+    the grasps.
     """
     if pre.frame != squeeze.frame:
         raise SchemaError([f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'"])
@@ -326,7 +311,7 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
         if crossing is None:
             continue
         a, b = float(grid[crossing - 1]), float(grid[crossing])
-        while (b - a) > tol:
+        while (b - a) > ENGAGEMENT_TOL:
             mid = 0.5 * (a + b)
             if tip_depths(j, [mid])[0] <= 0.0:
                 b = mid
@@ -347,36 +332,16 @@ def _as_executed_unaligned(grasp: GraspAction, t_o_gen: SE3Pose) -> GraspAction:
                    frame=FRAME_ROBOT)
 
 
-def _contact_model(scene: SceneFixture, settings: PipelineSettings,
+def _contact_model(spec: dict, settings: PipelineSettings,
                    model: KinematicHandModel, pre: GraspAction,
-                   squeeze: GraspAction, mesh_exec: TriangleMesh):
-    """Build the execution-stage contact model from the scene's spec."""
-    spec = scene.contact_spec()
-    k = len(model.finger_drivers)
-    stiffness = np.asarray(spec.get("stiffness", 20.0), dtype=float)
-    if stiffness.ndim == 0:
-        stiffness = np.full(k, float(stiffness))
-    engagement_spec = spec.get("engagement", "auto")
-    if isinstance(engagement_spec, str):
-        if engagement_spec != "auto":
-            raise SchemaError([f"engagement must be 'auto' or a list, got '{engagement_spec}'"])
+                   squeeze: GraspAction, mesh_exec: TriangleMesh) -> ContactModel:
+    """The scene's contact.json (`read_contact`) with the settings' noise."""
+    engagement = spec["engagement"]
+    if engagement is None:
         engagement = derive_engagement(model, pre, squeeze, mesh_exec)
-    else:
-        engagement = np.asarray(engagement_spec, dtype=float)
-    noise = settings.noise_sigma
-    if noise is None:
-        noise = float(spec.get("noise_sigma", 0.0))
-    yield_force = spec.get("yield_force")
-    contact = ContactModel(stiffness=stiffness, engagement=engagement,
-                           yield_force=None if yield_force is None else float(yield_force),
-                           noise_sigma=noise)
-    gains = settings.gains
-    if "gains" in spec:
-        gains = GraspGains(kp=float(spec["gains"].get("kp", gains.kp)),
-                           kd=float(spec["gains"].get("kd", gains.kd)))
-    dt = float(spec.get("dt", settings.dt))
-    max_steps = int(spec.get("max_steps", settings.max_steps))
-    return contact, gains, dt, max_steps
+    noise = spec["noise_sigma"] if settings.noise_sigma is None else settings.noise_sigma
+    return ContactModel(stiffness=spec["stiffness"], engagement=engagement,
+                        yield_force=spec["yield_force"], noise_sigma=noise)
 
 
 def run_pipeline(scene, settings: PipelineSettings | None = None,
@@ -384,14 +349,16 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     """Run every stage on one scene and return the report.
 
     `scene` is a fixture directory path or an already-built SceneFixture.
-    Errors raised by a stage carry a `stage` attribute naming it; anything
-    that is not already a descriptive error is wrapped in StageError.
+    Errors raised by a stage carry a `stage` attribute naming it.  A schema
+    error (a malformed fixture file) and anything that is not already a
+    descriptive error is wrapped in StageError, with the cause chained.
     """
     if not isinstance(scene, SceneFixture):
         scene = SceneFixture(scene)
     if settings is None:
         settings = PipelineSettings()
-    model = bundled_model(settings.hand_model or scene.hand_model or DEFAULT_HAND_MODEL)
+    hand_name, hand_source = scene.effective_hand(settings.hand_model)
+    model = bundled_model(hand_name)
 
     records = []
     timings = {}
@@ -401,6 +368,9 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         start = time.perf_counter()
         try:
             out = fn()
+        except SchemaError as exc:
+            # the violations name the fixture file; the wrapper names the stage
+            raise StageError(name, exc) from exc
         except DextraError as exc:
             if getattr(exc, "stage", None) is None:
                 exc.stage = name
@@ -491,10 +461,12 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     mesh_exec = transform_mesh(bundle.mesh, compose(hand_eye, t_obs))
 
     def _execute():
-        contact, gains, dt, max_steps = _contact_model(
-            scene, settings, model, pre_exec, squeeze_exec, mesh_exec)
+        contact = _contact_model(scene.contact_spec(len(model.finger_drivers)),
+                                 settings, model, pre_exec, squeeze_exec, mesh_exec)
+        dt = float(settings.dt)
         result = run_grasp(pre_exec, squeeze_exec, contact, bundle.f_target,
-                           model, gains=gains, dt=dt, max_steps=max_steps,
+                           model, gains=settings.gains, dt=dt,
+                           max_steps=settings.max_steps,
                            lock_enabled=settings.force_lock,
                            stability_band=settings.stability_band,
                            min_stable_fingers=settings.min_stable_fingers,
@@ -521,6 +493,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         scene=scene.name,
         object_name=scene.object_name,
         hand_model=model.name,
+        hand_source=hand_source,
         seed=settings.seed,
         verdict=result.verdict,
         f_target=float(bundle.f_target),

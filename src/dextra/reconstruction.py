@@ -7,7 +7,8 @@ against the object mesh, and re-expressing the estimate in the object frame.
 
 Generative models and pose estimators are external services; the shipped
 providers replay recorded fixtures so every downstream result is
-reproducible.
+reproducible.  Every scene fixture file has one reader (object.obj's is
+`load_obj`), shared by `run` and `validate`; see `check_scene`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from .errors import (
     FixtureMissing,
     MissingField,
     NoConvergence,
+    SchemaError,
+    raise_schema,
 )
 from .geometry import (
     SE3Pose,
@@ -54,6 +58,9 @@ _PROMPT_NEGATIVE = (
 )
 _REGION_DIRECTIVE = "Grasp the object at the highlighted region."
 _DEMO_DIRECTIVE = "Follow the grasp shown in the demonstration image."
+
+# the hand a run uses when neither the settings nor the scene name one
+DEFAULT_HAND_MODEL = "inspire-like-6dof"
 
 # fingers this close to the surface (m) count as intended contacts
 CONTACT_SELECT_RADIUS = 0.03
@@ -131,51 +138,189 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 
 
 # ---------------------------------------------------------------------------
-# fixture-backed providers
+# scene fixture files: one reader per file
 # ---------------------------------------------------------------------------
 
-def _load_json(path: Path) -> dict:
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+def _numbers(v, n=None, valid=_number) -> bool:
+    """A list of `n` entries (any count if None) that `valid` accepts."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(valid, v))
+
+
+@lru_cache(maxsize=None)
+def _bundled(name: str) -> bool:
+    try:
+        return bundled_model(name) is not None
+    except FixtureMissing:
+        return False
+
+
+# schema entries: (accepts, rule[, default]); a _REQUIRED default must be present
+_REQUIRED = object()
+_TEXT = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+_MODEL = (lambda n: isinstance(n, str) and _bundled(n), "must name a bundled hand model")
+_POSE = (lambda r: isinstance(r, dict) and r.keys() == {"rotation", "translation"}
+         and _numbers(r["rotation"], 4) and any(r["rotation"]) and _numbers(r["translation"], 3),
+         "must be a pose: a nonzero 4-number rotation and a 3-number translation", _REQUIRED)
+
+
+def _read_json(path: Path, schema: dict) -> tuple:
+    """The values of one fixture JSON file, and every violation in it.
+
+    An absent or rejected key reads as its default (None if required), and
+    a key not in `schema` is a violation.  Violations are (kind, message)
+    pairs for `raise_schema`, each message prefixed with the file name.
+    """
     if not path.is_file():
         raise FixtureMissing(f"fixture file missing: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SchemaError(f"{path.name}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path.name}: must hold a JSON object")
+    bad = [(SchemaError, f"{path.name}: unknown key '{k}'") for k in doc if k not in schema]
+    values = {}
+    for key, (accepts, rule, *default) in schema.items():
+        required = default == [_REQUIRED]
+        values[key] = None if required or not default else default[0]
+        if key not in doc:
+            if required:
+                bad.append((MissingField, f"{path.name}: missing '{key}'"))
+        elif accepts(doc[key]):
+            values[key] = doc[key]
+        else:
+            bad.append((SchemaError, f"{path.name}: {key} {rule}"))
+    return values, bad
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise MissingField(f"{where}: missing '{key}'")
-    return doc[key]
+def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
+    """hand_estimate.json; scene.json's `contact_fingers` must index its tips.
+
+    Without recorded fingertip_points the tips come from the skeleton's FK.
+    """
+    v, bad = _read_json(path, {
+        "skeleton": (*_MODEL, _REQUIRED),
+        "root_pose": _POSE,
+        "joint_angles": (_numbers, "must be a list of numbers", _REQUIRED),
+        "fingertip_points": (lambda t: _numbers(t, valid=lambda p: _numbers(p, 3)),
+                             "must be a list of 3-number points"),
+        "keypoints_independent": (lambda b: isinstance(b, bool), "must be true or false"),
+    })
+    angles, tips = v["joint_angles"], v["fingertip_points"]
+    human = v["skeleton"] and bundled_model(v["skeleton"])
+    if human:
+        k = human.fingertip_count
+        for key, got, want in (("joint_angles", angles, human.dof), ("fingertip_points", tips, k)):
+            if got is not None and len(got) != want:
+                bad.append((SchemaError, f"{path.name}: {key} needs {want} entries for '{human.name}'"))
+        bad += [(SchemaError, f"{path.name}: scene.json contact_fingers names finger {i}, "
+                              f"but the estimate has {k} fingertips")
+                for i in contact_fingers or () if i >= k]
+    if v["keypoints_independent"] is not None and tips is None:
+        bad.append((SchemaError, f"{path.name}: keypoints_independent needs fingertip_points"))
+    raise_schema(bad)
+    config = HandConfiguration(pose_from_record(v["root_pose"]), np.asarray(angles, dtype=float))
+    return HandPoseEstimate(
+        config=config, skeleton=v["skeleton"],
+        fingertip_points=(fingertip_positions(human, config) if tips is None
+                          else np.asarray(tips, dtype=float)),
+        keypoints_independent=bool(v["keypoints_independent"]))
+
+
+def read_poses(path: Path) -> dict:
+    """poses.json: both object poses and the hand-eye extrinsics, as SE3Pose."""
+    keys = ("object_pose_generated", "object_pose_observed", "hand_eye")
+    v, bad = _read_json(path, dict.fromkeys(keys, _POSE))
+    raise_schema(bad)
+    return {key: pose_from_record(v[key]) for key in keys}
+
+
+def read_contact(path: Path, fingers: int | None) -> dict:
+    """contact.json for a hand with `fingers` fingers (None: count unchecked).
+
+    Per-finger `stiffness`, `engagement` (None: derive it from the
+    geometry), `yield_force` and `noise_sigma`.
+    """
+    count = "one per finger" if fingers is None else fingers
+    v, bad = _read_json(path, {
+        "stiffness": (lambda s: _positive(s) or _numbers(s, fingers, _positive),
+                      f"must be a positive number or a list of {count} of them", _REQUIRED),
+        "engagement": (lambda e: e == "auto" or _numbers(
+                           e, fingers, lambda x: _number(x) or x == math.inf),
+                       f"must be 'auto' or a list of {count} numbers", "auto"),
+        "yield_force": (lambda y: y is None or _positive(y), "must be a positive number or null"),
+        "noise_sigma": (lambda n: _number(n) and n >= 0, "must be a non-negative number", 0.0),
+    })
+    raise_schema(bad)
+    stiffness = np.asarray(v["stiffness"], dtype=float)
+    return {
+        "stiffness": stiffness if fingers is None else np.broadcast_to(stiffness, (fingers,)),
+        "engagement": None if v["engagement"] == "auto" else np.asarray(v["engagement"], float),
+        "yield_force": None if v["yield_force"] is None else float(v["yield_force"]),
+        "noise_sigma": float(v["noise_sigma"]),
+    }
 
 
 class SceneFixture:
     """Deterministic providers backed by one scene directory.
 
-    Layout: scene.json, object.obj, hand_estimate.json, poses.json, and
-    contact.json for the execution stage.  All provider calls replay these
-    files, so identical inputs always yield identical outputs.
+    scene.json is read here; object.obj, hand_estimate.json, poses.json and
+    contact.json (execution stage) by the provider that needs them.  Replays
+    only, so identical inputs always yield identical outputs.
     """
 
     def __init__(self, scene_dir):
         self.scene_dir = Path(scene_dir)
-        doc = _load_json(self.scene_dir / "scene.json")
-        self.name = doc.get("name", self.scene_dir.name)
-        self.object_name = _require(doc, "object_name", "scene.json")
-        self.intent = doc.get("intent", "")
-        self.prompt_kind = doc.get("prompt_kind", "language")
-        self.observation = SceneObservation(
-            image_ref=doc.get("observation_image", "observation.png"),
-            object_name=self.object_name,
-            intent=self.intent)
-        self.generated_ref = doc.get("generated_image", "generated.png")
-        self.region_ref = doc.get("region_mask")
-        self.demo_ref = doc.get("demo_image")
-        self.mesh_scale = float(doc.get("mesh_scale", 1.0))
-        self.contact_fingers = doc.get("contact_fingers")
-        self.hand_model = doc.get("hand_model")
-        self._force_table = dict(_load_force_table())
-        for key, val in doc.get("force_table", {}).items():
-            self._force_table[key.strip().lower()] = float(val)
-        self._poses = None
+        v, bad = _read_json(self.scene_dir / "scene.json", {
+            "name": (*_TEXT, self.scene_dir.name),
+            "object_name": (*_TEXT, _REQUIRED),
+            "intent": (lambda i: isinstance(i, str), "must be a string", ""),
+            "prompt_kind": (PROMPT_KINDS.__contains__,
+                            f"must be one of {', '.join(PROMPT_KINDS)}", "language"),
+            "observation_image": (*_TEXT, "observation.png"),
+            "generated_image": (*_TEXT, "generated.png"),
+            "region_mask": _TEXT,
+            "demo_image": _TEXT,
+            "mesh_scale": (_positive, "must be a positive number", 1.0),
+            "contact_fingers": (lambda f: _numbers(f, valid=lambda i: type(i) is int and i >= 0)
+                                and 0 < len(f) == len(set(f)), "must list distinct finger indices"),
+            "hand_model": _MODEL,
+            "force_table": (lambda t: isinstance(t, dict) and all(map(_positive, t.values())),
+                            "must map object names to positive forces (N)", {}),
+        })
+        self.name, self.object_name, self.intent = v["name"], v["object_name"], v["intent"]
+        self.prompt_kind, self.hand_model = v["prompt_kind"], v["hand_model"]
+        self.observation = SceneObservation(v["observation_image"], self.object_name, self.intent)
+        self.generated_ref, self.region_ref = v["generated_image"], v["region_mask"]
+        self.demo_ref, self.mesh_scale = v["demo_image"], float(v["mesh_scale"])
+        self.contact_fingers = v["contact_fingers"] and tuple(v["contact_fingers"])
+        self._force_table = {**_load_force_table(), **{
+            k.strip().lower(): float(f) for k, f in v["force_table"].items()}}
+        for key, kind in (("region_mask", "visual-region"), ("demo_image", "demo-image")):
+            if v[key] is not None and self.prompt_kind != kind:
+                bad.append((SchemaError, f"scene.json: {key} only applies to a {kind} prompt"))
+        if not bad:
+            try:  # the prompt's own requirements, before any stage runs
+                build_prompt(self.object_name, self.intent, self.prompt_kind,
+                             region_ref=self.region_ref, demo_ref=self.demo_ref)
+                self.predict_force(self.object_name)
+            except (MissingField, FixtureMissing) as exc:
+                bad.append((SchemaError, f"scene.json: {exc}"))
+        raise_schema(bad)
+
+    def effective_hand(self, setting: str | None) -> tuple:
+        """The hand model a run drives, and where its name came from."""
+        if setting:
+            return setting, "settings"
+        return (self.hand_model, "scene") if self.hand_model else (DEFAULT_HAND_MODEL, "default")
 
     # -- providers --
 
@@ -185,38 +330,21 @@ class SceneFixture:
     def estimate_hand(self, image_ref: str) -> HandPoseEstimate:
         if image_ref != self.generated_ref:
             raise FixtureMissing(f"no hand estimate recorded for image '{image_ref}'")
-        doc = _load_json(self.scene_dir / "hand_estimate.json")
-        skeleton = _require(doc, "skeleton", "hand_estimate.json")
-        config = HandConfiguration(
-            pose_from_record(_require(doc, "root_pose", "hand_estimate.json")),
-            np.asarray(_require(doc, "joint_angles", "hand_estimate.json"), dtype=float))
-        if "fingertip_points" in doc:
-            tips = np.asarray(doc["fingertip_points"], dtype=float)
-            independent = bool(doc.get("keypoints_independent", False))
-        else:
-            tips = fingertip_positions(bundled_model(skeleton), config)
-            independent = False
-        return HandPoseEstimate(config=config, fingertip_points=tips,
-                                skeleton=skeleton, keypoints_independent=independent)
+        return read_hand_estimate(self.scene_dir / "hand_estimate.json", self.contact_fingers)
 
-    def _pose_records(self) -> dict:
-        if self._poses is None:
-            self._poses = _load_json(self.scene_dir / "poses.json")
-        return self._poses
+    @cached_property
+    def _poses(self) -> dict:
+        return read_poses(self.scene_dir / "poses.json")
 
     def estimate_object_pose(self, image_ref: str, mesh: TriangleMesh) -> SE3Pose:
-        poses = self._pose_records()
         if image_ref == self.generated_ref:
-            return pose_from_record(_require(poses, "object_pose_generated", "poses.json"))
+            return self._poses["object_pose_generated"]
         if image_ref == self.observation.image_ref:
-            return pose_from_record(_require(poses, "object_pose_observed", "poses.json"))
+            return self._poses["object_pose_observed"]
         raise FixtureMissing(f"no object pose recorded for image '{image_ref}'")
 
     def object_mesh(self, image_ref: str) -> TriangleMesh:
-        path = self.scene_dir / "object.obj"
-        if not path.is_file():
-            raise FixtureMissing(f"fixture file missing: {path}")
-        return load_obj(path, scale=self.mesh_scale)
+        return load_obj(self.scene_dir / "object.obj", self.mesh_scale)
 
     def predict_force(self, object_description: str) -> float:
         key = object_description.strip().lower()
@@ -224,26 +352,44 @@ class SceneFixture:
             raise FixtureMissing(f"no target force recorded for object '{object_description}'")
         return self._force_table[key]
 
-    # -- execution-stage fixture --
+    # -- execution-stage fixtures --
 
     def hand_eye(self) -> SE3Pose:
-        return pose_from_record(_require(self._pose_records(), "hand_eye", "poses.json"))
+        return self._poses["hand_eye"]
 
-    def contact_spec(self) -> dict:
-        return _load_json(self.scene_dir / "contact.json")
-
-
-_FORCE_TABLE_CACHE: dict | None = None
+    def contact_spec(self, fingers: int) -> dict:
+        return read_contact(self.scene_dir / "contact.json", fingers)
 
 
+def check_scene(scene_dir) -> list:
+    """Every violation a run would meet in one scene's fixture files.
+
+    Each file goes through the reader a run uses, and contact.json is
+    checked against the scene's hand; a bad file does not stop the rest.
+    """
+    scene_dir, findings = Path(scene_dir), []
+
+    def read(reader, *args):
+        try:
+            return reader(*args)
+        except (SchemaError, FixtureMissing) as exc:
+            findings.extend(getattr(exc, "violations", [str(exc)]))
+
+    scene = read(SceneFixture, scene_dir)
+    hand = scene and bundled_model(scene.effective_hand(None)[0])
+    read(load_obj, scene_dir / "object.obj", scene.mesh_scale if scene else 1.0)
+    read(read_hand_estimate, scene_dir / "hand_estimate.json", scene and scene.contact_fingers)
+    read(read_poses, scene_dir / "poses.json")
+    read(read_contact, scene_dir / "contact.json", hand and len(hand.finger_drivers))
+    return findings
+
+
+@lru_cache(maxsize=None)
 def _load_force_table() -> dict:
-    global _FORCE_TABLE_CACHE
-    if _FORCE_TABLE_CACHE is None:
-        from importlib import resources
-        ref = resources.files("dextra").joinpath("models/force_table.json")
-        raw = json.loads(ref.read_text(encoding="utf-8"))
-        _FORCE_TABLE_CACHE = {k.strip().lower(): float(v) for k, v in raw.items()}
-    return _FORCE_TABLE_CACHE
+    from importlib import resources
+    ref = resources.files("dextra").joinpath("models/force_table.json")
+    raw = json.loads(ref.read_text(encoding="utf-8"))
+    return {k.strip().lower(): float(v) for k, v in raw.items()}
 
 
 def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> ReconstructionBundle:
@@ -281,14 +427,13 @@ def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray) ->
 
 
 def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
-                contact_fingers=None,
-                half_range: float = DEPTH_SEARCH_HALF_RANGE,
-                tol: float = DEPTH_SEARCH_TOL) -> HandPoseEstimate:
+                contact_fingers=None) -> HandPoseEstimate:
     """Correct the depth ambiguity of a monocular hand estimate.
 
     Slides the whole hand along the camera depth axis (z of the estimate's
-    frame) within +-half_range and keeps the shift that minimizes the sum
-    of squared fingertip-to-surface distances over the contact fingers.
+    frame) within +-DEPTH_SEARCH_HALF_RANGE and keeps the shift that
+    minimizes the sum of squared fingertip-to-surface distances over the
+    contact fingers.
     Only the root translation z changes; the returned estimate never has a
     worse objective than the input.
     """
@@ -304,7 +449,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
 
     # coarse bracket first: the objective is only piecewise-smooth, so pin
     # down the basin before the golden-section polish
-    coarse = np.linspace(-half_range, half_range, 61)
+    coarse = np.linspace(-DEPTH_SEARCH_HALF_RANGE, DEPTH_SEARCH_HALF_RANGE, 61)
     coarse_obj = _depth_objective(mesh, pts, coarse)
     if float(coarse_obj.max() - coarse_obj.min()) < 1e-12:
         raise NoConvergence("depth objective is flat over the search range")
@@ -319,7 +464,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
+    while (b - a) > DEPTH_SEARCH_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)

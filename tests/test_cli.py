@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 
 import pytest
@@ -73,6 +74,43 @@ def test_run_bad_settings_file_is_usage_error(mug_scene, tmp_path, capsys):
                            "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "unknown settings key" in stderr
+
+
+def test_run_replaces_trace_csv_atomically(mug_scene, tmp_path, capsys):
+    # an earlier trace.csv hard-linked elsewhere keeps its bytes: the new
+    # trace is written beside it and moved into place, not rewritten in place
+    scene_out = tmp_path / "runs" / "mug-01"
+    scene_out.mkdir(parents=True)
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_text("step\n0\n")
+    os.link(earlier, scene_out / "trace.csv")
+    code, _, _ = _run(capsys, "run", str(mug_scene), "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert earlier.read_text() == "step\n0\n"
+    assert (scene_out / "trace.csv").read_text().startswith("step,position_0")
+    assert sorted(p.name for p in scene_out.iterdir()) == ["report.json", "trace.csv"]
+
+
+@pytest.mark.parametrize("settings, scene_hand, source, hand", [
+    ({"hand_model": "leap-like-16dof"}, True, "settings", "leap-like-16dof"),
+    ({}, True, "scene", "inspire-like-6dof"),
+    ({}, False, "default", "inspire-like-6dof"),
+], ids=["settings", "scene", "default"])
+def test_report_records_hand_source(mug_scene, tmp_path, capsys,
+                                    settings, scene_hand, source, hand):
+    scene = tmp_path / "mug-01"
+    shutil.copytree(mug_scene, scene)
+    if not scene_hand:
+        doc = json.loads((scene / "scene.json").read_text())
+        del doc["hand_model"]
+        (scene / "scene.json").write_text(json.dumps(doc))
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps(settings))
+    out = tmp_path / "runs"
+    _run(capsys, "run", str(scene), "--settings", str(settings_path), "--out", str(out))
+    report = json.loads((out / "mug-01" / "report.json").read_text())
+    assert report["hand_source"] == source
+    assert report["hand_model"] == hand
 
 
 def test_run_hand_model_setting_overrides_scene(mug_scene, tmp_path, capsys):
@@ -150,6 +188,79 @@ def test_validate_clean_scene(mug_scene, capsys):
     code, stdout, _ = _run(capsys, "validate", str(mug_scene))
     assert code == 0
     assert stdout.strip() == "ok"
+
+
+def test_validate_every_bundled_scene(scenes_dir, capsys):
+    scene_dirs = sorted(p.parent for p in scenes_dir.rglob("scene.json"))
+    assert len(scene_dirs) == 11
+    for scene in scene_dirs:
+        code, stdout, _ = _run(capsys, "validate", str(scene))
+        assert (code, stdout) == (0, "ok\n"), scene.name
+
+
+def _drop_last_joint_angle(doc):
+    doc["joint_angles"].pop()
+
+
+def _misspell_stiffness(doc):
+    doc["stifness"] = doc.pop("stiffness")
+
+
+# one field of fragile-01 changed per case: `validate` must report it and
+# `run` must refuse the scene with the same finding
+BROKEN_FIXTURES = [
+    pytest.param("contact.json", {"noise_sigma": -0.5}, id="negative-noise"),
+    pytest.param("hand_estimate.json", _drop_last_joint_angle, id="joint-angles-short"),
+    pytest.param("contact.json", {"yield_force": -1}, id="negative-yield-force"),
+    pytest.param("contact.json", {"dt": 0}, id="contact-dt"),
+    pytest.param("contact.json", {"stiffness": [50.0, 50.0]}, id="two-stiffnesses"),
+    pytest.param("scene.json", {"mesh_scale": 0}, id="zero-mesh-scale"),
+    pytest.param("scene.json", {"contact_fingers": [9]}, id="contact-finger-out-of-range"),
+    pytest.param("hand_estimate.json", {"fingertip_points": [[0.0, 0.0, 0.5]] * 2},
+                 id="two-fingertip-points"),
+    pytest.param("scene.json", {"prompt_kind": "visual-region"}, id="region-without-mask"),
+    pytest.param("contact.json", {"gains": {"kp": 1.0, "kd": 0.0}}, id="contact-gains"),
+    pytest.param("contact.json", {"max_steps": 5}, id="contact-max-steps"),
+    pytest.param("contact.json", _misspell_stiffness, id="misspelt-key"),
+    pytest.param("scene.json", lambda doc: doc.pop("object_name"), id="no-object-name"),
+]
+
+
+@pytest.mark.parametrize("name, edit", BROKEN_FIXTURES)
+def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, capsys,
+                                                     name, edit):
+    scene = tmp_path / "fragile-01"
+    shutil.copytree(fragile_dir / "fragile-01", scene)
+    doc = json.loads((scene / name).read_text())
+    if isinstance(edit, dict):
+        doc.update(edit)
+    else:
+        edit(doc)
+    (scene / name).write_text(json.dumps(doc))
+
+    code, stdout, _ = _run(capsys, "validate", str(scene))
+    findings = stdout.splitlines()[:-1]
+    assert code == 1
+    assert stdout.splitlines()[-1] == f"{len(findings)} problem(s) found"
+    assert findings and all(name in f for f in findings), findings
+
+    code, stdout, stderr = _run(capsys, "run", str(scene), "--out", str(tmp_path / "runs"))
+    assert code == 2, stdout + stderr
+    assert all(f in stderr for f in findings), (findings, stderr)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_validate_reads_every_file_past_a_broken_one(mug_scene, tmp_path, capsys):
+    broken = tmp_path / "mug-broken"
+    shutil.copytree(mug_scene, broken)
+    (broken / "scene.json").write_text("{not json")
+    (broken / "poses.json").write_text(json.dumps({"hand_eye": {}}))
+    code, stdout, _ = _run(capsys, "validate", str(broken))
+    assert code == 1
+    assert "scene.json: not valid JSON" in stdout
+    assert "poses.json: missing 'object_pose_generated'" in stdout
+    assert "poses.json: hand_eye must be a pose" in stdout
+    assert "4 problem(s) found" in stdout
 
 
 def test_validate_reports_broken_mesh(mug_scene, tmp_path, capsys):

@@ -13,7 +13,7 @@ from dextra.graspctl import (
     make_controller_state,
     run_grasp,
     sense_force,
-    write_trace_csv,
+    trace_csv,
 )
 from dextra.kinematics import (
     HandConfiguration,
@@ -254,13 +254,13 @@ def test_run_grasp_needs_declared_drivers():
         run_grasp(pre, pre, _uniform_contact(5), F_TARGET, model)
 
 
-def test_write_trace_csv(robot_model, tmp_path):
+def test_trace_csv(robot_model):
     pre = _driver_grasp(robot_model, 0.1)
     squeeze = _driver_grasp(robot_model, 0.55)
     result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, result)
-    lines = path.read_text().splitlines()
+    text = trace_csv(result)
+    assert text.endswith("\n")
+    lines = text.splitlines()
     k = 5
     head = (["step"] + [f"position_{i}" for i in range(k)]
             + [f"force_{i}" for i in range(k)]

@@ -131,6 +131,8 @@ def test_settings_from_dict_rejects_unknown_keys():
         settings_from_dict({"optimizer": {"momentum": 0.9}})
     with pytest.raises(SchemaError, match="unknown gains key 'ki'"):
         settings_from_dict({"gains": {"ki": 1.0}})
+    with pytest.raises(SchemaError, match="section 'optimizer' must be an object"):
+        settings_from_dict({"optimizer": 5})
 
 
 # ---------------------------------------------------------------------------

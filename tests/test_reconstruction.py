@@ -27,6 +27,7 @@ from dextra.reconstruction import (
     SceneFixture,
     align_depth,
     build_prompt,
+    check_scene,
     gather_reconstruction,
     select_contact_fingers,
     to_object_frame,
@@ -128,6 +129,40 @@ def test_fixture_requires_object_name(tmp_path):
     (scene_dir / "scene.json").write_text('{"intent": "grab"}', encoding="utf-8")
     with pytest.raises(MissingField, match="object_name"):
         SceneFixture(scene_dir)
+
+
+def _without_fingertips(doc):
+    del doc["fingertip_points"]
+
+
+@pytest.mark.parametrize("name, edit, finding", [
+    ("scene.json", {"hand_model": ["leap-like-16dof"]},
+     "scene.json: hand_model must name a bundled hand model"),
+    ("scene.json", {"hand_model": "octopus"},
+     "scene.json: hand_model must name a bundled hand model"),
+    ("scene.json", {"force_table": {"mug": -2.0}},
+     "scene.json: force_table must map object names to positive forces (N)"),
+    ("scene.json", {"region_mask": "mask.png"},
+     "scene.json: region_mask only applies to a visual-region prompt"),
+    ("scene.json", {"mesh_scale": True}, "scene.json: mesh_scale must be a positive number"),
+    ("hand_estimate.json", _without_fingertips,
+     "hand_estimate.json: keypoints_independent needs fingertip_points"),
+    ("poses.json", {"hand_eye": {"rotation": [0, 0, 0, 0], "translation": [0, 0, 0]}},
+     "poses.json: hand_eye must be a pose"),
+    ("contact.json", {"engagement": "manual"}, "contact.json: engagement must be 'auto'"),
+], ids=["hand-model-list", "hand-model-unknown", "negative-force", "stray-region-mask",
+        "boolean-scale", "independent-without-points", "zero-quaternion", "engagement-word"])
+def test_check_scene_names_each_violation(mug_scene, tmp_path, name, edit, finding):
+    scene_dir = tmp_path / "mug-01"
+    shutil.copytree(mug_scene, scene_dir)
+    doc = json.loads((scene_dir / name).read_text())
+    if isinstance(edit, dict):
+        doc.update(edit)
+    else:
+        edit(doc)
+    (scene_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+    findings = check_scene(scene_dir)
+    assert len(findings) == 1 and findings[0].startswith(finding), findings
 
 
 def test_force_prediction_table(mug_scene):
