@@ -10,8 +10,16 @@ Conventions used throughout the package:
     Meshes are triangle index triples over a vertex array with
     counterclockwise winding and outward normals.  Inside/outside for a
     watertight mesh is decided by the angle-weighted pseudonormal of the
-    nearest surface feature, so queries near edges and vertices get a
-    consistent sign.
+    nearest surface feature (Baerentzen & Aanaes, IEEE TVCG 2005), so
+    queries near edges and vertices get a consistent sign.
+
+    `surface_query` finds the nearest triangle by cull-then-refine: per-triangle
+    bounding boxes, cached on the mesh, bound every point-triangle distance
+    from below, and only the triangles that can still win are walked with the
+    closest-point region test of Ericson, Real-Time Collision Detection
+    (2004), 5.1.5.  The answer is bit-identical to walking every triangle.
+    Vertex and edge normals are built once per mesh, vectorized, with the
+    same bits as a per-triangle loop.
 """
 
 from __future__ import annotations
@@ -275,75 +283,146 @@ def _closest_on_matched_triangles(a, b, c, p):
 
 
 # point-triangle pairs per chunk of _closest_points: small enough that the
-# ~25 temporaries of one chunk stay in cache when batches are large
+# temporaries of one chunk stay in cache when batches are large
 _CHUNK_PAIRS = 8192
+# slack of the bound cull: relative to the upper bound, and absolute in units
+# of the squared diagonal of the box spanning the mesh and the origin
+_CULL_REL = 1e-9
+_CULL_ABS = 1e-12
+
+
+def _triangle_bounds(mesh: TriangleMesh):
+    """Triangle corners (m, 3, 3), box corners lo and hi (3, m), cull slack.
+
+    Built once per mesh; lo and hi are stored one row per axis.
+    """
+    cache = mesh._cache
+    if "triangle_bounds" not in cache:
+        tri = mesh.vertices[mesh.triangles]
+        lo, hi = tri.min(axis=1), tri.max(axis=1)
+        span = np.maximum(hi.max(axis=0), 0.0) - np.minimum(lo.min(axis=0), 0.0)
+        cache["triangle_bounds"] = (tri, lo.T.copy(), hi.T.copy(),
+                                    _CULL_ABS * float(span @ span))
+    return cache["triangle_bounds"]
+
+
+def _box_bounds(lo, hi, p):
+    """Squared distance from every point to every triangle's box, (k, m)."""
+    bound = 0.0
+    for axis in range(3):
+        x = p[:, axis, None]
+        gap = lo[axis] - x
+        np.maximum(gap, x - hi[axis], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound = gap if axis == 0 else np.add(bound, gap, out=bound)
+    return bound
+
+
+def _walk(tri, cand, p):
+    """Squared distance and closest point from each p to triangle cand."""
+    q = _closest_on_matched_triangles(tri[cand, 0], tri[cand, 1], tri[cand, 2], p)
+    return np.einsum("ij,ij->i", q - p, q - p), q
 
 
 def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     """For each query point: squared distance, winning triangle, closest point.
 
-    Ties between triangles resolve to the lowest triangle index (argmin
-    takes the first minimum), which keeps queries on shared edges
-    deterministic.
+    Cull, then refine.  The squared gap between a point and a triangle's
+    bounding box is a lower bound on its squared distance to the triangle;
+    the exact squared distance to the triangle with the lowest bound is an
+    upper bound `ub` on the answer.  Only triangles whose bound is at most
+    `ub * (1 + _CULL_REL) + slack` are walked exactly, and the winner is the
+    lowest (squared distance, triangle index) among them, so ties resolve to
+    the lowest index as in a full scan.
+
+    The slack is what makes the answer bit-identical to a full scan.  A
+    computed squared distance carries absolute error of about eps * L**2, L
+    the diagonal of the box spanning the mesh and the origin (coordinates
+    are rounded at that magnitude), and a relative error of a few eps for
+    far points; a triangle whose computed distance ties the computed minimum
+    can therefore have an exact box bound a few ulps above it.  The slack
+    (`_CULL_REL`, and `_CULL_ABS` times L**2) exceeds both errors by orders
+    of magnitude, and it can only add candidates, never drop the winner.
+
+    Bounds are computed for `_CHUNK_PAIRS` point-triangle pairs at a time,
+    and survivors are walked in batches of about as many pairs.
     """
-    tri = mesh.vertices[mesh.triangles]
-    m = len(tri)
+    tri, lo, hi, slack = _triangle_bounds(mesh)
     n = len(points)
+    rows = max(1, _CHUNK_PAIRS // len(tri))
+    chunks = range(0, n, rows)
+    first = np.concatenate([_box_bounds(lo, hi, points[s:s + rows]).argmin(axis=1)
+                            for s in chunks])
+    ub = np.concatenate([_walk(tri, first[s:s + _CHUNK_PAIRS], points[s:s + _CHUNK_PAIRS])[0]
+                         for s in range(0, n, _CHUNK_PAIRS)])
+    limit = ub * (1.0 + _CULL_REL) + slack
     out_d2 = np.empty(n)
     out_tri = np.empty(n, dtype=np.int64)
     out_q = np.empty((n, 3))
-    rows = max(1, _CHUNK_PAIRS // max(m, 1))
-    for s in range(0, n, rows):
-        p_chunk = points[s:s + rows]
-        k = len(p_chunk)
-        a = np.broadcast_to(tri[:, 0], (k, m, 3)).reshape(-1, 3)
-        b = np.broadcast_to(tri[:, 1], (k, m, 3)).reshape(-1, 3)
-        c = np.broadcast_to(tri[:, 2], (k, m, 3)).reshape(-1, 3)
-        p = np.repeat(p_chunk, m, axis=0)
-        q = _closest_on_matched_triangles(a, b, c, p).reshape(k, m, 3)
-        d2 = np.einsum("kmi,kmi->km", q - p_chunk[:, None, :], q - p_chunk[:, None, :])
-        idx = d2.argmin(axis=1)
-        rows_idx = np.arange(k)
-        out_d2[s:s + k] = d2[rows_idx, idx]
-        out_tri[s:s + k] = idx
-        out_q[s:s + k] = q[rows_idx, idx]
+    pending, size = [], 0
+    for s in chunks:
+        keep = _box_bounds(lo, hi, points[s:s + rows]) <= limit[s:s + rows, None]
+        keep[np.arange(len(keep)), first[s:s + rows]] = True  # every row keeps one
+        row, cand = np.nonzero(keep)
+        pending.append((row + s, cand))
+        size += len(row)
+        if size < _CHUNK_PAIRS and s + rows < n:
+            continue
+        # whole rows, ascending, candidates ascending within each row
+        row, cand = (np.concatenate(a) for a in zip(*pending))
+        pending, size = [], 0
+        d2, q = _walk(tri, cand, points[row])
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        win = np.lexsort((cand, d2, row))[starts]
+        out_d2[row[starts]] = d2[win]
+        out_tri[row[starts]] = cand[win]
+        out_q[row[starts]] = q[win]
     return out_d2, out_tri, out_q
 
 
 # ---- pseudonormals for the inside/outside sign ----
 
+def _row_dots(u, v):
+    """Row-wise dot products through matmul: the bits of `u[i] @ v[i]`."""
+    return (u[:, None, :] @ v[:, :, None]).ravel()
+
+
 def _surface_frames(mesh: TriangleMesh):
-    """Angle-weighted vertex normals and edge normals, built once."""
+    """Angle-weighted vertex normals and edge normals, built once.
+
+    Edge normals are rows in the order of the sorted edge keys
+    `min(i, j) * len(vertices) + max(i, j)`.  Sums run in triangle order and
+    dot products go through matmul, so every bit matches a per-triangle loop
+    that uses `@`, `np.linalg.norm` and `math.acos`.
+    """
     cache = mesh._cache
     if "vertex_normals" in cache:
-        return cache["vertex_normals"], cache["edge_normals"]
+        return cache["vertex_normals"], cache["edge_keys"], cache["edge_normals"]
     v, f = mesh.vertices, mesh.triangles
-    fn = mesh.face_normals
+    face_of_corner = np.repeat(mesh.face_normals, 3, axis=0)
+    pts = v[f]
+    # per corner k: the edges towards corners k + 1 and k + 2
+    e1 = (np.roll(pts, -1, axis=1) - pts).reshape(-1, 3)
+    e2 = (np.roll(pts, -2, axis=1) - pts).reshape(-1, 3)
+    lengths = np.sqrt(_row_dots(e1, e1)) * np.sqrt(_row_dots(e2, e2))
+    cosang = np.clip(_row_dots(e1, e2) / lengths, -1.0, 1.0)
+    angles = np.array([math.acos(c) for c in cosang.tolist()])
     vertex_normals = np.zeros_like(v)
-    edge_sums: dict = {}
-    for t in range(len(f)):
-        i0, i1, i2 = (int(f[t, 0]), int(f[t, 1]), int(f[t, 2]))
-        corners = (i0, i1, i2)
-        pts = v[[i0, i1, i2]]
-        for k in range(3):
-            e1 = pts[(k + 1) % 3] - pts[k]
-            e2 = pts[(k + 2) % 3] - pts[k]
-            cosang = float(e1 @ e2) / (np.linalg.norm(e1) * np.linalg.norm(e2))
-            ang = math.acos(max(-1.0, min(1.0, cosang)))
-            vertex_normals[corners[k]] += ang * fn[t]
-        for k in range(3):
-            e = (min(corners[k], corners[(k + 1) % 3]),
-                 max(corners[k], corners[(k + 1) % 3]))
-            edge_sums[e] = edge_sums.get(e, 0.0) + fn[t]
+    np.add.at(vertex_normals, f.ravel(), angles[:, None] * face_of_corner)
     norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
     vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms), vertex_normals)
-    edge_normals = {}
-    for e, s in edge_sums.items():
-        n = np.linalg.norm(s)
-        edge_normals[e] = s / n if n > 1e-12 else np.array(s)
+    ends = np.stack([f, np.roll(f, -1, axis=1)], axis=2).reshape(-1, 2)
+    keys = ends.min(axis=1) * len(v) + ends.max(axis=1)
+    edge_keys, edge_of_corner = np.unique(keys, return_inverse=True)
+    sums = np.zeros((len(edge_keys), 3))
+    np.add.at(sums, edge_of_corner.ravel(), face_of_corner)
+    norms = np.sqrt(_row_dots(sums, sums))[:, None]
+    edge_normals = np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums)
     cache["vertex_normals"] = vertex_normals
+    cache["edge_keys"] = edge_keys
     cache["edge_normals"] = edge_normals
-    return vertex_normals, edge_normals
+    return vertex_normals, edge_keys, edge_normals
 
 
 _FEATURE_EPS = 1e-7
@@ -371,17 +450,19 @@ def _feature_normals(mesh: TriangleMesh, tri_idx: np.ndarray, q: np.ndarray) -> 
     normals = mesh.face_normals[tri_idx]
     if not count.any():
         return normals
-    vertex_normals, edge_normals = _surface_frames(mesh)
+    vertex_normals, edge_keys, edge_normals = _surface_frames(mesh)
     # two barycentrics vanish: the first non-vanishing corner carries the
     # point (corner 0 if all three vanish)
     on_vertex = np.nonzero(count >= 2)[0]
     corner = np.argmin(small[on_vertex], axis=1)
     normals[on_vertex] = vertex_normals[verts[on_vertex, corner]]
     # exactly one vanishes: the opposite edge carries the point
-    for i in np.nonzero(count == 1)[0]:
-        k = int(np.argmax(small[i]))
-        e0, e1 = int(verts[i, (k + 1) % 3]), int(verts[i, (k + 2) % 3])
-        normals[i] = edge_normals[(min(e0, e1), max(e0, e1))]
+    on_edge = np.nonzero(count == 1)[0]
+    k = np.argmax(small[on_edge], axis=1)
+    e0 = verts[on_edge, (k + 1) % 3]
+    e1 = verts[on_edge, (k + 2) % 3]
+    keys = np.minimum(e0, e1) * len(mesh.vertices) + np.maximum(e0, e1)
+    normals[on_edge] = edge_normals[np.searchsorted(edge_keys, keys)]
     return normals
 
 
@@ -436,43 +517,48 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     """
     if not os.path.isfile(path):
         raise FixtureMissing(f"fixture file missing: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{os.path.basename(path)}: not UTF-8 text "
+                          f"(byte {exc.start}: {exc.reason})") from None
     vertices, faces, violations = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        rec = tokens[0]
+        if rec == "v":
+            if len(tokens) < 4:
+                violations.append(f"line {lineno}: vertex needs 3 coordinates")
                 continue
-            rec = tokens[0]
-            if rec == "v":
-                if len(tokens) < 4:
-                    violations.append(f"line {lineno}: vertex needs 3 coordinates")
-                    continue
+            try:
+                vertices.append([float(t) for t in tokens[1:4]])
+            except ValueError:
+                violations.append(f"line {lineno}: vertex coordinates not numeric")
+        elif rec == "f":
+            corners = tokens[1:]
+            if len(corners) != 3:
+                violations.append(
+                    f"line {lineno}: face {len(faces) + 1} has "
+                    f"{len(corners)} vertices; only triangles supported")
+                continue
+            idx = []
+            for t in corners:
+                head = t.split("/")[0]
                 try:
-                    vertices.append([float(t) for t in tokens[1:4]])
+                    i = int(head)
                 except ValueError:
-                    violations.append(f"line {lineno}: vertex coordinates not numeric")
-            elif rec == "f":
-                corners = tokens[1:]
-                if len(corners) != 3:
-                    violations.append(
-                        f"line {lineno}: face {len(faces) + 1} has "
-                        f"{len(corners)} vertices; only triangles supported")
-                    continue
-                idx = []
-                for t in corners:
-                    head = t.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        violations.append(f"line {lineno}: face index '{head}' not an integer")
-                        break
-                    if i <= 0:
-                        violations.append(f"line {lineno}: face index {i} must be positive (1-based)")
-                        break
-                    idx.append(i - 1)
-                else:
-                    faces.append(idx)
-            # all other record types are ignored
+                    violations.append(f"line {lineno}: face index '{head}' not an integer")
+                    break
+                if i <= 0:
+                    violations.append(f"line {lineno}: face index {i} must be positive (1-based)")
+                    break
+                idx.append(i - 1)
+            else:
+                faces.append(idx)
+        # all other record types are ignored
     if not faces and not violations:
         violations.append("no faces: mesh must contain at least one triangle")
     nv = len(vertices)

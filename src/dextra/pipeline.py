@@ -63,6 +63,9 @@ from .reconstruction import (
     CONTACT_SELECT_RADIUS,
     ReconstructionBundle,
     SceneFixture,
+    _number,
+    _numbers,
+    _positive,
     align_depth,
     build_prompt,
     gather_reconstruction,
@@ -126,20 +129,52 @@ class PipelineSettings:
     noise_sigma: float | None = None  # None: take the scene's sensor noise
 
 
-_SETTINGS_KEYS = {f.name for f in dataclasses.fields(PipelineSettings)}
-_OPTIMIZER_KEYS = {f.name for f in dataclasses.fields(OptimizerSettings)}
-_GAINS_KEYS = {f.name for f in dataclasses.fields(GraspGains)}
+_NUMBER = (_number, "must be a number")
+_POSITIVE = (_positive, "must be a positive number")
+_COUNT = (lambda v: type(v) is int and v > 0, "must be a positive integer")
+_FLAG = (lambda v: isinstance(v, bool), "must be true or false")
+# settings key -> (accepts, rule); a section maps its own keys the same way
+_SETTINGS_RULES = {
+    "hand_model": (lambda v: v is None or isinstance(v, str), "must be a hand model name or null"),
+    "engage_threshold": _NUMBER,
+    "contact_radius": _NUMBER,
+    "pregrasp_offset": _NUMBER,
+    "squeeze_offset": _NUMBER,
+    "standoff": _POSITIVE,
+    "optimizer": {f.name: _COUNT if f.name == "max_iterations" else _NUMBER
+                  for f in dataclasses.fields(OptimizerSettings)},
+    "gains": {f.name: _NUMBER for f in dataclasses.fields(GraspGains)},
+    "dt": _POSITIVE,
+    "max_steps": _COUNT,
+    "stability_band": (lambda v: _numbers(v, 2), "must be two numbers"),
+    "min_stable_fingers": _COUNT,
+    "transfer": _FLAG,
+    "force_lock": _FLAG,
+    "seed": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
+    "noise_sigma": (lambda v: v is None or (_number(v) and v >= 0),
+                    "must be a non-negative number or null"),
+}
+
+
+def _rule_violations(doc: dict, rules: dict, where: str) -> list:
+    bad = []
+    for key, value in doc.items():
+        rule = rules.get(key)
+        if rule is None:
+            bad.append(f"unknown {where} key '{key}'")
+        elif isinstance(rule, dict):
+            bad += (_rule_violations(value, rule, key) if isinstance(value, dict)
+                    else [f"settings section '{key}' must be an object"])
+        elif not rule[0](value):
+            bad.append(f"{where} key '{key}' {rule[1]}")
+    return bad
 
 
 def settings_from_dict(doc: dict) -> PipelineSettings:
-    """Build settings from a plain dict, rejecting unknown keys."""
+    """Build settings from a plain dict, rejecting unknown keys and bad values."""
     if not isinstance(doc, dict):
         raise SchemaError("settings must be a JSON object")
-    bad = [f"unknown settings key '{k}'" for k in doc if k not in _SETTINGS_KEYS]
-    for section, allowed in (("optimizer", _OPTIMIZER_KEYS), ("gains", _GAINS_KEYS)):
-        keys = doc.get(section, {})
-        bad += ([f"unknown {section} key '{k}'" for k in keys if k not in allowed]
-                if isinstance(keys, dict) else [f"settings section '{section}' must be an object"])
+    bad = _rule_violations(doc, _SETTINGS_RULES, "settings")
     if bad:
         raise SchemaError(bad)
     kwargs = dict(doc)
@@ -363,11 +398,10 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     records = []
     timings = {}
 
-    def stage(name, inputs, fn):
-        digest_in = content_digest(inputs)
-        start = time.perf_counter()
+    def attributed(name, fn):
+        """fn(), with any error it raises naming stage `name`."""
         try:
-            out = fn()
+            return fn()
         except SchemaError as exc:
             # the violations name the fixture file; the wrapper names the stage
             raise StageError(name, exc) from exc
@@ -377,6 +411,16 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
             raise
         except Exception as exc:
             raise StageError(name, exc) from exc
+
+    # contact.json is read before any stage runs, so a broken file costs no
+    # stage work; its errors still name the stage that uses it
+    contact_spec = attributed("execute",
+                              lambda: scene.contact_spec(len(model.finger_drivers)))
+
+    def stage(name, inputs, fn):
+        digest_in = content_digest(inputs)
+        start = time.perf_counter()
+        out = attributed(name, fn)
         timings[name] = time.perf_counter() - start
         records.append({"name": name, "input": digest_in,
                         "output": content_digest(out)})
@@ -461,8 +505,8 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     mesh_exec = transform_mesh(bundle.mesh, compose(hand_eye, t_obs))
 
     def _execute():
-        contact = _contact_model(scene.contact_spec(len(model.finger_drivers)),
-                                 settings, model, pre_exec, squeeze_exec, mesh_exec)
+        contact = _contact_model(contact_spec, settings, model, pre_exec,
+                                 squeeze_exec, mesh_exec)
         dt = float(settings.dt)
         result = run_grasp(pre_exec, squeeze_exec, contact, bundle.f_target,
                            model, gains=settings.gains, dt=dt,

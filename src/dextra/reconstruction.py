@@ -272,9 +272,10 @@ def read_contact(path: Path, fingers: int | None) -> dict:
 class SceneFixture:
     """Deterministic providers backed by one scene directory.
 
-    scene.json is read here; object.obj, hand_estimate.json, poses.json and
-    contact.json (execution stage) by the provider that needs them.  Replays
-    only, so identical inputs always yield identical outputs.
+    scene.json is read here; object.obj, hand_estimate.json and poses.json
+    by the provider that needs them, and contact.json (`contact_spec`)
+    before the first stage runs.  Replays only, so identical inputs always
+    yield identical outputs.
     """
 
     def __init__(self, scene_dir):

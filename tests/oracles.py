@@ -116,19 +116,25 @@ def _safe_div(num, den):
     return num / np.where(np.abs(den) > 0.0, den, 1.0)
 
 
+def _dot(u, v):
+    # the package's row dot product, so brute-force answers match bit for bit
+    return np.einsum("ij,ij->i", u, v)
+
+
 def _triangle_closest(a, b, c, pts):
     """Closest point on triangle abc for every row of pts."""
+    a, b, c = (np.tile(corner, (len(pts), 1)) for corner in (a, b, c))
     ab = b - a
     ac = c - a
     ap = pts - a
-    d1 = ap @ ab
-    d2 = ap @ ac
+    d1 = _dot(ap, ab)
+    d2 = _dot(ap, ac)
     bp = pts - b
-    d3 = bp @ ab
-    d4 = bp @ ac
+    d3 = _dot(bp, ab)
+    d4 = _dot(bp, ac)
     cp = pts - c
-    d5 = cp @ ab
-    d6 = cp @ ac
+    d5 = _dot(cp, ab)
+    d6 = _dot(cp, ac)
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
@@ -149,36 +155,80 @@ def _triangle_closest(a, b, c, pts):
     q = np.where(on_bc[:, None], b + w_bc[:, None] * (c - b), q)
     q = np.where(on_ac[:, None], a + w_ac[:, None] * ac, q)
     q = np.where(on_ab[:, None], a + v_ab[:, None] * ab, q)
-    q = np.where(on_c[:, None], np.broadcast_to(c, q.shape), q)
-    q = np.where(on_b[:, None], np.broadcast_to(b, q.shape), q)
-    q = np.where(on_a[:, None], np.broadcast_to(a, q.shape), q)
+    q = np.where(on_c[:, None], c, q)
+    q = np.where(on_b[:, None], b, q)
+    q = np.where(on_a[:, None], a, q)
     return q
+
+
+def mesh_closest(vertices, triangles, pts):
+    """Brute-force (squared distance, triangle, surface point) for every point.
+
+    Every triangle is tried in index order and only a strictly closer one
+    replaces the best so far, so ties go to the lowest triangle index.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    vertices = np.asarray(vertices, dtype=float)
+    best_d2 = np.full(len(pts), np.inf)
+    best_tri = np.full(len(pts), -1)
+    best_q = np.zeros_like(pts)
+    for t, (i, j, k) in enumerate(np.asarray(triangles, dtype=int)):
+        q = _triangle_closest(vertices[i], vertices[j], vertices[k], pts)
+        d2 = _dot(q - pts, q - pts)
+        closer = d2 < best_d2
+        best_d2[closer] = d2[closer]
+        best_tri[closer] = t
+        best_q[closer] = q[closer]
+    return best_d2, best_tri, best_q
 
 
 def mesh_sqdist(vertices, triangles, pts):
     """Brute-force squared distance to the surface for every point."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    vertices = np.asarray(vertices, dtype=float)
-    best = np.full(len(pts), np.inf)
-    for i, j, k in np.asarray(triangles, dtype=int):
-        q = _triangle_closest(vertices[i], vertices[j], vertices[k], pts)
-        best = np.minimum(best, ((pts - q) ** 2).sum(axis=1))
-    return best
+    return mesh_closest(vertices, triangles, pts)[0]
 
 
 def mesh_closest_point(vertices, triangles, point):
     """Brute-force (distance, surface point) for a single query."""
-    pts = np.asarray(point, dtype=float)[None, :]
-    vertices = np.asarray(vertices, dtype=float)
-    best_d2 = math.inf
-    best_q = None
-    for i, j, k in np.asarray(triangles, dtype=int):
-        q = _triangle_closest(vertices[i], vertices[j], vertices[k], pts)[0]
-        d2 = float(((pts[0] - q) ** 2).sum())
-        if d2 < best_d2:
-            best_d2 = d2
-            best_q = q
-    return math.sqrt(best_d2), best_q
+    d2, _, q = mesh_closest(vertices, triangles, np.asarray(point, dtype=float)[None, :])
+    return math.sqrt(d2[0]), q[0]
+
+
+# ---------------------------------------------------------------------------
+# angle-weighted pseudonormals (Baerentzen & Aanaes), one triangle at a time
+# ---------------------------------------------------------------------------
+
+def pseudonormal_frames(vertices, triangles):
+    """Vertex normals (n, 3) and {(i, j): edge normal} with i < j.
+
+    A vertex normal sums each incident face normal weighted by the face's
+    angle at that vertex; an edge normal sums the normals of the faces
+    sharing the edge.  Both are normalized unless (near) zero.
+    """
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(triangles, dtype=int)
+    fn = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    fn /= np.linalg.norm(fn, axis=1, keepdims=True)
+    vertex_normals = np.zeros_like(v)
+    edge_sums = {}
+    for t in range(len(f)):
+        corners = (int(f[t, 0]), int(f[t, 1]), int(f[t, 2]))
+        pts = v[list(corners)]
+        for k in range(3):
+            e1 = pts[(k + 1) % 3] - pts[k]
+            e2 = pts[(k + 2) % 3] - pts[k]
+            cosang = float(e1 @ e2) / (np.linalg.norm(e1) * np.linalg.norm(e2))
+            vertex_normals[corners[k]] += math.acos(max(-1.0, min(1.0, cosang))) * fn[t]
+        for k in range(3):
+            e = (min(corners[k], corners[(k + 1) % 3]), max(corners[k], corners[(k + 1) % 3]))
+            edge_sums[e] = edge_sums.get(e, 0.0) + fn[t]
+    norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
+    vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms),
+                              vertex_normals)
+    edge_normals = {}
+    for e, s in edge_sums.items():
+        n = np.linalg.norm(s)
+        edge_normals[e] = s / n if n > 1e-12 else np.array(s)
+    return vertex_normals, edge_normals
 
 
 def convex_side(vertices, triangles, pts):

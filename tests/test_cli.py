@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from dextra import pipeline
 from dextra.cli import main
 
 
@@ -74,6 +75,17 @@ def test_run_bad_settings_file_is_usage_error(mug_scene, tmp_path, capsys):
                            "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "unknown settings key" in stderr
+
+
+def test_run_bad_settings_value_is_usage_error(mug_scene, tmp_path, capsys):
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"stability_band": 5, "dt": 0}))
+    code, _, stderr = _run(capsys, "run", str(mug_scene),
+                           "--settings", str(settings),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "settings key 'stability_band' must be two numbers" in stderr
+    assert "settings key 'dt' must be a positive number" in stderr
 
 
 def test_run_replaces_trace_csv_atomically(mug_scene, tmp_path, capsys):
@@ -223,6 +235,7 @@ BROKEN_FIXTURES = [
     pytest.param("contact.json", {"max_steps": 5}, id="contact-max-steps"),
     pytest.param("contact.json", _misspell_stiffness, id="misspelt-key"),
     pytest.param("scene.json", lambda doc: doc.pop("object_name"), id="no-object-name"),
+    pytest.param("object.obj", b"\xff\xfe\x00", id="obj-not-utf8"),
 ]
 
 
@@ -231,12 +244,15 @@ def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, caps
                                                      name, edit):
     scene = tmp_path / "fragile-01"
     shutil.copytree(fragile_dir / "fragile-01", scene)
-    doc = json.loads((scene / name).read_text())
-    if isinstance(edit, dict):
-        doc.update(edit)
+    if isinstance(edit, bytes):
+        (scene / name).write_bytes(edit)
     else:
-        edit(doc)
-    (scene / name).write_text(json.dumps(doc))
+        doc = json.loads((scene / name).read_text())
+        if isinstance(edit, dict):
+            doc.update(edit)
+        else:
+            edit(doc)
+        (scene / name).write_text(json.dumps(doc))
 
     code, stdout, _ = _run(capsys, "validate", str(scene))
     findings = stdout.splitlines()[:-1]
@@ -248,6 +264,22 @@ def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, caps
     assert code == 2, stdout + stderr
     assert all(f in stderr for f in findings), (findings, stderr)
     assert not (tmp_path / "runs").exists()
+
+
+def test_broken_contact_is_refused_before_any_stage_work(fragile_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    scene = tmp_path / "fragile-01"
+    shutil.copytree(fragile_dir / "fragile-01", scene)
+    doc = json.loads((scene / "contact.json").read_text())
+    (scene / "contact.json").write_text(json.dumps({**doc, "dt": 0}))
+
+    def align_depth(*args, **kwargs):
+        raise AssertionError("align-depth ran before contact.json was read")
+
+    monkeypatch.setattr(pipeline, "align_depth", align_depth)
+    code, stdout, stderr = _run(capsys, "run", str(scene), "--out", str(tmp_path / "runs"))
+    assert code == 2, stdout + stderr
+    assert "contact.json: unknown key 'dt'" in stderr
 
 
 def test_validate_reads_every_file_past_a_broken_one(mug_scene, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from dextra import geometry
 from dextra.errors import EmptyMesh, SchemaError
 from dextra.geometry import (
     SE3Pose,
@@ -300,6 +301,62 @@ def test_squared_distances_match_nearest_point():
             assert np.array_equal(one.normal[0], batch.normal[i]), name
             assert one.distance[0] == batch.distance[i], name
             assert np.isclose(batch.sq_distance[i], batch.distance[i] ** 2, atol=1e-12)
+
+
+BUNDLED_OBJS = sorted((Path(__file__).resolve().parents[1] / "scenes").rglob("object.obj"))
+# the query's bound cull and the pseudonormal frames are checked bit for bit
+# against full scans on these, plus every bundled object mesh
+EXACT_MESHES = {
+    "icosphere-4": lambda: icosphere(subdivisions=4),
+    "box": SURFACE_MESHES["box"],
+    "tetra": SURFACE_MESHES["tetra"],
+    # far from the origin, coordinates round at a larger magnitude than the
+    # mesh's own size
+    "mug-far": lambda: transform_mesh(load_obj(MUG_OBJ),
+                                      pose_from_rotvec((0.3, 0.2, -0.1), (3.0, -4.0, 2.0))),
+    **{f"obj-{path.parent.name}": (lambda path=path: load_obj(path)) for path in BUNDLED_OBJS},
+}
+
+
+def _feature_points(mesh, per_kind=300, seed=0):
+    """Vertices, edge midpoints and face centroids (at most `per_kind` each),
+    the same pushed 1e-12 along random directions, far points, and the
+    centre, where a closed mesh's triangles (nearly) all tie."""
+    rng = np.random.default_rng(seed)
+    v, f = mesh.vertices, mesh.triangles
+    edges = np.unique(np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1),
+                      axis=0)
+    kinds = [v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]]), v[f].mean(axis=1)]
+    features = np.vstack([pts[rng.permutation(len(pts))[:per_kind]] for pts in kinds])
+    unit = rng.normal(size=features.shape)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    centre = 0.5 * (lo + hi)
+    far = centre + 20.0 * np.linalg.norm(hi - lo) * unit[:50]
+    return np.vstack([features, features + 1e-12 * unit, far, centre])
+
+
+@pytest.mark.parametrize("name", list(EXACT_MESHES))
+def test_query_matches_full_scan_bit_for_bit(name):
+    mesh = EXACT_MESHES[name]()
+    points = _feature_points(mesh)
+    hits = surface_query(mesh, points)
+    d2, tri, q = oracles.mesh_closest(mesh.vertices, mesh.triangles, points)
+    assert np.array_equal(hits.sq_distance, d2)
+    assert np.array_equal(hits.triangle, tri)
+    assert np.array_equal(hits.point, q)
+
+
+@pytest.mark.parametrize("name", ["icosphere-4"] + [f"obj-{p.parent.name}" for p in BUNDLED_OBJS])
+def test_surface_frames_match_per_triangle_loop(name):
+    mesh = EXACT_MESHES[name]()
+    vertex_normals, edge_keys, edge_normals = geometry._surface_frames(mesh)
+    want_vertex, want_edge = oracles.pseudonormal_frames(mesh.vertices, mesh.triangles)
+    assert np.array_equal(vertex_normals, want_vertex)
+    nv = len(mesh.vertices)
+    got_edge = {(int(k) // nv, int(k) % nv): n for k, n in zip(edge_keys, edge_normals)}
+    assert got_edge.keys() == want_edge.keys()
+    assert all(np.array_equal(got_edge[e], n) for e, n in want_edge.items())
 
 
 def test_transform_mesh_is_isometry():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -30,6 +31,7 @@ from dextra.pipeline import (
     STAGE_NAMES,
     ObjectTrajectory,
     PipelineSettings,
+    _SETTINGS_RULES,
     canonical,
     canonical_json,
     content_digest,
@@ -133,6 +135,39 @@ def test_settings_from_dict_rejects_unknown_keys():
         settings_from_dict({"gains": {"ki": 1.0}})
     with pytest.raises(SchemaError, match="section 'optimizer' must be an object"):
         settings_from_dict({"optimizer": 5})
+
+
+@pytest.mark.parametrize("doc, keys", [
+    ({"stability_band": 5}, ["stability_band"]),
+    ({"stability_band": [0.9, "1.1"]}, ["stability_band"]),
+    ({"dt": 0}, ["dt"]),
+    ({"standoff": -0.05}, ["standoff"]),
+    ({"max_steps": 2.5}, ["max_steps"]),
+    ({"min_stable_fingers": 0}, ["min_stable_fingers"]),
+    ({"transfer": "no"}, ["transfer"]),
+    ({"force_lock": 1}, ["force_lock"]),
+    ({"seed": True}, ["seed"]),
+    ({"noise_sigma": -0.1}, ["noise_sigma"]),
+    ({"optimizer": {"max_iterations": "50"}, "gains": {"kp": None}},
+     ["max_iterations", "kp"]),
+    ({"dt": "fast", "seed": 1.5, "noise_sigma": "low", "frobnicate": 1},
+     ["dt", "seed", "noise_sigma", "frobnicate"]),
+])
+def test_settings_from_dict_rejects_bad_values(doc, keys):
+    with pytest.raises(SchemaError) as err:
+        settings_from_dict(doc)
+    # one error naming every bad key, in document order
+    assert len(err.value.violations) == len(keys)
+    for key, violation in zip(keys, err.value.violations):
+        assert f"key '{key}'" in violation
+
+
+def test_every_setting_has_a_value_rule():
+    assert set(_SETTINGS_RULES) == {f.name for f in dataclasses.fields(PipelineSettings)}
+    doc = {"hand_model": None, "dt": 0.005, "max_steps": 10, "stability_band": [0.8, 1.2],
+           "transfer": False, "seed": 3, "noise_sigma": None,
+           "optimizer": {"max_iterations": 5, "damping_init": 1}, "gains": {"kd": 0}}
+    assert settings_from_dict(doc).optimizer.max_iterations == 5
 
 
 # ---------------------------------------------------------------------------
