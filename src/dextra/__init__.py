@@ -8,7 +8,6 @@ from .errors import (
     DimensionMismatch,
     EmptyContactSet,
     EmptyMesh,
-    EmptyTrajectory,
     FixtureMissing,
     MissingField,
     MissingJointMap,
@@ -65,11 +64,9 @@ from .kinematics import (
     rest_configuration,
 )
 from .pipeline import (
-    ObjectTrajectory,
     PipelineReport,
     PipelineSettings,
     derive_engagement,
-    manipulation_trajectory,
     run_pipeline,
     settings_from_file,
 )

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,13 @@ from .errors import DextraError, FixtureMissing, SchemaError, StageError
 from .geometry import load_obj
 from .graspctl import trace_csv
 from .kinematics import load_hand_model_file
-from .pipeline import PipelineSettings, canonical, run_pipeline, settings_from_file
+from .pipeline import (
+    PipelineSettings,
+    canonical,
+    override_settings,
+    run_pipeline,
+    settings_from_file,
+)
 from .reconstruction import check_scene
 
 _USAGE_ERROR = 2
@@ -31,14 +36,16 @@ _RUN_FAILED = 1
 
 
 def _load_settings(args) -> PipelineSettings:
+    """The settings file, then the flags, checked by the same rules."""
     settings = settings_from_file(args.settings) if args.settings else PipelineSettings()
+    flags = {}
     if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
+        flags["seed"] = args.seed
     if getattr(args, "no_force_lock", False):
-        settings = replace(settings, force_lock=False)
+        flags["force_lock"] = False
     if getattr(args, "no_transfer", False):
-        settings = replace(settings, transfer=False)
-    return settings
+        flags["transfer"] = False
+    return override_settings(settings, **flags)
 
 
 def _fail(message: str, code: int) -> int:

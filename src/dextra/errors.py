@@ -69,10 +69,6 @@ class NonPositiveDt(DextraError):
     """Controller time step must be positive."""
 
 
-class EmptyTrajectory(DextraError):
-    """An object trajectory with no samples."""
-
-
 class StageError(DextraError):
     """A pipeline stage failed; names the stage and chains the cause."""
 

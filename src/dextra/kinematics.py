@@ -294,7 +294,7 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
              offset=pose_from_record(links_doc[i]["offset"]) if "offset" in links_doc[i]
              else identity_pose())
         for i in range(len(links_doc)))
-    return KinematicHandModel(
+    model = KinematicHandModel(
         name=str(doc["name"]),
         links=links,
         joints=tuple(joints),
@@ -312,6 +312,17 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
         lower_limits=np.array([j.limits[0] for j in joints]),
         upper_limits=np.array([j.limits[1] for j in joints]),
     )
+    # the contact-onset search sweeps every finger in one FK pass, which is
+    # exact only while each driver (with its mimics) moves its own tip alone
+    _, _, moves, fold = _jacobian_tables(model)
+    moved = moves[:, 3:, 0] @ (fold != 0.0)        # (K, J): tip k moved by joint j
+    for k, dn in enumerate(drivers):
+        for t in np.flatnonzero(moved[:, joint_index[dn]]):
+            if t != k:
+                bad.append((SchemaError, f"finger driver '{dn}' of '{tips[k]}' "
+                                         f"also moves fingertip '{tips[t]}'"))
+    raise_schema(bad)
+    return model
 
 
 def load_hand_model_file(path) -> KinematicHandModel:

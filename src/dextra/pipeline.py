@@ -26,17 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DextraError,
-    EmptyTrajectory,
-    SchemaError,
-    StageError,
-)
+from .errors import DextraError, SchemaError, StageError
 from .geometry import (
     SE3Pose,
     TriangleMesh,
     compose,
-    pose_from_record,
     pose_to_record,
     save_obj,
     save_points_obj,
@@ -191,6 +185,14 @@ def settings_from_file(path) -> PipelineSettings:
     return settings_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def override_settings(settings: PipelineSettings, **changes) -> PipelineSettings:
+    """`settings` with top-level `changes`, each checked like a file value."""
+    bad = _rule_violations(changes, _SETTINGS_RULES, "settings")
+    if bad:
+        raise SchemaError(bad)
+    return replace(settings, **changes)
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization and digests
 # ---------------------------------------------------------------------------
@@ -214,6 +216,8 @@ def canonical(obj):
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()     # already plain floats, no strings needed
         return canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
@@ -302,57 +306,64 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
                       squeeze: GraspAction, mesh: TriangleMesh) -> np.ndarray:
     """Closing coordinate at which each fingertip first meets the surface.
 
-    For every finger, hold the other joints at their squeeze values and
-    sweep the driver angle from its pre-grasp value toward its squeeze
-    value; the first angle whose fingertip crosses the surface (refined by
-    bisection to ENGAGEMENT_TOL) is that finger's contact onset.  Fingers
-    that never reach the surface within the sweep get +inf, which the
-    spring model reads as free air.  `mesh` must live in the same frame as
-    the grasps.
+    Every finger's driver sweeps from its pre-grasp value toward its squeeze
+    value while the other joints hold their squeeze values; the first angle
+    whose fingertip crosses the surface, refined by bisection to
+    ENGAGEMENT_TOL, is that finger's contact onset.  A driver that does not
+    close counts only a touch already at its pre-grasp angle, and a fingertip
+    that never reaches the surface gets +inf, which the spring model reads as
+    free air.  `mesh` must live in the same frame as the grasps.
+
+    All fingers are searched in lockstep: each of the _ENGAGEMENT_SAMPLES
+    grid samples is one FK sweep with every driver at its own angle, the
+    whole grid is one surface query, and every bisection step is one FK
+    sweep and one query for the fingers still open.  `load_hand_model`
+    guarantees that a driver, with its mimic joints, moves its own fingertip
+    alone, so each fingertip gets the same bits as in a sweep that moves only
+    its own finger.
     """
     if pre.frame != squeeze.frame:
         raise SchemaError([f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'"])
     drivers = [model.joint_index[n] for n in model.finger_drivers]
+    if not drivers:
+        return np.empty(0)      # a model without finger drivers closes nothing
     root = squeeze.config.root_pose
     base = np.array(squeeze.config.joint_angles)
-    pre_angles = np.array(pre.config.joint_angles)
-    tip_row = {j: k for k, j in enumerate(drivers)}
+    lo = np.array(pre.config.joint_angles)[drivers]
+    hi = base[drivers]
+    # a driver that does not close (or closes the wrong way for a one-sided
+    # spring) stays at its pre-grasp angle
+    closes = hi > lo + 1e-12
 
-    def tip_depths(joint: int, sweep) -> np.ndarray:
-        """Signed surface distance of the joint's fingertip at every angle."""
-        tips = np.empty((len(sweep), 3))
-        for i, angle in enumerate(sweep):
-            angles = base.copy()
-            angles[joint] = angle
-            tips[i] = fingertip_positions(model, HandConfiguration(root, angles))[tip_row[joint]]
-        return surface_query(mesh, tips).distance
+    def tips_at(driver_angles) -> np.ndarray:
+        """(K, 3) fingertips with each driver at its own angle."""
+        angles = base.copy()
+        angles[drivers] = driver_angles
+        return fingertip_positions(model, HandConfiguration(root, angles))
 
-    out = np.full(len(drivers), np.inf)
-    for k, j in enumerate(drivers):
-        lo = float(pre_angles[j])
-        hi = float(base[j])
-        if hi <= lo + 1e-12:
-            # the driver does not close (or closes the wrong way for a
-            # one-sided spring); only a pre-existing touch counts
-            if tip_depths(j, [lo])[0] <= 0.0:
-                out[k] = lo
-            continue
-        grid = np.linspace(lo, hi, _ENGAGEMENT_SAMPLES)
-        depths = tip_depths(j, grid)
-        if depths[0] <= 0.0:
-            out[k] = lo
-            continue
-        crossing = next((i for i, d in enumerate(depths) if d <= 0.0), None)
-        if crossing is None:
-            continue
-        a, b = float(grid[crossing - 1]), float(grid[crossing])
-        while (b - a) > ENGAGEMENT_TOL:
-            mid = 0.5 * (a + b)
-            if tip_depths(j, [mid])[0] <= 0.0:
-                b = mid
-            else:
-                a = mid
-        out[k] = 0.5 * (a + b)
+    grid = np.array([np.linspace(a, b, _ENGAGEMENT_SAMPLES) if c
+                     else np.full(_ENGAGEMENT_SAMPLES, a)
+                     for a, b, c in zip(lo, hi, closes)]).T
+    tips = np.array([tips_at(row) for row in grid])
+    depths = surface_query(mesh, tips.reshape(-1, 3)).distance.reshape(grid.shape)
+    inside = depths <= 0.0
+
+    out = np.where(inside[0], lo, np.inf)
+    # the bracket [a, b] of every finger that starts outside and crosses
+    crossing = inside.argmax(axis=0)
+    bracketed = ~inside[0] & inside.any(axis=0) & closes
+    fingers = np.arange(len(drivers))
+    a = np.where(bracketed, grid[crossing - 1, fingers], lo)
+    b = np.where(bracketed, grid[crossing, fingers], lo)
+    while True:
+        open_ = np.flatnonzero(bracketed & ((b - a) > ENGAGEMENT_TOL))
+        if len(open_) == 0:
+            break
+        mid = 0.5 * (a + b)
+        hit = surface_query(mesh, tips_at(mid)[open_]).distance <= 0.0
+        b[open_[hit]] = mid[open_[hit]]
+        a[open_[~hit]] = mid[open_[~hit]]
+    out[bracketed] = 0.5 * (a + b)[bracketed]
     return out
 
 
@@ -601,48 +612,3 @@ def export_scene_geometry(out_dir, mesh_obj: TriangleMesh,
     for name, action in actions.items():
         _write_tips(f"tips_{name}.obj", action)
     return written
-
-
-# ---------------------------------------------------------------------------
-# manipulation along an object trajectory
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ObjectTrajectory:
-    """Timestamped object poses in the real camera frame."""
-
-    times: np.ndarray
-    poses: tuple
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).reshape(-1)
-        if len(t) != len(self.poses):
-            raise SchemaError(["trajectory times and poses disagree in length"])
-        if len(t) > 1 and not bool((np.diff(t) > 0.0).all()):
-            raise SchemaError(["trajectory timestamps must be strictly increasing"])
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "poses", tuple(self.poses))
-
-    def __len__(self):
-        return len(self.poses)
-
-    @classmethod
-    def from_records(cls, records) -> "ObjectTrajectory":
-        times = [float(r["t"]) for r in records]
-        poses = [pose_from_record(r["pose"]) for r in records]
-        return cls(times=np.asarray(times), poses=tuple(poses))
-
-
-def manipulation_trajectory(grasp: GraspAction, trajectory: ObjectTrajectory,
-                            hand_eye: SE3Pose) -> tuple:
-    """Wrist poses that keep an object-frame grasp rigidly attached.
-
-    Re-anchors the grasp to every trajectory sample, so the hand-object
-    relation is constant along the whole motion and the joint angles never
-    change.  The grasp must still be in the object frame.
-    """
-    if len(trajectory) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
-    return tuple(to_robot_frame(grasp, pose, hand_eye)
-                 for pose in trajectory.poses)

@@ -464,7 +464,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2])).tolist()
     while (b - a) > DEPTH_SEARCH_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -478,7 +478,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
 
     # the input depth is always a candidate, making the step non-increasing
     candidates = [0.0, polished, float(coarse[best])]
-    objs = [f(c) for c in candidates]
+    objs = _depth_objective(mesh, pts, np.array(candidates))
     delta = candidates[int(np.argmin(objs))]
 
     root = hand.config.root_pose

@@ -279,6 +279,40 @@ def depth_grid_argmin(vertices, triangles, pts, half_range=0.15,
 
 
 # ---------------------------------------------------------------------------
+# geometric contact onset, one finger at a time
+# ---------------------------------------------------------------------------
+
+def engagement_per_finger(fingertip, depth, lo, hi, samples=33, tol=1e-6):
+    """Contact onset of every finger by its own sweep, then its own bisection.
+
+    `fingertip(k, angle)` is fingertip k with only finger k's driver moved
+    to `angle`; `depth(point)` is the signed surface distance of one point.
+    A driver that does not close (hi <= lo + 1e-12) counts only a touch at
+    lo; a finger that starts inside gets lo, one that never crosses +inf.
+    """
+    out = []
+    for k, (a, b) in enumerate(zip((float(v) for v in lo), (float(v) for v in hi))):
+        if b <= a + 1e-12:
+            out.append(a if depth(fingertip(k, a)) <= 0.0 else math.inf)
+            continue
+        grid = np.linspace(a, b, samples)
+        inside = [depth(fingertip(k, angle)) <= 0.0 for angle in grid]
+        if inside[0] or not any(inside):
+            out.append(a if inside[0] else math.inf)
+            continue
+        i = inside.index(True)
+        a, b = float(grid[i - 1]), float(grid[i])
+        while (b - a) > tol:
+            mid = 0.5 * (a + b)
+            if depth(fingertip(k, mid)) <= 0.0:
+                b = mid
+            else:
+                a = mid
+        out.append(0.5 * (a + b))
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
 # grasp controller recursion, scalar python
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from dextra import pipeline
+from dextra import cli, pipeline
 from dextra.cli import main
 
 
@@ -86,6 +86,24 @@ def test_run_bad_settings_value_is_usage_error(mug_scene, tmp_path, capsys):
     assert code == 2
     assert "settings key 'stability_band' must be two numbers" in stderr
     assert "settings key 'dt' must be a positive number" in stderr
+
+
+@pytest.mark.parametrize("how", ["flag", "settings"])
+def test_run_negative_seed_is_refused_before_any_stage(mug_scene, tmp_path, capsys,
+                                                       monkeypatch, how):
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("a stage ran with a bad seed")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"seed": -1}))
+    seed = ["--seed", "-1"] if how == "flag" else ["--settings", str(settings)]
+    for command in ("run", "batch"):
+        code, _, stderr = _run(capsys, command, str(mug_scene), *seed,
+                               "--out", str(tmp_path / "runs"))
+        assert code == 2
+        assert "settings key 'seed' must be a non-negative integer" in stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_replaces_trace_csv_atomically(mug_scene, tmp_path, capsys):

@@ -431,6 +431,26 @@ def test_finger_drivers_unknown_joint():
         load_hand_model(doc)
 
 
+def test_finger_driver_moving_another_tip_is_refused():
+    # f2 hangs off f1's proximal link, so f1_bend swings both fingertips
+    doc = tiny_doc()
+    doc["links"][3]["parent"] = 1
+    with pytest.raises(SchemaError, match="'f1_bend' of 'f1_tip' also moves fingertip 'f2_tip'"):
+        load_hand_model(doc)
+    # a mimic joint on the other finger counts as its driver's own motion
+    doc = tiny_doc()
+    doc["links"].insert(5, {"name": "f2_end", "parent": 4,
+                            "offset": _offset((0.0, 0.01, 0.0))})
+    doc["joints"].append({"name": "f2_curl", "child_link": "f2_tip",
+                          "axis": [1.0, 0.0, 0.0], "type": "revolute",
+                          "limits": [-1.0, 1.0], "rest": 0.0})
+    doc["fingertip_links"] = ["f1_tip", "f2_end"]
+    assert load_hand_model(doc).fingertip_count == 2
+    doc["mimics"] = [{"joint": "f2_curl", "driver": "f1_bend", "ratio": 0.5}]
+    with pytest.raises(SchemaError, match="'f1_bend' of 'f1_tip' also moves fingertip 'f2_end'"):
+        load_hand_model(doc)
+
+
 def test_zero_approach_axis():
     doc = _mutated(approach_axis=[0.0, 0.0, 0.0])
     with pytest.raises(SchemaError, match="approach_axis"):

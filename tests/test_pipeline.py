@@ -6,17 +6,17 @@ import shutil
 import numpy as np
 import pytest
 
+import oracles
+from conftest import MODELS_DIR, SCENES_DIR
+from dextra import pipeline
 from dextra.errors import (
-    EmptyTrajectory,
     FixtureMissing,
     SchemaError,
     StageError,
-    WrongFrame,
 )
 from dextra.geometry import (
     box_mesh,
     compose,
-    identity_pose,
     pose_from_rotvec,
     pose_to_matrix,
     transform_mesh,
@@ -25,25 +25,28 @@ from dextra.graspctl import GraspGains
 from dextra.kinematics import (
     HandConfiguration,
     fingertip_positions,
+    load_hand_model,
     rest_configuration,
 )
 from dextra.pipeline import (
+    ENGAGEMENT_TOL,
     STAGE_NAMES,
-    ObjectTrajectory,
     PipelineSettings,
+    _ENGAGEMENT_SAMPLES,
     _SETTINGS_RULES,
     canonical,
     canonical_json,
     content_digest,
     derive_engagement,
     grasp_record,
-    manipulation_trajectory,
     run_pipeline,
     settings_from_dict,
 )
 from dextra.reconstruction import SceneFixture, build_prompt, gather_reconstruction
 from dextra.retarget import FRAME_OBJECT, FRAME_ROBOT, GraspAction
 from dextra.geometry import surface_query
+
+BUNDLED_SCENES = sorted(p.parent for p in SCENES_DIR.rglob("scene.json"))
 
 
 def _mug_bundle(mug_scene):
@@ -68,6 +71,40 @@ def test_canonical_scalars_and_containers():
     assert canonical({1: float("inf")}) == {"1": "inf"}
     assert canonical((1, "a", None)) == [1, "a", None]
     assert canonical(np.array([[1.0, 2.0]])) == [[1.0, 2.0]]
+
+
+def test_canonical_arrays_keep_strings_ints_and_bools():
+    assert canonical(np.array([1.0, np.nan, -np.inf])) == [1.0, "nan", "-inf"]
+    assert canonical(np.array([[np.inf], [2.0]])) == [["inf"], [2.0]]
+    assert canonical(np.float64(np.nan)) == "nan"
+    ints = canonical(np.arange(3, dtype=np.int32))
+    assert ints == [0, 1, 2] and all(type(v) is int for v in ints)
+    flags = canonical(np.array([[True], [False]]))
+    assert flags == [[True], [False]] and all(type(r[0]) is bool for r in flags)
+    floats = canonical(np.array([0.1, -0.0, 1e300], dtype=np.float64))
+    assert all(type(v) is float for v in floats)
+    assert canonical(np.array(2.5)) == 2.5
+
+
+def test_canonical_json_of_arrays_matches_nested_lists():
+    rng = np.random.default_rng(5)
+    doc = {"a": rng.normal(size=(3, 4)), "b": {"c": np.array([1.5, np.inf]),
+                                               "d": [np.arange(4), np.zeros(0)]},
+           "e": np.array([True, False]), "f": (rng.normal(size=2), "x", None),
+           "g": np.float32([0.1, 2.0]), "h": rng.normal(size=(2, 0, 3))}
+
+    def as_lists(obj):
+        # every array through the element-by-element path
+        if isinstance(obj, np.ndarray):
+            return [as_lists(v) for v in obj] if obj.ndim else obj.item()
+        if isinstance(obj, dict):
+            return {k: as_lists(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [as_lists(v) for v in obj]
+        return obj
+
+    assert canonical_json(doc) == canonical_json(as_lists(doc))
+    assert content_digest(doc) == content_digest(as_lists(doc))
 
 
 def test_canonical_domain_objects(robot_model):
@@ -235,6 +272,102 @@ def test_pipeline_engagement_rejects_frame_mismatch(robot_model):
         derive_engagement(robot_model, obj, rob, box_mesh((0.1, 0.1, 0.1)))
 
 
+def test_engagement_without_finger_drivers_is_empty():
+    doc = json.loads((MODELS_DIR / "leap-like-16dof.json").read_text(encoding="utf-8"))
+    del doc["finger_drivers"]
+    model = load_hand_model(doc)
+    grasp = GraspAction(hand_model=model.name, config=rest_configuration(model),
+                        frame=FRAME_ROBOT, residual=np.zeros(model.fingertip_count))
+    assert derive_engagement(model, grasp, grasp, box_mesh((0.1, 0.1, 0.1))).shape == (0,)
+
+
+def _engagement_inputs(monkeypatch, scene_dir, hand=None):
+    """(model, pre, squeeze, mesh) and the engagement the execute stage derived."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, derive_engagement(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "derive_engagement", recording)
+    report = run_pipeline(scene_dir, PipelineSettings(hand_model=hand))
+    assert len(calls) == 1
+    assert np.array_equal(report.execution["engagement"], calls[0][1])
+    return calls[0]
+
+
+def _drivers(model):
+    return [model.joint_index[n] for n in model.finger_drivers]
+
+
+def _oracle_engagement(model, pre, squeeze, mesh):
+    drivers = _drivers(model)
+
+    def fingertip(k, angle):
+        angles = np.array(squeeze.config.joint_angles)
+        angles[drivers[k]] = angle
+        config = HandConfiguration(squeeze.config.root_pose, angles)
+        return fingertip_positions(model, config)[k]
+
+    return oracles.engagement_per_finger(
+        fingertip, lambda point: surface_query(mesh, point).distance[0],
+        pre.config.joint_angles[drivers], squeeze.config.joint_angles[drivers],
+        samples=_ENGAGEMENT_SAMPLES, tol=ENGAGEMENT_TOL)
+
+
+@pytest.mark.parametrize("hand", [None, "leap-like-16dof", "shadow-like-22dof"])
+@pytest.mark.parametrize("scene_dir", BUNDLED_SCENES, ids=lambda p: p.name)
+def test_engagement_matches_per_finger_oracle(monkeypatch, scene_dir, hand):
+    args, engagement = _engagement_inputs(monkeypatch, scene_dir, hand)
+    want = _oracle_engagement(*args)
+    assert engagement.tobytes() == want.tobytes(), (engagement, want)
+
+
+def _with_drivers(grasp, model, changes):
+    angles = np.array(grasp.config.joint_angles)
+    for k, angle in changes.items():
+        angles[_drivers(model)[k]] = angle
+    return dataclasses.replace(grasp, config=HandConfiguration(grasp.config.root_pose, angles))
+
+
+def test_engagement_cases_match_per_finger_oracle(monkeypatch, mug_scene):
+    (model, pre, squeeze, mesh), onset = _engagement_inputs(monkeypatch, mug_scene)
+    drivers = _drivers(model)
+    lo = pre.config.joint_angles[drivers]
+    hi = squeeze.config.joint_angles[drivers]
+    assert onset[0] == np.inf and np.isfinite(onset[1:]).all()
+    past = 0.5 * (onset + hi)       # a driver angle already inside the body
+    # finger 0 never reaches the body; 1 starts inside; 2 does not close and
+    # stays outside; 3 does not close but starts inside; 4 is bisected
+    pre = _with_drivers(pre, model, {1: past[1], 3: past[3]})
+    squeeze = _with_drivers(squeeze, model, {2: lo[2] - 0.1, 3: past[3] - 0.05})
+    got = derive_engagement(model, pre, squeeze, mesh)
+    assert got.tobytes() == _oracle_engagement(model, pre, squeeze, mesh).tobytes()
+    assert got[:4].tolist() == [np.inf, past[1], np.inf, past[3]]
+    assert lo[4] < got[4] < hi[4] and got[4] == onset[4]
+
+
+def test_engagement_searches_every_finger_in_lockstep(monkeypatch, mug_scene):
+    (model, pre, squeeze, mesh), onset = _engagement_inputs(monkeypatch, mug_scene)
+    counts = {"fk": 0, "query": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(pipeline, "fingertip_positions",
+                        counted("fk", pipeline.fingertip_positions))
+    monkeypatch.setattr(pipeline, "surface_query", counted("query", pipeline.surface_query))
+    assert derive_engagement(model, pre, squeeze, mesh).tobytes() == onset.tobytes()
+    steps = counts["query"] - 1
+    # one FK sweep per grid sample and per bisection step for the whole hand;
+    # four fingers are bisected, each alone would take about as many steps
+    assert counts["fk"] == _ENGAGEMENT_SAMPLES + steps
+    assert 10 <= steps <= 20
+
+
 def test_pipeline_without_transfer_uses_generated_pose(mug_scene):
     report = run_pipeline(mug_scene, PipelineSettings(transfer=False))
     assert report.execution["transfer"] is False
@@ -284,60 +417,3 @@ def test_pipeline_export_writes_stage_geometry(mug_scene, tmp_path):
     assert {p.name for p in out.iterdir()} == expected
     for p in out.iterdir():
         assert p.read_text().lstrip().startswith("v ")
-
-
-# ---------------------------------------------------------------------------
-# manipulation along an object trajectory
-# ---------------------------------------------------------------------------
-
-def _object_grasp(model):
-    root = pose_from_rotvec((0.2, -0.1, 0.4), (0.02, 0.05, 0.1))
-    cfg = HandConfiguration(root, rest_configuration(model).joint_angles)
-    return GraspAction(hand_model=model.name, config=cfg,
-                       frame=FRAME_OBJECT, residual=np.zeros(5))
-
-
-def test_object_trajectory_validation():
-    poses = (identity_pose(), identity_pose())
-    with pytest.raises(SchemaError, match="disagree in length"):
-        ObjectTrajectory(times=[0.0], poses=poses)
-    with pytest.raises(SchemaError, match="strictly increasing"):
-        ObjectTrajectory(times=[0.0, 0.0], poses=poses)
-    records = [
-        {"t": 0.0, "pose": {"rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}},
-        {"t": 0.5, "pose": {"rotation": [1, 0, 0, 0], "translation": [0, 0, 0.1]}},
-    ]
-    traj = ObjectTrajectory.from_records(records)
-    assert len(traj) == 2
-    assert np.allclose(traj.poses[1].translation, [0.0, 0.0, 0.1])
-
-
-def test_manipulation_keeps_grasp_rigidly_attached(robot_model):
-    rng = np.random.default_rng(21)
-    poses = tuple(
-        pose_from_rotvec(rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.3, 3))
-        for _ in range(4))
-    traj = ObjectTrajectory(times=np.arange(4, dtype=float), poses=poses)
-    hand_eye = pose_from_rotvec((0.1, 0.0, -0.2), (0.3, -0.1, 0.2))
-    grasp = _object_grasp(robot_model)
-    wrists = manipulation_trajectory(grasp, traj, hand_eye)
-    assert len(wrists) == 4
-    for pose, out in zip(poses, wrists):
-        assert out.frame == FRAME_ROBOT
-        want = (pose_to_matrix(hand_eye) @ pose_to_matrix(pose)
-                @ pose_to_matrix(grasp.config.root_pose))
-        assert np.allclose(pose_to_matrix(out.config.root_pose), want, atol=1e-12)
-        assert np.array_equal(out.config.joint_angles, grasp.config.joint_angles)
-
-
-def test_manipulation_rejects_empty_or_wrong_frame(robot_model):
-    grasp = _object_grasp(robot_model)
-    hand_eye = identity_pose()
-    with pytest.raises(EmptyTrajectory, match="no samples"):
-        manipulation_trajectory(grasp, ObjectTrajectory(times=[], poses=()),
-                                hand_eye)
-    robot_grasp = GraspAction(hand_model=robot_model.name, config=grasp.config,
-                              frame=FRAME_ROBOT, residual=np.zeros(5))
-    traj = ObjectTrajectory(times=[0.0], poses=(identity_pose(),))
-    with pytest.raises(WrongFrame):
-        manipulation_trajectory(robot_grasp, traj, hand_eye)
