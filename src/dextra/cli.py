@@ -82,14 +82,10 @@ def cmd_run(args) -> int:
     scene_dir = Path(args.scene)
     if not (scene_dir / "scene.json").is_file():
         return _fail(f"error: no scene at {scene_dir}", _USAGE_ERROR)
-    try:
-        settings = _load_settings(args)
-    except (DextraError, OSError, ValueError) as exc:
-        return _fail(f"error: {exc}", _USAGE_ERROR)
     out_dir = Path(args.out) / scene_dir.name
     export = out_dir / "geometry" if args.export_obj else None
     try:
-        report = run_pipeline(scene_dir, settings, export_dir=export)
+        report = run_pipeline(scene_dir, _load_settings(args), export_dir=export)
     except DextraError as exc:
         return _error_exit(exc)
     _emit_scene(out_dir, report)
@@ -110,19 +106,16 @@ def _discover_scenes(root: Path) -> list:
 
 
 def _summary_rows(reports) -> list:
-    rows = []
-    for report in reports:
-        rows.append({
-            "scene": report.scene,
-            "object_name": report.object_name,
-            "verdict": report.verdict,
-            "f_target": report.f_target,
-            "final_forces": [float(f) for f in report.result.final_forces],
-            "residual": report.retarget["residual"],
-            "depth_shift": report.alignment["depth_shift"],
-            "steps": report.result.steps,
-        })
-    return rows
+    return [{
+        "scene": report.scene,
+        "object_name": report.object_name,
+        "verdict": report.verdict,
+        "f_target": report.f_target,
+        "final_forces": [float(f) for f in report.result.final_forces],
+        "residual": report.retarget["residual"],
+        "depth_shift": report.alignment["depth_shift"],
+        "steps": report.result.steps,
+    } for report in reports]
 
 
 def _summary_doc(rows, seed: int) -> dict:
@@ -167,7 +160,7 @@ def cmd_batch(args) -> int:
 
     try:
         settings = _load_settings(args)
-    except (DextraError, OSError, ValueError) as exc:
+    except DextraError as exc:
         return _fail(f"error: {exc}", _USAGE_ERROR)
 
     out = Path(args.out)
@@ -202,9 +195,7 @@ def _validate_file(path: Path) -> list:
     try:
         readers[path.suffix](path)
     except DextraError as exc:
-        # load_obj names the file in each violation itself
-        return [v if path.suffix == ".obj" else f"{path.name}: {v}"
-                for v in getattr(exc, "violations", [str(exc)])]
+        return getattr(exc, "violations", [str(exc)])
     return []
 
 

@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one JSON document checker.
+
+Every JSON document the package reads (the scene fixture files, a settings
+file, a hand model) is checked by `check_document` against a rule table,
+and every violation it finds is raised at once through `raise_schema`.
+"""
 
 from __future__ import annotations
+
+import json
+import sys
 
 
 class DextraError(Exception):
@@ -77,17 +85,87 @@ class StageError(DextraError):
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-def raise_schema(violations):
+def raise_schema(violations, where: str = ""):
     """Raise the most specific schema error covering `violations`.
 
     Each violation is a (kind, message) pair.  A single kind raises that
     kind's exception; mixed kinds raise the plain SchemaError.  All
-    messages are always attached.
+    messages are always attached, each prefixed with `where` if given.
     """
     if not violations:
         return
     kinds = {kind for kind, _ in violations}
-    messages = [msg for _, msg in violations]
+    messages = [f"{where}: {msg}" if where else msg for _, msg in violations]
     if len(kinds) == 1:
         raise kinds.pop()(messages)
     raise SchemaError(messages)
+
+
+def number(v) -> bool:
+    """A finite JSON number that fits a float; booleans do not count."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def positive(v) -> bool:
+    return number(v) and v > 0
+
+
+def numbers(v, n=None, valid=number) -> bool:
+    """A list of `n` entries (any count if None) that `valid` accepts."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(valid, v))
+
+
+# rule entries: (accepts, rule[, default]); a REQUIRED default must be present
+REQUIRED = object()
+TEXT = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+POSE = (lambda r: isinstance(r, dict) and r.keys() == {"rotation", "translation"}
+        and numbers(r["rotation"], 4) and any(r["rotation"]) and numbers(r["translation"], 3),
+        "must be a pose: a nonzero 4-number rotation and a 3-number translation")
+
+
+def read_json(path):
+    """The document in one JSON file (a path or a package resource)."""
+    if not path.is_file():
+        raise FixtureMissing(f"fixture file missing: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"{path.name}: not valid JSON ({exc})") from None
+
+
+def check_document(doc, schema: dict, path: str = "") -> tuple:
+    """The values of the JSON document at `path`, and every violation in it.
+
+    `schema` maps each key to a rule entry.  `accepts` is a predicate, a
+    schema (a section), or a one-schema list (a list of records).  An absent
+    or rejected key reads as its default (None if it has none or is
+    REQUIRED), and a key not in `schema` is a violation.  Violations are
+    (kind, message) pairs for `raise_schema`, naming keys by their path.
+    """
+    if not isinstance(doc, dict):
+        return check_document({}, schema, path)[0], [
+            (SchemaError, f"{path or 'the document'} must be a JSON object")]
+    prefix = f"{path}." if path else ""
+    values, bad = {}, []
+    for key, value in doc.items():
+        if key not in schema:
+            bad.append((SchemaError, f"unknown key '{prefix}{key}'"))
+            continue
+        accepts, rule = schema[key][:2]
+        name, more = prefix + key, []
+        if isinstance(accepts, dict) and isinstance(value, dict):
+            value, more = check_document(value, accepts, name)
+        elif isinstance(accepts, list) and isinstance(value, list):
+            rows = [check_document(row, accepts[0], f"{name}[{i}]") for i, row in enumerate(value)]
+            value, more = [row for row, _ in rows], [b for _, found in rows for b in found]
+        elif isinstance(accepts, (dict, list)) or not accepts(value):
+            more = [(SchemaError, f"{name} {rule}")]
+        bad += more
+        if not more:
+            values[key] = value
+    for key, (_, _, *default) in schema.items():
+        if key not in values:
+            if default == [REQUIRED] and key not in doc:
+                bad.append((MissingField, f"missing '{prefix}{key}'"))
+            values[key] = default[0] if default and default[0] is not REQUIRED else None
+    return values, bad

@@ -348,8 +348,10 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     Bounds are computed for `_CHUNK_PAIRS` point-triangle pairs at a time,
     and survivors are walked in batches of about as many pairs.
     """
-    tri, lo, hi, slack = _triangle_bounds(mesh)
     n = len(points)
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, 3))
+    tri, lo, hi, slack = _triangle_bounds(mesh)
     rows = max(1, _CHUNK_PAIRS // len(tri))
     chunks = range(0, n, rows)
     first = np.concatenate([_box_bounds(lo, hi, points[s:s + rows]).argmin(axis=1)

@@ -230,17 +230,9 @@ def trace_csv(result: GraspExecutionResult) -> str:
     """Per-step positions, forces, commands, and latch flags as CSV text."""
     t = result.trace
     k = t.positions.shape[1]
-    header = (["step"]
-              + [f"position_{i}" for i in range(k)]
-              + [f"force_{i}" for i in range(k)]
-              + [f"command_{i}" for i in range(k)]
-              + [f"locked_{i}" for i in range(k)])
-    lines = [",".join(header)]
-    for step in range(t.positions.shape[0]):
-        row = [str(step)]
-        row += [f"{v:.9g}" for v in t.positions[step]]
-        row += [f"{v:.9g}" for v in t.forces[step]]
-        row += [f"{v:.9g}" for v in t.commands[step]]
-        row += [str(int(v)) for v in t.locked[step]]
-        lines.append(",".join(row))
+    lines = [",".join(["step"] + [f"{col}_{i}" for col in ("position", "force", "command", "locked")
+                                  for i in range(k)])]
+    for step, row in enumerate(np.hstack([t.positions, t.forces, t.commands])):
+        lines.append(",".join([str(step)] + [f"{v:.9g}" for v in row]
+                              + [str(int(v)) for v in t.locked[step]]))
     return "\n".join(lines) + "\n"

@@ -7,6 +7,10 @@ offset.  Linkage-coupled fingers are modeled with mimic joints whose angle
 is a fixed ratio of a driver joint; mimic entries in a configuration vector
 are ignored by kinematics and resolved from their driver instead.
 
+A hand model document is checked against `_HAND_RULES` by
+`errors.check_document`, then for what relates one entry to another.  Each
+bundled model is loaded once per process and shared, so its arrays are read-only.
+
 The root pose is optimized as a 6-vector twist (rotation vector then
 translation) applied on the body side of the current pose, which stays
 singularity-free for the small increments a solver takes.  The fingertip
@@ -16,21 +20,29 @@ form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    POSE,
+    REQUIRED,
+    TEXT,
     BadLimits,
     CyclicTree,
     DimensionMismatch,
     FixtureMissing,
     SchemaError,
     UnknownFingertipLink,
+    check_document,
+    number,
+    numbers,
     raise_schema,
+    read_json,
 )
 from .geometry import (
     SE3Pose,
@@ -41,6 +53,11 @@ from .geometry import (
 )
 
 ROOT_DOF = 6
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +120,7 @@ class HandConfiguration:
 
     def __post_init__(self):
         a = np.asarray(self.joint_angles, dtype=float).reshape(-1).copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "joint_angles", a)
+        object.__setattr__(self, "joint_angles", _frozen(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,122 +138,118 @@ class HandPoseEstimate:
 
     def __post_init__(self):
         pts = np.asarray(self.fingertip_points, dtype=float).reshape(-1, 3).copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "fingertip_points", pts)
+        object.__setattr__(self, "fingertip_points", _frozen(pts))
 
 
 # ---------------------------------------------------------------------------
 # document loading and validation
 # ---------------------------------------------------------------------------
 
-def load_hand_model(doc: dict) -> KinematicHandModel:
+def _unit(v) -> np.ndarray:
+    a = np.array(v, dtype=float)
+    return _frozen(a / np.linalg.norm(a))
+
+
+_NONZERO_3 = (lambda v: numbers(v, 3) and math.hypot(*v) >= 1e-12, "must be a nonzero 3-vector")
+_NAMES = (lambda v: numbers(v, valid=TEXT[0]), "must be a list of non-empty names")
+# the shape, type and default of every key; load_hand_model checks the rest
+_HAND_RULES = {
+    "name": (*TEXT, REQUIRED),
+    "links": ([{
+        "name": (*TEXT, REQUIRED),
+        "parent": (lambda p: type(p) is int and p >= -1, "must be a link index or -1", REQUIRED),
+        "offset": (*POSE, {"rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}),
+    }], "must be a list of links", REQUIRED),
+    "joints": ([{
+        "name": (*TEXT, REQUIRED),
+        "type": (lambda t: t == "revolute", "must be 'revolute'", "revolute"),
+        "child_link": (*TEXT, REQUIRED),
+        "axis": (*_NONZERO_3, REQUIRED),
+        "limits": (lambda v: numbers(v, 2), "must be two numbers", [0.0, 0.0]),
+        "rest": (number, "must be a number", 0.0),
+    }], "must be a list of joints", REQUIRED),
+    "fingertip_links": (*_NAMES, REQUIRED),
+    "mimics": ([{
+        "joint": (*TEXT, REQUIRED),
+        "driver": (*TEXT, REQUIRED),
+        "ratio": (number, "must be a number", 1.0),
+    }], "must be a list of mimics", []),
+    "human_joint_map": (lambda m: numbers(m, valid=lambda p: numbers(p, 2, TEXT[0])),
+                        "must be a list of [human joint, model joint] name pairs", []),
+    "approach_axis": (*_NONZERO_3, [0.0, 0.0, 1.0]),
+    "finger_drivers": (*_NAMES, []),
+    "human_fingertip_indices": (lambda v: numbers(v, valid=lambda i: type(i) is int and i >= 0),
+                                "must be a list of non-negative indices"),
+}
+
+
+def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     """Build a validated model from a schema document.
 
-    Every violation found is collected and reported in a single rejection.
+    `_HAND_RULES` reads every key; the checks here relate one entry to
+    another.  Every violation is raised at once, prefixed with `where`.
     """
-    bad = []
-    for key in ("name", "links", "joints", "fingertip_links"):
-        if key not in doc:
-            bad.append((SchemaError, f"missing required key '{key}'"))
-    if bad:
-        raise_schema(bad)
-
-    links_doc = doc["links"]
-    joints_doc = doc["joints"]
-    link_names = [ld.get("name", f"<link {i}>") for i, ld in enumerate(links_doc)]
-    if len(set(link_names)) != len(link_names):
-        bad.append((SchemaError, "duplicate link names"))
+    doc, bad = check_document(doc, _HAND_RULES)
+    raise_schema(bad, where)
+    links_doc, joints_doc = doc["links"], doc["joints"]
+    link_names = [ld["name"] for ld in links_doc]
+    joint_names = [jd["name"] for jd in joints_doc]
     link_index = {n: i for i, n in enumerate(link_names)}
+    joint_index = {n: j for j, n in enumerate(joint_names)}
+    for kind, names, index in (("link", link_names, link_index), ("joint", joint_names, joint_index)):
+        if len(index) != len(names):
+            bad.append((SchemaError, f"duplicate {kind} names"))
 
-    roots = []
-    parents = []
-    for i, ld in enumerate(links_doc):
-        p = ld.get("parent")
-        if not isinstance(p, int) or p >= len(links_doc) or (p < 0 and p != -1):
-            bad.append((SchemaError, f"link '{link_names[i]}': bad parent index {p!r}"))
-            p = -1 if p == -1 else 0
-        if p == -1:
-            roots.append(i)
-        if p == i:
-            bad.append((CyclicTree, f"link '{link_names[i]}' is its own parent"))
-        parents.append(p)
+    parents = [ld["parent"] for ld in links_doc]
+    for i, p in enumerate(parents):
+        if p >= len(links_doc):
+            bad.append((SchemaError, f"link '{link_names[i]}': bad parent index {p}"))
+    roots = [i for i, p in enumerate(parents) if p == -1]
+    # breadth first from the root: a link on a cycle (its own parent, say), or
+    # below one, is never reached
+    topo = list(roots) if len(roots) == 1 else []
+    for i in topo:
+        topo += [c for c, p in enumerate(parents) if p == i]
     if len(roots) != 1:
         bad.append((CyclicTree, f"tree must have exactly one root, found {len(roots)}"))
-
-    # reachability from the root doubles as the cycle check
-    topo = []
-    if len(roots) == 1:
-        children = [[] for _ in links_doc]
-        for i, p in enumerate(parents):
-            if p >= 0:
-                children[p].append(i)
-        stack = [roots[0]]
-        seen = set()
-        while stack:
-            i = stack.pop(0)
-            if i in seen:
-                continue
-            seen.add(i)
-            topo.append(i)
-            stack.extend(children[i])
-        if len(seen) != len(links_doc):
-            orphans = sorted(set(range(len(links_doc))) - seen)
-            bad.append((CyclicTree,
-                        "links unreachable from the root (cycle or orphan): "
-                        + ", ".join(link_names[i] for i in orphans)))
-
-    joint_names = [jd.get("name", f"<joint {j}>") for j, jd in enumerate(joints_doc)]
-    if len(set(joint_names)) != len(joint_names):
-        bad.append((SchemaError, "duplicate joint names"))
-    joint_index = {n: j for j, n in enumerate(joint_names)}
+    elif len(topo) != len(links_doc):
+        bad.append((CyclicTree, "links unreachable from the root (cycle or orphan): "
+                    + ", ".join(n for i, n in enumerate(link_names) if i not in topo)))
 
     joints = []
     joint_of_link = [-1] * len(links_doc)
     for j, jd in enumerate(joints_doc):
-        name = joint_names[j]
-        jtype = jd.get("type", "revolute")
-        if jtype != "revolute":
-            bad.append((SchemaError, f"joint '{name}': unsupported type '{jtype}'"))
-        child = jd.get("child_link")
+        name, child = jd["name"], jd["child_link"]
         child_id = link_index.get(child, -1)
         if child_id < 0:
-            bad.append((SchemaError, f"joint '{name}': unknown child link {child!r}"))
-        elif child_id in (roots[0] if roots else -1,):
+            bad.append((SchemaError, f"joint '{name}': unknown child link '{child}'"))
+        elif roots and child_id == roots[0]:
             bad.append((SchemaError, f"joint '{name}': cannot actuate the root link"))
         elif joint_of_link[child_id] != -1:
             bad.append((SchemaError, f"link '{child}': more than one joint attached"))
         else:
             joint_of_link[child_id] = j
-        axis = np.asarray(jd.get("axis", (0.0, 0.0, 0.0)), dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(axis))
-        if axis.shape != (3,) or norm < 1e-12:
-            bad.append((SchemaError, f"joint '{name}': axis must be a nonzero 3-vector"))
-            axis = np.array([0.0, 0.0, 1.0])
-            norm = 1.0
-        lo, hi = (float(v) for v in jd.get("limits", (0.0, 0.0)))
-        rest = float(jd.get("rest", 0.0))
+        lo, hi = (float(v) for v in jd["limits"])
+        rest = float(jd["rest"])
         if lo > hi:
             bad.append((BadLimits, f"joint '{name}': limits inverted ({lo} > {hi})"))
         elif not (lo <= rest <= hi):
             bad.append((BadLimits, f"joint '{name}': rest {rest} outside [{lo}, {hi}]"))
         joints.append(Joint(name=name, child_link=max(child_id, 0),
-                            axis=axis / norm, limits=(lo, hi), rest=rest))
+                            axis=_unit(jd["axis"]), limits=(lo, hi), rest=rest))
 
     mimics = {}
-    for md in doc.get("mimics", ()):
-        jn, dn = md.get("joint"), md.get("driver")
-        ratio = float(md.get("ratio", 1.0))
+    for md in doc["mimics"]:
+        jn, dn = md["joint"], md["driver"]
         if jn not in joint_index or dn not in joint_index:
-            bad.append((SchemaError, f"mimic {jn!r} of {dn!r}: unknown joint"))
-            continue
-        if jn == dn:
+            bad.append((SchemaError, f"mimic '{jn}' of '{dn}': unknown joint"))
+        elif jn == dn:
             bad.append((SchemaError, f"mimic '{jn}' cannot drive itself"))
-            continue
-        if joint_index[jn] in mimics:
+        elif joint_index[jn] in mimics:
             bad.append((SchemaError, f"joint '{jn}' mimicked twice"))
-            continue
-        mimics[joint_index[jn]] = (joint_index[dn], ratio)
-    for j, (d, _) in mimics.items():
+        else:
+            mimics[joint_index[jn]] = (joint_index[dn], float(md["ratio"]))
+    for d, _ in mimics.values():
         if d in mimics:
             bad.append((SchemaError,
                         f"mimic chain: driver '{joint_names[d]}' is itself a mimic"))
@@ -245,72 +257,52 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
     tips = tuple(doc["fingertip_links"])
     if not (2 <= len(tips) <= 5):
         bad.append((SchemaError, f"fingertip count {len(tips)} outside 2..5"))
-    leaf = {i for i in range(len(links_doc))} - {p for p in parents if p >= 0}
-    tip_ids = []
     for t in tips:
-        i = link_index.get(t, -1)
-        if i < 0:
+        if t not in link_index:
             bad.append((UnknownFingertipLink, f"fingertip link '{t}' does not exist"))
-        elif i not in leaf:
+        elif link_index[t] in parents:
             bad.append((UnknownFingertipLink, f"fingertip link '{t}' is not a leaf"))
-        else:
-            tip_ids.append(i)
 
     jmap = []
-    seen_human = set()
-    for pair in doc.get("human_joint_map", ()):
-        hname, mname = pair[0], pair[1]
+    for hname, mname in doc["human_joint_map"]:
         if mname not in joint_index:
             bad.append((SchemaError, f"human_joint_map: unknown model joint '{mname}'"))
-            continue
-        if hname in seen_human:
+        elif hname in (h for h, _ in jmap):
             bad.append((SchemaError, f"human_joint_map: '{hname}' mapped twice"))
-            continue
-        seen_human.add(hname)
-        jmap.append((hname, mname))
+        else:
+            jmap.append((hname, mname))
 
-    drivers = tuple(doc.get("finger_drivers", ()))
-    if drivers:
-        if len(drivers) != len(tips):
-            bad.append((SchemaError, "finger_drivers must list one joint per fingertip"))
-        for dn in drivers:
-            if dn not in joint_index:
-                bad.append((SchemaError, f"finger_drivers: unknown joint '{dn}'"))
+    drivers = tuple(doc["finger_drivers"])
+    if drivers and len(drivers) != len(tips):
+        bad.append((SchemaError, "finger_drivers must list one joint per fingertip"))
+    for dn in drivers:
+        if dn not in joint_index:
+            bad.append((SchemaError, f"finger_drivers: unknown joint '{dn}'"))
 
-    axis = np.asarray(doc.get("approach_axis", (0.0, 0.0, 1.0)), dtype=float).reshape(-1)
-    if axis.shape != (3,) or np.linalg.norm(axis) < 1e-12:
-        bad.append((SchemaError, "approach_axis must be a nonzero 3-vector"))
-        axis = np.array([0.0, 0.0, 1.0])
-    axis = axis / np.linalg.norm(axis)
-
-    human_tips = tuple(doc.get("human_fingertip_indices", range(len(tips))))
-    if len(human_tips) != len(tips) or any(not isinstance(i, int) or i < 0 for i in human_tips):
+    human_tips = doc["human_fingertip_indices"]
+    human_tips = tuple(range(len(tips)) if human_tips is None else human_tips)
+    if len(human_tips) != len(tips):
         bad.append((SchemaError, "human_fingertip_indices must give one index per fingertip"))
 
-    raise_schema(bad)
-
-    links = tuple(
-        Link(name=link_names[i], parent=parents[i],
-             offset=pose_from_record(links_doc[i]["offset"]) if "offset" in links_doc[i]
-             else identity_pose())
-        for i in range(len(links_doc)))
+    raise_schema(bad, where)
     model = KinematicHandModel(
-        name=str(doc["name"]),
-        links=links,
+        name=doc["name"],
+        links=tuple(Link(name=ld["name"], parent=p, offset=pose_from_record(ld["offset"]))
+                    for ld, p in zip(links_doc, parents)),
         joints=tuple(joints),
         fingertip_links=tips,
         mimics=mimics,
         human_joint_map=tuple(jmap),
-        approach_axis=axis,
+        approach_axis=_unit(doc["approach_axis"]),
         finger_drivers=drivers,
         human_fingertip_indices=human_tips,
         link_index=link_index,
         joint_index=joint_index,
         joint_of_link=tuple(joint_of_link),
-        fingertip_link_ids=tuple(tip_ids),
+        fingertip_link_ids=tuple(link_index[t] for t in tips),
         topo_order=tuple(topo),
-        lower_limits=np.array([j.limits[0] for j in joints]),
-        upper_limits=np.array([j.limits[1] for j in joints]),
+        lower_limits=_frozen(np.array([j.limits[0] for j in joints])),
+        upper_limits=_frozen(np.array([j.limits[1] for j in joints])),
     )
     # the contact-onset search sweeps every finger in one FK pass, which is
     # exact only while each driver (with its mimics) moves its own tip alone
@@ -321,21 +313,30 @@ def load_hand_model(doc: dict) -> KinematicHandModel:
             if t != k:
                 bad.append((SchemaError, f"finger driver '{dn}' of '{tips[k]}' "
                                          f"also moves fingertip '{tips[t]}'"))
-    raise_schema(bad)
+    raise_schema(bad, where)
     return model
 
 
 def load_hand_model_file(path) -> KinematicHandModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_hand_model(json.load(fh))
+    """A hand model JSON file; every violation is prefixed with its name."""
+    path = Path(path)
+    return load_hand_model(read_json(path), path.name)
 
 
+_MODELS = resources.files("dextra") / "models"
+# every bundled JSON file but the force table is a hand model
+_HAND_MODELS = frozenset(p.name.removesuffix(".json") for p in _MODELS.iterdir()) - {"force_table"}
+
+
+@lru_cache(maxsize=None)
 def bundled_model(name: str) -> KinematicHandModel:
-    """Load one of the hand models shipped with the package."""
-    ref = resources.files("dextra").joinpath(f"models/{name}.json")
-    if not ref.is_file():
+    """One of the hand models shipped with the package, loaded once per process.
+
+    Runs share the returned model, so its arrays are read-only.
+    """
+    if name not in _HAND_MODELS:
         raise FixtureMissing(f"no bundled hand model named '{name}'")
-    return load_hand_model(json.loads(ref.read_text(encoding="utf-8")))
+    return load_hand_model(read_json(_MODELS / f"{name}.json"), f"{name}.json")
 
 
 def rest_configuration(model: KinematicHandModel) -> HandConfiguration:
@@ -456,7 +457,7 @@ def _jacobian_tables(model: KinematicHandModel):
         for j, (driver, ratio) in model.mimics.items():
             fold[j, j] = 0.0
             fold[j, driver] = ratio
-        cache["jac"] = (frames, axes, moves, fold)
+        cache["jac"] = (frames, _frozen(axes), _frozen(moves), _frozen(fold))
     return cache["jac"]
 
 

@@ -26,7 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DextraError, SchemaError, StageError
+from .errors import (
+    DextraError,
+    SchemaError,
+    StageError,
+    check_document,
+    number,
+    numbers,
+    positive,
+    raise_schema,
+    read_json,
+)
 from .geometry import (
     SE3Pose,
     TriangleMesh,
@@ -57,9 +67,6 @@ from .reconstruction import (
     CONTACT_SELECT_RADIUS,
     ReconstructionBundle,
     SceneFixture,
-    _number,
-    _numbers,
-    _positive,
     align_depth,
     build_prompt,
     gather_reconstruction,
@@ -123,11 +130,11 @@ class PipelineSettings:
     noise_sigma: float | None = None  # None: take the scene's sensor noise
 
 
-_NUMBER = (_number, "must be a number")
-_POSITIVE = (_positive, "must be a positive number")
+_NUMBER = (number, "must be a number")
+_POSITIVE = (positive, "must be a positive number")
 _COUNT = (lambda v: type(v) is int and v > 0, "must be a positive integer")
 _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
-# settings key -> (accepts, rule); a section maps its own keys the same way
+# settings key -> rule entry; `optimizer` and `gains` are sections with their own rules
 _SETTINGS_RULES = {
     "hand_model": (lambda v: v is None or isinstance(v, str), "must be a hand model name or null"),
     "engage_threshold": _NUMBER,
@@ -135,42 +142,24 @@ _SETTINGS_RULES = {
     "pregrasp_offset": _NUMBER,
     "squeeze_offset": _NUMBER,
     "standoff": _POSITIVE,
-    "optimizer": {f.name: _COUNT if f.name == "max_iterations" else _NUMBER
-                  for f in dataclasses.fields(OptimizerSettings)},
-    "gains": {f.name: _NUMBER for f in dataclasses.fields(GraspGains)},
+    "optimizer": ({f.name: _COUNT if f.name == "max_iterations" else _NUMBER
+                   for f in dataclasses.fields(OptimizerSettings)}, "must be an object"),
+    "gains": ({f.name: _NUMBER for f in dataclasses.fields(GraspGains)}, "must be an object"),
     "dt": _POSITIVE,
     "max_steps": _COUNT,
-    "stability_band": (lambda v: _numbers(v, 2), "must be two numbers"),
+    "stability_band": (lambda v: numbers(v, 2), "must be two numbers"),
     "min_stable_fingers": _COUNT,
     "transfer": _FLAG,
     "force_lock": _FLAG,
     "seed": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
-    "noise_sigma": (lambda v: v is None or (_number(v) and v >= 0),
+    "noise_sigma": (lambda v: v is None or (number(v) and v >= 0),
                     "must be a non-negative number or null"),
 }
 
 
-def _rule_violations(doc: dict, rules: dict, where: str) -> list:
-    bad = []
-    for key, value in doc.items():
-        rule = rules.get(key)
-        if rule is None:
-            bad.append(f"unknown {where} key '{key}'")
-        elif isinstance(rule, dict):
-            bad += (_rule_violations(value, rule, key) if isinstance(value, dict)
-                    else [f"settings section '{key}' must be an object"])
-        elif not rule[0](value):
-            bad.append(f"{where} key '{key}' {rule[1]}")
-    return bad
-
-
-def settings_from_dict(doc: dict) -> PipelineSettings:
-    """Build settings from a plain dict, rejecting unknown keys and bad values."""
-    if not isinstance(doc, dict):
-        raise SchemaError("settings must be a JSON object")
-    bad = _rule_violations(doc, _SETTINGS_RULES, "settings")
-    if bad:
-        raise SchemaError(bad)
+def settings_from_dict(doc: dict, where: str = "settings") -> PipelineSettings:
+    """Settings from a plain dict; unknown keys and bad values are refused."""
+    raise_schema(check_document(doc, _SETTINGS_RULES)[1], where)
     kwargs = dict(doc)
     if "optimizer" in kwargs:
         kwargs["optimizer"] = OptimizerSettings(**kwargs["optimizer"])
@@ -182,14 +171,13 @@ def settings_from_dict(doc: dict) -> PipelineSettings:
 
 
 def settings_from_file(path) -> PipelineSettings:
-    return settings_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    path = Path(path)
+    return settings_from_dict(read_json(path), path.name)
 
 
 def override_settings(settings: PipelineSettings, **changes) -> PipelineSettings:
     """`settings` with top-level `changes`, each checked like a file value."""
-    bad = _rule_violations(changes, _SETTINGS_RULES, "settings")
-    if bad:
-        raise SchemaError(bad)
+    raise_schema(check_document(changes, _SETTINGS_RULES)[1], "settings")
     return replace(settings, **changes)
 
 
@@ -595,20 +583,10 @@ def export_scene_geometry(out_dir, mesh_obj: TriangleMesh,
     """Dump per-stage geometry as OBJ files for external inspection."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def _write_mesh(name, mesh):
-        path = out / name
-        save_obj(path, mesh)
-        written.append(path)
-
-    def _write_tips(name, action):
-        path = out / name
-        save_points_obj(path, fingertip_positions(model, action.config))
-        written.append(path)
-
-    _write_mesh("object_frame.obj", mesh_obj)
-    _write_mesh("executed_frame.obj", mesh_exec)
+    written = [out / "object_frame.obj", out / "executed_frame.obj"]
+    save_obj(written[0], mesh_obj)
+    save_obj(written[1], mesh_exec)
     for name, action in actions.items():
-        _write_tips(f"tips_{name}.obj", action)
+        written.append(out / f"tips_{name}.obj")
+        save_points_obj(written[-1], fingertip_positions(model, action.config))
     return written

@@ -8,27 +8,36 @@ against the object mesh, and re-expressing the estimate in the object frame.
 Generative models and pose estimators are external services; the shipped
 providers replay recorded fixtures so every downstream result is
 reproducible.  Every scene fixture file has one reader (object.obj's is
-`load_obj`), shared by `run` and `validate`; see `check_scene`.
+`load_obj`), shared by `run` and `validate`; see `check_scene`.  A JSON
+fixture file is checked against its rule table by `errors.check_document`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    POSE,
+    REQUIRED,
+    TEXT,
     DimensionMismatch,
     EmptyContactSet,
     FixtureMissing,
     MissingField,
     NoConvergence,
     SchemaError,
+    check_document,
+    number,
+    numbers,
+    positive,
     raise_schema,
+    read_json,
 )
 from .geometry import (
     SE3Pose,
@@ -40,7 +49,12 @@ from .geometry import (
     surface_query,
     transform_points,
 )
-from .kinematics import HandConfiguration, HandPoseEstimate, bundled_model, fingertip_positions
+from .kinematics import (
+    HandConfiguration,
+    HandPoseEstimate,
+    bundled_model,
+    fingertip_positions,
+)
 
 # prompt templates used to condition the hand-image generator
 PROMPT_KINDS = ("language", "visual-region", "demo-image")
@@ -141,64 +155,14 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 # scene fixture files: one reader per file
 # ---------------------------------------------------------------------------
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _positive(v) -> bool:
-    return _number(v) and v > 0
-
-
-def _numbers(v, n=None, valid=_number) -> bool:
-    """A list of `n` entries (any count if None) that `valid` accepts."""
-    return isinstance(v, list) and (n is None or len(v) == n) and all(map(valid, v))
-
-
-@lru_cache(maxsize=None)
-def _bundled(name: str) -> bool:
+def _names_hand(name) -> bool:
     try:
-        return bundled_model(name) is not None
+        return isinstance(name, str) and bool(bundled_model(name))
     except FixtureMissing:
         return False
 
 
-# schema entries: (accepts, rule[, default]); a _REQUIRED default must be present
-_REQUIRED = object()
-_TEXT = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
-_MODEL = (lambda n: isinstance(n, str) and _bundled(n), "must name a bundled hand model")
-_POSE = (lambda r: isinstance(r, dict) and r.keys() == {"rotation", "translation"}
-         and _numbers(r["rotation"], 4) and any(r["rotation"]) and _numbers(r["translation"], 3),
-         "must be a pose: a nonzero 4-number rotation and a 3-number translation", _REQUIRED)
-
-
-def _read_json(path: Path, schema: dict) -> tuple:
-    """The values of one fixture JSON file, and every violation in it.
-
-    An absent or rejected key reads as its default (None if required), and
-    a key not in `schema` is a violation.  Violations are (kind, message)
-    pairs for `raise_schema`, each message prefixed with the file name.
-    """
-    if not path.is_file():
-        raise FixtureMissing(f"fixture file missing: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SchemaError(f"{path.name}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path.name}: must hold a JSON object")
-    bad = [(SchemaError, f"{path.name}: unknown key '{k}'") for k in doc if k not in schema]
-    values = {}
-    for key, (accepts, rule, *default) in schema.items():
-        required = default == [_REQUIRED]
-        values[key] = None if required or not default else default[0]
-        if key not in doc:
-            if required:
-                bad.append((MissingField, f"{path.name}: missing '{key}'"))
-        elif accepts(doc[key]):
-            values[key] = doc[key]
-        else:
-            bad.append((SchemaError, f"{path.name}: {key} {rule}"))
-    return values, bad
+_MODEL = (_names_hand, "must name a bundled hand model")
 
 
 def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
@@ -206,11 +170,11 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
 
     Without recorded fingertip_points the tips come from the skeleton's FK.
     """
-    v, bad = _read_json(path, {
-        "skeleton": (*_MODEL, _REQUIRED),
-        "root_pose": _POSE,
-        "joint_angles": (_numbers, "must be a list of numbers", _REQUIRED),
-        "fingertip_points": (lambda t: _numbers(t, valid=lambda p: _numbers(p, 3)),
+    v, bad = check_document(read_json(path), {
+        "skeleton": (*_MODEL, REQUIRED),
+        "root_pose": (*POSE, REQUIRED),
+        "joint_angles": (numbers, "must be a list of numbers", REQUIRED),
+        "fingertip_points": (lambda t: numbers(t, valid=lambda p: numbers(p, 3)),
                              "must be a list of 3-number points"),
         "keypoints_independent": (lambda b: isinstance(b, bool), "must be true or false"),
     })
@@ -220,13 +184,13 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         k = human.fingertip_count
         for key, got, want in (("joint_angles", angles, human.dof), ("fingertip_points", tips, k)):
             if got is not None and len(got) != want:
-                bad.append((SchemaError, f"{path.name}: {key} needs {want} entries for '{human.name}'"))
-        bad += [(SchemaError, f"{path.name}: scene.json contact_fingers names finger {i}, "
+                bad.append((SchemaError, f"{key} needs {want} entries for '{human.name}'"))
+        bad += [(SchemaError, f"scene.json contact_fingers names finger {i}, "
                               f"but the estimate has {k} fingertips")
                 for i in contact_fingers or () if i >= k]
     if v["keypoints_independent"] is not None and tips is None:
-        bad.append((SchemaError, f"{path.name}: keypoints_independent needs fingertip_points"))
-    raise_schema(bad)
+        bad.append((SchemaError, "keypoints_independent needs fingertip_points"))
+    raise_schema(bad, path.name)
     config = HandConfiguration(pose_from_record(v["root_pose"]), np.asarray(angles, dtype=float))
     return HandPoseEstimate(
         config=config, skeleton=v["skeleton"],
@@ -238,8 +202,8 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
 def read_poses(path: Path) -> dict:
     """poses.json: both object poses and the hand-eye extrinsics, as SE3Pose."""
     keys = ("object_pose_generated", "object_pose_observed", "hand_eye")
-    v, bad = _read_json(path, dict.fromkeys(keys, _POSE))
-    raise_schema(bad)
+    v, bad = check_document(read_json(path), dict.fromkeys(keys, (*POSE, REQUIRED)))
+    raise_schema(bad, path.name)
     return {key: pose_from_record(v[key]) for key in keys}
 
 
@@ -250,16 +214,16 @@ def read_contact(path: Path, fingers: int | None) -> dict:
     geometry), `yield_force` and `noise_sigma`.
     """
     count = "one per finger" if fingers is None else fingers
-    v, bad = _read_json(path, {
-        "stiffness": (lambda s: _positive(s) or _numbers(s, fingers, _positive),
-                      f"must be a positive number or a list of {count} of them", _REQUIRED),
-        "engagement": (lambda e: e == "auto" or _numbers(
-                           e, fingers, lambda x: _number(x) or x == math.inf),
+    v, bad = check_document(read_json(path), {
+        "stiffness": (lambda s: positive(s) or numbers(s, fingers, positive),
+                      f"must be a positive number or a list of {count} of them", REQUIRED),
+        "engagement": (lambda e: e == "auto" or numbers(
+                           e, fingers, lambda x: number(x) or x == math.inf),
                        f"must be 'auto' or a list of {count} numbers", "auto"),
-        "yield_force": (lambda y: y is None or _positive(y), "must be a positive number or null"),
-        "noise_sigma": (lambda n: _number(n) and n >= 0, "must be a non-negative number", 0.0),
+        "yield_force": (lambda y: y is None or positive(y), "must be a positive number or null"),
+        "noise_sigma": (lambda n: number(n) and n >= 0, "must be a non-negative number", 0.0),
     })
-    raise_schema(bad)
+    raise_schema(bad, path.name)
     stiffness = np.asarray(v["stiffness"], dtype=float)
     return {
         "stiffness": stiffness if fingers is None else np.broadcast_to(stiffness, (fingers,)),
@@ -280,21 +244,22 @@ class SceneFixture:
 
     def __init__(self, scene_dir):
         self.scene_dir = Path(scene_dir)
-        v, bad = _read_json(self.scene_dir / "scene.json", {
-            "name": (*_TEXT, self.scene_dir.name),
-            "object_name": (*_TEXT, _REQUIRED),
+        path = self.scene_dir / "scene.json"
+        v, bad = check_document(read_json(path), {
+            "name": (*TEXT, self.scene_dir.name),
+            "object_name": (*TEXT, REQUIRED),
             "intent": (lambda i: isinstance(i, str), "must be a string", ""),
             "prompt_kind": (PROMPT_KINDS.__contains__,
                             f"must be one of {', '.join(PROMPT_KINDS)}", "language"),
-            "observation_image": (*_TEXT, "observation.png"),
-            "generated_image": (*_TEXT, "generated.png"),
-            "region_mask": _TEXT,
-            "demo_image": _TEXT,
-            "mesh_scale": (_positive, "must be a positive number", 1.0),
-            "contact_fingers": (lambda f: _numbers(f, valid=lambda i: type(i) is int and i >= 0)
+            "observation_image": (*TEXT, "observation.png"),
+            "generated_image": (*TEXT, "generated.png"),
+            "region_mask": TEXT,
+            "demo_image": TEXT,
+            "mesh_scale": (positive, "must be a positive number", 1.0),
+            "contact_fingers": (lambda f: numbers(f, valid=lambda i: type(i) is int and i >= 0)
                                 and 0 < len(f) == len(set(f)), "must list distinct finger indices"),
             "hand_model": _MODEL,
-            "force_table": (lambda t: isinstance(t, dict) and all(map(_positive, t.values())),
+            "force_table": (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
                             "must map object names to positive forces (N)", {}),
         })
         self.name, self.object_name, self.intent = v["name"], v["object_name"], v["intent"]
@@ -307,15 +272,15 @@ class SceneFixture:
             k.strip().lower(): float(f) for k, f in v["force_table"].items()}}
         for key, kind in (("region_mask", "visual-region"), ("demo_image", "demo-image")):
             if v[key] is not None and self.prompt_kind != kind:
-                bad.append((SchemaError, f"scene.json: {key} only applies to a {kind} prompt"))
+                bad.append((SchemaError, f"{key} only applies to a {kind} prompt"))
         if not bad:
             try:  # the prompt's own requirements, before any stage runs
                 build_prompt(self.object_name, self.intent, self.prompt_kind,
                              region_ref=self.region_ref, demo_ref=self.demo_ref)
                 self.predict_force(self.object_name)
             except (MissingField, FixtureMissing) as exc:
-                bad.append((SchemaError, f"scene.json: {exc}"))
-        raise_schema(bad)
+                bad.append((SchemaError, str(exc)))
+        raise_schema(bad, path.name)
 
     def effective_hand(self, setting: str | None) -> tuple:
         """The hand model a run drives, and where its name came from."""
@@ -387,9 +352,7 @@ def check_scene(scene_dir) -> list:
 
 @lru_cache(maxsize=None)
 def _load_force_table() -> dict:
-    from importlib import resources
-    ref = resources.files("dextra").joinpath("models/force_table.json")
-    raw = json.loads(ref.read_text(encoding="utf-8"))
+    raw = read_json(resources.files("dextra") / "models" / "force_table.json")
     return {k.strip().lower(): float(v) for k, v in raw.items()}
 
 
@@ -483,12 +446,8 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
 
     root = hand.config.root_pose
     new_root = SE3Pose(root.rotation, root.translation + np.array([0.0, 0.0, delta]))
-    new_tips = hand.fingertip_points + np.array([0.0, 0.0, delta])
-    return HandPoseEstimate(
-        config=HandConfiguration(new_root, hand.config.joint_angles),
-        fingertip_points=new_tips,
-        skeleton=hand.skeleton,
-        keypoints_independent=hand.keypoints_independent)
+    return replace(hand, config=HandConfiguration(new_root, hand.config.joint_angles),
+                   fingertip_points=hand.fingertip_points + np.array([0.0, 0.0, delta]))
 
 
 def to_object_frame(t_o_gen: SE3Pose, hand: HandPoseEstimate) -> HandPoseEstimate:
@@ -499,10 +458,6 @@ def to_object_frame(t_o_gen: SE3Pose, hand: HandPoseEstimate) -> HandPoseEstimat
     exactly, including keypoints that did not come from the kinematic chain.
     """
     inv = invert(t_o_gen)
-    config = HandConfiguration(compose(inv, hand.config.root_pose),
-                               hand.config.joint_angles)
-    return HandPoseEstimate(
-        config=config,
-        fingertip_points=transform_points(inv, hand.fingertip_points),
-        skeleton=hand.skeleton,
-        keypoints_independent=hand.keypoints_independent)
+    config = HandConfiguration(compose(inv, hand.config.root_pose), hand.config.joint_angles)
+    return replace(hand, config=config,
+                   fingertip_points=transform_points(inv, hand.fingertip_points))

@@ -4,8 +4,11 @@ import shutil
 
 import pytest
 
+from conftest import MODELS_DIR
 from dextra import cli, pipeline
 from dextra.cli import main
+from dextra.errors import SchemaError
+from dextra.kinematics import load_hand_model, load_hand_model_file
 
 
 def _run(capsys, *argv):
@@ -74,7 +77,7 @@ def test_run_bad_settings_file_is_usage_error(mug_scene, tmp_path, capsys):
                            "--settings", str(settings),
                            "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert "unknown settings key" in stderr
+    assert "settings.json: unknown key 'frobnicate'" in stderr
 
 
 def test_run_bad_settings_value_is_usage_error(mug_scene, tmp_path, capsys):
@@ -84,8 +87,8 @@ def test_run_bad_settings_value_is_usage_error(mug_scene, tmp_path, capsys):
                            "--settings", str(settings),
                            "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert "settings key 'stability_band' must be two numbers" in stderr
-    assert "settings key 'dt' must be a positive number" in stderr
+    assert "settings.json: stability_band must be two numbers" in stderr
+    assert "settings.json: dt must be a positive number" in stderr
 
 
 @pytest.mark.parametrize("how", ["flag", "settings"])
@@ -102,7 +105,8 @@ def test_run_negative_seed_is_refused_before_any_stage(mug_scene, tmp_path, caps
         code, _, stderr = _run(capsys, command, str(mug_scene), *seed,
                                "--out", str(tmp_path / "runs"))
         assert code == 2
-        assert "settings key 'seed' must be a non-negative integer" in stderr
+        where = "settings" if how == "flag" else "settings.json"
+        assert f"{where}: seed must be a non-negative integer" in stderr
     assert not (tmp_path / "runs").exists()
 
 
@@ -141,6 +145,15 @@ def test_report_records_hand_source(mug_scene, tmp_path, capsys,
     report = json.loads((out / "mug-01" / "report.json").read_text())
     assert report["hand_source"] == source
     assert report["hand_model"] == hand
+
+
+def test_run_refuses_force_table_as_hand_model(mug_scene, tmp_path, capsys):
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"hand_model": "force_table"}))
+    code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "no bundled hand model named 'force_table'" in stderr
 
 
 def test_run_hand_model_setting_overrides_scene(mug_scene, tmp_path, capsys):
@@ -195,6 +208,16 @@ def test_batch_rejects_duplicate_scene_names(fragile_dir, tmp_path, capsys):
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert "duplicate scene names: fragile-01" in stderr
+
+
+def test_batch_refuses_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
+    root = tmp_path / "scenes"
+    shutil.copytree(fragile_dir / "fragile-01", root / "fragile-01")
+    shutil.copytree(fragile_dir / "fragile-02", root / "fragile-02")
+    (root / "fragile-02" / "scene.json").write_text("[]")
+    code, _, stderr = _run(capsys, "batch", str(root), "--out", str(tmp_path / "out"))
+    assert code == 2, stderr
+    assert "scene.json: the document must be a JSON object" in stderr
 
 
 def test_batch_empty_or_missing_roots_are_usage_errors(tmp_path, capsys):
@@ -254,6 +277,8 @@ BROKEN_FIXTURES = [
     pytest.param("contact.json", _misspell_stiffness, id="misspelt-key"),
     pytest.param("scene.json", lambda doc: doc.pop("object_name"), id="no-object-name"),
     pytest.param("object.obj", b"\xff\xfe\x00", id="obj-not-utf8"),
+    pytest.param("scene.json", b"[]", id="scene-json-list"),
+    pytest.param("hand_estimate.json", b"[]", id="estimate-json-list"),
 ]
 
 
@@ -324,7 +349,6 @@ def test_validate_reports_broken_mesh(mug_scene, tmp_path, capsys):
 
 
 def test_validate_hand_model_and_mesh_files(mug_scene, tmp_path, capsys):
-    from conftest import MODELS_DIR
     code, stdout, _ = _run(capsys, "validate",
                            str(MODELS_DIR / "inspire-like-6dof.json"))
     assert code == 0 and stdout.strip() == "ok"
@@ -350,3 +374,55 @@ def test_validate_unknown_inputs(tmp_path, capsys):
     code, stdout, _ = _run(capsys, "validate", str(stray))
     assert code == 1
     assert "not a scene directory, hand model JSON, or OBJ mesh" in stdout
+
+
+# each case edits the inspire hand (which has a mimic) or replaces the file text
+_BROKEN_MODELS = {
+    "misspelt-key": (lambda d: d.update(approach_axes=[0, 0, 1]),
+                     "unknown key 'approach_axes'"),
+    "misspelt-joint-key": (lambda d: d["joints"][0].update(rset=0.0),
+                           "unknown key 'joints[0].rset'"),
+    "unknown-link-key": (lambda d: d["links"][1].update(mass=0.01),
+                         "unknown key 'links[1].mass'"),
+    "unknown-mimic-key": (lambda d: d["mimics"][0].update(offset=0.0),
+                          "unknown key 'mimics[0].offset'"),
+    "text-limit": (lambda d: d["joints"][0].update(limits=["a", 1]),
+                   "joints[0].limits must be two numbers"),
+    "one-limit": (lambda d: d["joints"][0].update(limits=[0.5]),
+                  "joints[0].limits must be two numbers"),
+    "zero-quaternion": (lambda d: d["links"][1]["offset"].update(rotation=[0, 0, 0, 0]),
+                        "links[1].offset must be a pose"),
+    "links-number": (lambda d: d.update(links=5), "links must be a list of links"),
+    "text-rest": (lambda d: d["joints"][0].update(rest="zero"),
+                  "joints[0].rest must be a number"),
+    "huge-rest": (lambda d: d["joints"][0].update(rest=10 ** 400),
+                  "joints[0].rest must be a number"),
+    "half-map-pair": (lambda d: d["human_joint_map"][0].pop(),
+                      "human_joint_map must be a list of [human joint, model joint] name pairs"),
+    "text-ratio": (lambda d: d["mimics"][0].update(ratio="half"),
+                   "mimics[0].ratio must be a number"),
+    "not-json": ("{not json", "not valid JSON"),
+    "json-list": ("[]", "the document must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_MODELS))
+def test_validate_reports_broken_hand_model(tmp_path, capsys, case):
+    edit, finding = _BROKEN_MODELS[case]
+    path = tmp_path / "model.json"
+    doc = None
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        doc = json.loads((MODELS_DIR / "inspire-like-6dof.json").read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    # an uncaught error would surface here as a raised exception, not exit 1
+    code, stdout, stderr = _run(capsys, "validate", str(path))
+    *findings, summary = stdout.splitlines()
+    assert code == 1 and not stderr
+    assert summary == f"{len(findings)} problem(s) found"
+    assert all(f.startswith("model.json: ") for f in findings), findings
+    assert any(f.startswith(f"model.json: {finding}") for f in findings), findings
+    with pytest.raises(SchemaError):
+        load_hand_model(doc) if doc is not None else load_hand_model_file(path)

@@ -284,6 +284,13 @@ def test_empty_mesh_rejected():
             surface_query(empty, points)
 
 
+def test_empty_point_batch_has_zero_rows():
+    hits = surface_query(box_mesh((0.1, 0.1, 0.1)), np.zeros((0, 3)))
+    for field, shape in (("sq_distance", (0,)), ("triangle", (0,)), ("point", (0, 3)),
+                         ("normal", (0, 3)), ("distance", (0,))):
+        assert getattr(hits, field).shape == shape, field
+
+
 def test_squared_distances_match_nearest_point():
     for name, make in SURFACE_MESHES.items():
         mesh = make()

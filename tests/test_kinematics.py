@@ -301,7 +301,7 @@ def test_duplicate_joint_names():
 def test_non_revolute_joint():
     doc = tiny_doc()
     doc["joints"][0]["type"] = "prismatic"
-    with pytest.raises(SchemaError, match="unsupported type"):
+    with pytest.raises(SchemaError, match=r"joints\[0\]\.type must be 'revolute'"):
         load_hand_model(doc)
 
 
@@ -474,8 +474,19 @@ def test_mixed_violations_collected():
 
 
 def test_bundled_model_unknown_name():
-    with pytest.raises(FixtureMissing, match="no bundled hand model"):
-        bundled_model("left-handed-42dof")
+    # force_table.json sits among the models but is not a hand
+    for name in ("left-handed-42dof", "force_table"):
+        with pytest.raises(FixtureMissing, match=f"no bundled hand model named '{name}'"):
+            bundled_model(name)
+
+
+def test_bundled_model_loads_once_with_read_only_arrays():
+    model = bundled_model("inspire-like-6dof")
+    assert bundled_model("inspire-like-6dof") is model
+    fingertip_jacobian(model, rest_configuration(model))    # fills the cached tables
+    arrays = [model.approach_axis, model.lower_limits, model.upper_limits,
+              *(j.axis for j in model.joints), *model._cache["jac"][1:]]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_load_hand_model_file(tmp_path):

@@ -164,13 +164,13 @@ def test_settings_from_dict_defaults_and_nested():
 
 
 def test_settings_from_dict_rejects_unknown_keys():
-    with pytest.raises(SchemaError, match="unknown settings key 'frobnicate'"):
+    with pytest.raises(SchemaError, match="settings: unknown key 'frobnicate'"):
         settings_from_dict({"frobnicate": 1})
-    with pytest.raises(SchemaError, match="unknown optimizer key 'momentum'"):
+    with pytest.raises(SchemaError, match="settings: unknown key 'optimizer.momentum'"):
         settings_from_dict({"optimizer": {"momentum": 0.9}})
-    with pytest.raises(SchemaError, match="unknown gains key 'ki'"):
+    with pytest.raises(SchemaError, match="settings: unknown key 'gains.ki'"):
         settings_from_dict({"gains": {"ki": 1.0}})
-    with pytest.raises(SchemaError, match="section 'optimizer' must be an object"):
+    with pytest.raises(SchemaError, match="settings: optimizer must be an object"):
         settings_from_dict({"optimizer": 5})
 
 
@@ -186,17 +186,18 @@ def test_settings_from_dict_rejects_unknown_keys():
     ({"seed": True}, ["seed"]),
     ({"noise_sigma": -0.1}, ["noise_sigma"]),
     ({"optimizer": {"max_iterations": "50"}, "gains": {"kp": None}},
-     ["max_iterations", "kp"]),
+     ["optimizer.max_iterations", "gains.kp"]),
     ({"dt": "fast", "seed": 1.5, "noise_sigma": "low", "frobnicate": 1},
      ["dt", "seed", "noise_sigma", "frobnicate"]),
 ])
 def test_settings_from_dict_rejects_bad_values(doc, keys):
     with pytest.raises(SchemaError) as err:
         settings_from_dict(doc)
-    # one error naming every bad key, in document order
+    # one error naming every bad key by its path, in document order
     assert len(err.value.violations) == len(keys)
     for key, violation in zip(keys, err.value.violations):
-        assert f"key '{key}'" in violation
+        assert (violation.startswith(f"settings: {key} must ")
+                or violation == f"settings: unknown key '{key}'"), violation
 
 
 def test_every_setting_has_a_value_rule():

@@ -140,6 +140,8 @@ def _without_fingertips(doc):
      "scene.json: hand_model must name a bundled hand model"),
     ("scene.json", {"hand_model": "octopus"},
      "scene.json: hand_model must name a bundled hand model"),
+    ("scene.json", {"hand_model": "force_table"},
+     "scene.json: hand_model must name a bundled hand model"),
     ("scene.json", {"force_table": {"mug": -2.0}},
      "scene.json: force_table must map object names to positive forces (N)"),
     ("scene.json", {"region_mask": "mask.png"},
@@ -150,13 +152,18 @@ def _without_fingertips(doc):
     ("poses.json", {"hand_eye": {"rotation": [0, 0, 0, 0], "translation": [0, 0, 0]}},
      "poses.json: hand_eye must be a pose"),
     ("contact.json", {"engagement": "manual"}, "contact.json: engagement must be 'auto'"),
-], ids=["hand-model-list", "hand-model-unknown", "negative-force", "stray-region-mask",
-        "boolean-scale", "independent-without-points", "zero-quaternion", "engagement-word"])
+    ("scene.json", [], "scene.json: the document must be a JSON object"),
+    ("hand_estimate.json", [], "hand_estimate.json: the document must be a JSON object"),
+], ids=["hand-model-list", "hand-model-unknown", "hand-model-force-table", "negative-force",
+        "stray-region-mask", "boolean-scale", "independent-without-points", "zero-quaternion",
+        "engagement-word", "scene-json-list", "estimate-json-list"])
 def test_check_scene_names_each_violation(mug_scene, tmp_path, name, edit, finding):
     scene_dir = tmp_path / "mug-01"
     shutil.copytree(mug_scene, scene_dir)
     doc = json.loads((scene_dir / name).read_text())
-    if isinstance(edit, dict):
+    if isinstance(edit, list):
+        doc = edit
+    elif isinstance(edit, dict):
         doc.update(edit)
     else:
         edit(doc)
