@@ -188,25 +188,39 @@ def cmd_batch(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _validate_file(path: Path) -> list:
-    readers = {".obj": load_obj, ".json": load_hand_model_file}
-    if path.suffix not in readers:
-        return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
+def _findings(read, path: Path) -> list:
     try:
-        readers[path.suffix](path)
+        read(path)
     except DextraError as exc:
         return getattr(exc, "violations", [str(exc)])
     return []
 
 
+def _validate_file(path: Path) -> list:
+    readers = {".obj": load_obj, ".json": load_hand_model_file}
+    if path.suffix not in readers:
+        return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
+    return _findings(readers[path.suffix], path)
+
+
 def cmd_validate(args) -> int:
-    path = Path(args.fixture)
-    if path.is_dir():
-        findings = check_scene(path)
-    elif path.is_file():
-        findings = _validate_file(path)
-    else:
-        return _fail(f"error: no fixture at {path}", _USAGE_ERROR)
+    if args.fixture is None and args.settings is None:
+        return _fail("error: nothing to validate: give a fixture, --settings FILE, or both",
+                     _USAGE_ERROR)
+    findings = []
+    if args.settings is not None:
+        settings = Path(args.settings)
+        if not settings.is_file():
+            return _fail(f"error: no settings file at {settings}", _USAGE_ERROR)
+        findings += _findings(settings_from_file, settings)
+    if args.fixture is not None:
+        path = Path(args.fixture)
+        if path.is_dir():
+            findings += check_scene(path)
+        elif path.is_file():
+            findings += _validate_file(path)
+        else:
+            return _fail(f"error: no fixture at {path}", _USAGE_ERROR)
     for finding in findings:
         print(finding)
     if findings:
@@ -251,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.set_defaults(fn=cmd_batch)
 
     p_val = sub.add_parser("validate",
-                           help="check a scene directory, hand model, or mesh")
-    p_val.add_argument("fixture", help="scene directory, model JSON, or OBJ file")
+                           help="check a scene directory, hand model, mesh, or settings file")
+    p_val.add_argument("fixture", nargs="?", help="scene directory, model JSON, or OBJ file")
+    p_val.add_argument("--settings", help="JSON settings file, checked as `run` reads it")
     p_val.set_defaults(fn=cmd_validate)
     return parser
 

@@ -461,6 +461,18 @@ def _jacobian_tables(model: KinematicHandModel):
     return cache["jac"]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis of (..., 3) arrays, bit for bit: the same
+    component products without its per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
     """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
@@ -479,10 +491,10 @@ def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration) -> 
     quats = np.array([root.rotation if i < 0 else qs[i] for i in frames])
     origins = np.array([root.translation if i < 0 else ts[i] for i in frames])
     # rotate each axis into the world: v + 2w (u x v) + 2u x (u x v)
-    turn = 2.0 * np.cross(quats[:, 1:], axes)
-    world = axes + quats[:, :1] * turn + np.cross(quats[:, 1:], turn)
+    turn = 2.0 * _cross(quats[:, 1:], axes)
+    world = axes + quats[:, :1] * turn + _cross(quats[:, 1:], turn)
     tips = np.array([ts[i] for i in model.fingertip_link_ids])
-    cols = np.cross(world, tips[:, None] - origins) * moves      # (K, 3 + J, 3)
+    cols = _cross(world, tips[:, None] - origins) * moves      # (K, 3 + J, 3)
     rows = cols.transpose(0, 2, 1).reshape(3 * len(tips), -1)
     return np.hstack([rows[:, :3], np.tile(world[:3].T, (len(tips), 1)), rows[:, 3:] @ fold])
 

@@ -2,9 +2,11 @@
 
 The transfer runs in the object frame: initialize the robot hand from the
 human wrist pose and structurally similar joints, then refine wrist and
-fingers so the robot fingertips land on the human fingertip keypoints.
-Pre-grasp and squeeze variants are synthesized by sliding the fingertip
-targets along the local surface normals while the wrist stays fixed.
+fingers so the robot fingertips land on the human fingertip keypoints, by
+damped least squares whose damping follows the gain ratio (Nielsen 1999;
+Madsen, Nielsen & Tingleff 2004, sec. 3.2).  Pre-grasp and squeeze variants
+are synthesized by sliding the fingertip targets along the local surface
+normals while the wrist stays fixed.
 
 Every grasp carries a frame tag (object / generated-camera / real-camera /
 robot) and the frame-changing operations refuse inputs already in their
@@ -56,12 +58,10 @@ TWO_STAGE_STANDOFF = 0.10  # m retreat along the approach axis
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Damped least-squares schedule for fingertip refinement."""
+    """Start and stopping rules of the damped least-squares fingertip refinement."""
 
     max_iterations: int = 200
     damping_init: float = 1e-3
-    damping_increase: float = 10.0
-    damping_decrease: float = 10.0
     min_improvement: float = 1e-10   # m^2 between accepted steps
 
 
@@ -143,11 +143,18 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
                     settings: OptimizerSettings = DEFAULT_OPTIMIZER) -> GraspAction:
     """Damped least-squares refinement of fingertip placement.
 
-    Minimizes the summed squared fingertip-to-target distance over the
-    joint angles, plus the wrist twist when `wrist_free`.  Joint angles are
-    clamped into their limits after every step; the recorded objective
-    trace is strictly decreasing.  With the wrist frozen the root pose of
-    the result is bitwise identical to the input.
+    Minimizes the summed squared fingertip-to-target distance |r|^2 over the
+    joint angles, plus the wrist twist when `wrist_free`.  Each step h
+    solves (J^T J + lam I) h = -g with g = J^T r.  A step that lowers the
+    objective is taken, and lam follows the gain ratio rho of the actual to
+    the predicted reduction h^T (lam h - g): lam *= max(1/3, 1 - (2 rho - 1)^3)
+    and nu = 2.  A step that does not is refused and lam *= nu, nu *= 2
+    (Nielsen 1999; Madsen, Nielsen & Tingleff 2004, sec. 3.2).  The search
+    stops once an accepted step gains less than `min_improvement`, lam
+    passes 1e12, or `max_iterations` candidates have been tried.  Joint
+    angles are clamped into their limits after every step; the recorded
+    objective trace is strictly decreasing.  With the wrist frozen the root
+    pose of the result is bitwise identical to the input.
     """
     targets = np.asarray(targets, dtype=float)
     k = model.fingertip_count
@@ -161,7 +168,7 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
     res_vec = (tips - targets).ravel()
     objective = float(res_vec @ res_vec)
     trace = [objective]
-    lam = settings.damping_init
+    lam, nu = settings.damping_init, 2.0
     gram = grad = None
     iterations = 0
     while iterations < settings.max_iterations:
@@ -189,12 +196,16 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
             improvement = objective - obj_c
             cfg, tips, res_vec, objective = cand, tips_c, res_c, obj_c
             trace.append(objective)
-            lam = max(lam / settings.damping_decrease, 1e-12)
-            gram = grad = None
             if improvement < settings.min_improvement:
                 break
+            # gain ratio: actual over predicted reduction of |r|^2
+            rho = improvement / float(step @ (lam * step - grad))
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)
+            nu = 2.0
+            gram = grad = None
         else:
-            lam *= settings.damping_increase
+            lam *= nu
+            nu *= 2.0
             if lam > 1e12:
                 break  # step size is down in the noise; nothing left to gain
 

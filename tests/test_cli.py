@@ -376,6 +376,35 @@ def test_validate_unknown_inputs(tmp_path, capsys):
     assert "not a scene directory, hand model JSON, or OBJ mesh" in stdout
 
 
+def test_validate_settings_file(mug_scene, tmp_path, capsys):
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps({"optimizer": {"damping_increase": 10.0}}))
+    code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
+    assert code == 1
+    assert stdout.splitlines() == ["settings.json: unknown key 'optimizer.damping_increase'",
+                                   "1 problem(s) found"]
+    # `run` refuses the same file before any stage
+    code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "settings.json: unknown key 'optimizer.damping_increase'" in stderr
+
+    settings.write_text(json.dumps({"optimizer": {"max_iterations": 50}, "seed": 3}))
+    code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
+    assert (code, stdout) == (0, "ok\n")
+    code, stdout, _ = _run(capsys, "validate", str(mug_scene), "--settings", str(settings))
+    assert (code, stdout) == (0, "ok\n")
+
+
+def test_validate_without_a_fixture_or_settings_is_usage_error(tmp_path, capsys):
+    code, _, stderr = _run(capsys, "validate")
+    assert code == 2
+    assert "nothing to validate" in stderr
+    code, _, stderr = _run(capsys, "validate", "--settings", str(tmp_path / "ghost.json"))
+    assert code == 2
+    assert "no settings file at" in stderr
+
+
 # each case edits the inspire hand (which has a mimic) or replaces the file text
 _BROKEN_MODELS = {
     "misspelt-key": (lambda d: d.update(approach_axes=[0, 0, 1]),

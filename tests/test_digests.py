@@ -6,6 +6,10 @@ bundled scene at seed 0.  A change that moves digests on purpose regenerates
 the file and says why:
 
     PYTHONPATH=src python3 tests/test_digests.py
+
+The same scenes on the sweep hands pin their verdicts, and every run on every
+hand shows that the fingertip refinements converge rather than stop at the
+iteration cap.
 """
 
 import json
@@ -23,10 +27,10 @@ def bundled_scenes():
     return sorted(p.parent for p in SCENES_DIR.rglob("scene.json"))
 
 
-def scene_digests(scene_dir) -> dict:
+def scene_digests(scene_dir, **settings) -> dict:
     from dextra.pipeline import PipelineSettings, run_pipeline
 
-    report = run_pipeline(scene_dir, PipelineSettings(seed=0))
+    report = run_pipeline(scene_dir, PipelineSettings(seed=0, **settings))
     return {"verdict": report.verdict,
             "stages": {r["name"]: {"input": r["input"], "output": r["output"]}
                        for r in report.stages}}
@@ -34,6 +38,7 @@ def scene_digests(scene_dir) -> dict:
 
 # The golden file runs each scene on its own hand only.  These hands take tens
 # of LM steps per refinement, so their verdicts are pinned as well.
+SWEEP_HANDS = ("leap-like-16dof", "shadow-like-22dof")
 SWEEP_VERDICTS = {
     ("mug-01", "leap-like-16dof"): "unstable",
     ("fragile-06", "leap-like-16dof"): "unstable",
@@ -41,7 +46,59 @@ SWEEP_VERDICTS = {
     ("mug-01", "shadow-like-22dof"): "stable",
     ("fragile-06", "shadow-like-22dof"): "unstable",
     ("fragile-10", "shadow-like-22dof"): "stable",
+    ("fragile-01", "leap-like-16dof"): "unstable",
+    ("fragile-02", "leap-like-16dof"): "unstable",
+    ("fragile-03", "leap-like-16dof"): "unstable",
+    ("fragile-04", "leap-like-16dof"): "unstable",
+    ("fragile-05", "leap-like-16dof"): "unstable",
+    ("fragile-07", "leap-like-16dof"): "unstable",
+    ("fragile-08", "leap-like-16dof"): "unstable",
+    ("fragile-09", "leap-like-16dof"): "unstable",
+    ("fragile-01", "shadow-like-22dof"): "unstable",
+    ("fragile-02", "shadow-like-22dof"): "stable",
+    ("fragile-03", "shadow-like-22dof"): "unstable",
+    ("fragile-04", "shadow-like-22dof"): "stable",
+    ("fragile-05", "shadow-like-22dof"): "stable",
+    ("fragile-07", "shadow-like-22dof"): "stable",
+    ("fragile-08", "shadow-like-22dof"): "stable",
+    ("fragile-09", "shadow-like-22dof"): "stable",
 }
+
+
+def recorded_run(scene_dir, hand) -> dict:
+    """`scene_digests` of one run on `hand` (None: the scene's own), plus
+    every `refine_retarget` call in it as (wrist_free, candidates tried,
+    objective trace), counted through the solver's FK binding."""
+    from dextra import pipeline, retarget
+
+    evaluations, refinements = [0], []
+    fk, refine = retarget.fingertip_positions, retarget.refine_retarget
+
+    def counted_fk(*args):
+        evaluations[0] += 1
+        return fk(*args)
+
+    def recorded_refine(*args, **kwargs):
+        before = evaluations[0]
+        grasp = refine(*args, **kwargs)
+        # one evaluation at the start, then one per candidate step
+        refinements.append((kwargs.get("wrist_free", True), evaluations[0] - before - 1,
+                            grasp.objective_trace))
+        return grasp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retarget, "fingertip_positions", counted_fk)
+        mp.setattr(retarget, "refine_retarget", recorded_refine)
+        mp.setattr(pipeline, "refine_retarget", recorded_refine)
+        digests = scene_digests(scene_dir, hand_model=hand)
+    return {"digests": digests, "refinements": refinements}
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Every bundled scene on its own hand and on each sweep hand."""
+    return {(p.name, hand): recorded_run(p, hand)
+            for p in bundled_scenes() for hand in (None, *SWEEP_HANDS)}
 
 
 def test_golden_covers_every_bundled_scene():
@@ -57,12 +114,42 @@ def test_stage_digests_match_golden(scene_dir):
 
 
 @pytest.mark.parametrize(("scene", "hand"), SWEEP_VERDICTS, ids="/".join)
-def test_sweep_hand_verdicts_are_pinned(scene, hand):
-    from dextra.pipeline import PipelineSettings, run_pipeline
+def test_sweep_hand_verdicts_are_pinned(scene, hand, sweep):
+    assert sweep[scene, hand]["digests"]["verdict"] == SWEEP_VERDICTS[scene, hand]
 
-    scene_dir = next(p for p in bundled_scenes() if p.name == scene)
-    report = run_pipeline(scene_dir, PipelineSettings(seed=0, hand_model=hand))
-    assert report.verdict == SWEEP_VERDICTS[scene, hand]
+
+def test_sweep_verdicts_cover_every_scene_on_every_sweep_hand():
+    names = [p.name for p in bundled_scenes()]
+    assert sorted(SWEEP_VERDICTS) == sorted((n, h) for n in names for h in SWEEP_HANDS)
+
+
+def test_no_refinement_runs_out_of_iterations(sweep):
+    from dextra.retarget import DEFAULT_OPTIMIZER
+
+    assert len(sweep) == 33
+    tried = {f"{scene}@{hand}": [n for _, n, _ in run["refinements"]]
+             for (scene, hand), run in sweep.items()}
+    assert all(n < DEFAULT_OPTIMIZER.max_iterations for runs in tried.values() for n in runs), tried
+
+
+def test_doubling_the_iteration_cap_moves_no_digest(sweep):
+    from dextra.retarget import DEFAULT_OPTIMIZER, OptimizerSettings
+
+    roomy = OptimizerSettings(max_iterations=2 * DEFAULT_OPTIMIZER.max_iterations)
+    for p in bundled_scenes():
+        for hand in (None, *SWEEP_HANDS):
+            digests = scene_digests(p, hand_model=hand, optimizer=roomy)
+            assert digests == sweep[p.name, hand]["digests"], (p.name, hand)
+
+
+def test_shadow_pre_squeeze_refinements_converge_early(sweep):
+    # the pregrasp and squeeze refinements hold the wrist still
+    traces = [trace for wrist_free, _, trace in sweep["mug-01", "shadow-like-22dof"]["refinements"]
+              if not wrist_free]
+    assert len(traces) == 2
+    for trace in traces:
+        assert len(trace) - 1 < 60
+        assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
 
 
 if __name__ == "__main__":

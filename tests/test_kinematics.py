@@ -204,6 +204,19 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
     assert len(sweeps) == 2
 
 
+def test_private_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(size=(2, 40, 3)) * rng.uniform(1e-3, 1e3, (2, 40, 1))
+    assert np.array_equal(kinematics._cross(a, b), np.cross(a, b))
+    # the broadcast shapes the jacobian uses: (A, 3) axes against (K, A, 3) tips
+    axes, tips = rng.normal(size=(28, 3)), rng.normal(size=(5, 28, 3))
+    assert np.array_equal(kinematics._cross(axes, tips), np.cross(axes, tips))
+    assert np.array_equal(kinematics._cross(tips, axes), np.cross(tips, axes))
+    origins, points = rng.normal(size=(28, 3)), rng.normal(size=(5, 1, 3))
+    assert np.array_equal(kinematics._cross(origins, points - origins),
+                          np.cross(origins, points - origins))
+
+
 def test_jacobian_mimic_columns_zero(robot_model):
     cfg = rest_configuration(robot_model)
     jac = fingertip_jacobian(robot_model, cfg)
