@@ -29,7 +29,7 @@ from .pipeline import (
     run_pipeline,
     settings_from_file,
 )
-from .reconstruction import check_scene
+from .reconstruction import check_scene, read_force_table
 
 _USAGE_ERROR = 2
 _RUN_FAILED = 1
@@ -200,7 +200,9 @@ def _validate_file(path: Path) -> list:
     readers = {".obj": load_obj, ".json": load_hand_model_file}
     if path.suffix not in readers:
         return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
-    return _findings(readers[path.suffix], path)
+    # the bundled models directory holds the hand models and the force table
+    read = read_force_table if path.name == "force_table.json" else readers[path.suffix]
+    return _findings(read, path)
 
 
 def cmd_validate(args) -> int:

@@ -191,13 +191,10 @@ class TriangleMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3).copy()
         f = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).copy()
-        if float(self.scale) <= 0.0:
-            raise ValueError("mesh scale must be positive")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("triangle index out of range")
         if f.size:
@@ -211,7 +208,6 @@ class TriangleMesh:
         f.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", f)
-        object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -227,7 +223,7 @@ class TriangleMesh:
 
 
 def transform_mesh(mesh: TriangleMesh, pose: SE3Pose) -> TriangleMesh:
-    return TriangleMesh(transform_points(pose, mesh.vertices), mesh.triangles, mesh.scale)
+    return TriangleMesh(transform_points(pose, mesh.vertices), mesh.triangles)
 
 
 # ---- closest point on triangles (voronoi-region walk, vectorized) ----
@@ -515,8 +511,11 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
 
     Only v and f records are honored; faces must be triangles.  Every
     violation in the file is collected, prefixed with the file name, before
-    rejecting it; a missing file raises FixtureMissing.
+    rejecting it; a missing file raises FixtureMissing.  Vertices are
+    multiplied by `scale`, which must be positive.
     """
+    if float(scale) <= 0.0:
+        raise ValueError("mesh scale must be positive")
     if not os.path.isfile(path):
         raise FixtureMissing(f"fixture file missing: {path}")
     try:
@@ -578,7 +577,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
             violations.append(f"face {int(k) + 1}: degenerate (zero area)")
     if violations:
         raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])
-    return TriangleMesh(v, f, scale=float(scale))
+    return TriangleMesh(v, f)
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:

@@ -6,7 +6,10 @@ A PD loop drives every finger from its pre-grasp angle toward its squeeze
 angle; the moment a finger's sensed force reaches the predicted target
 force, its current position is locked in as the new setpoint for the rest
 of the episode.  Closing force is therefore bounded near the target
-instead of running to the squeeze pose on rigid objects.
+instead of running to the squeeze pose on rigid objects.  `run_grasp` is
+the whole controller: one loop over per-finger arrays (positions, latch
+flags, latched positions, last error) that records every step in an
+`ExecutionTrace`.
 
 Contact is simulated by a one-sided linear spring per finger: zero force
 until the closing coordinate passes the engagement position, then force
@@ -66,20 +69,6 @@ class ContactModel:
 
 
 @dataclass(frozen=True, eq=False)
-class ForceReading:
-    forces: np.ndarray           # (K,) N, non-negative
-
-
-@dataclass(frozen=True, eq=False)
-class ControllerState:
-    """Per-finger latch state carried between steps."""
-
-    locked: np.ndarray           # (K,) bool, permanent for the episode
-    locked_positions: np.ndarray  # (K,) rad, valid where locked
-    last_error: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class ExecutionTrace:
     positions: np.ndarray        # (T, K) closing coordinates at step start
     forces: np.ndarray           # (T, K) sensed forces
@@ -98,57 +87,6 @@ class GraspExecutionResult:
     f_target: float
     steps: int
     trace: ExecutionTrace
-
-
-def make_controller_state(finger_count: int) -> ControllerState:
-    return ControllerState(locked=np.zeros(finger_count, dtype=bool),
-                           locked_positions=np.zeros(finger_count))
-
-
-def sense_force(contact: ContactModel, positions, rng: np.random.Generator | None = None) -> ForceReading:
-    """Spring force per finger; clipped at zero like a real normal force."""
-    pos = np.asarray(positions, dtype=float).reshape(-1)
-    if pos.shape != contact.engagement.shape:
-        raise DimensionMismatch("positions do not match the contact model")
-    f = contact.stiffness * np.maximum(0.0, pos - contact.engagement)
-    if contact.noise_sigma > 0.0 and rng is not None:
-        f = np.maximum(0.0, f + rng.normal(0.0, contact.noise_sigma, f.shape))
-    return ForceReading(forces=f)
-
-
-def controller_step(state: ControllerState, current, squeeze_target,
-                    force: ForceReading, f_target: float,
-                    gains: GraspGains = GraspGains(), dt: float = DEFAULT_DT):
-    """One PD update; returns (velocity command, next state).
-
-    Fingers whose sensed force has reached `f_target` lock at their current
-    position; the latch never releases within an episode.
-    """
-    if dt <= 0.0:
-        raise NonPositiveDt(f"dt must be positive, got {dt}")
-    current = np.asarray(current, dtype=float).reshape(-1)
-    squeeze_target = np.asarray(squeeze_target, dtype=float).reshape(-1)
-    if current.shape != squeeze_target.shape or current.shape != state.locked.shape:
-        raise DimensionMismatch("controller arrays disagree on finger count")
-
-    newly_locked = (~state.locked) & (force.forces >= f_target)
-    locked = state.locked | newly_locked
-    locked_positions = np.where(newly_locked, current, state.locked_positions)
-    target = np.where(locked, locked_positions, squeeze_target)
-    error = target - current
-    if state.last_error is None:
-        derivative = np.zeros_like(error)
-    else:
-        derivative = (error - state.last_error) / dt
-    command = gains.kp * error + gains.kd * derivative
-    return command, ControllerState(locked=locked, locked_positions=locked_positions,
-                                    last_error=error)
-
-
-def _driver_indices(model: KinematicHandModel) -> list:
-    if not model.finger_drivers:
-        raise MissingField(f"model '{model.name}' declares no finger_drivers")
-    return [model.joint_index[name] for name in model.finger_drivers]
 
 
 def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
@@ -172,7 +110,9 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         raise NonPositiveDt(f"dt must be positive, got {dt}")
     if f_target <= 0.0:
         raise ValueError(f"target force must be positive, got {f_target}")
-    drivers = _driver_indices(model)
+    if not model.finger_drivers:
+        raise MissingField(f"model '{model.name}' declares no finger_drivers")
+    drivers = [model.joint_index[name] for name in model.finger_drivers]
     positions = np.array(pre.config.joint_angles[drivers])
     squeeze_targets = np.array(squeeze.config.joint_angles[drivers])
     k = len(drivers)
@@ -181,27 +121,42 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
             f"contact model covers {contact.engagement.shape[0]} fingers, hand has {k}")
 
     rng = np.random.default_rng(seed) if contact.noise_sigma > 0.0 else None
+
+    def sense(pos):
+        """Spring force per finger; clipped at zero like a real normal force."""
+        f = contact.stiffness * np.maximum(0.0, pos - contact.engagement)
+        if rng is not None:
+            f = np.maximum(0.0, f + rng.normal(0.0, contact.noise_sigma, (k,)))
+        return f
+
     latch_threshold = f_target if lock_enabled else np.inf
-    state = make_controller_state(k)
+    locked = np.zeros(k, dtype=bool)
+    locked_positions = np.zeros(k)
+    last_error = None
     rows_pos, rows_force, rows_cmd, rows_locked = [], [], [], []
-    steps = 0
     for _ in range(max_steps):
-        reading = sense_force(contact, positions, rng)
-        command, state = controller_step(state, positions, squeeze_targets,
-                                         reading, latch_threshold, gains, dt)
-        rows_pos.append(positions.copy())
-        rows_force.append(reading.forces)
+        forces = sense(positions)
+        newly_locked = ~locked & (forces >= latch_threshold)
+        locked = locked | newly_locked
+        locked_positions = np.where(newly_locked, positions, locked_positions)
+        error = np.where(locked, locked_positions, squeeze_targets) - positions
+        # no derivative on the first step, but kd * 0 is still added: it
+        # turns a -0.0 command into 0.0, and the trace records the sign
+        derivative = np.zeros_like(error) if last_error is None else (error - last_error) / dt
+        command = gains.kp * error + gains.kd * derivative
+        last_error = error
+        rows_pos.append(positions)
+        rows_force.append(forces)
         rows_cmd.append(command)
-        rows_locked.append(state.locked.copy())
+        rows_locked.append(locked)
         positions = positions + command * dt
-        steps += 1
         # settling covers the all-locked case too: the latch flips the
         # setpoint, and the PD needs a few more steps to absorb the
         # derivative transient and hold the locked position
         if float(np.abs(command).max()) < _COMMAND_EPS:
             break
 
-    final_forces = sense_force(contact, positions, rng).forces
+    final_forces = sense(positions)
     all_forces = np.vstack(rows_force + [final_forces])
     peak_forces = all_forces.max(axis=0)
     trace = ExecutionTrace(positions=np.vstack(rows_pos), forces=np.vstack(rows_force),
@@ -219,10 +174,10 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         final_forces=final_forces,
         peak_forces=peak_forces,
         peak_commands=np.abs(trace.commands).max(axis=0),
-        locked=state.locked,
+        locked=locked,
         final_positions=positions,
         f_target=float(f_target),
-        steps=steps,
+        steps=len(rows_cmd),
         trace=trace)
 
 

@@ -163,6 +163,23 @@ def _names_hand(name) -> bool:
 
 
 _MODEL = (_names_hand, "must name a bundled hand model")
+_FORCE_TABLE = (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
+                "must map object names to positive forces (N)")
+
+
+def _fold_names(table: dict) -> dict:
+    """Force table keys as `predict_force` looks them up."""
+    return {k.strip().lower(): float(f) for k, f in table.items()}
+
+
+def read_force_table(path) -> dict:
+    """A force table file (the bundled models/force_table.json), checked by
+    the rule scene.json's `force_table` override follows."""
+    accepts, rule = _FORCE_TABLE
+    table = read_json(path)
+    if not accepts(table):
+        raise_schema([(SchemaError, f"the force table {rule}")], path.name)
+    return _fold_names(table)
 
 
 def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
@@ -259,8 +276,7 @@ class SceneFixture:
             "contact_fingers": (lambda f: numbers(f, valid=lambda i: type(i) is int and i >= 0)
                                 and 0 < len(f) == len(set(f)), "must list distinct finger indices"),
             "hand_model": _MODEL,
-            "force_table": (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
-                            "must map object names to positive forces (N)", {}),
+            "force_table": (*_FORCE_TABLE, {}),
         })
         self.name, self.object_name, self.intent = v["name"], v["object_name"], v["intent"]
         self.prompt_kind, self.hand_model = v["prompt_kind"], v["hand_model"]
@@ -268,8 +284,7 @@ class SceneFixture:
         self.generated_ref, self.region_ref = v["generated_image"], v["region_mask"]
         self.demo_ref, self.mesh_scale = v["demo_image"], float(v["mesh_scale"])
         self.contact_fingers = v["contact_fingers"] and tuple(v["contact_fingers"])
-        self._force_table = {**_load_force_table(), **{
-            k.strip().lower(): float(f) for k, f in v["force_table"].items()}}
+        self._force_table = {**_load_force_table(), **_fold_names(v["force_table"])}
         for key, kind in (("region_mask", "visual-region"), ("demo_image", "demo-image")):
             if v[key] is not None and self.prompt_kind != kind:
                 bad.append((SchemaError, f"{key} only applies to a {kind} prompt"))
@@ -352,8 +367,7 @@ def check_scene(scene_dir) -> list:
 
 @lru_cache(maxsize=None)
 def _load_force_table() -> dict:
-    raw = read_json(resources.files("dextra") / "models" / "force_table.json")
-    return {k.strip().lower(): float(v) for k, v in raw.items()}
+    return read_force_table(resources.files("dextra") / "models" / "force_table.json")
 
 
 def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> ReconstructionBundle:

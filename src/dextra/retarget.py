@@ -8,9 +8,9 @@ Madsen, Nielsen & Tingleff 2004, sec. 3.2).  Pre-grasp and squeeze variants
 are synthesized by sliding the fingertip targets along the local surface
 normals while the wrist stays fixed.
 
-Every grasp carries a frame tag (object / generated-camera / real-camera /
-robot) and the frame-changing operations refuse inputs already in their
-output frame, so a transform can never be applied twice.
+Every grasp carries a frame tag, object or robot, and the operations that
+change or need a frame refuse a grasp in the wrong one, so a transform can
+never be applied twice.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ from .kinematics import (
 )
 
 FRAME_OBJECT = "object"
-FRAME_GENERATED = "generated-camera"
-FRAME_REAL = "real-camera"
 FRAME_ROBOT = "robot"
-FRAMES = (FRAME_OBJECT, FRAME_GENERATED, FRAME_REAL, FRAME_ROBOT)
+FRAMES = (FRAME_OBJECT, FRAME_ROBOT)
 
 PREGRASP_OFFSET = 0.05    # m outward along the contact normal
 SQUEEZE_OFFSET = -0.01    # m inward along the contact normal
@@ -268,8 +266,6 @@ def to_robot_frame(grasp: GraspAction, t_o_obs: SE3Pose, hand_eye: SE3Pose) -> G
     """
     if grasp.frame == FRAME_ROBOT:
         raise WrongFrame("grasp is already in the robot frame")
-    if grasp.frame != FRAME_OBJECT:
-        raise WrongFrame(f"robot transfer starts from the object frame, got '{grasp.frame}'")
     root = compose(hand_eye, compose(t_o_obs, grasp.config.root_pose))
     return replace(grasp, config=HandConfiguration(root, grasp.config.joint_angles),
                    frame=FRAME_ROBOT)

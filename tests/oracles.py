@@ -318,10 +318,13 @@ def engagement_per_finger(fingertip, depth, lo, hi, samples=33, tol=1e-6):
 
 def pd_spring_episode(start, squeeze, stiffness, engagement, f_target,
                       kp=5.0, kd=0.1, dt=0.01, max_steps=1000,
-                      lock_enabled=True, command_eps=1e-9):
+                      lock_enabled=True, command_eps=1e-9,
+                      noise_sigma=0.0, seed=0):
     """Replay the closing loop step by step with plain floats.
 
-    Spring: f = k * max(0, pos - engagement).  A finger locks the first
+    Spring: f = k * max(0, pos - engagement).  With noise_sigma > 0 each
+    reading (every step's and the final one) adds one seeded gaussian draw
+    per finger and is clipped at zero.  A finger locks the first
     time its force reaches f_target and holds that position forever.  PD
     on the position error with the derivative of the error; positions
     integrate explicitly; the loop ends when every command settles.
@@ -337,8 +340,14 @@ def pd_spring_episode(start, squeeze, stiffness, engagement, f_target,
     threshold = float(f_target) if lock_enabled else math.inf
     rows_pos, rows_force, rows_cmd, rows_locked = [], [], [], []
 
+    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
+
     def spring(p):
-        return [stiffness[i] * max(0.0, p[i] - engagement[i]) for i in range(k)]
+        forces = [stiffness[i] * max(0.0, p[i] - engagement[i]) for i in range(k)]
+        if rng is not None:
+            noise = rng.normal(0.0, noise_sigma, k).tolist()
+            forces = [max(0.0, forces[i] + noise[i]) for i in range(k)]
+        return forces
 
     for _ in range(max_steps):
         forces = spring(pos)

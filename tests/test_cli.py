@@ -364,6 +364,19 @@ def test_validate_hand_model_and_mesh_files(mug_scene, tmp_path, capsys):
     assert "problem(s) found" in stdout
 
 
+def test_validate_force_table(tmp_path, capsys):
+    code, stdout, _ = _run(capsys, "validate", str(MODELS_DIR / "force_table.json"))
+    assert code == 0 and stdout.strip() == "ok"
+
+    bad = tmp_path / "force_table.json"
+    bad.write_text(json.dumps({"mug": 0}))
+    code, stdout, _ = _run(capsys, "validate", str(bad))
+    assert code == 1
+    assert stdout.splitlines() == [
+        "force_table.json: the force table must map object names to positive forces (N)",
+        "1 problem(s) found"]
+
+
 def test_validate_unknown_inputs(tmp_path, capsys):
     code, _, stderr = _run(capsys, "validate", str(tmp_path / "ghost"))
     assert code == 2

@@ -113,7 +113,8 @@ def test_stage_digests_match_golden(scene_dir):
     assert scene_digests(scene_dir) == golden
 
 
-@pytest.mark.parametrize(("scene", "hand"), SWEEP_VERDICTS, ids="/".join)
+@pytest.mark.parametrize(("scene", "hand"), SWEEP_VERDICTS,
+                         ids=["/".join(k) for k in SWEEP_VERDICTS])
 def test_sweep_hand_verdicts_are_pinned(scene, hand, sweep):
     assert sweep[scene, hand]["digests"]["verdict"] == SWEEP_VERDICTS[scene, hand]
 

@@ -394,6 +394,9 @@ def test_load_obj_scale(tmp_path):
     save_obj(path, box_mesh((1.0, 1.0, 1.0)))
     scaled = load_obj(path, scale=0.2)
     assert np.isclose(np.abs(scaled.vertices).max(), 0.1)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mesh scale must be positive"):
+            load_obj(path, scale=bad)
 
 
 def test_load_obj_collects_all_violations(tmp_path):

@@ -6,15 +6,7 @@ import pytest
 import oracles
 from conftest import MODELS_DIR
 from dextra.errors import DimensionMismatch, MissingField, NonPositiveDt
-from dextra.graspctl import (
-    ContactModel,
-    GraspGains,
-    controller_step,
-    make_controller_state,
-    run_grasp,
-    sense_force,
-    trace_csv,
-)
+from dextra.graspctl import ContactModel, GraspGains, run_grasp, trace_csv
 from dextra.kinematics import (
     HandConfiguration,
     load_hand_model,
@@ -47,7 +39,7 @@ def _uniform_contact(k, **kw):
 
 
 # ---------------------------------------------------------------------------
-# contact model and force sensing
+# contact model
 # ---------------------------------------------------------------------------
 
 def test_contact_model_rejects_nonpositive_stiffness():
@@ -58,76 +50,6 @@ def test_contact_model_rejects_nonpositive_stiffness():
 def test_contact_model_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         ContactModel(stiffness=np.ones(3), engagement=np.zeros(2))
-
-
-def test_sense_force_one_sided_spring():
-    contact = _uniform_contact(3)
-    reading = sense_force(contact, [0.1, 0.3, 0.45])
-    assert np.allclose(reading.forces, [0.0, 0.0, STIFF * 0.15])
-
-
-def test_sense_force_rejects_wrong_width():
-    with pytest.raises(DimensionMismatch):
-        sense_force(_uniform_contact(3), [0.0, 0.0])
-
-
-def test_sense_force_noise_is_seeded_and_clipped():
-    contact = _uniform_contact(2, noise_sigma=0.5)
-    pos = [0.31, 0.29]
-    a = sense_force(contact, pos, np.random.default_rng(9)).forces
-    b = sense_force(contact, pos, np.random.default_rng(9)).forces
-    c = sense_force(contact, pos, np.random.default_rng(10)).forces
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    # clipped like a real normal force, even when noise pulls it negative
-    lows = [sense_force(contact, [0.0, 0.0], np.random.default_rng(s)).forces
-            for s in range(50)]
-    assert float(np.min(lows)) >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# controller step
-# ---------------------------------------------------------------------------
-
-def test_controller_first_step_is_pure_proportional():
-    state = make_controller_state(2)
-    reading = sense_force(_uniform_contact(2), [0.1, 0.2])
-    gains = GraspGains(kp=5.0, kd=0.1)
-    command, nxt = controller_step(state, [0.1, 0.2], [0.5, 0.5],
-                                   reading, F_TARGET, gains)
-    assert np.allclose(command, [5.0 * 0.4, 5.0 * 0.3])
-    assert not nxt.locked.any()
-    assert nxt.last_error is not None
-
-
-def test_controller_rejects_nonpositive_dt():
-    state = make_controller_state(1)
-    reading = sense_force(_uniform_contact(1), [0.0])
-    with pytest.raises(NonPositiveDt, match="dt must be positive"):
-        controller_step(state, [0.0], [0.5], reading, F_TARGET, dt=0.0)
-
-
-def test_controller_rejects_finger_count_mismatch():
-    state = make_controller_state(2)
-    reading = sense_force(_uniform_contact(2), [0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        controller_step(state, [0.0, 0.0, 0.0], [0.5, 0.5, 0.5],
-                        reading, F_TARGET)
-
-
-def test_latch_is_permanent_within_episode():
-    contact = _uniform_contact(1)
-    state = make_controller_state(1)
-    hot = sense_force(contact, [ENGAGE + F_TARGET / STIFF + 0.01])
-    _, state = controller_step(state, [0.36], [0.8], hot, F_TARGET)
-    assert state.locked[0]
-    assert state.locked_positions[0] == 0.36
-    # force has dropped back below target; the latch must not release
-    cold = sense_force(contact, [0.0])
-    command, state = controller_step(state, [0.36], [0.8], cold, F_TARGET)
-    assert state.locked[0]
-    # setpoint is the locked position, not the squeeze target
-    assert command[0] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +71,67 @@ def test_run_grasp_locks_every_finger_near_target(robot_model):
     assert float(np.abs(result.trace.commands[-1]).max()) < 1e-9
 
 
-def test_run_grasp_matches_scalar_replay(robot_model):
+@pytest.mark.parametrize("engagement", [np.full(5, ENGAGE), np.array([np.inf] + [ENGAGE] * 4)],
+                         ids=["all-engage", "one-never-engages"])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.5], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("lock_enabled", [True, False], ids=["lock", "no-lock"])
+def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma, engagement):
     pre = _driver_grasp(robot_model, 0.1)
     squeeze = _driver_grasp(robot_model, 0.55)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
+    contact = ContactModel(stiffness=np.full(5, STIFF), engagement=engagement,
+                           noise_sigma=noise_sigma)
+    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model,
+                       lock_enabled=lock_enabled, seed=7)
     oracle = oracles.pd_spring_episode(
         start=np.full(5, 0.1), squeeze=np.full(5, 0.55),
-        stiffness=np.full(5, STIFF), engagement=np.full(5, ENGAGE),
-        f_target=F_TARGET)
-    assert result.trace.positions.shape == oracle["positions"].shape
-    assert np.allclose(result.trace.positions, oracle["positions"], atol=1e-12)
-    assert np.allclose(result.trace.forces, oracle["forces"], atol=1e-12)
-    assert np.allclose(result.trace.commands, oracle["commands"], atol=1e-12)
-    assert np.array_equal(result.trace.locked, oracle["locked"])
-    assert np.allclose(result.final_forces, oracle["final_forces"], atol=1e-12)
+        stiffness=np.full(5, STIFF), engagement=engagement,
+        f_target=F_TARGET, lock_enabled=lock_enabled,
+        noise_sigma=noise_sigma, seed=7)
+    assert result.steps == len(oracle["commands"])
+    for field in ("positions", "forces", "commands", "locked"):
+        assert np.array_equal(getattr(result.trace, field), oracle[field]), field
+    assert np.array_equal(result.final_positions, oracle["final_positions"])
+    assert np.array_equal(result.final_forces, oracle["final_forces"])
+
+
+@pytest.mark.parametrize(("start", "goal"), [(0.1, 0.55), (0.0, -0.0)],
+                         ids=["closing", "signed-zero"])
+def test_run_grasp_first_command_is_pure_proportional(robot_model, start, goal):
+    pre = _driver_grasp(robot_model, start)
+    squeeze = _driver_grasp(robot_model, goal)
+    gains = GraspGains(kp=5.0, kd=0.1)
+    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model, gains)
+    drivers = [robot_model.joint_index[n] for n in robot_model.finger_drivers]
+    expected = gains.kp * (squeeze.config.joint_angles[drivers]
+                           - pre.config.joint_angles[drivers])
+    assert np.array_equal(result.trace.commands[0], expected)
+    assert not result.trace.locked[0].any()
+    # the zero derivative is still added, so a -0.0 error commands +0.0
+    assert not np.signbit(result.trace.commands[0]).any()
+
+
+def test_run_grasp_latch_never_releases_under_noise(robot_model):
+    pre = _driver_grasp(robot_model, 0.1)
+    squeeze = _driver_grasp(robot_model, 0.55)
+    contact = _uniform_contact(5, noise_sigma=0.5)
+    t = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3).trace
+    assert t.locked[-1].all()
+    assert np.all(np.diff(t.locked.astype(int), axis=0) >= 0)
+    # the noisy reading falls back below target after the latch on some
+    # finger, and the latch holds anyway
+    first = t.locked.argmax(axis=0)
+    assert any((t.forces[first[i] + 1:, i] < F_TARGET).any() for i in range(5))
+
+
+def test_run_grasp_noisy_forces_are_clipped_at_zero(robot_model):
+    pre = _driver_grasp(robot_model, 0.1)
+    squeeze = _driver_grasp(robot_model, 0.55)
+    contact = _uniform_contact(5, noise_sigma=0.5)
+    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3)
+    # before engagement the spring reads 0, so half the noisy readings clip
+    assert result.trace.forces.min() >= 0.0
+    assert (result.trace.forces == 0.0).any()
+    assert result.final_forces.min() >= 0.0
 
 
 def test_run_grasp_without_lock_drives_to_squeeze(robot_model):
@@ -224,9 +193,9 @@ def test_run_grasp_rejects_bad_scalars(robot_model):
     squeeze = _driver_grasp(robot_model, 0.55)
     with pytest.raises(ValueError, match="target force must be positive"):
         run_grasp(pre, squeeze, _uniform_contact(5), 0.0, robot_model)
-    with pytest.raises(NonPositiveDt):
-        run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model,
-                  dt=-0.01)
+    for dt in (0.0, -0.01):
+        with pytest.raises(NonPositiveDt, match="dt must be positive"):
+            run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model, dt=dt)
     with pytest.raises(DimensionMismatch, match="contact model covers"):
         run_grasp(pre, squeeze, _uniform_contact(3), F_TARGET, robot_model)
 
