@@ -29,7 +29,7 @@ from .pipeline import (
     run_pipeline,
     settings_from_file,
 )
-from .reconstruction import check_scene, read_force_table
+from .reconstruction import SceneFixture, check_scene, read_force_table
 
 _USAGE_ERROR = 2
 _RUN_FAILED = 1
@@ -153,7 +153,12 @@ def cmd_batch(args) -> int:
     scene_dirs = _discover_scenes(root)
     if not scene_dirs:
         return _fail(f"error: no scenes under {root}", _USAGE_ERROR)
-    names = [d.name for d in scene_dirs]
+    try:
+        scenes = [SceneFixture(d) for d in scene_dirs]
+    except DextraError as exc:
+        return _error_exit(exc)
+    # each scene writes to --out/<its scene.json name>, so names must not repeat
+    names = [scene.name for scene in scenes]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         return _fail(f"error: duplicate scene names: {', '.join(dupes)}", _USAGE_ERROR)
@@ -165,9 +170,9 @@ def cmd_batch(args) -> int:
 
     out = Path(args.out)
     reports = []
-    for scene_dir in scene_dirs:
+    for scene in scenes:
         try:
-            report = run_pipeline(scene_dir, settings)
+            report = run_pipeline(scene, settings)
         except DextraError as exc:
             return _error_exit(exc)
         _emit_scene(out / report.scene, report)

@@ -73,10 +73,6 @@ class WrongFrame(DextraError):
     """A grasp arrived in a frame the operation does not accept."""
 
 
-class NonPositiveDt(DextraError):
-    """Controller time step must be positive."""
-
-
 class StageError(DextraError):
     """A pipeline stage failed; names the stage and chains the cause."""
 
@@ -136,11 +132,11 @@ def read_json(path):
 def check_document(doc, schema: dict, path: str = "") -> tuple:
     """The values of the JSON document at `path`, and every violation in it.
 
-    `schema` maps each key to a rule entry.  `accepts` is a predicate, a
-    schema (a section), or a one-schema list (a list of records).  An absent
-    or rejected key reads as its default (None if it has none or is
-    REQUIRED), and a key not in `schema` is a violation.  Violations are
-    (kind, message) pairs for `raise_schema`, naming keys by their path.
+    `schema` maps each key to a rule entry.  `accepts` is a predicate or a
+    one-schema list (a list of records).  An absent or rejected key reads as
+    its default (None if it has none or is REQUIRED), and a key not in
+    `schema` is a violation.  Violations are (kind, message) pairs for
+    `raise_schema`, naming keys by their path.
     """
     if not isinstance(doc, dict):
         return check_document({}, schema, path)[0], [
@@ -153,12 +149,10 @@ def check_document(doc, schema: dict, path: str = "") -> tuple:
             continue
         accepts, rule = schema[key][:2]
         name, more = prefix + key, []
-        if isinstance(accepts, dict) and isinstance(value, dict):
-            value, more = check_document(value, accepts, name)
-        elif isinstance(accepts, list) and isinstance(value, list):
+        if isinstance(accepts, list) and isinstance(value, list):
             rows = [check_document(row, accepts[0], f"{name}[{i}]") for i, row in enumerate(value)]
             value, more = [row for row, _ in rows], [b for _, found in rows for b in found]
-        elif isinstance(accepts, (dict, list)) or not accepts(value):
+        elif isinstance(accepts, list) or not accepts(value):
             more = [(SchemaError, f"{name} {rule}")]
         bad += more
         if not more:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingField, NonPositiveDt
+from .errors import DimensionMismatch, MissingField
 from .kinematics import KinematicHandModel
 from .retarget import GraspAction
 
@@ -38,12 +38,6 @@ _COMMAND_EPS = 1e-9       # rad/s; commands below this mean the hand settled
 VERDICT_STABLE = "stable"
 VERDICT_UNSTABLE = "unstable"
 VERDICT_DAMAGED = "damaged"
-
-
-@dataclass(frozen=True)
-class GraspGains:
-    kp: float = DEFAULT_KP
-    kd: float = DEFAULT_KD
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,23 +85,18 @@ class GraspExecutionResult:
 
 def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
               f_target: float, model: KinematicHandModel,
-              gains: GraspGains = GraspGains(), dt: float = DEFAULT_DT,
-              max_steps: int = DEFAULT_MAX_STEPS, lock_enabled: bool = True,
-              stability_band: tuple = STABILITY_BAND,
-              min_stable_fingers: int = MIN_STABLE_FINGERS,
-              seed: int = 0) -> GraspExecutionResult:
+              lock_enabled: bool = True, seed: int = 0) -> GraspExecutionResult:
     """Close from the pre-grasp toward the squeeze pose under force limits.
 
-    The episode ends when the velocity commands settle below a small
-    threshold (which covers the all-locked case once the latch transient
-    dies out) or `max_steps` elapses.  Verdict: damaged if any finger's peak force
-    exceeded the object's yield force; stable if at least
-    `min_stable_fingers` fingers ended inside the stability band around
+    The PD loop runs with gains DEFAULT_KP and DEFAULT_KD at time step
+    DEFAULT_DT.  The episode ends when the velocity commands settle below a
+    small threshold (which covers the all-locked case once the latch
+    transient dies out) or DEFAULT_MAX_STEPS elapses.  Verdict: damaged if
+    any finger's peak force exceeded the object's yield force; stable if at
+    least MIN_STABLE_FINGERS fingers ended inside STABILITY_BAND around
     `f_target`; unstable otherwise.  With `lock_enabled` False the force
     latch is bypassed and fingers drive all the way to the squeeze pose.
     """
-    if dt <= 0.0:
-        raise NonPositiveDt(f"dt must be positive, got {dt}")
     if f_target <= 0.0:
         raise ValueError(f"target force must be positive, got {f_target}")
     if not model.finger_drivers:
@@ -134,7 +123,7 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
     locked_positions = np.zeros(k)
     last_error = None
     rows_pos, rows_force, rows_cmd, rows_locked = [], [], [], []
-    for _ in range(max_steps):
+    for _ in range(DEFAULT_MAX_STEPS):
         forces = sense(positions)
         newly_locked = ~locked & (forces >= latch_threshold)
         locked = locked | newly_locked
@@ -142,14 +131,15 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         error = np.where(locked, locked_positions, squeeze_targets) - positions
         # no derivative on the first step, but kd * 0 is still added: it
         # turns a -0.0 command into 0.0, and the trace records the sign
-        derivative = np.zeros_like(error) if last_error is None else (error - last_error) / dt
-        command = gains.kp * error + gains.kd * derivative
+        derivative = (np.zeros_like(error) if last_error is None
+                      else (error - last_error) / DEFAULT_DT)
+        command = DEFAULT_KP * error + DEFAULT_KD * derivative
         last_error = error
         rows_pos.append(positions)
         rows_force.append(forces)
         rows_cmd.append(command)
         rows_locked.append(locked)
-        positions = positions + command * dt
+        positions = positions + command * DEFAULT_DT
         # settling covers the all-locked case too: the latch flips the
         # setpoint, and the PD needs a few more steps to absorb the
         # derivative transient and hold the locked position
@@ -165,9 +155,9 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
     if contact.yield_force is not None and bool((peak_forces > contact.yield_force).any()):
         verdict = VERDICT_DAMAGED
     else:
-        lo, hi = stability_band
+        lo, hi = STABILITY_BAND
         in_band = (final_forces >= lo * f_target) & (final_forces <= hi * f_target)
-        verdict = VERDICT_STABLE if int(in_band.sum()) >= min_stable_fingers else VERDICT_UNSTABLE
+        verdict = VERDICT_STABLE if int(in_band.sum()) >= MIN_STABLE_FINGERS else VERDICT_UNSTABLE
 
     return GraspExecutionResult(
         verdict=verdict,

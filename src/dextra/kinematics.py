@@ -328,6 +328,11 @@ _MODELS = resources.files("dextra") / "models"
 _HAND_MODELS = frozenset(p.name.removesuffix(".json") for p in _MODELS.iterdir()) - {"force_table"}
 
 
+def is_bundled_hand(name) -> bool:
+    """Whether `name` names one of the hand models shipped with the package."""
+    return isinstance(name, str) and name in _HAND_MODELS
+
+
 @lru_cache(maxsize=None)
 def bundled_model(name: str) -> KinematicHandModel:
     """One of the hand models shipped with the package, loaded once per process.

@@ -32,8 +32,6 @@ from .errors import (
     StageError,
     check_document,
     number,
-    numbers,
-    positive,
     raise_schema,
     read_json,
 )
@@ -49,12 +47,8 @@ from .geometry import (
 )
 from .graspctl import (
     DEFAULT_DT,
-    DEFAULT_MAX_STEPS,
-    MIN_STABLE_FINGERS,
-    STABILITY_BAND,
     ContactModel,
     GraspExecutionResult,
-    GraspGains,
     run_grasp,
 )
 from .kinematics import (
@@ -62,9 +56,9 @@ from .kinematics import (
     KinematicHandModel,
     bundled_model,
     fingertip_positions,
+    is_bundled_hand,
 )
 from .reconstruction import (
-    CONTACT_SELECT_RADIUS,
     ReconstructionBundle,
     SceneFixture,
     align_depth,
@@ -74,14 +68,9 @@ from .reconstruction import (
     to_object_frame,
 )
 from .retarget import (
-    DEFAULT_OPTIMIZER,
-    ENGAGE_THRESHOLD,
     FRAME_ROBOT,
-    PREGRASP_OFFSET,
-    SQUEEZE_OFFSET,
     TWO_STAGE_STANDOFF,
     GraspAction,
-    OptimizerSettings,
     human_fingertip_targets,
     initialize_retarget,
     make_pregrasp,
@@ -110,45 +99,23 @@ _ENGAGEMENT_SAMPLES = 33
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Everything that shapes a run besides the scene fixture itself."""
+    """What a run varies besides the scene fixture itself.
+
+    The tuning parameters of the stages are module constants, not settings.
+    """
 
     hand_model: str | None = None  # None: the scene's hand, else DEFAULT_HAND_MODEL
-    engage_threshold: float = ENGAGE_THRESHOLD
-    contact_radius: float = CONTACT_SELECT_RADIUS
-    pregrasp_offset: float = PREGRASP_OFFSET
-    squeeze_offset: float = SQUEEZE_OFFSET
-    standoff: float = TWO_STAGE_STANDOFF
-    optimizer: OptimizerSettings = DEFAULT_OPTIMIZER
-    gains: GraspGains = GraspGains()
-    dt: float = DEFAULT_DT
-    max_steps: int = DEFAULT_MAX_STEPS
-    stability_band: tuple = STABILITY_BAND
-    min_stable_fingers: int = MIN_STABLE_FINGERS
     transfer: bool = True         # False: execute at the generated-camera pose
     force_lock: bool = True       # False: ignore force feedback while closing
     seed: int = 0
     noise_sigma: float | None = None  # None: take the scene's sensor noise
 
 
-_NUMBER = (number, "must be a number")
-_POSITIVE = (positive, "must be a positive number")
-_COUNT = (lambda v: type(v) is int and v > 0, "must be a positive integer")
 _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
-# settings key -> rule entry; `optimizer` and `gains` are sections with their own rules
+# settings key -> rule entry
 _SETTINGS_RULES = {
-    "hand_model": (lambda v: v is None or isinstance(v, str), "must be a hand model name or null"),
-    "engage_threshold": _NUMBER,
-    "contact_radius": _NUMBER,
-    "pregrasp_offset": _NUMBER,
-    "squeeze_offset": _NUMBER,
-    "standoff": _POSITIVE,
-    "optimizer": ({f.name: _COUNT if f.name == "max_iterations" else _NUMBER
-                   for f in dataclasses.fields(OptimizerSettings)}, "must be an object"),
-    "gains": ({f.name: _NUMBER for f in dataclasses.fields(GraspGains)}, "must be an object"),
-    "dt": _POSITIVE,
-    "max_steps": _COUNT,
-    "stability_band": (lambda v: numbers(v, 2), "must be two numbers"),
-    "min_stable_fingers": _COUNT,
+    "hand_model": (lambda v: v is None or is_bundled_hand(v),
+                   "must name a bundled hand model or be null"),
     "transfer": _FLAG,
     "force_lock": _FLAG,
     "seed": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
@@ -160,14 +127,7 @@ _SETTINGS_RULES = {
 def settings_from_dict(doc: dict, where: str = "settings") -> PipelineSettings:
     """Settings from a plain dict; unknown keys and bad values are refused."""
     raise_schema(check_document(doc, _SETTINGS_RULES)[1], where)
-    kwargs = dict(doc)
-    if "optimizer" in kwargs:
-        kwargs["optimizer"] = OptimizerSettings(**kwargs["optimizer"])
-    if "gains" in kwargs:
-        kwargs["gains"] = GraspGains(**kwargs["gains"])
-    if "stability_band" in kwargs:
-        kwargs["stability_band"] = tuple(float(v) for v in kwargs["stability_band"])
-    return PipelineSettings(**kwargs)
+    return PipelineSettings(**doc)
 
 
 def settings_from_file(path) -> PipelineSettings:
@@ -176,7 +136,7 @@ def settings_from_file(path) -> PipelineSettings:
 
 
 def override_settings(settings: PipelineSettings, **changes) -> PipelineSettings:
-    """`settings` with top-level `changes`, each checked like a file value."""
+    """`settings` with `changes`, each checked like a file value."""
     raise_schema(check_document(changes, _SETTINGS_RULES)[1], "settings")
     return replace(settings, **changes)
 
@@ -441,8 +401,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         mesh_gen = transform_mesh(bundle.mesh, bundle.object_pose_generated)
         fingers = scene.contact_fingers
         if fingers is None:
-            fingers = select_contact_fingers(bundle.hand, mesh_gen,
-                                             settings.contact_radius)
+            fingers = select_contact_fingers(bundle.hand, mesh_gen)
         fingers = tuple(int(i) for i in fingers)
         aligned = align_depth(bundle.hand, mesh_gen, fingers)
         shift = float(aligned.config.root_pose.translation[2]
@@ -462,23 +421,15 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         human_model = bundled_model(hand_obj.skeleton)
         initial = initialize_retarget(hand_obj, model, human_model)
         targets = human_fingertip_targets(hand_obj, model)
-        return refine_retarget(initial, targets, model, wrist_free=True,
-                               settings=settings.optimizer)
+        return refine_retarget(initial, targets, model, wrist_free=True)
 
     grasp_obj = stage("retarget", {"hand": hand_obj, "model": model.name},
                       _retarget)
 
-    def _pre_squeeze():
-        pre = make_pregrasp(grasp_obj, bundle.mesh, model,
-                            settings.pregrasp_offset, settings.engage_threshold,
-                            settings.optimizer)
-        squeeze = make_squeeze(grasp_obj, bundle.mesh, model,
-                               settings.squeeze_offset, settings.engage_threshold,
-                               settings.optimizer)
-        return pre, squeeze
-
     pre_obj, squeeze_obj = stage(
-        "pre-squeeze", {"grasp": grasp_obj, "mesh": bundle.mesh}, _pre_squeeze)
+        "pre-squeeze", {"grasp": grasp_obj, "mesh": bundle.mesh},
+        lambda: (make_pregrasp(grasp_obj, bundle.mesh, model),
+                 make_squeeze(grasp_obj, bundle.mesh, model)))
 
     hand_eye = scene.hand_eye()
     t_obs = bundle.object_pose_observed
@@ -496,8 +447,8 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
                         "observed": t_obs, "hand_eye": hand_eye,
                         "transfer": settings.transfer}, _robot_frame)
 
-    plan = stage("two-stage", {"grasp": pre_exec, "standoff": settings.standoff},
-                 lambda: plan_two_stage(pre_exec, model, settings.standoff))
+    plan = stage("two-stage", {"grasp": pre_exec, "standoff": TWO_STAGE_STANDOFF},
+                 lambda: plan_two_stage(pre_exec, model))
 
     # the physical surface the fingers actually meet: the observed object
     # carried through the camera-to-robot extrinsics
@@ -506,15 +457,10 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     def _execute():
         contact = _contact_model(contact_spec, settings, model, pre_exec,
                                  squeeze_exec, mesh_exec)
-        dt = float(settings.dt)
         result = run_grasp(pre_exec, squeeze_exec, contact, bundle.f_target,
-                           model, gains=settings.gains, dt=dt,
-                           max_steps=settings.max_steps,
-                           lock_enabled=settings.force_lock,
-                           stability_band=settings.stability_band,
-                           min_stable_fingers=settings.min_stable_fingers,
+                           model, lock_enabled=settings.force_lock,
                            seed=settings.seed)
-        return result, contact, dt
+        return result, contact, DEFAULT_DT
 
     result, contact, dt = stage(
         "execute", {"pre": pre_exec, "squeeze": squeeze_exec,
@@ -550,7 +496,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
                   "objective_final": float(trace_obj[-1]),
                   "accepted_steps": len(trace_obj) - 1},
         grasps={name: grasp_record(g) for name, g in actions.items()},
-        plan={"standoff_distance": float(settings.standoff)},
+        plan={"standoff_distance": TWO_STAGE_STANDOFF},
         execution={
             "verdict": result.verdict,
             "f_target": float(result.f_target),

@@ -54,6 +54,7 @@ from .kinematics import (
     HandPoseEstimate,
     bundled_model,
     fingertip_positions,
+    is_bundled_hand,
 )
 
 # prompt templates used to condition the hand-image generator
@@ -155,14 +156,7 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 # scene fixture files: one reader per file
 # ---------------------------------------------------------------------------
 
-def _names_hand(name) -> bool:
-    try:
-        return isinstance(name, str) and bool(bundled_model(name))
-    except FixtureMissing:
-        return False
-
-
-_MODEL = (_names_hand, "must name a bundled hand model")
+_MODEL = (is_bundled_hand, "must name a bundled hand model")
 _FORCE_TABLE = (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
                 "must map object names to positive forces (N)")
 
@@ -388,11 +382,10 @@ def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> Reconstr
 # depth alignment and frame transfer
 # ---------------------------------------------------------------------------
 
-def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
-                           radius: float = CONTACT_SELECT_RADIUS) -> tuple:
-    """Fingertips within `radius` of the surface: the intended contacts."""
+def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh) -> tuple:
+    """Fingertips within CONTACT_SELECT_RADIUS of the surface: the intended contacts."""
     d2 = surface_query(mesh, hand.fingertip_points).sq_distance
-    return tuple(int(i) for i in np.nonzero(d2 <= radius * radius)[0])
+    return tuple(int(i) for i in np.nonzero(d2 <= CONTACT_SELECT_RADIUS ** 2)[0])
 
 
 def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray) -> np.ndarray:

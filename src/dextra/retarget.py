@@ -53,17 +53,10 @@ SQUEEZE_OFFSET = -0.01    # m inward along the contact normal
 ENGAGE_THRESHOLD = 0.01   # m; fingertips this close to the surface engage
 TWO_STAGE_STANDOFF = 0.10  # m retreat along the approach axis
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Start and stopping rules of the damped least-squares fingertip refinement."""
-
-    max_iterations: int = 200
-    damping_init: float = 1e-3
-    min_improvement: float = 1e-10   # m^2 between accepted steps
-
-
-DEFAULT_OPTIMIZER = OptimizerSettings()
+# start and stopping rules of the damped least-squares fingertip refinement
+MAX_ITERATIONS = 200
+DAMPING_INIT = 1e-3
+MIN_IMPROVEMENT = 1e-10   # m^2 between accepted steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +130,7 @@ def initialize_retarget(human: HandPoseEstimate, model: KinematicHandModel,
 
 
 def refine_retarget(initial: GraspAction, targets: np.ndarray,
-                    model: KinematicHandModel, wrist_free: bool = True,
-                    settings: OptimizerSettings = DEFAULT_OPTIMIZER) -> GraspAction:
+                    model: KinematicHandModel, wrist_free: bool = True) -> GraspAction:
     """Damped least-squares refinement of fingertip placement.
 
     Minimizes the summed squared fingertip-to-target distance |r|^2 over the
@@ -148,8 +140,8 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
     the predicted reduction h^T (lam h - g): lam *= max(1/3, 1 - (2 rho - 1)^3)
     and nu = 2.  A step that does not is refused and lam *= nu, nu *= 2
     (Nielsen 1999; Madsen, Nielsen & Tingleff 2004, sec. 3.2).  The search
-    stops once an accepted step gains less than `min_improvement`, lam
-    passes 1e12, or `max_iterations` candidates have been tried.  Joint
+    stops once an accepted step gains less than MIN_IMPROVEMENT, lam
+    passes 1e12, or MAX_ITERATIONS candidates have been tried.  Joint
     angles are clamped into their limits after every step; the recorded
     objective trace is strictly decreasing.  With the wrist frozen the root
     pose of the result is bitwise identical to the input.
@@ -166,10 +158,10 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
     res_vec = (tips - targets).ravel()
     objective = float(res_vec @ res_vec)
     trace = [objective]
-    lam, nu = settings.damping_init, 2.0
+    lam, nu = DAMPING_INIT, 2.0
     gram = grad = None
     iterations = 0
-    while iterations < settings.max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         if gram is None:
             jac = fingertip_jacobian(model, cfg)
@@ -194,7 +186,7 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
             improvement = objective - obj_c
             cfg, tips, res_vec, objective = cand, tips_c, res_c, obj_c
             trace.append(objective)
-            if improvement < settings.min_improvement:
+            if improvement < MIN_IMPROVEMENT:
                 break
             # gain ratio: actual over predicted reduction of |r|^2
             rho = improvement / float(step @ (lam * step - grad))
@@ -213,48 +205,42 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
 
 
 def compute_contacts(grasp: GraspAction, mesh: TriangleMesh,
-                     model: KinematicHandModel,
-                     engage_threshold: float = ENGAGE_THRESHOLD) -> ContactSet:
+                     model: KinematicHandModel) -> ContactSet:
     """Nearest surface point per fingertip; grasp must be in the object frame."""
     if grasp.frame != FRAME_OBJECT:
         raise WrongFrame(f"contacts are defined in the object frame, got '{grasp.frame}'")
     hits = surface_query(mesh, fingertip_positions(model, grasp.config))
     return ContactSet(points=hits.point, normals=hits.normal, distances=hits.distance,
-                      engaged=hits.distance <= engage_threshold)
+                      engaged=hits.distance <= ENGAGE_THRESHOLD)
 
 
 def _offset_grasp(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandModel,
-                  offset: float, engage_threshold: float,
-                  settings: OptimizerSettings) -> GraspAction:
+                  offset: float) -> GraspAction:
     """Move engaged fingertips `offset` along their fixed contact normals.
 
     Disengaged fingers are anchored at their current positions and the
     wrist never moves; a grasp with no engaged finger is returned as-is.
     """
-    contacts = compute_contacts(grasp, mesh, model, engage_threshold)
+    contacts = compute_contacts(grasp, mesh, model)
     if contacts.engaged_count == 0:
         return replace(grasp)
     tips = fingertip_positions(model, grasp.config)
     targets = np.where(contacts.engaged[:, None],
                        contacts.points + offset * contacts.normals,
                        tips)
-    return refine_retarget(grasp, targets, model, wrist_free=False, settings=settings)
+    return refine_retarget(grasp, targets, model, wrist_free=False)
 
 
-def make_pregrasp(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandModel,
-                  offset: float = PREGRASP_OFFSET,
-                  engage_threshold: float = ENGAGE_THRESHOLD,
-                  settings: OptimizerSettings = DEFAULT_OPTIMIZER) -> GraspAction:
-    """Open the grasp: contact fingertips retreat outward along their normals."""
-    return _offset_grasp(grasp, mesh, model, offset, engage_threshold, settings)
+def make_pregrasp(grasp: GraspAction, mesh: TriangleMesh,
+                  model: KinematicHandModel) -> GraspAction:
+    """Open the grasp: contact fingertips retreat PREGRASP_OFFSET along their normals."""
+    return _offset_grasp(grasp, mesh, model, PREGRASP_OFFSET)
 
 
-def make_squeeze(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandModel,
-                 offset: float = SQUEEZE_OFFSET,
-                 engage_threshold: float = ENGAGE_THRESHOLD,
-                 settings: OptimizerSettings = DEFAULT_OPTIMIZER) -> GraspAction:
-    """Tighten the grasp: contact fingertips press inward past the surface."""
-    return _offset_grasp(grasp, mesh, model, offset, engage_threshold, settings)
+def make_squeeze(grasp: GraspAction, mesh: TriangleMesh,
+                 model: KinematicHandModel) -> GraspAction:
+    """Tighten the grasp: contact fingertips press past the surface by SQUEEZE_OFFSET."""
+    return _offset_grasp(grasp, mesh, model, SQUEEZE_OFFSET)
 
 
 def to_robot_frame(grasp: GraspAction, t_o_obs: SE3Pose, hand_eye: SE3Pose) -> GraspAction:
@@ -271,11 +257,10 @@ def to_robot_frame(grasp: GraspAction, t_o_obs: SE3Pose, hand_eye: SE3Pose) -> G
                    frame=FRAME_ROBOT)
 
 
-def plan_two_stage(grasp: GraspAction, model: KinematicHandModel,
-                   standoff: float = TWO_STAGE_STANDOFF) -> tuple:
+def plan_two_stage(grasp: GraspAction, model: KinematicHandModel) -> tuple:
     """Approach plan: a standoff pose along the approach axis, then the grasp.
 
-    Stage one pulls the wrist back `standoff` meters along the hand's
+    Stage one pulls the wrist back TWO_STAGE_STANDOFF meters along the hand's
     declared approach direction with identical rotation and fingers; stage
     two is the input grasp unchanged.
     """
@@ -283,6 +268,6 @@ def plan_two_stage(grasp: GraspAction, model: KinematicHandModel,
         raise WrongFrame(f"two-stage plans are executed in the robot frame, got '{grasp.frame}'")
     root = grasp.config.root_pose
     direction = rotate_vector(root, model.approach_axis)
-    back = SE3Pose(root.rotation, root.translation - standoff * direction)
+    back = SE3Pose(root.rotation, root.translation - TWO_STAGE_STANDOFF * direction)
     stage1 = replace(grasp, config=HandConfiguration(back, grasp.config.joint_angles))
     return (stage1, replace(grasp))

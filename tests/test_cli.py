@@ -82,13 +82,30 @@ def test_run_bad_settings_file_is_usage_error(mug_scene, tmp_path, capsys):
 
 def test_run_bad_settings_value_is_usage_error(mug_scene, tmp_path, capsys):
     settings = tmp_path / "settings.json"
-    settings.write_text(json.dumps({"stability_band": 5, "dt": 0}))
+    settings.write_text(json.dumps({"transfer": "no", "noise_sigma": -1}))
     code, _, stderr = _run(capsys, "run", str(mug_scene),
                            "--settings", str(settings),
                            "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert "settings.json: stability_band must be two numbers" in stderr
-    assert "settings.json: dt must be a positive number" in stderr
+    assert "settings.json: transfer must be true or false" in stderr
+    assert "settings.json: noise_sigma must be a non-negative number or null" in stderr
+
+
+@pytest.mark.parametrize("doc", [{"stability_band": [1.1, 0.7]}, {"min_stable_fingers": 9}],
+                         ids=["inverted-band", "more-fingers-than-the-hand"])
+def test_removed_tuning_knob_is_an_unknown_key(mug_scene, tmp_path, capsys, doc):
+    # the verdict rule is fixed in graspctl: a settings file cannot change it
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps(doc))
+    key = next(iter(doc))
+    code, stdout, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
+                                "--out", str(tmp_path / "runs"))
+    assert code == 2, stdout
+    assert f"settings.json: unknown key '{key}'" in stderr
+    assert not (tmp_path / "runs").exists()
+    code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
+    assert code == 1
+    assert stdout.splitlines() == [f"settings.json: unknown key '{key}'", "1 problem(s) found"]
 
 
 @pytest.mark.parametrize("how", ["flag", "settings"])
@@ -148,12 +165,18 @@ def test_report_records_hand_source(mug_scene, tmp_path, capsys,
 
 
 def test_run_refuses_force_table_as_hand_model(mug_scene, tmp_path, capsys):
+    # `validate` and `run` refuse a hand_model that names no bundled hand alike
     settings = tmp_path / "settings.json"
-    settings.write_text(json.dumps({"hand_model": "force_table"}))
-    code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
-                           "--out", str(tmp_path / "runs"))
-    assert code == 2
-    assert "no bundled hand model named 'force_table'" in stderr
+    finding = "settings.json: hand_model must name a bundled hand model or be null"
+    for name in ("force_table", "nope", ""):
+        settings.write_text(json.dumps({"hand_model": name}))
+        code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
+                               "--out", str(tmp_path / "runs"))
+        assert code == 2, name
+        assert finding in stderr
+        code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
+        assert (code, stdout.splitlines()[0]) == (1, finding), name
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_hand_model_setting_overrides_scene(mug_scene, tmp_path, capsys):
@@ -208,6 +231,19 @@ def test_batch_rejects_duplicate_scene_names(fragile_dir, tmp_path, capsys):
                            "--out", str(tmp_path / "out"))
     assert code == 2
     assert "duplicate scene names: fragile-01" in stderr
+
+    # distinct directories whose scene.json carry one name would share
+    # out/<name>/: refused before any scene runs
+    root = tmp_path / "renamed"
+    shutil.copytree(fragile_dir / "fragile-01", root / "a")
+    shutil.copytree(fragile_dir / "fragile-02", root / "b")
+    doc = json.loads((root / "b" / "scene.json").read_text())
+    (root / "b" / "scene.json").write_text(json.dumps({**doc, "name": "fragile-01"}))
+    code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(tmp_path / "out"))
+    assert code == 2, stdout
+    assert "duplicate scene names: fragile-01" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_batch_refuses_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
@@ -391,18 +427,22 @@ def test_validate_unknown_inputs(tmp_path, capsys):
 
 def test_validate_settings_file(mug_scene, tmp_path, capsys):
     settings = tmp_path / "settings.json"
-    settings.write_text(json.dumps({"optimizer": {"damping_increase": 10.0}}))
+    # the optimizer and gains sections are gone: their values are constants
+    settings.write_text(json.dumps({"optimizer": {"max_iterations": 50}, "gains": {"kp": 3.0},
+                                    "seed": 3}))
     code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
     assert code == 1
-    assert stdout.splitlines() == ["settings.json: unknown key 'optimizer.damping_increase'",
-                                   "1 problem(s) found"]
+    assert stdout.splitlines() == ["settings.json: unknown key 'optimizer'",
+                                   "settings.json: unknown key 'gains'",
+                                   "2 problem(s) found"]
     # `run` refuses the same file before any stage
     code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
                            "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert "settings.json: unknown key 'optimizer.damping_increase'" in stderr
+    assert "settings.json: unknown key 'optimizer'" in stderr
 
-    settings.write_text(json.dumps({"optimizer": {"max_iterations": 50}, "seed": 3}))
+    settings.write_text(json.dumps({"hand_model": "leap-like-16dof", "transfer": True,
+                                    "force_lock": False, "seed": 3, "noise_sigma": 0.05}))
     code, stdout, _ = _run(capsys, "validate", "--settings", str(settings))
     assert (code, stdout) == (0, "ok\n")
     code, stdout, _ = _run(capsys, "validate", str(mug_scene), "--settings", str(settings))

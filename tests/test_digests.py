@@ -125,21 +125,21 @@ def test_sweep_verdicts_cover_every_scene_on_every_sweep_hand():
 
 
 def test_no_refinement_runs_out_of_iterations(sweep):
-    from dextra.retarget import DEFAULT_OPTIMIZER
+    from dextra.retarget import MAX_ITERATIONS
 
     assert len(sweep) == 33
     tried = {f"{scene}@{hand}": [n for _, n, _ in run["refinements"]]
              for (scene, hand), run in sweep.items()}
-    assert all(n < DEFAULT_OPTIMIZER.max_iterations for runs in tried.values() for n in runs), tried
+    assert all(n < MAX_ITERATIONS for runs in tried.values() for n in runs), tried
 
 
-def test_doubling_the_iteration_cap_moves_no_digest(sweep):
-    from dextra.retarget import DEFAULT_OPTIMIZER, OptimizerSettings
+def test_doubling_the_iteration_cap_moves_no_digest(sweep, monkeypatch):
+    from dextra import retarget
 
-    roomy = OptimizerSettings(max_iterations=2 * DEFAULT_OPTIMIZER.max_iterations)
+    monkeypatch.setattr(retarget, "MAX_ITERATIONS", 2 * retarget.MAX_ITERATIONS)
     for p in bundled_scenes():
         for hand in (None, *SWEEP_HANDS):
-            digests = scene_digests(p, hand_model=hand, optimizer=roomy)
+            digests = scene_digests(p, hand_model=hand)
             assert digests == sweep[p.name, hand]["digests"], (p.name, hand)
 
 

@@ -5,8 +5,14 @@ import pytest
 
 import oracles
 from conftest import MODELS_DIR
-from dextra.errors import DimensionMismatch, MissingField, NonPositiveDt
-from dextra.graspctl import ContactModel, GraspGains, run_grasp, trace_csv
+from dextra.errors import DimensionMismatch, MissingField
+from dextra.graspctl import (
+    DEFAULT_KP,
+    MIN_STABLE_FINGERS,
+    ContactModel,
+    run_grasp,
+    trace_csv,
+)
 from dextra.kinematics import (
     HandConfiguration,
     load_hand_model,
@@ -99,11 +105,10 @@ def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma,
 def test_run_grasp_first_command_is_pure_proportional(robot_model, start, goal):
     pre = _driver_grasp(robot_model, start)
     squeeze = _driver_grasp(robot_model, goal)
-    gains = GraspGains(kp=5.0, kd=0.1)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model, gains)
+    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
     drivers = [robot_model.joint_index[n] for n in robot_model.finger_drivers]
-    expected = gains.kp * (squeeze.config.joint_angles[drivers]
-                           - pre.config.joint_angles[drivers])
+    expected = DEFAULT_KP * (squeeze.config.joint_angles[drivers]
+                             - pre.config.joint_angles[drivers])
     assert np.array_equal(result.trace.commands[0], expected)
     assert not result.trace.locked[0].any()
     # the zero derivative is still added, so a -0.0 error commands +0.0
@@ -176,16 +181,16 @@ def test_run_grasp_unstable_when_nothing_engages(robot_model):
 
 
 def test_run_grasp_min_stable_fingers_threshold(robot_model):
-    contact = ContactModel(stiffness=np.full(5, STIFF),
-                           engagement=np.array([ENGAGE, ENGAGE, np.inf,
-                                                np.inf, np.inf]))
     pre = _driver_grasp(robot_model, 0.1)
     squeeze = _driver_grasp(robot_model, 0.55)
-    two = run_grasp(pre, squeeze, contact, F_TARGET, robot_model)
-    assert two.verdict == "unstable"
-    relaxed = run_grasp(pre, squeeze, contact, F_TARGET, robot_model,
-                        min_stable_fingers=2)
-    assert relaxed.verdict == "stable"
+    # one finger short of the threshold is unstable, the threshold is stable
+    for engaging, verdict in ((MIN_STABLE_FINGERS - 1, "unstable"),
+                              (MIN_STABLE_FINGERS, "stable")):
+        engagement = np.where(np.arange(5) < engaging, ENGAGE, np.inf)
+        contact = ContactModel(stiffness=np.full(5, STIFF), engagement=engagement)
+        result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model)
+        assert int(result.locked.sum()) == engaging
+        assert result.verdict == verdict
 
 
 def test_run_grasp_rejects_bad_scalars(robot_model):
@@ -193,9 +198,6 @@ def test_run_grasp_rejects_bad_scalars(robot_model):
     squeeze = _driver_grasp(robot_model, 0.55)
     with pytest.raises(ValueError, match="target force must be positive"):
         run_grasp(pre, squeeze, _uniform_contact(5), 0.0, robot_model)
-    for dt in (0.0, -0.01):
-        with pytest.raises(NonPositiveDt, match="dt must be positive"):
-            run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model, dt=dt)
     with pytest.raises(DimensionMismatch, match="contact model covers"):
         run_grasp(pre, squeeze, _uniform_contact(3), F_TARGET, robot_model)
 

@@ -21,7 +21,6 @@ from dextra.geometry import (
     pose_to_matrix,
     transform_mesh,
 )
-from dextra.graspctl import GraspGains
 from dextra.kinematics import (
     HandConfiguration,
     fingertip_positions,
@@ -127,7 +126,12 @@ def test_canonical_domain_objects(robot_model):
     assert len(summary["content"]) == 64
     assert canonical(box_mesh((0.1, 0.2, 0.3)))["content"] == summary["content"]
 
-    assert canonical(GraspGains()) == {"kp": 5.0, "kd": 0.1}
+    @dataclasses.dataclass(frozen=True)
+    class Gains:
+        kp: float = 5.0
+        kd: float = 0.1
+
+    assert canonical(Gains()) == {"kp": 5.0, "kd": 0.1}
 
 
 def test_canonical_rejects_unknown_types():
@@ -150,45 +154,51 @@ def test_settings_from_dict_defaults_and_nested():
     assert settings_from_dict({}) == PipelineSettings()
     s = settings_from_dict({
         "hand_model": "leap-like-16dof",
-        "optimizer": {"max_iterations": 50},
-        "gains": {"kp": 3.0},
-        "stability_band": [0.8, 1.2],
         "transfer": False,
+        "force_lock": False,
+        "seed": 3,
+        "noise_sigma": 0.05,
     })
-    assert s.hand_model == "leap-like-16dof"
-    assert s.optimizer.max_iterations == 50
-    assert s.optimizer.damping_init == 1e-3
-    assert s.gains.kp == 3.0
-    assert s.stability_band == (0.8, 1.2)
-    assert s.transfer is False
+    assert s == PipelineSettings("leap-like-16dof", transfer=False, force_lock=False,
+                                 seed=3, noise_sigma=0.05)
+
+
+# tuning parameters that are module constants, so a settings file may not name them
+REMOVED_SETTINGS = ("engage_threshold", "contact_radius", "pregrasp_offset",
+                    "squeeze_offset", "standoff", "optimizer", "gains", "dt",
+                    "max_steps", "stability_band", "min_stable_fingers")
 
 
 def test_settings_from_dict_rejects_unknown_keys():
     with pytest.raises(SchemaError, match="settings: unknown key 'frobnicate'"):
         settings_from_dict({"frobnicate": 1})
-    with pytest.raises(SchemaError, match="settings: unknown key 'optimizer.momentum'"):
-        settings_from_dict({"optimizer": {"momentum": 0.9}})
-    with pytest.raises(SchemaError, match="settings: unknown key 'gains.ki'"):
-        settings_from_dict({"gains": {"ki": 1.0}})
-    with pytest.raises(SchemaError, match="settings: optimizer must be an object"):
-        settings_from_dict({"optimizer": 5})
+    # a removed knob is refused, whether or not its value was once valid
+    for key, value in [("optimizer", {"max_iterations": 50}), ("gains", {"kp": 3.0}),
+                       ("optimizer", 5), ("stability_band", [1.1, 0.7]),
+                       ("min_stable_fingers", 9), ("dt", 0.005)]:
+        with pytest.raises(SchemaError) as err:
+            settings_from_dict({key: value})
+        assert err.value.violations == [f"settings: unknown key '{key}'"]
+    with pytest.raises(SchemaError) as err:
+        settings_from_dict(dict.fromkeys(REMOVED_SETTINGS, 1))
+    assert err.value.violations == [f"settings: unknown key '{key}'"
+                                    for key in REMOVED_SETTINGS]
 
 
 @pytest.mark.parametrize("doc, keys", [
-    ({"stability_band": 5}, ["stability_band"]),
-    ({"stability_band": [0.9, "1.1"]}, ["stability_band"]),
-    ({"dt": 0}, ["dt"]),
-    ({"standoff": -0.05}, ["standoff"]),
-    ({"max_steps": 2.5}, ["max_steps"]),
-    ({"min_stable_fingers": 0}, ["min_stable_fingers"]),
+    ({"hand_model": "nope"}, ["hand_model"]),
+    ({"hand_model": ""}, ["hand_model"]),
+    ({"hand_model": "force_table"}, ["hand_model"]),
+    ({"hand_model": 5}, ["hand_model"]),
     ({"transfer": "no"}, ["transfer"]),
+    ({"transfer": None}, ["transfer"]),
     ({"force_lock": 1}, ["force_lock"]),
     ({"seed": True}, ["seed"]),
+    ({"seed": -1}, ["seed"]),
     ({"noise_sigma": -0.1}, ["noise_sigma"]),
-    ({"optimizer": {"max_iterations": "50"}, "gains": {"kp": None}},
-     ["optimizer.max_iterations", "gains.kp"]),
-    ({"dt": "fast", "seed": 1.5, "noise_sigma": "low", "frobnicate": 1},
-     ["dt", "seed", "noise_sigma", "frobnicate"]),
+    ({"noise_sigma": "low", "seed": 1.5}, ["noise_sigma", "seed"]),
+    ({"hand_model": "nope", "seed": 1.5, "noise_sigma": "low", "frobnicate": 1},
+     ["hand_model", "seed", "noise_sigma", "frobnicate"]),
 ])
 def test_settings_from_dict_rejects_bad_values(doc, keys):
     with pytest.raises(SchemaError) as err:
@@ -202,10 +212,11 @@ def test_settings_from_dict_rejects_bad_values(doc, keys):
 
 def test_every_setting_has_a_value_rule():
     assert set(_SETTINGS_RULES) == {f.name for f in dataclasses.fields(PipelineSettings)}
-    doc = {"hand_model": None, "dt": 0.005, "max_steps": 10, "stability_band": [0.8, 1.2],
-           "transfer": False, "seed": 3, "noise_sigma": None,
-           "optimizer": {"max_iterations": 5, "damping_init": 1}, "gains": {"kd": 0}}
-    assert settings_from_dict(doc).optimizer.max_iterations == 5
+    assert set(_SETTINGS_RULES) == {"hand_model", "transfer", "force_lock", "seed",
+                                    "noise_sigma"}
+    doc = {"hand_model": None, "transfer": False, "force_lock": True, "seed": 3,
+           "noise_sigma": None}
+    assert settings_from_dict(doc) == PipelineSettings(transfer=False, seed=3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from cases import depth_fixture
+from dextra import reconstruction
 from dextra.errors import (
     DimensionMismatch,
     EmptyContactSet,
@@ -208,7 +209,7 @@ def test_estimate_hand_fk_fallback(tmp_path, mug_scene, human_model):
 # contact selection and depth alignment
 # ---------------------------------------------------------------------------
 
-def test_select_contact_fingers_radius():
+def test_select_contact_fingers_radius(monkeypatch):
     mesh = box_mesh((0.1, 0.1, 0.1))
     tips = np.array([
         [0.0, 0.0, 0.051],   # 1 mm above the top face
@@ -219,7 +220,8 @@ def test_select_contact_fingers_radius():
     ])
     hand = _estimate(tips)
     assert select_contact_fingers(hand, mesh) == (0, 1, 3)
-    assert select_contact_fingers(hand, mesh, radius=0.002) == (0, 3)
+    monkeypatch.setattr(reconstruction, "CONTACT_SELECT_RADIUS", 0.002)
+    assert select_contact_fingers(hand, mesh) == (0, 3)
 
 
 def test_align_depth_recovers_non_grid_shift():

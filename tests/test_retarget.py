@@ -275,7 +275,7 @@ def test_two_stage_standoff_along_approach_axis(robot_model):
             hand_model=robot_model.name,
             config=HandConfiguration(root, rest_configuration(robot_model).joint_angles),
             frame=FRAME_ROBOT, residual=np.zeros(5))
-        stage1, stage2 = plan_two_stage(grasp, robot_model, standoff=0.1)
+        stage1, stage2 = plan_two_stage(grasp, robot_model)
         gap = stage2.config.root_pose.translation - stage1.config.root_pose.translation
         assert np.isclose(np.linalg.norm(gap), 0.1, atol=1e-12)
         direction = rotate_vector(root, robot_model.approach_axis)
