@@ -82,10 +82,13 @@ def cmd_run(args) -> int:
     scene_dir = Path(args.scene)
     if not (scene_dir / "scene.json").is_file():
         return _fail(f"error: no scene at {scene_dir}", _USAGE_ERROR)
-    out_dir = Path(args.out) / scene_dir.name
-    export = out_dir / "geometry" if args.export_obj else None
     try:
-        report = run_pipeline(scene_dir, _load_settings(args), export_dir=export)
+        settings = _load_settings(args)
+        scene = SceneFixture(scene_dir)
+        # --out/<scene.json name>, where `batch` writes the same scene
+        out_dir = Path(args.out) / scene.name
+        export = out_dir / "geometry" if args.export_obj else None
+        report = run_pipeline(scene, settings, export_dir=export)
     except DextraError as exc:
         return _error_exit(exc)
     _emit_scene(out_dir, report)

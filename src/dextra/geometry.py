@@ -20,6 +20,13 @@ Conventions used throughout the package:
     (2004), 5.1.5.  The answer is bit-identical to walking every triangle.
     Vertex and edge normals are built once per mesh, vectorized, with the
     same bits as a per-triangle loop.
+
+    A run keeps one mesh: the object-frame mesh `load_obj` returns.  Every
+    surface query is asked in the object frame, so a caller holding points
+    in another frame maps them there first (`transform_points` with the
+    inverse of the object's pose in that frame), and the per-mesh caches
+    above are built once per run.  `transform_mesh` moves a copy of the
+    surface into another frame for export only.
 """
 
 from __future__ import annotations
@@ -116,10 +123,6 @@ def identity_pose() -> SE3Pose:
     return SE3Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
-def pose_from_axis_angle(axis, angle, translation=(0.0, 0.0, 0.0)) -> SE3Pose:
-    return SE3Pose(_quat_from_axis_angle(axis, angle), np.asarray(translation, dtype=float))
-
-
 def pose_from_rotvec(rotvec, translation=(0.0, 0.0, 0.0)) -> SE3Pose:
     return SE3Pose(_quat_from_rotvec(rotvec), np.asarray(translation, dtype=float))
 
@@ -136,11 +139,6 @@ def invert(t: SE3Pose) -> SE3Pose:
     return SE3Pose(qc, -_quat_rotate(qc, t.translation))
 
 
-def transform_point(t: SE3Pose, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(3)
-    return _quat_rotate(t.rotation, p) + t.translation
-
-
 def transform_points(t: SE3Pose, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     return _quat_rotate_many(t.rotation, pts) + t.translation[None, :]
@@ -149,18 +147,6 @@ def transform_points(t: SE3Pose, pts) -> np.ndarray:
 def rotate_vector(t: SE3Pose, v) -> np.ndarray:
     """Apply only the rotation part (directions, axes)."""
     return _quat_rotate(t.rotation, np.asarray(v, dtype=float).reshape(3))
-
-
-def pose_to_matrix(t: SE3Pose) -> np.ndarray:
-    w, x, y, z = t.rotation
-    m = np.eye(4)
-    m[:3, :3] = [
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ]
-    m[:3, 3] = t.translation
-    return m
 
 
 def pose_to_record(t: SE3Pose) -> dict:
@@ -173,12 +159,6 @@ def pose_to_record(t: SE3Pose) -> dict:
 def pose_from_record(record: dict) -> SE3Pose:
     return SE3Pose(np.asarray(record["rotation"], dtype=float),
                    np.asarray(record["translation"], dtype=float))
-
-
-def rotation_angle(a: SE3Pose, b: SE3Pose) -> float:
-    """Geodesic angle (rad) between the rotation parts."""
-    d = abs(float(a.rotation @ b.rotation))
-    return 2.0 * math.acos(min(1.0, d))
 
 
 # ---------------------------------------------------------------------------
@@ -594,79 +574,3 @@ def save_points_obj(path, points) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in pts:
             fh.write(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-
-
-# ---------------------------------------------------------------------------
-# primitive meshes for fixtures and tests
-# ---------------------------------------------------------------------------
-
-def box_mesh(extents=(1.0, 1.0, 1.0)) -> TriangleMesh:
-    """Axis-aligned box centered at the origin; extents are full side lengths."""
-    hx, hy, hz = (0.5 * float(e) for e in extents)
-    v = np.array([
-        [-hx, -hy, -hz], [hx, -hy, -hz], [hx, hy, -hz], [-hx, hy, -hz],
-        [-hx, -hy, hz], [hx, -hy, hz], [hx, hy, hz], [-hx, hy, hz],
-    ])
-    f = np.array([
-        [0, 2, 1], [0, 3, 2],          # bottom (-z)
-        [4, 5, 6], [4, 6, 7],          # top (+z)
-        [0, 1, 5], [0, 5, 4],          # -y
-        [1, 2, 6], [1, 6, 5],          # +x
-        [2, 3, 7], [2, 7, 6],          # +y
-        [3, 0, 4], [3, 4, 7],          # -x
-    ])
-    return TriangleMesh(v, f)
-
-
-def icosphere(radius: float = 1.0, subdivisions: int = 1) -> TriangleMesh:
-    """Subdivided icosahedron projected to the sphere of given radius."""
-    t = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
-        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
-        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
-        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
-    ]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [np.asarray(v, dtype=float) for v in verts]
-    for _ in range(subdivisions):
-        midpoint: dict = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                verts.append(0.5 * (verts[i] + verts[j]))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for (i, j, k) in faces:
-            a, b, c = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = new_faces
-    v = np.array(verts)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True) * float(radius)
-    return TriangleMesh(v, np.asarray(faces, dtype=np.int64))
-
-
-def cylinder_mesh(radius: float = 1.0, height: float = 1.0, segments: int = 24) -> TriangleMesh:
-    """Closed cylinder along z, centered at the origin."""
-    hz = 0.5 * float(height)
-    ang = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
-    ring = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
-    bottom = np.column_stack([ring, np.full(segments, -hz)])
-    top = np.column_stack([ring, np.full(segments, hz)])
-    v = np.vstack([bottom, top, [[0.0, 0.0, -hz]], [[0.0, 0.0, hz]]])
-    cb, ct = 2 * segments, 2 * segments + 1
-    f = []
-    for i in range(segments):
-        j = (i + 1) % segments
-        f.append([i, j, segments + i])            # side lower
-        f.append([j, segments + j, segments + i])  # side upper
-        f.append([cb, j, i])                       # bottom cap, normal -z
-        f.append([ct, segments + i, segments + j])  # top cap, normal +z
-    return TriangleMesh(v, np.asarray(f, dtype=np.int64))

@@ -46,7 +46,6 @@ from .errors import (
 )
 from .geometry import (
     SE3Pose,
-    identity_pose,
     pose_from_record,
     pose_from_rotvec,
     compose,
@@ -333,6 +332,12 @@ def is_bundled_hand(name) -> bool:
     return isinstance(name, str) and name in _HAND_MODELS
 
 
+def is_robot_hand(name) -> bool:
+    """Whether `name` names a bundled hand a run can drive: one whose model
+    maps the human hand's joints (`human_joint_map`)."""
+    return is_bundled_hand(name) and bool(bundled_model(name).human_joint_map)
+
+
 @lru_cache(maxsize=None)
 def bundled_model(name: str) -> KinematicHandModel:
     """One of the hand models shipped with the package, loaded once per process.
@@ -342,11 +347,6 @@ def bundled_model(name: str) -> KinematicHandModel:
     if name not in _HAND_MODELS:
         raise FixtureMissing(f"no bundled hand model named '{name}'")
     return load_hand_model(read_json(_MODELS / f"{name}.json"), f"{name}.json")
-
-
-def rest_configuration(model: KinematicHandModel) -> HandConfiguration:
-    return HandConfiguration(identity_pose(),
-                             np.array([j.rest for j in model.joints]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .geometry import (
     SE3Pose,
     TriangleMesh,
     compose,
+    invert,
     pose_to_record,
     save_obj,
     save_points_obj,
@@ -56,9 +57,10 @@ from .kinematics import (
     KinematicHandModel,
     bundled_model,
     fingertip_positions,
-    is_bundled_hand,
+    is_robot_hand,
 )
 from .reconstruction import (
+    ROBOT_HAND_RULE,
     ReconstructionBundle,
     SceneFixture,
     align_depth,
@@ -114,8 +116,7 @@ class PipelineSettings:
 _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
 # settings key -> rule entry
 _SETTINGS_RULES = {
-    "hand_model": (lambda v: v is None or is_bundled_hand(v),
-                   "must name a bundled hand model or be null"),
+    "hand_model": (lambda v: v is None or is_robot_hand(v), f"{ROBOT_HAND_RULE}, or be null"),
     "transfer": _FLAG,
     "force_lock": _FLAG,
     "seed": (lambda v: type(v) is int and v >= 0, "must be a non-negative integer"),
@@ -251,7 +252,8 @@ class PipelineReport:
 # ---------------------------------------------------------------------------
 
 def derive_engagement(model: KinematicHandModel, pre: GraspAction,
-                      squeeze: GraspAction, mesh: TriangleMesh) -> np.ndarray:
+                      squeeze: GraspAction, mesh: TriangleMesh,
+                      pose: SE3Pose) -> np.ndarray:
     """Closing coordinate at which each fingertip first meets the surface.
 
     Every finger's driver sweeps from its pre-grasp value toward its squeeze
@@ -260,7 +262,12 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     ENGAGEMENT_TOL, is that finger's contact onset.  A driver that does not
     close counts only a touch already at its pre-grasp angle, and a fingertip
     that never reaches the surface gets +inf, which the spring model reads as
-    free air.  `mesh` must live in the same frame as the grasps.
+    free air.
+
+    `mesh` is the object-frame mesh and `pose` its pose in the grasps' frame.
+    The inverse of `pose` is composed into the squeeze root once, so every
+    FK sweep already lands in the object frame and the grasps keep their
+    own frame.
 
     All fingers are searched in lockstep: each of the _ENGAGEMENT_SAMPLES
     grid samples is one FK sweep with every driver at its own angle, the
@@ -275,7 +282,7 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     drivers = [model.joint_index[n] for n in model.finger_drivers]
     if not drivers:
         return np.empty(0)      # a model without finger drivers closes nothing
-    root = squeeze.config.root_pose
+    root = compose(invert(pose), squeeze.config.root_pose)
     base = np.array(squeeze.config.joint_angles)
     lo = np.array(pre.config.joint_angles)[drivers]
     hi = base[drivers]
@@ -326,16 +333,15 @@ def _as_executed_unaligned(grasp: GraspAction, t_o_gen: SE3Pose) -> GraspAction:
                    frame=FRAME_ROBOT)
 
 
-def _contact_model(spec: dict, settings: PipelineSettings,
-                   model: KinematicHandModel, pre: GraspAction,
-                   squeeze: GraspAction, mesh_exec: TriangleMesh) -> ContactModel:
-    """The scene's contact.json (`read_contact`) with the settings' noise."""
+def _contact_model(spec: dict, noise_sigma: float, model: KinematicHandModel,
+                   pre: GraspAction, squeeze: GraspAction, mesh: TriangleMesh,
+                   mesh_pose: SE3Pose) -> ContactModel:
+    """The scene's contact.json (`read_contact`) with the effective noise."""
     engagement = spec["engagement"]
     if engagement is None:
-        engagement = derive_engagement(model, pre, squeeze, mesh_exec)
-    noise = spec["noise_sigma"] if settings.noise_sigma is None else settings.noise_sigma
+        engagement = derive_engagement(model, pre, squeeze, mesh, mesh_pose)
     return ContactModel(stiffness=spec["stiffness"], engagement=engagement,
-                        yield_force=spec["yield_force"], noise_sigma=noise)
+                        yield_force=spec["yield_force"], noise_sigma=noise_sigma)
 
 
 def run_pipeline(scene, settings: PipelineSettings | None = None,
@@ -386,7 +392,9 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         return out
 
     prompt = stage("prompt", {"scene": scene.name, "object": scene.object_name,
-                              "intent": scene.intent, "kind": scene.prompt_kind},
+                              "intent": scene.intent, "kind": scene.prompt_kind,
+                              "observation": scene.observation.image_ref,
+                              "region": scene.region_ref, "demo": scene.demo_ref},
                    lambda: build_prompt(scene.object_name, scene.intent,
                                         scene.prompt_kind,
                                         observation_ref=scene.observation.image_ref,
@@ -397,25 +405,27 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         "providers", {"scene": scene.name, "prompt": prompt},
         lambda: gather_reconstruction(scene, prompt))
 
+    # the one mesh of the run is in the object frame; each stage that asks
+    # the surface maps its points there through one of these poses
+    mesh = bundle.mesh
+    t_gen = bundle.object_pose_generated
+    t_obs = bundle.object_pose_observed
+
     def _align():
-        mesh_gen = transform_mesh(bundle.mesh, bundle.object_pose_generated)
         fingers = scene.contact_fingers
         if fingers is None:
-            fingers = select_contact_fingers(bundle.hand, mesh_gen)
-        fingers = tuple(int(i) for i in fingers)
-        aligned = align_depth(bundle.hand, mesh_gen, fingers)
+            fingers = select_contact_fingers(bundle.hand, mesh, t_gen)
+        aligned = align_depth(bundle.hand, mesh, fingers, t_gen)
         shift = float(aligned.config.root_pose.translation[2]
                       - bundle.hand.config.root_pose.translation[2])
         return aligned, shift, fingers
 
     hand_aligned, depth_shift, contact_fingers = stage(
-        "align-depth", {"hand": bundle.hand, "mesh": bundle.mesh,
-                        "pose": bundle.object_pose_generated}, _align)
+        "align-depth", {"hand": bundle.hand, "mesh": mesh, "pose": t_gen,
+                        "contact_fingers": scene.contact_fingers}, _align)
 
-    hand_obj = stage("object-frame",
-                     {"hand": hand_aligned, "pose": bundle.object_pose_generated},
-                     lambda: to_object_frame(bundle.object_pose_generated,
-                                             hand_aligned))
+    hand_obj = stage("object-frame", {"hand": hand_aligned, "pose": t_gen},
+                     lambda: to_object_frame(t_gen, hand_aligned))
 
     def _retarget():
         human_model = bundled_model(hand_obj.skeleton)
@@ -427,13 +437,11 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
                       _retarget)
 
     pre_obj, squeeze_obj = stage(
-        "pre-squeeze", {"grasp": grasp_obj, "mesh": bundle.mesh},
-        lambda: (make_pregrasp(grasp_obj, bundle.mesh, model),
-                 make_squeeze(grasp_obj, bundle.mesh, model)))
+        "pre-squeeze", {"grasp": grasp_obj, "mesh": mesh},
+        lambda: (make_pregrasp(grasp_obj, mesh, model),
+                 make_squeeze(grasp_obj, mesh, model)))
 
     hand_eye = scene.hand_eye()
-    t_obs = bundle.object_pose_observed
-    t_gen = bundle.object_pose_generated
 
     def _robot_frame():
         if settings.transfer:
@@ -444,19 +452,21 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     pre_exec, squeeze_exec = stage(
         "robot-frame", {"pre": pre_obj, "squeeze": squeeze_obj,
-                        "observed": t_obs, "hand_eye": hand_eye,
+                        "observed": t_obs, "generated": t_gen, "hand_eye": hand_eye,
                         "transfer": settings.transfer}, _robot_frame)
 
     plan = stage("two-stage", {"grasp": pre_exec, "standoff": TWO_STAGE_STANDOFF},
                  lambda: plan_two_stage(pre_exec, model))
 
     # the physical surface the fingers actually meet: the observed object
-    # carried through the camera-to-robot extrinsics
-    mesh_exec = transform_mesh(bundle.mesh, compose(hand_eye, t_obs))
+    # carried through the camera-to-robot extrinsics, in both ablations
+    mesh_pose = compose(hand_eye, t_obs)
+    noise_sigma = (contact_spec["noise_sigma"] if settings.noise_sigma is None
+                   else settings.noise_sigma)
 
     def _execute():
-        contact = _contact_model(contact_spec, settings, model, pre_exec,
-                                 squeeze_exec, mesh_exec)
+        contact = _contact_model(contact_spec, noise_sigma, model, pre_exec,
+                                 squeeze_exec, mesh, mesh_pose)
         result = run_grasp(pre_exec, squeeze_exec, contact, bundle.f_target,
                            model, lock_enabled=settings.force_lock,
                            seed=settings.seed)
@@ -464,7 +474,8 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     result, contact, dt = stage(
         "execute", {"pre": pre_exec, "squeeze": squeeze_exec,
-                    "mesh": mesh_exec, "f_target": bundle.f_target,
+                    "mesh": mesh, "mesh_pose": mesh_pose, "contact": contact_spec,
+                    "noise_sigma": noise_sigma, "f_target": bundle.f_target,
                     "force_lock": settings.force_lock, "seed": settings.seed},
         _execute)
 
@@ -519,19 +530,22 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         actions=actions,
     )
     if export_dir is not None:
-        export_scene_geometry(export_dir, bundle.mesh, mesh_exec, model, actions)
+        export_scene_geometry(export_dir, mesh, mesh_pose, model, actions)
     return report
 
 
-def export_scene_geometry(out_dir, mesh_obj: TriangleMesh,
-                          mesh_exec: TriangleMesh, model: KinematicHandModel,
-                          actions: dict) -> list:
-    """Dump per-stage geometry as OBJ files for external inspection."""
+def export_scene_geometry(out_dir, mesh: TriangleMesh, mesh_pose: SE3Pose,
+                          model: KinematicHandModel, actions: dict) -> list:
+    """Dump per-stage geometry as OBJ files for external inspection.
+
+    The object-frame `mesh` is written as is and, moved by `mesh_pose`, in
+    the frame the executed grasps live in.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "object_frame.obj", out / "executed_frame.obj"]
-    save_obj(written[0], mesh_obj)
-    save_obj(written[1], mesh_exec)
+    save_obj(written[0], mesh)
+    save_obj(written[1], transform_mesh(mesh, mesh_pose))
     for name, action in actions.items():
         written.append(out / f"tips_{name}.obj")
         save_points_obj(written[-1], fingertip_positions(model, action.config))

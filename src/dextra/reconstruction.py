@@ -55,6 +55,7 @@ from .kinematics import (
     bundled_model,
     fingertip_positions,
     is_bundled_hand,
+    is_robot_hand,
 )
 
 # prompt templates used to condition the hand-image generator
@@ -157,6 +158,8 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 # ---------------------------------------------------------------------------
 
 _MODEL = (is_bundled_hand, "must name a bundled hand model")
+# the hand a run drives must map the human hand's joints
+ROBOT_HAND_RULE = "must name a bundled hand model that has a human_joint_map"
 _FORCE_TABLE = (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
                 "must map object names to positive forces (N)")
 
@@ -269,7 +272,7 @@ class SceneFixture:
             "mesh_scale": (positive, "must be a positive number", 1.0),
             "contact_fingers": (lambda f: numbers(f, valid=lambda i: type(i) is int and i >= 0)
                                 and 0 < len(f) == len(set(f)), "must list distinct finger indices"),
-            "hand_model": _MODEL,
+            "hand_model": (is_robot_hand, ROBOT_HAND_RULE),
             "force_table": (*_FORCE_TABLE, {}),
         })
         self.name, self.object_name, self.intent = v["name"], v["object_name"], v["intent"]
@@ -382,34 +385,46 @@ def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> Reconstr
 # depth alignment and frame transfer
 # ---------------------------------------------------------------------------
 
-def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh) -> tuple:
-    """Fingertips within CONTACT_SELECT_RADIUS of the surface: the intended contacts."""
-    d2 = surface_query(mesh, hand.fingertip_points).sq_distance
+def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
+                           pose: SE3Pose) -> tuple:
+    """Fingertips within CONTACT_SELECT_RADIUS of the surface: the intended contacts.
+
+    `mesh` is the object-frame mesh and `pose` the object's pose in the
+    estimate's camera.
+    """
+    d2 = surface_query(mesh, transform_points(invert(pose), hand.fingertip_points)).sq_distance
     return tuple(int(i) for i in np.nonzero(d2 <= CONTACT_SELECT_RADIUS ** 2)[0])
 
 
-def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Sum of squared surface distances for every depth shift in `deltas`."""
+def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
+                     pose: SE3Pose) -> np.ndarray:
+    """Sum of squared surface distances for every depth shift in `deltas`.
+
+    `pts` are camera-frame fingertips; each shift moves them along camera z,
+    then they are mapped into the frame of the object-frame `mesh`, whose
+    pose in the camera is `pose`.
+    """
     k = len(pts)
     shifted = np.repeat(pts[None, :, :], len(deltas), axis=0)
     shifted[:, :, 2] += deltas[:, None]
-    d2 = surface_query(mesh, shifted).sq_distance
+    d2 = surface_query(mesh, transform_points(invert(pose), shifted)).sq_distance
     return d2.reshape(len(deltas), k).sum(axis=1)
 
 
-def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
-                contact_fingers=None) -> HandPoseEstimate:
+def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
+                pose: SE3Pose) -> HandPoseEstimate:
     """Correct the depth ambiguity of a monocular hand estimate.
 
     Slides the whole hand along the camera depth axis (z of the estimate's
     frame) within +-DEPTH_SEARCH_HALF_RANGE and keeps the shift that
     minimizes the sum of squared fingertip-to-surface distances over the
-    contact fingers.
+    `contact_fingers`.  `mesh` is the object-frame mesh and `pose` the
+    object's pose in the estimate's camera: the shifted fingertips are
+    mapped into the object frame for every query, and no surface is built
+    in the camera frame.
     Only the root translation z changes; the returned estimate never has a
     worse objective than the input.
     """
-    if contact_fingers is None:
-        contact_fingers = select_contact_fingers(hand, mesh)
     contact_fingers = tuple(int(i) for i in contact_fingers)
     if len(contact_fingers) == 0:
         raise EmptyContactSet("depth alignment needs at least one contact finger")
@@ -421,7 +436,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
     # coarse bracket first: the objective is only piecewise-smooth, so pin
     # down the basin before the golden-section polish
     coarse = np.linspace(-DEPTH_SEARCH_HALF_RANGE, DEPTH_SEARCH_HALF_RANGE, 61)
-    coarse_obj = _depth_objective(mesh, pts, coarse)
+    coarse_obj = _depth_objective(mesh, pts, coarse, pose)
     if float(coarse_obj.max() - coarse_obj.min()) < 1e-12:
         raise NoConvergence("depth objective is flat over the search range")
     best = int(np.argmin(coarse_obj))
@@ -429,12 +444,12 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
     hi = coarse[min(best + 1, len(coarse) - 1)]
 
     def f(delta: float) -> float:
-        return float(_depth_objective(mesh, pts, np.array([delta]))[0])
+        return float(_depth_objective(mesh, pts, np.array([delta]), pose)[0])
 
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2])).tolist()
+    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2]), pose).tolist()
     while (b - a) > DEPTH_SEARCH_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -448,7 +463,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh,
 
     # the input depth is always a candidate, making the step non-increasing
     candidates = [0.0, polished, float(coarse[best])]
-    objs = _depth_objective(mesh, pts, np.array(candidates))
+    objs = _depth_objective(mesh, pts, np.array(candidates), pose)
     delta = candidates[int(np.argmin(objs))]
 
     root = hand.config.root_pose

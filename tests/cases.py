@@ -1,18 +1,138 @@
-"""Shared synthetic grasp constructions used by module and acceptance tests."""
+"""Shared synthetic constructions used by module and acceptance tests.
+
+Primitive meshes, pose helpers and the rest configuration of a hand live
+here rather than in the package, which never builds them; then the grasp
+and depth-alignment fixtures built from them.
+"""
 
 import math
 
 import numpy as np
 
 from dextra.geometry import (
-    box_mesh,
-    cylinder_mesh,
-    icosphere,
+    SE3Pose,
+    TriangleMesh,
+    identity_pose,
     pose_from_rotvec,
     surface_query,
 )
 from dextra.kinematics import HandConfiguration, clamp_to_limits, fingertip_positions
 from dextra.retarget import FRAME_OBJECT, GraspAction, refine_retarget
+
+
+# ---------------------------------------------------------------------------
+# poses and hand configurations
+# ---------------------------------------------------------------------------
+
+def pose_from_axis_angle(axis, angle, translation=(0.0, 0.0, 0.0)) -> SE3Pose:
+    axis = np.asarray(axis, dtype=float)
+    half = 0.5 * float(angle)
+    return SE3Pose(np.r_[math.cos(half), math.sin(half) * axis / np.linalg.norm(axis)],
+                   translation)
+
+
+def pose_to_matrix(t: SE3Pose) -> np.ndarray:
+    w, x, y, z = t.rotation
+    m = np.eye(4)
+    m[:3, :3] = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+    m[:3, 3] = t.translation
+    return m
+
+
+def rotation_angle(a: SE3Pose, b: SE3Pose) -> float:
+    """Geodesic angle (rad) between the rotation parts."""
+    d = abs(float(a.rotation @ b.rotation))
+    return 2.0 * math.acos(min(1.0, d))
+
+
+def rest_configuration(model) -> HandConfiguration:
+    return HandConfiguration(identity_pose(),
+                             np.array([j.rest for j in model.joints]))
+
+
+# ---------------------------------------------------------------------------
+# primitive meshes
+# ---------------------------------------------------------------------------
+
+def box_mesh(extents=(1.0, 1.0, 1.0)) -> TriangleMesh:
+    """Axis-aligned box centered at the origin; extents are full side lengths."""
+    hx, hy, hz = (0.5 * float(e) for e in extents)
+    v = np.array([
+        [-hx, -hy, -hz], [hx, -hy, -hz], [hx, hy, -hz], [-hx, hy, -hz],
+        [-hx, -hy, hz], [hx, -hy, hz], [hx, hy, hz], [-hx, hy, hz],
+    ])
+    f = np.array([
+        [0, 2, 1], [0, 3, 2],          # bottom (-z)
+        [4, 5, 6], [4, 6, 7],          # top (+z)
+        [0, 1, 5], [0, 5, 4],          # -y
+        [1, 2, 6], [1, 6, 5],          # +x
+        [2, 3, 7], [2, 7, 6],          # +y
+        [3, 0, 4], [3, 4, 7],          # -x
+    ])
+    return TriangleMesh(v, f)
+
+
+def icosphere(radius: float = 1.0, subdivisions: int = 1) -> TriangleMesh:
+    """Subdivided icosahedron projected to the sphere of given radius."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = [
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [np.asarray(v, dtype=float) for v in verts]
+    for _ in range(subdivisions):
+        midpoint: dict = {}
+
+        def mid(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in midpoint:
+                verts.append(0.5 * (verts[i] + verts[j]))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for (i, j, k) in faces:
+            a, b, c = mid(i, j), mid(j, k), mid(k, i)
+            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
+        faces = new_faces
+    v = np.array(verts)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True) * float(radius)
+    return TriangleMesh(v, np.asarray(faces, dtype=np.int64))
+
+
+def cylinder_mesh(radius: float = 1.0, height: float = 1.0, segments: int = 24) -> TriangleMesh:
+    """Closed cylinder along z, centered at the origin."""
+    hz = 0.5 * float(height)
+    ang = np.linspace(0.0, 2.0 * math.pi, segments, endpoint=False)
+    ring = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
+    bottom = np.column_stack([ring, np.full(segments, -hz)])
+    top = np.column_stack([ring, np.full(segments, hz)])
+    v = np.vstack([bottom, top, [[0.0, 0.0, -hz]], [[0.0, 0.0, hz]]])
+    cb, ct = 2 * segments, 2 * segments + 1
+    f = []
+    for i in range(segments):
+        j = (i + 1) % segments
+        f.append([i, j, segments + i])            # side lower
+        f.append([j, segments + j, segments + i])  # side upper
+        f.append([cb, j, i])                       # bottom cap, normal -z
+        f.append([ct, segments + i, segments + j])  # top cap, normal +z
+    return TriangleMesh(v, np.asarray(f, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# grasp and depth-alignment fixtures
+# ---------------------------------------------------------------------------
 
 # the wrap-grasp fixture: a hand reaching over the top edge of a tall box,
 # fingers draped down its -y side wall so every fingertip presses a flat

@@ -15,9 +15,10 @@ import pytest
 import cases
 import oracles
 from conftest import MODELS_DIR, SCENES_DIR
+from cases import pose_to_matrix
 from dextra.cli import main as cli_main
 from dextra.errors import WrongFrame
-from dextra.geometry import pose_from_rotvec, pose_to_matrix, rotate_vector, surface_query
+from dextra.geometry import identity_pose, pose_from_rotvec, rotate_vector, surface_query
 from dextra.kinematics import (
     HandConfiguration,
     HandPoseEstimate,
@@ -166,7 +167,8 @@ def test_criterion_4_depth_alignment_recovers_synthetic_shifts():
                                          np.zeros(20)),
                 fingertip_points=shifted, skeleton="human-20dof",
                 keypoints_independent=True)
-            out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4))
+            out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                              pose=identity_pose())
             applied = float(out.config.root_pose.translation[2]
                             - hand.config.root_pose.translation[2])
             grid = oracles.depth_grid_argmin(mesh.vertices, mesh.triangles,

@@ -165,10 +165,12 @@ def test_report_records_hand_source(mug_scene, tmp_path, capsys,
 
 
 def test_run_refuses_force_table_as_hand_model(mug_scene, tmp_path, capsys):
-    # `validate` and `run` refuse a hand_model that names no bundled hand alike
+    # `validate` and `run` refuse a hand_model that names no bundled robot
+    # hand alike; the human hand maps no human joints, so it cannot be driven
     settings = tmp_path / "settings.json"
-    finding = "settings.json: hand_model must name a bundled hand model or be null"
-    for name in ("force_table", "nope", ""):
+    finding = ("settings.json: hand_model must name a bundled hand model that has a "
+               "human_joint_map, or be null")
+    for name in ("force_table", "nope", "", "human-20dof"):
         settings.write_text(json.dumps({"hand_model": name}))
         code, _, stderr = _run(capsys, "run", str(mug_scene), "--settings", str(settings),
                                "--out", str(tmp_path / "runs"))
@@ -246,6 +248,26 @@ def test_batch_rejects_duplicate_scene_names(fragile_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_and_batch_write_a_scene_under_its_scene_json_name(fragile_dir, tmp_path,
+                                                               capsys):
+    root = tmp_path / "scenes"
+    scene = root / "b"
+    shutil.copytree(fragile_dir / "fragile-02", scene)
+    doc = json.loads((scene / "scene.json").read_text())
+    (scene / "scene.json").write_text(json.dumps({**doc, "name": "other"}))
+    for command, target in (("run", scene), ("batch", root)):
+        out = tmp_path / command
+        code, stdout, stderr = _run(capsys, command, str(target), "--out", str(out))
+        assert code in (0, 1), stdout + stderr
+        assert (out / "other" / "report.json").is_file(), command
+        assert not (out / "b").exists(), command
+    reports = [json.loads((tmp_path / command / "other" / "report.json").read_text())
+               for command in ("run", "batch")]
+    for report in reports:
+        del report["timings"]
+    assert reports[0] == reports[1]
+
+
 def test_batch_refuses_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
     root = tmp_path / "scenes"
     shutil.copytree(fragile_dir / "fragile-01", root / "fragile-01")
@@ -304,6 +326,7 @@ BROKEN_FIXTURES = [
     pytest.param("contact.json", {"dt": 0}, id="contact-dt"),
     pytest.param("contact.json", {"stiffness": [50.0, 50.0]}, id="two-stiffnesses"),
     pytest.param("scene.json", {"mesh_scale": 0}, id="zero-mesh-scale"),
+    pytest.param("scene.json", {"hand_model": "human-20dof"}, id="human-hand-model"),
     pytest.param("scene.json", {"contact_fingers": [9]}, id="contact-finger-out-of-range"),
     pytest.param("hand_estimate.json", {"fingertip_points": [[0.0, 0.0, 0.5]] * 2},
                  id="two-fingertip-points"),

@@ -153,8 +153,64 @@ def test_shadow_pre_squeeze_refinements_converge_early(sweep):
         assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
 
 
+def _at(doc: dict, *path):
+    for key in path:
+        doc = doc.get(key, {})
+    return doc
+
+
+def moved_report(old: dict, new: dict) -> list:
+    """Lines saying what moved from golden file `old` to `new`.
+
+    Per stage, in pipeline order, the number of scenes whose input digest
+    and whose output digest moved; then every verdict that moved.  A scene
+    in only one of the two files counts as moved everywhere.
+    """
+    from dextra.pipeline import STAGE_NAMES
+
+    scenes = sorted(set(old) | set(new))
+
+    def moved(*path):
+        return [s for s in scenes if _at(old, s, *path) != _at(new, s, *path)]
+
+    width = max(map(len, STAGE_NAMES))
+    lines = [f"{'stage':<{width}}  input moved  output moved  (of {len(scenes)} scenes)"]
+    for stage in STAGE_NAMES:
+        lines.append(f"{stage:<{width}}  {len(moved('stages', stage, 'input')):>11}"
+                     f"  {len(moved('stages', stage, 'output')):>12}")
+    verdicts = [f"{s}: {_at(old, s, 'verdict') or None} -> {_at(new, s, 'verdict') or None}"
+                for s in moved("verdict")]
+    lines.append("verdicts moved: " + (", ".join(verdicts) or "none"))
+    return lines
+
+
+def test_moved_report_counts_scenes_per_stage_and_names_moved_verdicts():
+    from dextra.pipeline import STAGE_NAMES
+
+    def golden(verdict, **digests):
+        return {"verdict": verdict,
+                "stages": {n: {"input": digests.get(n, "i"), "output": "o"}
+                           for n in STAGE_NAMES}}
+
+    old = {"a": golden("stable"), "b": golden("stable"), "c": golden("unstable")}
+    new = {"a": golden("stable", execute="x"), "b": golden("damaged", prompt="y"),
+           "d": golden("stable")}
+    lines = moved_report(old, new)
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
+    # c and d are in one file only, so they moved everywhere
+    assert rows["prompt"] == ["3", "2"]
+    assert rows["execute"] == ["3", "2"]
+    assert rows["retarget"] == ["2", "2"]
+    assert "(of 4 scenes)" in lines[0]
+    assert lines[-1] == ("verdicts moved: b: stable -> damaged, c: unstable -> None, "
+                         "d: None -> stable")
+    assert moved_report(old, old)[-1] == "verdicts moved: none"
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.is_file() else {}
     doc = {p.name: scene_digests(p) for p in bundled_scenes()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {GOLDEN} ({len(doc)} scenes)\n")
+    sys.stdout.write(f"wrote {GOLDEN} ({len(doc)} scenes); moved from the file it replaces:\n")
+    sys.stdout.write("\n".join(moved_report(old, doc)) + "\n")

@@ -5,30 +5,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from cases import (
+    box_mesh,
+    cylinder_mesh,
+    icosphere,
+    pose_from_axis_angle,
+    pose_to_matrix,
+    rotation_angle,
+)
 from dextra import geometry
 from dextra.errors import EmptyMesh, SchemaError
 from dextra.geometry import (
     SE3Pose,
     TriangleMesh,
-    box_mesh,
     compose,
-    cylinder_mesh,
-    icosphere,
     identity_pose,
     invert,
     load_obj,
-    pose_from_axis_angle,
     pose_from_record,
     pose_from_rotvec,
-    pose_to_matrix,
     pose_to_record,
     rotate_vector,
-    rotation_angle,
     save_obj,
     save_points_obj,
     surface_query,
     transform_mesh,
-    transform_point,
     transform_points,
 )
 
@@ -71,7 +72,7 @@ def test_transform_point_matches_matrix_oracle(q, t, p):
     pose = _pose(q, t)
     m = oracles.homogeneous(oracles.quat_matrix(q), t)
     expected = (m @ np.array([*p, 1.0]))[:3]
-    assert np.allclose(transform_point(pose, p), expected, atol=1e-9)
+    assert np.allclose(transform_points(pose, p)[0], expected, atol=1e-9)
 
 
 @given(q=quats, t=vec3)
@@ -85,14 +86,14 @@ def test_pose_to_matrix_matches_oracle(q, t):
 def test_compose_matches_matrix_product(qa, ta, qb, tb, p):
     a, b = _pose(qa, ta), _pose(qb, tb)
     m = pose_to_matrix(a) @ pose_to_matrix(b)
-    got = transform_point(compose(a, b), p)
+    got = transform_points(compose(a, b), p)[0]
     assert np.allclose(got, (m @ np.array([*p, 1.0]))[:3], atol=1e-9)
 
 
 @given(q=quats, t=vec3, p=vec3)
 def test_invert_roundtrip(q, t, p):
     pose = _pose(q, t)
-    back = transform_point(invert(pose), transform_point(pose, p))
+    back = transform_points(invert(pose), transform_points(pose, p))[0]
     assert np.allclose(back, p, atol=1e-9)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import MODELS_DIR
+from cases import rest_configuration
 from dextra.errors import DimensionMismatch, MissingField
 from dextra.graspctl import (
     DEFAULT_KP,
@@ -16,7 +17,6 @@ from dextra.graspctl import (
 from dextra.kinematics import (
     HandConfiguration,
     load_hand_model,
-    rest_configuration,
 )
 from dextra.retarget import FRAME_ROBOT, GraspAction
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import MODELS_DIR
+from cases import pose_to_matrix, rest_configuration
 from dextra import kinematics
 from dextra.errors import (
     BadLimits,
@@ -18,7 +19,6 @@ from dextra.geometry import (
     compose,
     identity_pose,
     pose_from_rotvec,
-    pose_to_matrix,
     transform_points,
 )
 from dextra.kinematics import (
@@ -31,7 +31,6 @@ from dextra.kinematics import (
     load_hand_model,
     load_hand_model_file,
     perturb_root,
-    rest_configuration,
 )
 
 BUNDLED = ("human-20dof", "inspire-like-6dof", "leap-like-16dof", "shadow-like-22dof")

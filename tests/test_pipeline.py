@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import shutil
 
@@ -8,24 +9,25 @@ import pytest
 
 import oracles
 from conftest import MODELS_DIR, SCENES_DIR
-from dextra import pipeline
+from cases import box_mesh, pose_to_matrix, rest_configuration
+from dextra import geometry, pipeline
 from dextra.errors import (
     FixtureMissing,
     SchemaError,
     StageError,
 )
 from dextra.geometry import (
-    box_mesh,
+    TriangleMesh,
     compose,
+    identity_pose,
+    invert,
     pose_from_rotvec,
-    pose_to_matrix,
     transform_mesh,
 )
 from dextra.kinematics import (
     HandConfiguration,
     fingertip_positions,
     load_hand_model,
-    rest_configuration,
 )
 from dextra.pipeline import (
     ENGAGEMENT_TOL,
@@ -189,6 +191,7 @@ def test_settings_from_dict_rejects_unknown_keys():
     ({"hand_model": "nope"}, ["hand_model"]),
     ({"hand_model": ""}, ["hand_model"]),
     ({"hand_model": "force_table"}, ["hand_model"]),
+    ({"hand_model": "human-20dof"}, ["hand_model"]),
     ({"hand_model": 5}, ["hand_model"]),
     ({"transfer": "no"}, ["transfer"]),
     ({"transfer": None}, ["transfer"]),
@@ -248,6 +251,65 @@ def test_pipeline_report_is_reproducible(mug_scene):
     assert [r["output"] for r in a.stages] == [r["output"] for r in b.stages]
 
 
+def _nudge_translation(key, dz):
+    def edit(doc):
+        doc[key]["translation"][2] += dz
+    return edit
+
+
+# one value changed at a time: (settings, {fixture file: edit}); the last two
+# differ from each other in the generated pose alone
+MUG_PERTURBATIONS = {
+    "default": ({}, {}),
+    "seed": ({"seed": 3}, {}),
+    "noise-setting": ({"noise_sigma": 0.05}, {}),
+    "no-force-lock": ({"force_lock": False}, {}),
+    "leap": ({"hand_model": "leap-like-16dof"}, {}),
+    "contact-noise": ({}, {"contact.json": {"noise_sigma": 0.05}}),
+    "contact-stiffness": ({}, {"contact.json": {"stiffness": 120.0}}),
+    "contact-yield": ({}, {"contact.json": {"yield_force": 2.0}}),
+    "contact-fingers": ({}, {"scene.json": {"contact_fingers": [1, 2, 3, 4]}}),
+    "observation-ref": ({}, {"scene.json": {"observation_image": "observation-2.png"}}),
+    "intent": ({}, {"scene.json": {"intent": "lift the mug"}}),
+    "hand-eye": ({}, {"poses.json": _nudge_translation("hand_eye", 0.002)}),
+    "observed-pose": ({}, {"poses.json": _nudge_translation("object_pose_observed", 0.002)}),
+    "no-transfer": ({"transfer": False}, {}),
+    "no-transfer-generated-pose": (
+        {"transfer": False}, {"poses.json": _nudge_translation("object_pose_generated", 0.002)}),
+}
+
+
+def test_a_stage_whose_input_digest_holds_keeps_its_output_digest(mug_scene, tmp_path):
+    runs = {}
+    for name, (settings, edits) in MUG_PERTURBATIONS.items():
+        scene = tmp_path / name / "mug-01"
+        shutil.copytree(mug_scene, scene)
+        for file, edit in edits.items():
+            doc = json.loads((scene / file).read_text())
+            if isinstance(edit, dict):
+                doc.update(edit)
+            else:
+                edit(doc)
+            (scene / file).write_text(json.dumps(doc))
+        report = run_pipeline(scene, PipelineSettings(**settings))
+        runs[name] = {r["name"]: (r["input"], r["output"]) for r in report.stages}
+    # `providers` replays the scene's fixture files, and its input digest
+    # names the scene rather than their content, so it is left out here
+    stages = [n for n in STAGE_NAMES if n != "providers"]
+    same_input = 0
+    for a, b in itertools.combinations(runs, 2):
+        for stage in stages:
+            (in_a, out_a), (in_b, out_b) = runs[a][stage], runs[b][stage]
+            if in_a == in_b:
+                same_input += 1
+                assert out_a == out_b, (stage, a, b)
+    # every perturbation moves some stage's output
+    for name, digests in runs.items():
+        if name != "default":
+            assert digests != runs["default"], name
+    assert same_input > len(runs)
+
+
 def test_pipeline_engagement_is_geometric(mug_scene, robot_model):
     report = run_pipeline(mug_scene)
     scene, bundle = _mug_bundle(mug_scene)
@@ -281,7 +343,7 @@ def test_pipeline_engagement_rejects_frame_mismatch(robot_model):
                       config=rest_configuration(robot_model),
                       frame=FRAME_ROBOT, residual=np.zeros(5))
     with pytest.raises(SchemaError, match="pre grasp is in"):
-        derive_engagement(robot_model, obj, rob, box_mesh((0.1, 0.1, 0.1)))
+        derive_engagement(robot_model, obj, rob, box_mesh((0.1, 0.1, 0.1)), identity_pose())
 
 
 def test_engagement_without_finger_drivers_is_empty():
@@ -290,11 +352,12 @@ def test_engagement_without_finger_drivers_is_empty():
     model = load_hand_model(doc)
     grasp = GraspAction(hand_model=model.name, config=rest_configuration(model),
                         frame=FRAME_ROBOT, residual=np.zeros(model.fingertip_count))
-    assert derive_engagement(model, grasp, grasp, box_mesh((0.1, 0.1, 0.1))).shape == (0,)
+    mesh = box_mesh((0.1, 0.1, 0.1))
+    assert derive_engagement(model, grasp, grasp, mesh, identity_pose()).shape == (0,)
 
 
-def _engagement_inputs(monkeypatch, scene_dir, hand=None):
-    """(model, pre, squeeze, mesh) and the engagement the execute stage derived."""
+def _engagement_inputs(monkeypatch, scene_dir, **settings):
+    """(model, pre, squeeze, mesh, pose) and the engagement the execute stage derived."""
     calls = []
 
     def recording(*args):
@@ -302,7 +365,7 @@ def _engagement_inputs(monkeypatch, scene_dir, hand=None):
         return calls[-1][1]
 
     monkeypatch.setattr(pipeline, "derive_engagement", recording)
-    report = run_pipeline(scene_dir, PipelineSettings(hand_model=hand))
+    report = run_pipeline(scene_dir, PipelineSettings(**settings))
     assert len(calls) == 1
     assert np.array_equal(report.execution["engagement"], calls[0][1])
     return calls[0]
@@ -312,13 +375,15 @@ def _drivers(model):
     return [model.joint_index[n] for n in model.finger_drivers]
 
 
-def _oracle_engagement(model, pre, squeeze, mesh):
+def _oracle_engagement(model, pre, squeeze, mesh, pose):
     drivers = _drivers(model)
+    # the squeeze root as seen from the object frame, where `mesh` lives
+    root = compose(invert(pose), squeeze.config.root_pose)
 
     def fingertip(k, angle):
         angles = np.array(squeeze.config.joint_angles)
         angles[drivers[k]] = angle
-        config = HandConfiguration(squeeze.config.root_pose, angles)
+        config = HandConfiguration(root, angles)
         return fingertip_positions(model, config)[k]
 
     return oracles.engagement_per_finger(
@@ -330,7 +395,7 @@ def _oracle_engagement(model, pre, squeeze, mesh):
 @pytest.mark.parametrize("hand", [None, "leap-like-16dof", "shadow-like-22dof"])
 @pytest.mark.parametrize("scene_dir", BUNDLED_SCENES, ids=lambda p: p.name)
 def test_engagement_matches_per_finger_oracle(monkeypatch, scene_dir, hand):
-    args, engagement = _engagement_inputs(monkeypatch, scene_dir, hand)
+    args, engagement = _engagement_inputs(monkeypatch, scene_dir, hand_model=hand)
     want = _oracle_engagement(*args)
     assert engagement.tobytes() == want.tobytes(), (engagement, want)
 
@@ -343,7 +408,7 @@ def _with_drivers(grasp, model, changes):
 
 
 def test_engagement_cases_match_per_finger_oracle(monkeypatch, mug_scene):
-    (model, pre, squeeze, mesh), onset = _engagement_inputs(monkeypatch, mug_scene)
+    (model, pre, squeeze, mesh, pose), onset = _engagement_inputs(monkeypatch, mug_scene)
     drivers = _drivers(model)
     lo = pre.config.joint_angles[drivers]
     hi = squeeze.config.joint_angles[drivers]
@@ -353,14 +418,14 @@ def test_engagement_cases_match_per_finger_oracle(monkeypatch, mug_scene):
     # stays outside; 3 does not close but starts inside; 4 is bisected
     pre = _with_drivers(pre, model, {1: past[1], 3: past[3]})
     squeeze = _with_drivers(squeeze, model, {2: lo[2] - 0.1, 3: past[3] - 0.05})
-    got = derive_engagement(model, pre, squeeze, mesh)
-    assert got.tobytes() == _oracle_engagement(model, pre, squeeze, mesh).tobytes()
+    got = derive_engagement(model, pre, squeeze, mesh, pose)
+    assert got.tobytes() == _oracle_engagement(model, pre, squeeze, mesh, pose).tobytes()
     assert got[:4].tolist() == [np.inf, past[1], np.inf, past[3]]
     assert lo[4] < got[4] < hi[4] and got[4] == onset[4]
 
 
 def test_engagement_searches_every_finger_in_lockstep(monkeypatch, mug_scene):
-    (model, pre, squeeze, mesh), onset = _engagement_inputs(monkeypatch, mug_scene)
+    (model, pre, squeeze, mesh, pose), onset = _engagement_inputs(monkeypatch, mug_scene)
     counts = {"fk": 0, "query": 0}
 
     def counted(name, fn):
@@ -372,12 +437,46 @@ def test_engagement_searches_every_finger_in_lockstep(monkeypatch, mug_scene):
     monkeypatch.setattr(pipeline, "fingertip_positions",
                         counted("fk", pipeline.fingertip_positions))
     monkeypatch.setattr(pipeline, "surface_query", counted("query", pipeline.surface_query))
-    assert derive_engagement(model, pre, squeeze, mesh).tobytes() == onset.tobytes()
+    assert derive_engagement(model, pre, squeeze, mesh, pose).tobytes() == onset.tobytes()
     steps = counts["query"] - 1
     # one FK sweep per grid sample and per bisection step for the whole hand;
     # four fingers are bisected, each alone would take about as many steps
     assert counts["fk"] == _ENGAGEMENT_SAMPLES + steps
     assert 10 <= steps <= 20
+
+
+@pytest.mark.parametrize("transfer", [True, False])
+def test_engagement_in_the_object_frame_matches_a_moved_mesh(monkeypatch, mug_scene,
+                                                             transfer):
+    # the executed grasps live in the robot frame in both ablations; asking
+    # the object-frame mesh through its pose finds the onsets a copy of the
+    # mesh moved into the robot frame finds
+    (model, pre, squeeze, mesh, pose), onset = _engagement_inputs(
+        monkeypatch, mug_scene, transfer=transfer)
+    moved = derive_engagement(model, pre, squeeze, transform_mesh(mesh, pose),
+                              identity_pose())
+    assert onset.tobytes() == moved.tobytes()
+
+
+@pytest.mark.parametrize("transfer", [True, False])
+def test_a_run_builds_one_mesh_and_its_bounds_once(monkeypatch, mug_scene, transfer):
+    meshes, bound_builds = [], []
+    init, bounds = TriangleMesh.__post_init__, geometry._triangle_bounds
+
+    def counted_init(mesh):
+        init(mesh)
+        meshes.append(mesh)
+
+    def counted_bounds(mesh):
+        if "triangle_bounds" not in mesh._cache:
+            bound_builds.append(mesh)
+        return bounds(mesh)
+
+    monkeypatch.setattr(TriangleMesh, "__post_init__", counted_init)
+    monkeypatch.setattr(geometry, "_triangle_bounds", counted_bounds)
+    run_pipeline(mug_scene, PipelineSettings(transfer=transfer))
+    assert len(meshes) == 1
+    assert bound_builds == meshes
 
 
 def test_pipeline_without_transfer_uses_generated_pose(mug_scene):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cases import depth_fixture
+from cases import box_mesh, depth_fixture, pose_to_matrix
 from dextra import reconstruction
 from dextra.errors import (
     DimensionMismatch,
@@ -15,11 +15,10 @@ from dextra.errors import (
     NoConvergence,
 )
 from dextra.geometry import (
-    box_mesh,
     identity_pose,
     invert,
     pose_from_rotvec,
-    pose_to_matrix,
+    transform_mesh,
     transform_points,
 )
 from dextra.kinematics import HandConfiguration, HandPoseEstimate, fingertip_positions
@@ -143,6 +142,8 @@ def _without_fingertips(doc):
      "scene.json: hand_model must name a bundled hand model"),
     ("scene.json", {"hand_model": "force_table"},
      "scene.json: hand_model must name a bundled hand model"),
+    ("scene.json", {"hand_model": "human-20dof"},
+     "scene.json: hand_model must name a bundled hand model that has a human_joint_map"),
     ("scene.json", {"force_table": {"mug": -2.0}},
      "scene.json: force_table must map object names to positive forces (N)"),
     ("scene.json", {"region_mask": "mask.png"},
@@ -155,7 +156,8 @@ def _without_fingertips(doc):
     ("contact.json", {"engagement": "manual"}, "contact.json: engagement must be 'auto'"),
     ("scene.json", [], "scene.json: the document must be a JSON object"),
     ("hand_estimate.json", [], "hand_estimate.json: the document must be a JSON object"),
-], ids=["hand-model-list", "hand-model-unknown", "hand-model-force-table", "negative-force",
+], ids=["hand-model-list", "hand-model-unknown", "hand-model-force-table", "hand-model-human",
+        "negative-force",
         "stray-region-mask", "boolean-scale", "independent-without-points", "zero-quaternion",
         "engagement-word", "scene-json-list", "estimate-json-list"])
 def test_check_scene_names_each_violation(mug_scene, tmp_path, name, edit, finding):
@@ -219,16 +221,17 @@ def test_select_contact_fingers_radius(monkeypatch):
         [0.0, 0.0, 0.0],     # dead center: 50 mm from every face
     ])
     hand = _estimate(tips)
-    assert select_contact_fingers(hand, mesh) == (0, 1, 3)
+    assert select_contact_fingers(hand, mesh, identity_pose()) == (0, 1, 3)
     monkeypatch.setattr(reconstruction, "CONTACT_SELECT_RADIUS", 0.002)
-    assert select_contact_fingers(hand, mesh) == (0, 3)
+    assert select_contact_fingers(hand, mesh, identity_pose()) == (0, 3)
 
 
 def test_align_depth_recovers_non_grid_shift():
     mesh, pts = depth_fixture("sphere")
     true_shift = 0.0173
     hand = _estimate(pts + [0.0, 0.0, true_shift])
-    out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4))
+    out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                      pose=identity_pose())
     applied = float(out.config.root_pose.translation[2]
                     - hand.config.root_pose.translation[2])
     assert abs(applied + true_shift) < 1e-4
@@ -246,7 +249,8 @@ def test_align_depth_never_increases_objective():
     for _ in range(12):
         shift = rng.uniform(-0.12, 0.12)
         hand = _estimate(pts + [0.0, 0.0, shift])
-        out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4))
+        out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                          pose=identity_pose())
         before = oracles.mesh_sqdist(mesh.vertices, mesh.triangles,
                                      hand.fingertip_points).sum()
         after = oracles.mesh_sqdist(mesh.vertices, mesh.triangles,
@@ -254,18 +258,37 @@ def test_align_depth_never_increases_objective():
         assert after <= before + 1e-15
 
 
+def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
+    # the fixture surface posed in the camera: asked in its own frame through
+    # that pose, or as a copy moved into the camera, it picks the same
+    # fingers and the same shift
+    mesh, pts = depth_fixture("sphere")
+    pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
+    hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
+    moved = transform_mesh(mesh, pose)
+    fingers = select_contact_fingers(hand, mesh, pose)
+    assert fingers == select_contact_fingers(hand, moved, identity_pose()) != ()
+    got = align_depth(hand, mesh, fingers, pose)
+    want = align_depth(hand, moved, fingers, identity_pose())
+    shift = got.config.root_pose.translation[2] - hand.config.root_pose.translation[2]
+    assert abs(shift + 0.0173) < 1e-4
+    assert np.allclose(got.fingertip_points, want.fingertip_points, atol=1e-9)
+
+
 def test_align_depth_needs_contacts():
     mesh = box_mesh((0.1, 0.1, 0.1))
     hand = _estimate(np.full((5, 3), 5.0))  # nowhere near the box
+    fingers = select_contact_fingers(hand, mesh, identity_pose())
+    assert fingers == ()
     with pytest.raises(EmptyContactSet):
-        align_depth(hand, mesh)
+        align_depth(hand, mesh, fingers, identity_pose())
 
 
 def test_align_depth_rejects_bad_finger_index():
     mesh = box_mesh((0.1, 0.1, 0.1))
     hand = _estimate(np.zeros((5, 3)))
     with pytest.raises(DimensionMismatch):
-        align_depth(hand, mesh, contact_fingers=(0, 7))
+        align_depth(hand, mesh, contact_fingers=(0, 7), pose=identity_pose())
 
 
 def test_align_depth_flat_objective():
@@ -274,7 +297,8 @@ def test_align_depth_flat_objective():
     tips = np.array([[0.055, y, 0.0] for y in (-0.02, -0.01, 0.0, 0.01, 0.02)])
     hand = _estimate(tips)
     with pytest.raises(NoConvergence, match="flat"):
-        align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4))
+        align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                    pose=identity_pose())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cases
+from cases import box_mesh, pose_to_matrix, rest_configuration
 from dextra.errors import (
     DimensionMismatch,
     MissingJointMap,
@@ -9,10 +10,8 @@ from dextra.errors import (
     WrongFrame,
 )
 from dextra.geometry import (
-    box_mesh,
     identity_pose,
     pose_from_rotvec,
-    pose_to_matrix,
     rotate_vector,
     surface_query,
 )
@@ -22,7 +21,6 @@ from dextra.kinematics import (
     clamp_to_limits,
     fingertip_positions,
     perturb_root,
-    rest_configuration,
 )
 from dextra.retarget import (
     FRAME_OBJECT,
