@@ -7,9 +7,9 @@ angle; the moment a finger's sensed force reaches the predicted target
 force, its current position is locked in as the new setpoint for the rest
 of the episode.  Closing force is therefore bounded near the target
 instead of running to the squeeze pose on rigid objects.  `run_grasp` is
-the whole controller: one loop over per-finger arrays (positions, latch
-flags, latched positions, last error) that records every step in an
-`ExecutionTrace`.
+the whole controller: one loop over per-finger Python floats (positions,
+setpoints, latch flags, last error) that appends one row per step and
+builds the `ExecutionTrace` from those rows once, at the end.
 
 Contact is simulated by a one-sided linear spring per finger: zero force
 until the closing coordinate passes the engagement position, then force
@@ -19,6 +19,7 @@ explicitly, so the default (sigma = 0) episode is bit-for-bit repeatable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,16 @@ class ContactModel:
         e = np.asarray(self.engagement, dtype=float).reshape(-1).copy()
         if s.shape != e.shape:
             raise DimensionMismatch("stiffness and engagement must match per finger")
-        if float(s.min()) <= 0.0:
-            raise ValueError("contact stiffness must be positive")
+        # NaN fails every comparison, so each check asks for what is valid
+        if not np.all((s > 0.0) & (s < np.inf)):
+            raise ValueError(f"contact stiffness must be positive and finite, got {s}")
+        if not np.all(e > -np.inf):     # +inf: the finger never touches
+            raise ValueError(f"contact engagement must be a number or +inf, got {e}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"sensor noise must be non-negative and finite, "
+                             f"got {self.noise_sigma}")
+        if self.yield_force is not None and not self.yield_force > 0.0:
+            raise ValueError(f"yield force must be positive, got {self.yield_force}")
         s.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "stiffness", s)
@@ -64,6 +73,8 @@ class ContactModel:
 
 @dataclass(frozen=True, eq=False)
 class ExecutionTrace:
+    """One row per step; the float fields are column views of one (T, 4K) table."""
+
     positions: np.ndarray        # (T, K) closing coordinates at step start
     forces: np.ndarray           # (T, K) sensed forces
     commands: np.ndarray         # (T, K) velocity commands
@@ -97,60 +108,66 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
     `f_target`; unstable otherwise.  With `lock_enabled` False the force
     latch is bypassed and fingers drive all the way to the squeeze pose.
     """
-    if f_target <= 0.0:
-        raise ValueError(f"target force must be positive, got {f_target}")
+    if not 0.0 < f_target < math.inf:
+        raise ValueError(f"target force must be positive and finite, got {f_target}")
     if not model.finger_drivers:
         raise MissingField(f"model '{model.name}' declares no finger_drivers")
     drivers = [model.joint_index[name] for name in model.finger_drivers]
-    positions = np.array(pre.config.joint_angles[drivers])
-    squeeze_targets = np.array(squeeze.config.joint_angles[drivers])
     k = len(drivers)
     if contact.engagement.shape != (k,):
         raise DimensionMismatch(
             f"contact model covers {contact.engagement.shape[0]} fingers, hand has {k}")
 
-    rng = np.random.default_rng(seed) if contact.noise_sigma > 0.0 else None
+    # one row of draws per reading, every step's and the final one: the same
+    # stream as one (K,) draw per reading
+    noise = (np.random.default_rng(seed).normal(
+                 0.0, contact.noise_sigma, (DEFAULT_MAX_STEPS + 1, k)).tolist()
+             if contact.noise_sigma > 0.0 else None)
+    stiffness = contact.stiffness.tolist()
+    engagement = contact.engagement.tolist()
 
-    def sense(pos):
+    def sense(pos, reading):
         """Spring force per finger; clipped at zero like a real normal force."""
-        f = contact.stiffness * np.maximum(0.0, pos - contact.engagement)
-        if rng is not None:
-            f = np.maximum(0.0, f + rng.normal(0.0, contact.noise_sigma, (k,)))
+        f = [s * max(0.0, p - e) for s, p, e in zip(stiffness, pos, engagement)]
+        if noise is not None:
+            f = [max(0.0, v + n) for v, n in zip(f, noise[reading])]
         return f
 
-    latch_threshold = f_target if lock_enabled else np.inf
-    locked = np.zeros(k, dtype=bool)
-    locked_positions = np.zeros(k)
+    latch_threshold = f_target if lock_enabled else math.inf
+    positions = pre.config.joint_angles[drivers].tolist()
+    # the squeeze angle until a finger latches, then the position it latched at
+    setpoints = squeeze.config.joint_angles[drivers].tolist()
+    locked = [False] * k
     last_error = None
-    rows_pos, rows_force, rows_cmd, rows_locked = [], [], [], []
-    for _ in range(DEFAULT_MAX_STEPS):
-        forces = sense(positions)
-        newly_locked = ~locked & (forces >= latch_threshold)
-        locked = locked | newly_locked
-        locked_positions = np.where(newly_locked, positions, locked_positions)
-        error = np.where(locked, locked_positions, squeeze_targets) - positions
-        # no derivative on the first step, but kd * 0 is still added: it
-        # turns a -0.0 command into 0.0, and the trace records the sign
-        derivative = (np.zeros_like(error) if last_error is None
-                      else (error - last_error) / DEFAULT_DT)
-        command = DEFAULT_KP * error + DEFAULT_KD * derivative
+    rows = []
+    for step in range(DEFAULT_MAX_STEPS):
+        forces = sense(positions, step)
+        for i, f in enumerate(forces):
+            if f >= latch_threshold and not locked[i]:
+                locked[i] = True
+                setpoints[i] = positions[i]
+        error = [s - p for s, p in zip(setpoints, positions)]
+        if last_error is None:
+            # no derivative on the first step, but kd * 0 is still added: it
+            # turns a -0.0 command into 0.0, and the trace records the sign
+            command = [DEFAULT_KP * e + DEFAULT_KD * 0.0 for e in error]
+        else:
+            command = [DEFAULT_KP * e + DEFAULT_KD * ((e - le) / DEFAULT_DT)
+                       for e, le in zip(error, last_error)]
         last_error = error
-        rows_pos.append(positions)
-        rows_force.append(forces)
-        rows_cmd.append(command)
-        rows_locked.append(locked)
-        positions = positions + command * DEFAULT_DT
+        rows.append(positions + forces + command + locked)
+        positions = [p + c * DEFAULT_DT for p, c in zip(positions, command)]
         # settling covers the all-locked case too: the latch flips the
         # setpoint, and the PD needs a few more steps to absorb the
         # derivative transient and hold the locked position
-        if float(np.abs(command).max()) < _COMMAND_EPS:
+        if max(map(abs, command)) < _COMMAND_EPS:
             break
 
-    final_forces = sense(positions)
-    all_forces = np.vstack(rows_force + [final_forces])
-    peak_forces = all_forces.max(axis=0)
-    trace = ExecutionTrace(positions=np.vstack(rows_pos), forces=np.vstack(rows_force),
-                           commands=np.vstack(rows_cmd), locked=np.vstack(rows_locked))
+    final_forces = np.array(sense(positions, len(rows)))
+    table = np.array(rows)      # (T, 4K): positions, forces, commands, latch flags
+    trace = ExecutionTrace(positions=table[:, :k], forces=table[:, k:2 * k],
+                           commands=table[:, 2 * k:3 * k], locked=table[:, 3 * k:] == 1.0)
+    peak_forces = np.vstack([trace.forces, final_forces]).max(axis=0)
 
     if contact.yield_force is not None and bool((peak_forces > contact.yield_force).any()):
         verdict = VERDICT_DAMAGED
@@ -164,20 +181,23 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         final_forces=final_forces,
         peak_forces=peak_forces,
         peak_commands=np.abs(trace.commands).max(axis=0),
-        locked=locked,
-        final_positions=positions,
+        locked=np.array(locked),
+        final_positions=np.array(positions),
         f_target=float(f_target),
-        steps=len(rows_cmd),
+        steps=len(rows),
         trace=trace)
 
 
 def trace_csv(result: GraspExecutionResult) -> str:
-    """Per-step positions, forces, commands, and latch flags as CSV text."""
+    """Per-step positions, forces, commands, and latch flags as CSV text.
+
+    Every value is written as `f"{v:.9g}"` would write it; the step and the
+    latch flags as integers.
+    """
     t = result.trace
-    k = t.positions.shape[1]
-    lines = [",".join(["step"] + [f"{col}_{i}" for col in ("position", "force", "command", "locked")
-                                  for i in range(k)])]
-    for step, row in enumerate(np.hstack([t.positions, t.forces, t.commands])):
-        lines.append(",".join([str(step)] + [f"{v:.9g}" for v in row]
-                              + [str(int(v)) for v in t.locked[step]]))
-    return "\n".join(lines) + "\n"
+    steps, k = t.positions.shape
+    head = ",".join(["step"] + [f"{col}_{i}" for col in ("position", "force", "command", "locked")
+                                for i in range(k)])
+    row = ",".join(["%d"] + ["%.9g"] * (3 * k) + ["%d"] * k)
+    table = np.column_stack([np.arange(steps), t.positions, t.forces, t.commands, t.locked])
+    return "\n".join([head] + [row % tuple(values) for values in table.tolist()]) + "\n"

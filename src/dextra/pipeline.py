@@ -49,6 +49,7 @@ from .geometry import (
 from .graspctl import (
     DEFAULT_DT,
     ContactModel,
+    ExecutionTrace,
     GraspExecutionResult,
     run_grasp,
 )
@@ -112,6 +113,12 @@ class PipelineSettings:
     seed: int = 0
     noise_sigma: float | None = None  # None: take the scene's sensor noise
 
+    def __post_init__(self):
+        # an integer sigma would reach the digests and the report as an int,
+        # so {"noise_sigma": 0} would not run like 0.0 or the default
+        if self.noise_sigma is not None:
+            object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+
 
 _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
 # settings key -> rule entry
@@ -149,9 +156,10 @@ def override_settings(settings: PipelineSettings, **changes) -> PipelineSettings
 def canonical(obj):
     """Reduce a result object to plain JSON types, deterministically.
 
-    Arrays become nested float lists, poses become records, meshes are
-    summarized by content hash (their vertices would swamp the report),
-    and non-finite floats become strings so the output stays strict JSON.
+    Arrays become nested float lists, poses become records, meshes and
+    execution traces are summarized by content hash (their values would
+    swamp the report), and non-finite floats become strings so the output
+    stays strict JSON.
     """
     if obj is None or isinstance(obj, str):
         return obj
@@ -174,6 +182,14 @@ def canonical(obj):
         return canonical(pose_to_record(obj))
     if isinstance(obj, GraspAction):
         return grasp_record(obj)
+    if isinstance(obj, ExecutionTrace):
+        # trace.csv carries the values; thousands of them would swamp the digest
+        h = hashlib.sha256()
+        for f in dataclasses.fields(obj):
+            a = getattr(obj, f.name)
+            h.update(f"{f.name} {a.dtype.str} {a.shape}\n".encode("ascii"))
+            h.update(a.tobytes())
+        return {"steps": int(len(obj.positions)), "content": h.hexdigest()}
     if isinstance(obj, TriangleMesh):
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(obj.vertices).tobytes())

@@ -377,3 +377,15 @@ def pd_spring_episode(start, squeeze, stiffness, engagement, f_target,
         "final_positions": np.array(pos),
         "final_forces": np.array(spring(pos)),
     }
+
+
+def trace_csv_per_value(trace):
+    """trace.csv text with every value formatted on its own, as f"{v:.9g}"."""
+    k = trace.positions.shape[1]
+    lines = [",".join(["step"] + [f"{col}_{i}" for col in ("position", "force", "command", "locked")
+                                  for i in range(k)])]
+    for step in range(len(trace.positions)):
+        values = [*trace.positions[step], *trace.forces[step], *trace.commands[step]]
+        lines.append(",".join([str(step)] + [f"{v:.9g}" for v in values]
+                              + [str(int(v)) for v in trace.locked[step]]))
+    return "\n".join(lines) + "\n"

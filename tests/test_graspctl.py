@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from dextra.kinematics import (
     HandConfiguration,
     load_hand_model,
 )
+from dextra.pipeline import PipelineSettings, content_digest, run_pipeline
 from dextra.retarget import FRAME_ROBOT, GraspAction
 
 # stiffness sized so the latch overshoot (one step of spring compression)
@@ -44,13 +46,37 @@ def _uniform_contact(k, **kw):
                         engagement=np.full(k, ENGAGE), **kw)
 
 
+def _bits(a):
+    """dtype, shape and bytes: equal only for bit-identical arrays, so -0.0 != 0.0."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # contact model
 # ---------------------------------------------------------------------------
 
 def test_contact_model_rejects_nonpositive_stiffness():
-    with pytest.raises(ValueError, match="must be positive"):
-        ContactModel(stiffness=np.array([1.0, 0.0]), engagement=np.zeros(2))
+    # NaN compares false both ways, so the spring, the latch and the settle
+    # test would each read a NaN input differently: it is refused up front
+    for stiffness in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="stiffness must be positive"):
+            ContactModel(stiffness=np.array([1.0, stiffness]), engagement=np.zeros(2))
+    for engagement in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="engagement must be a number or"):
+            ContactModel(stiffness=np.ones(2), engagement=np.array([0.3, engagement]))
+    # +inf is the finger that never touches
+    contact = ContactModel(stiffness=np.ones(2), engagement=np.array([0.3, np.inf]))
+    assert contact.engagement[1] == np.inf
+
+
+def test_contact_model_rejects_bad_noise_and_yield_force():
+    for noise_sigma in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="sensor noise must be non-negative"):
+            _uniform_contact(2, noise_sigma=noise_sigma)
+    for yield_force in (np.nan, 0.0):
+        with pytest.raises(ValueError, match="yield force must be positive"):
+            _uniform_contact(2, yield_force=yield_force)
 
 
 def test_contact_model_rejects_shape_mismatch():
@@ -95,9 +121,9 @@ def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma,
         noise_sigma=noise_sigma, seed=7)
     assert result.steps == len(oracle["commands"])
     for field in ("positions", "forces", "commands", "locked"):
-        assert np.array_equal(getattr(result.trace, field), oracle[field]), field
-    assert np.array_equal(result.final_positions, oracle["final_positions"])
-    assert np.array_equal(result.final_forces, oracle["final_forces"])
+        assert _bits(getattr(result.trace, field)) == _bits(oracle[field]), field
+    assert _bits(result.final_positions) == _bits(oracle["final_positions"])
+    assert _bits(result.final_forces) == _bits(oracle["final_forces"])
 
 
 @pytest.mark.parametrize(("start", "goal"), [(0.1, 0.55), (0.0, -0.0)],
@@ -196,8 +222,9 @@ def test_run_grasp_min_stable_fingers_threshold(robot_model):
 def test_run_grasp_rejects_bad_scalars(robot_model):
     pre = _driver_grasp(robot_model, 0.1)
     squeeze = _driver_grasp(robot_model, 0.55)
-    with pytest.raises(ValueError, match="target force must be positive"):
-        run_grasp(pre, squeeze, _uniform_contact(5), 0.0, robot_model)
+    for f_target in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="target force must be positive"):
+            run_grasp(pre, squeeze, _uniform_contact(5), f_target, robot_model)
     with pytest.raises(DimensionMismatch, match="contact model covers"):
         run_grasp(pre, squeeze, _uniform_contact(3), F_TARGET, robot_model)
 
@@ -243,3 +270,32 @@ def test_trace_csv(robot_model):
     assert first[0] == "0"
     assert float(first[1]) == pytest.approx(0.1)
     assert first[1 + 3 * k] in ("0", "1")
+
+
+def test_trace_digest_sees_every_bit(robot_model):
+    pre = _driver_grasp(robot_model, 0.1)
+    squeeze = _driver_grasp(robot_model, 0.55)
+    trace = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model).trace
+    again = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model).trace
+    assert content_digest(again) == content_digest(trace)
+
+    def edited(t, field, index, value):
+        values = getattr(t, field).copy()
+        values[index] = value
+        return dataclasses.replace(t, **{field: values})
+
+    zeroed = edited(trace, "commands", (5, 2), 0.0)
+    assert content_digest(edited(zeroed, "commands", (5, 2), -0.0)) != content_digest(zeroed)
+    flipped = edited(trace, "locked", (3, 1), not trace.locked[3, 1])
+    assert content_digest(flipped) != content_digest(trace)
+    dropped = dataclasses.replace(trace, **{f.name: getattr(trace, f.name)[:-1]
+                                            for f in dataclasses.fields(trace)})
+    assert content_digest(dropped) != content_digest(trace)
+
+
+@pytest.mark.parametrize("settings", [{}, {"noise_sigma": 0.05, "seed": 3},
+                                      {"force_lock": False}],
+                         ids=["default", "noisy", "no-lock"])
+def test_trace_csv_matches_per_value_formatting(mug_scene, settings):
+    result = run_pipeline(mug_scene, PipelineSettings(**settings)).result
+    assert trace_csv(result) == oracles.trace_csv_per_value(result.trace)

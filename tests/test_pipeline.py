@@ -251,6 +251,14 @@ def test_pipeline_report_is_reproducible(mug_scene):
     assert [r["output"] for r in a.stages] == [r["output"] for r in b.stages]
 
 
+def test_integer_noise_sigma_runs_like_the_float_and_the_default(mug_scene):
+    # mug-01's contact.json has noise_sigma 0.0
+    a, b, c = (run_pipeline(mug_scene, settings_from_dict(doc)).to_json()
+               for doc in ({}, {"noise_sigma": 0}, {"noise_sigma": 0.0}))
+    assert a == b == c
+    assert type(settings_from_dict({"noise_sigma": 0}).noise_sigma) is float
+
+
 def _nudge_translation(key, dz):
     def edit(doc):
         doc[key]["translation"][2] += dz
