@@ -13,11 +13,15 @@ Conventions used throughout the package:
     nearest surface feature (Baerentzen & Aanaes, IEEE TVCG 2005), so
     queries near edges and vertices get a consistent sign.
 
-    `surface_query` finds the nearest triangle by cull-then-refine: per-triangle
-    bounding boxes, cached on the mesh, bound every point-triangle distance
-    from below, and only the triangles that can still win are walked with the
-    closest-point region test of Ericson, Real-Time Collision Detection
-    (2004), 5.1.5.  The answer is bit-identical to walking every triangle.
+    `surface_query` finds the nearest triangle in one bound pass and, for
+    almost every point, one walk.  Per-triangle bounding boxes, cached on the
+    mesh, bound every point-triangle distance from below.  Each point walks
+    its `_FIRST_WALK` lowest-bound triangles with the closest-point region
+    test of Ericson, Real-Time Collision Detection (2004), 5.1.5, and the
+    best of them, plus a rounding slack, caps the answer.  A point whose next
+    lowest bound is above that cap is done: no triangle it skipped can win
+    or tie.  Only the other points are culled against the cap and walked
+    again.  The answer is therefore bit-identical to walking every triangle.
     Vertex and edge normals are built once per mesh, vectorized, with the
     same bits as a per-triangle loop.
 
@@ -62,17 +66,29 @@ def _quat_conj(q):
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis of (..., 3) arrays, bit for bit: the same
+    component products without its per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _quat_rotate(q, v):
     # v + 2 w (u x v) + 2 u x (u x v), u = vector part
     u = q[1:]
-    t = 2.0 * np.cross(u, v)
-    return v + q[0] * t + np.cross(u, t)
+    t = 2.0 * _cross(u, v)
+    return v + q[0] * t + _cross(u, t)
 
 
 def _quat_rotate_many(q, pts):
     u = q[1:]
-    t = 2.0 * np.cross(u[None, :], pts)
-    return pts + q[0] * t + np.cross(u[None, :], t)
+    t = 2.0 * _cross(u[None, :], pts)
+    return pts + q[0] * t + _cross(u[None, :], t)
 
 
 def _quat_from_axis_angle(axis, angle):
@@ -165,6 +181,12 @@ def pose_from_record(record: dict) -> SE3Pose:
 # triangle meshes
 # ---------------------------------------------------------------------------
 
+def _degenerate_faces(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Indices of the triangles whose area is below _DEGENERATE_AREA."""
+    areas = 0.5 * np.linalg.norm(_cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1)
+    return np.nonzero(areas < _DEGENERATE_AREA)[0]
+
+
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Triangle soup with validated indices; vertices in meters."""
@@ -178,10 +200,7 @@ class TriangleMesh:
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("triangle index out of range")
         if f.size:
-            ab = v[f[:, 1]] - v[f[:, 0]]
-            ac = v[f[:, 2]] - v[f[:, 0]]
-            areas = 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
-            bad = np.nonzero(areas < _DEGENERATE_AREA)[0]
+            bad = _degenerate_faces(v, f)
             if bad.size:
                 raise ValueError(f"degenerate triangles at indices {bad.tolist()}")
         v.setflags(write=False)
@@ -195,7 +214,7 @@ class TriangleMesh:
         cache = self._cache
         if "face_normals" not in cache:
             v, f = self.vertices, self.triangles
-            n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+            n = _cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
             n /= np.linalg.norm(n, axis=1, keepdims=True)
             n.setflags(write=False)
             cache["face_normals"] = n
@@ -229,38 +248,35 @@ def _closest_on_matched_triangles(a, b, c, p):
     def safe_div(num, den):
         return num / np.where(den == 0.0, 1.0, den)
 
-    # candidates for every region; the mask stack below picks one per row
+    # candidates for every region; the masks below pick one per row
     v_ab = safe_div(d1, d1 - d3)
     on_ab = a + v_ab[:, None] * ab
     w_ac = safe_div(d2, d2 - d6)
     on_ac = a + w_ac[:, None] * ac
-    w_bc = safe_div(d4 - d3, (d4 - d3) + (d5 - d6))
+    d43, d56 = d4 - d3, d5 - d6
+    w_bc = safe_div(d43, d43 + d56)
     on_bc = b + w_bc[:, None] * (c - b)
-    denom = safe_div(np.ones_like(va), va + vb + vc)
-    on_face = a + (vb * denom)[:, None] * ab + (vc * denom)[:, None] * ac
+    denom = safe_div(1.0, va + vb + vc)
+    out = a + (vb * denom)[:, None] * ab + (vc * denom)[:, None] * ac
 
-    in_a = (d1 <= 0) & (d2 <= 0)
-    in_b = (d3 >= 0) & (d4 <= d3)
-    in_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    in_c = (d6 >= 0) & (d5 <= d6)
-    in_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    in_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-
-    # assign lowest-priority regions first so earlier checks win, mirroring
-    # the early returns of the scalar algorithm
-    out = on_face.copy()
-    out[in_bc] = on_bc[in_bc]
-    out[in_ac] = on_ac[in_ac]
-    out[in_c] = c[in_c]
-    out[in_ab] = on_ab[in_ab]
-    out[in_b] = b[in_b]
-    out[in_a] = a[in_a]
+    # lowest-priority regions first so earlier checks win, mirroring the
+    # early returns of the scalar algorithm
+    for region, at in (((va <= 0) & (d43 >= 0) & (d56 >= 0), on_bc),
+                       ((vb <= 0) & (d2 >= 0) & (d6 <= 0), on_ac),
+                       ((d6 >= 0) & (d5 <= d6), c),
+                       ((vc <= 0) & (d1 >= 0) & (d3 <= 0), on_ab),
+                       ((d3 >= 0) & (d4 <= d3), b),
+                       ((d1 <= 0) & (d2 <= 0), a)):
+        np.copyto(out, at, where=region[:, None])
     return out
 
 
 # point-triangle pairs per chunk of _closest_points: small enough that the
 # temporaries of one chunk stay in cache when batches are large
 _CHUNK_PAIRS = 8192
+# triangles each point walks before the cull: enough that the nearest one is
+# almost always among them, few enough that a small query walks little
+_FIRST_WALK = 8
 # slack of the bound cull: relative to the upper bound, and absolute in units
 # of the squared diagonal of the box spanning the mesh and the origin
 _CULL_REL = 1e-9
@@ -298,19 +314,54 @@ def _box_bounds(lo, hi, p):
 def _walk(tri, cand, p):
     """Squared distance and closest point from each p to triangle cand."""
     q = _closest_on_matched_triangles(tri[cand, 0], tri[cand, 1], tri[cand, 2], p)
-    return np.einsum("ij,ij->i", q - p, q - p), q
+    gap = q - p
+    return np.einsum("ij,ij->i", gap, gap), q
+
+
+def _walk_rows(tri, points, blocks, out):
+    """Walk (row, triangle) pairs; write each row's winner into `out`.
+
+    `blocks` yields whole rows in ascending row order.  They are walked in
+    batches of at most `_CHUNK_PAIRS` pairs (a larger block on its own), and
+    a row's winner is its lowest (squared distance, triangle index) pair, so
+    ties go to the lowest index as in a full scan.
+    """
+    out_d2, out_tri, out_q = out
+
+    def flush(batch):
+        row, cand = (np.concatenate(a) for a in zip(*batch))
+        d2, q = _walk(tri, cand, points[row])
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        win = np.lexsort((cand, d2, row))[starts]
+        out_d2[row[starts]] = d2[win]
+        out_tri[row[starts]] = cand[win]
+        out_q[row[starts]] = q[win]
+
+    batch, size = [], 0
+    for row, cand in blocks:
+        if batch and size + len(row) > _CHUNK_PAIRS:
+            flush(batch)
+            batch, size = [], 0
+        batch.append((row, cand))
+        size += len(row)
+    if batch:
+        flush(batch)
 
 
 def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     """For each query point: squared distance, winning triangle, closest point.
 
-    Cull, then refine.  The squared gap between a point and a triangle's
-    bounding box is a lower bound on its squared distance to the triangle;
-    the exact squared distance to the triangle with the lowest bound is an
-    upper bound `ub` on the answer.  Only triangles whose bound is at most
-    `ub * (1 + _CULL_REL) + slack` are walked exactly, and the winner is the
-    lowest (squared distance, triangle index) among them, so ties resolve to
-    the lowest index as in a full scan.
+    One bound pass, one walk, and a second cull only where it can matter.
+    The squared gap between a point and a triangle's bounding box is a lower
+    bound on its squared distance to the triangle.  Each point walks the K =
+    `_FIRST_WALK` triangles with the lowest bounds (every triangle, if the
+    mesh has at most K), and the best squared distance `d2` among them gives
+    the cull limit `d2 * (1 + _CULL_REL) + slack`.  A point whose (K+1)-th
+    lowest bound is above the limit is done: every triangle it did not walk
+    has a bound at least that high.  Only the other points are culled again,
+    keeping every triangle whose bound is within the limit, and walk those.
+    The winner is the lowest (squared distance, triangle index) walked, so
+    ties resolve to the lowest index as in a full scan.
 
     The slack is what makes the answer bit-identical to a full scan.  A
     computed squared distance carries absolute error of about eps * L**2, L
@@ -319,44 +370,55 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     far points; a triangle whose computed distance ties the computed minimum
     can therefore have an exact box bound a few ulps above it.  The slack
     (`_CULL_REL`, and `_CULL_ABS` times L**2) exceeds both errors by orders
-    of magnitude, and it can only add candidates, never drop the winner.
+    of magnitude, so the full scan's winner, whose distance is at most
+    `d2`, has a bound within the limit.  A triangle whose bound is above the
+    limit can therefore neither win nor tie, and that is exactly what the
+    (K+1)-th-bound test rules out for the triangles a point did not walk.
 
     Bounds are computed for `_CHUNK_PAIRS` point-triangle pairs at a time,
-    and survivors are walked in batches of about as many pairs.
+    and pairs are walked in batches of at most as many.
     """
     n = len(points)
+    out = np.empty(n), np.empty(n, dtype=np.int64), np.empty((n, 3))
     if n == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty((0, 3))
+        return out
     tri, lo, hi, slack = _triangle_bounds(mesh)
-    rows = max(1, _CHUNK_PAIRS // len(tri))
-    chunks = range(0, n, rows)
-    first = np.concatenate([_box_bounds(lo, hi, points[s:s + rows]).argmin(axis=1)
-                            for s in chunks])
-    ub = np.concatenate([_walk(tri, first[s:s + _CHUNK_PAIRS], points[s:s + _CHUNK_PAIRS])[0]
-                         for s in range(0, n, _CHUNK_PAIRS)])
-    limit = ub * (1.0 + _CULL_REL) + slack
-    out_d2 = np.empty(n)
-    out_tri = np.empty(n, dtype=np.int64)
-    out_q = np.empty((n, 3))
-    pending, size = [], 0
-    for s in chunks:
-        keep = _box_bounds(lo, hi, points[s:s + rows]) <= limit[s:s + rows, None]
-        keep[np.arange(len(keep)), first[s:s + rows]] = True  # every row keeps one
-        row, cand = np.nonzero(keep)
-        pending.append((row + s, cand))
-        size += len(row)
-        if size < _CHUNK_PAIRS and s + rows < n:
-            continue
-        # whole rows, ascending, candidates ascending within each row
-        row, cand = (np.concatenate(a) for a in zip(*pending))
-        pending, size = [], 0
-        d2, q = _walk(tri, cand, points[row])
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        win = np.lexsort((cand, d2, row))[starts]
-        out_d2[row[starts]] = d2[win]
-        out_tri[row[starts]] = cand[win]
-        out_q[row[starts]] = q[win]
-    return out_d2, out_tri, out_q
+    m = len(tri)
+    k = min(_FIRST_WALK, m)
+    rows = max(1, _CHUNK_PAIRS // m)
+    if k < m:
+        first = np.empty((n, k), dtype=np.int64)
+        next_bound = np.empty(n)
+        for s in range(0, n, rows):
+            bound = _box_bounds(lo, hi, points[s:s + rows])
+            part = np.argpartition(bound, k, axis=1)
+            first[s:s + rows] = part[:, :k]
+            next_bound[s:s + rows] = bound[np.arange(len(part)), part[:, k]]
+    else:
+        first = np.broadcast_to(np.arange(m), (n, m))
+        next_bound = np.full(n, np.inf)
+    out_d2, out_tri, out_q = out
+    step = _CHUNK_PAIRS // k
+    for s in range(0, n, step):
+        cand = first[s:s + step]
+        d2, q = _walk(tri, cand.ravel(), np.repeat(points[s:s + step], k, axis=0))
+        d2 = d2.reshape(-1, k)
+        win = (np.arange(len(cand)), np.lexsort((cand, d2))[:, 0])
+        out_d2[s:s + step] = d2[win]
+        out_tri[s:s + step] = cand[win]
+        out_q[s:s + step] = q.reshape(-1, k, 3)[win]
+
+    limit = out_d2 * (1.0 + _CULL_REL) + slack
+    redo = np.flatnonzero(next_bound <= limit)
+
+    def culled():
+        for s in range(0, len(redo), rows):
+            r = redo[s:s + rows]
+            row, cand = np.nonzero(_box_bounds(lo, hi, points[r]) <= limit[r, None])
+            yield r[row], cand
+
+    _walk_rows(tri, points, culled(), out)
+    return out
 
 
 # ---- pseudonormals for the inside/outside sign ----
@@ -486,13 +548,39 @@ def surface_query(mesh: TriangleMesh, points) -> SurfaceProximity:
 # OBJ subset: v and f records, triangles only
 # ---------------------------------------------------------------------------
 
+def _face_corners(corners) -> tuple:
+    """Zero-based vertex indices of one f record's three corners.
+
+    A corner is `v`, `v/vt`, `v//vn` or `v/vt/vn`; only `v` is kept.  Raises
+    ValueError naming the first corner that is not a positive integer.
+    """
+    try:
+        idx = int(corners[0]) - 1, int(corners[1]) - 1, int(corners[2]) - 1
+        if min(idx) >= 0:
+            return idx
+    except ValueError:
+        pass
+    idx = []
+    for t in corners:
+        head = t.split("/")[0]
+        try:
+            i = int(head)
+        except ValueError:
+            raise ValueError(f"face index '{head}' not an integer") from None
+        if i <= 0:
+            raise ValueError(f"face index {i} must be positive (1-based)")
+        idx.append(i - 1)
+    return tuple(idx)
+
+
 def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     """Load a triangle mesh from a Wavefront OBJ file.
 
     Only v and f records are honored; faces must be triangles.  Every
     violation in the file is collected, prefixed with the file name, before
     rejecting it; a missing file raises FixtureMissing.  Vertices are
-    multiplied by `scale`, which must be positive.
+    multiplied by `scale`, which must be positive.  The lines are read in
+    one pass; index ranges and face areas are then checked on arrays.
     """
     if float(scale) <= 0.0:
         raise ValueError("mesh scale must be positive")
@@ -507,7 +595,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     vertices, faces, violations = [], [], []
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
         rec = tokens[0]
         if rec == "v":
@@ -515,45 +603,33 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
                 violations.append(f"line {lineno}: vertex needs 3 coordinates")
                 continue
             try:
-                vertices.append([float(t) for t in tokens[1:4]])
+                vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
             except ValueError:
                 violations.append(f"line {lineno}: vertex coordinates not numeric")
         elif rec == "f":
-            corners = tokens[1:]
-            if len(corners) != 3:
+            if len(tokens) != 4:
                 violations.append(
                     f"line {lineno}: face {len(faces) + 1} has "
-                    f"{len(corners)} vertices; only triangles supported")
+                    f"{len(tokens) - 1} vertices; only triangles supported")
                 continue
-            idx = []
-            for t in corners:
-                head = t.split("/")[0]
-                try:
-                    i = int(head)
-                except ValueError:
-                    violations.append(f"line {lineno}: face index '{head}' not an integer")
-                    break
-                if i <= 0:
-                    violations.append(f"line {lineno}: face index {i} must be positive (1-based)")
-                    break
-                idx.append(i - 1)
-            else:
-                faces.append(idx)
-        # all other record types are ignored
+            try:
+                faces.append(_face_corners(tokens[1:]))
+            except ValueError as exc:
+                violations.append(f"line {lineno}: {exc}")
+        # all other record types, comments included, are ignored
     if not faces and not violations:
         violations.append("no faces: mesh must contain at least one triangle")
     nv = len(vertices)
-    for k, tri in enumerate(faces):
-        for i in tri:
-            if i >= nv:
-                violations.append(f"face {k + 1}: vertex index {i + 1} out of range ({nv} vertices)")
+    try:
+        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # an index past int64 is past every vertex
+        f = np.array([[min(i, nv) for i in tri] for tri in faces], dtype=np.int64)
+    for k, c in np.argwhere(f >= nv).tolist():  # face by face, corner by corner
+        violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
+                          f"({nv} vertices)")
     if not violations:
         v = np.asarray(vertices, dtype=float) * float(scale)
-        f = np.asarray(faces, dtype=np.int64)
-        ab = v[f[:, 1]] - v[f[:, 0]]
-        ac = v[f[:, 2]] - v[f[:, 0]]
-        areas = 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
-        for k in np.nonzero(areas < _DEGENERATE_AREA)[0]:
+        for k in _degenerate_faces(v, f):
             violations.append(f"face {int(k) + 1}: degenerate (zero area)")
     if violations:
         raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])

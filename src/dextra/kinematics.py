@@ -46,6 +46,7 @@ from .errors import (
 )
 from .geometry import (
     SE3Pose,
+    _cross,
     pose_from_record,
     pose_from_rotvec,
     compose,
@@ -464,18 +465,6 @@ def _jacobian_tables(model: KinematicHandModel):
             fold[j, driver] = ratio
         cache["jac"] = (frames, _frozen(axes), _frozen(moves), _frozen(fold))
     return cache["jac"]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis of (..., 3) arrays, bit for bit: the same
-    component products without its per-call axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
 
 
 def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:

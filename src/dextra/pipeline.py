@@ -76,8 +76,7 @@ from .retarget import (
     GraspAction,
     human_fingertip_targets,
     initialize_retarget,
-    make_pregrasp,
-    make_squeeze,
+    make_pregrasp_and_squeeze,
     plan_two_stage,
     refine_retarget,
     to_robot_frame,
@@ -454,8 +453,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     pre_obj, squeeze_obj = stage(
         "pre-squeeze", {"grasp": grasp_obj, "mesh": mesh},
-        lambda: (make_pregrasp(grasp_obj, mesh, model),
-                 make_squeeze(grasp_obj, mesh, model)))
+        lambda: make_pregrasp_and_squeeze(grasp_obj, mesh, model))
 
     hand_eye = scene.hand_eye()
 

@@ -397,17 +397,17 @@ def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
 
 
 def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
-                     pose: SE3Pose) -> np.ndarray:
+                     to_mesh: SE3Pose) -> np.ndarray:
     """Sum of squared surface distances for every depth shift in `deltas`.
 
     `pts` are camera-frame fingertips; each shift moves them along camera z,
-    then they are mapped into the frame of the object-frame `mesh`, whose
-    pose in the camera is `pose`.
+    then `to_mesh` (the inverse of the object's pose in the camera) maps
+    them into the frame of the object-frame `mesh`.
     """
     k = len(pts)
     shifted = np.repeat(pts[None, :, :], len(deltas), axis=0)
     shifted[:, :, 2] += deltas[:, None]
-    d2 = surface_query(mesh, transform_points(invert(pose), shifted)).sq_distance
+    d2 = surface_query(mesh, transform_points(to_mesh, shifted)).sq_distance
     return d2.reshape(len(deltas), k).sum(axis=1)
 
 
@@ -432,11 +432,12 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     if any(i < 0 or i >= k for i in contact_fingers):
         raise DimensionMismatch(f"contact finger index outside 0..{k - 1}")
     pts = hand.fingertip_points[list(contact_fingers)]
+    to_mesh = invert(pose)
 
     # coarse bracket first: the objective is only piecewise-smooth, so pin
     # down the basin before the golden-section polish
     coarse = np.linspace(-DEPTH_SEARCH_HALF_RANGE, DEPTH_SEARCH_HALF_RANGE, 61)
-    coarse_obj = _depth_objective(mesh, pts, coarse, pose)
+    coarse_obj = _depth_objective(mesh, pts, coarse, to_mesh)
     if float(coarse_obj.max() - coarse_obj.min()) < 1e-12:
         raise NoConvergence("depth objective is flat over the search range")
     best = int(np.argmin(coarse_obj))
@@ -444,12 +445,12 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     hi = coarse[min(best + 1, len(coarse) - 1)]
 
     def f(delta: float) -> float:
-        return float(_depth_objective(mesh, pts, np.array([delta]), pose)[0])
+        return float(_depth_objective(mesh, pts, np.array([delta]), to_mesh)[0])
 
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2]), pose).tolist()
+    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2]), to_mesh).tolist()
     while (b - a) > DEPTH_SEARCH_TOL:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -463,7 +464,7 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
 
     # the input depth is always a candidate, making the step non-increasing
     candidates = [0.0, polished, float(coarse[best])]
-    objs = _depth_objective(mesh, pts, np.array(candidates), pose)
+    objs = _depth_objective(mesh, pts, np.array(candidates), to_mesh)
     delta = candidates[int(np.argmin(objs))]
 
     root = hand.config.root_pose

@@ -214,14 +214,13 @@ def compute_contacts(grasp: GraspAction, mesh: TriangleMesh,
                       engaged=hits.distance <= ENGAGE_THRESHOLD)
 
 
-def _offset_grasp(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandModel,
+def _offset_grasp(grasp: GraspAction, contacts: ContactSet, model: KinematicHandModel,
                   offset: float) -> GraspAction:
     """Move engaged fingertips `offset` along their fixed contact normals.
 
     Disengaged fingers are anchored at their current positions and the
     wrist never moves; a grasp with no engaged finger is returned as-is.
     """
-    contacts = compute_contacts(grasp, mesh, model)
     if contacts.engaged_count == 0:
         return replace(grasp)
     tips = fingertip_positions(model, grasp.config)
@@ -231,16 +230,16 @@ def _offset_grasp(grasp: GraspAction, mesh: TriangleMesh, model: KinematicHandMo
     return refine_retarget(grasp, targets, model, wrist_free=False)
 
 
-def make_pregrasp(grasp: GraspAction, mesh: TriangleMesh,
-                  model: KinematicHandModel) -> GraspAction:
-    """Open the grasp: contact fingertips retreat PREGRASP_OFFSET along their normals."""
-    return _offset_grasp(grasp, mesh, model, PREGRASP_OFFSET)
+def make_pregrasp_and_squeeze(grasp: GraspAction, mesh: TriangleMesh,
+                              model: KinematicHandModel) -> tuple:
+    """The pre-grasp and the squeeze of an object-frame grasp, from one contact query.
 
-
-def make_squeeze(grasp: GraspAction, mesh: TriangleMesh,
-                 model: KinematicHandModel) -> GraspAction:
-    """Tighten the grasp: contact fingertips press past the surface by SQUEEZE_OFFSET."""
-    return _offset_grasp(grasp, mesh, model, SQUEEZE_OFFSET)
+    Pre-grasp: contact fingertips retreat PREGRASP_OFFSET along their normals.
+    Squeeze: they press past the surface by SQUEEZE_OFFSET.
+    """
+    contacts = compute_contacts(grasp, mesh, model)
+    return (_offset_grasp(grasp, contacts, model, PREGRASP_OFFSET),
+            _offset_grasp(grasp, contacts, model, SQUEEZE_OFFSET))
 
 
 def to_robot_frame(grasp: GraspAction, t_o_obs: SE3Pose, hand_eye: SE3Pose) -> GraspAction:

@@ -37,6 +37,16 @@ def rodrigues(axis, angle):
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
+def quat_rotate_cross(q, v):
+    """v (3,) or (n, 3) rotated by the unit quaternion q (w, x, y, z) through
+    np.cross: v + 2w (u x v) + 2 u x (u x v), u the vector part.  The pose
+    helpers evaluate this formula with their own cross product, so they must
+    match it bit for bit."""
+    u = np.asarray(q, dtype=float)[1:]
+    t = 2.0 * np.cross(u, v)
+    return v + q[0] * t + np.cross(u, t)
+
+
 def homogeneous(rotation, translation):
     m = np.eye(4)
     m[:3, :3] = rotation

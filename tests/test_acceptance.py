@@ -33,7 +33,7 @@ from dextra.retarget import (
     FRAME_OBJECT,
     GraspAction,
     compute_contacts,
-    make_pregrasp,
+    make_pregrasp_and_squeeze,
     refine_retarget,
     to_robot_frame,
 )
@@ -194,7 +194,7 @@ def test_criterion_5_grasp_offsets_on_flat_faces(human_model):
         grasp = cases.wrap_grasp(human_model, mesh, rng)
         contacts = compute_contacts(grasp, mesh, human_model)
         assert contacts.engaged_count == 5
-        pre = make_pregrasp(grasp, mesh, human_model)
+        pre, _ = make_pregrasp_and_squeeze(grasp, mesh, human_model)
         heights = surface_query(mesh, fingertip_positions(human_model, pre.config)).distance
         worst_pre = max(worst_pre, float(np.abs(heights - 0.05).max()))
         targets = contacts.points - 0.01 * contacts.normals

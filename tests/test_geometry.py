@@ -103,6 +103,24 @@ def test_rotate_vector_preserves_norm(q, t, v):
     assert np.isclose(np.linalg.norm(got), np.linalg.norm(np.asarray(v)), atol=1e-9)
 
 
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(qa=quats, ta=vec3, qb=quats, tb=vec3, v=vec3,
+       pts=st.lists(vec3, min_size=1, max_size=6))
+def test_pose_helpers_match_np_cross_bit_for_bit(qa, ta, qb, tb, v, pts):
+    a, b = _pose(qa, ta), _pose(qb, tb)
+    v, pts = np.asarray(v, dtype=float), np.asarray(pts, dtype=float)
+    assert _same_bits(compose(a, b).translation,
+                      oracles.quat_rotate_cross(a.rotation, b.translation) + a.translation)
+    conj = a.rotation * [1.0, -1.0, -1.0, -1.0]
+    assert _same_bits(invert(a).translation, -oracles.quat_rotate_cross(conj, a.translation))
+    assert _same_bits(transform_points(a, pts),
+                      oracles.quat_rotate_cross(a.rotation, pts) + a.translation[None, :])
+    assert _same_bits(rotate_vector(a, v), oracles.quat_rotate_cross(a.rotation, v))
+
+
 def test_transform_points_batch():
     pose = pose_from_axis_angle((0.0, 0.0, 1.0), np.pi / 2, (1.0, 0.0, 0.0))
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -344,15 +362,36 @@ def _feature_points(mesh, per_kind=300, seed=0):
     return np.vstack([features, features + 1e-12 * unit, far, centre])
 
 
+# the query paths each mesh's feature points take: "all" when the mesh has at
+# most _FIRST_WALK triangles and each point walks every one, "one walk" for a
+# point settled by its _FIRST_WALK lowest bounds, "second cull" for one whose
+# next bound is within the cull limit (the centre of a closed mesh, which
+# ties nearly every triangle)
+QUERY_PATHS = {"tetra": {"all"}, "box": {"one walk"}}
+
+
 @pytest.mark.parametrize("name", list(EXACT_MESHES))
-def test_query_matches_full_scan_bit_for_bit(name):
+def test_query_matches_full_scan_bit_for_bit(name, monkeypatch):
     mesh = EXACT_MESHES[name]()
     points = _feature_points(mesh)
+    culled = []
+    walk_rows = geometry._walk_rows
+
+    def recorded(tri, pts, blocks, out):
+        blocks = list(blocks)
+        culled.extend(row for rows, _ in blocks for row in np.unique(rows).tolist())
+        return walk_rows(tri, pts, iter(blocks), out)
+
+    monkeypatch.setattr(geometry, "_walk_rows", recorded)
     hits = surface_query(mesh, points)
     d2, tri, q = oracles.mesh_closest(mesh.vertices, mesh.triangles, points)
     assert np.array_equal(hits.sq_distance, d2)
     assert np.array_equal(hits.triangle, tri)
     assert np.array_equal(hits.point, q)
+    first = "all" if len(mesh.triangles) <= geometry._FIRST_WALK else "one walk"
+    paths = {first} if len(culled) < len(points) else set()
+    paths |= {"second cull"} if culled else set()
+    assert paths == QUERY_PATHS.get(name, {"one walk", "second cull"})
 
 
 @pytest.mark.parametrize("name", ["icosphere-4"] + [f"obj-{p.parent.name}" for p in BUNDLED_OBJS])
@@ -415,6 +454,33 @@ def test_load_obj_collects_all_violations(tmp_path):
     assert "out of range" in text
     assert "only triangles" in text
     assert len(err.value.violations) == 4
+
+
+def test_load_obj_violations_in_file_order(tmp_path):
+    # line violations in line order, a face counted only once it parsed,
+    # then index ranges face by face (one index past int64 included)
+    path = tmp_path / "bad.obj"
+    path.write_text(
+        "v 0 0\n"
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+        "# f 1 2 3 4\n"
+        "f 1/1/1 2//2 3/3\n"
+        "f 1 x 0\n"
+        "f 0 x 1\n"
+        "f 1 2 3 4\n"
+        "f 1 2 99999999999999999999999\n"
+        "f 5 1 2\n",
+        encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_obj(path)
+    assert err.value.violations == [
+        "bad.obj: line 1: vertex needs 3 coordinates",
+        "bad.obj: line 7: face index 'x' not an integer",
+        "bad.obj: line 8: face index 0 must be positive (1-based)",
+        "bad.obj: line 9: face 2 has 4 vertices; only triangles supported",
+        "bad.obj: face 2: vertex index 99999999999999999999999 out of range (3 vertices)",
+        "bad.obj: face 3: vertex index 5 out of range (3 vertices)",
+    ]
 
 
 def test_load_obj_degenerate_face(tmp_path):

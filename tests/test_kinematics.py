@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import MODELS_DIR
 from cases import pose_to_matrix, rest_configuration
-from dextra import kinematics
+from dextra import geometry, kinematics
 from dextra.errors import (
     BadLimits,
     CyclicTree,
@@ -206,14 +206,26 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
 def test_private_cross_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(29)
     a, b = rng.normal(size=(2, 40, 3)) * rng.uniform(1e-3, 1e3, (2, 40, 1))
-    assert np.array_equal(kinematics._cross(a, b), np.cross(a, b))
-    # the broadcast shapes the jacobian uses: (A, 3) axes against (K, A, 3) tips
+    # signed zeros too: np.array_equal would not tell -0.0 from 0.0
+    a[:4] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+    b[:4] = [[-0.0, 0.0, 2.0], [1.0, -1.0, 0.0], [0.0, -0.0, 1.0], [0.0, 0.0, -1.0]]
     axes, tips = rng.normal(size=(28, 3)), rng.normal(size=(5, 28, 3))
-    assert np.array_equal(kinematics._cross(axes, tips), np.cross(axes, tips))
-    assert np.array_equal(kinematics._cross(tips, axes), np.cross(tips, axes))
     origins, points = rng.normal(size=(28, 3)), rng.normal(size=(5, 1, 3))
-    assert np.array_equal(kinematics._cross(origins, points - origins),
-                          np.cross(origins, points - origins))
+    pairs = [
+        (a, b),
+        # (3,) with (3,), as the pose helpers rotate one translation
+        *((a[i], b[i]) for i in range(6)),
+        # (1, 3) or (3,) against (n, 3), as `transform_points` rotates a batch
+        (a[:1], b), (b, a[:1]), (a[0], b),
+        # the broadcast shapes the jacobian uses: (A, 3) axes against
+        # (K, A, 3) tips, and origins against (K, 1, 3) tips
+        (axes, tips), (tips, axes), (origins, points - origins),
+    ]
+    for x, y in pairs:
+        got, want = geometry._cross(x, y), np.cross(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert kinematics._cross is geometry._cross
 
 
 def test_jacobian_mimic_columns_zero(robot_model):

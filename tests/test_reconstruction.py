@@ -275,6 +275,30 @@ def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
     assert np.allclose(got.fingertip_points, want.fingertip_points, atol=1e-9)
 
 
+def test_align_depth_inverts_the_pose_once(monkeypatch):
+    # every depth evaluation maps through one inverse pose; the shifts stay
+    # the objective's third positional argument
+    mesh, pts = depth_fixture("sphere")
+    pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
+    hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
+    inverted, shifts = [], []
+    invert, objective = reconstruction.invert, reconstruction._depth_objective
+
+    def counted_invert(p):
+        inverted.append(p)
+        return invert(p)
+
+    def counted_objective(*args):
+        shifts.append(len(args[2]))
+        return objective(*args)
+
+    monkeypatch.setattr(reconstruction, "invert", counted_invert)
+    monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
+    align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
+    assert inverted == [pose]
+    assert shifts[0] == 61 and len(shifts) > 2
+
+
 def test_align_depth_needs_contacts():
     mesh = box_mesh((0.1, 0.1, 0.1))
     hand = _estimate(np.full((5, 3), 5.0))  # nowhere near the box

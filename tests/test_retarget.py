@@ -3,6 +3,7 @@ import pytest
 
 import cases
 from cases import box_mesh, pose_to_matrix, rest_configuration
+from dextra import geometry
 from dextra.errors import (
     DimensionMismatch,
     MissingJointMap,
@@ -29,8 +30,7 @@ from dextra.retarget import (
     compute_contacts,
     human_fingertip_targets,
     initialize_retarget,
-    make_pregrasp,
-    make_squeeze,
+    make_pregrasp_and_squeeze,
     plan_two_stage,
     refine_retarget,
     to_robot_frame,
@@ -204,10 +204,9 @@ def test_offsets_no_engaged_fingers_is_identity(robot_model):
     cfg = HandConfiguration(root, rest_configuration(robot_model).joint_angles)
     grasp = _object_grasp(robot_model, cfg)
     mesh = box_mesh((0.1, 0.1, 0.1))
-    pre = make_pregrasp(grasp, mesh, robot_model)
+    pre, squeeze = make_pregrasp_and_squeeze(grasp, mesh, robot_model)
     assert pre.config is grasp.config
     assert np.array_equal(pre.residual, grasp.residual)
-    squeeze = make_squeeze(grasp, mesh, robot_model)
     assert squeeze.config is grasp.config
 
 
@@ -217,7 +216,7 @@ def test_pregrasp_lifts_tips_off_flat_face(human_model):
     contacts = compute_contacts(grasp, mesh, human_model)
     assert contacts.engaged_count == 5
 
-    pre = make_pregrasp(grasp, mesh, human_model)
+    pre, _ = make_pregrasp_and_squeeze(grasp, mesh, human_model)
     tips = fingertip_positions(human_model, pre.config)
     heights = surface_query(mesh, tips).distance
     assert np.all(np.abs(heights - 0.05) <= 2e-3)
@@ -233,11 +232,27 @@ def test_squeeze_targets_press_into_flat_face(human_model):
     depths = surface_query(mesh, targets).distance
     assert np.allclose(depths, -0.01, atol=1e-9)
 
-    squeeze = make_squeeze(grasp, mesh, human_model)
+    _, squeeze = make_pregrasp_and_squeeze(grasp, mesh, human_model)
     assert squeeze.config.root_pose is grasp.config.root_pose
     tips = fingertip_positions(human_model, squeeze.config)
     depths = surface_query(mesh, tips).distance
     assert np.all((depths < 0.0) | (squeeze.residual > 0.0))
+
+
+def test_pregrasp_and_squeeze_share_one_contact_query(human_model, monkeypatch):
+    # the pre-squeeze stage's whole body: both offset solves start from one query
+    mesh = cases.wrap_box_mesh()
+    grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(6))
+    asked = []
+    closest = geometry._closest_points
+
+    def counted(mesh, points):
+        asked.append(len(points))
+        return closest(mesh, points)
+
+    monkeypatch.setattr(geometry, "_closest_points", counted)
+    make_pregrasp_and_squeeze(grasp, mesh, human_model)
+    assert asked == [5]
 
 
 # ---------------------------------------------------------------------------
