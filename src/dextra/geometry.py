@@ -537,11 +537,15 @@ def surface_query(mesh: TriangleMesh, points) -> SurfaceProximity:
 
     `points` is one point (3,) or a batch (n, 3); the answer always has one
     row per point.  Rows are computed independently, so a batched query
-    agrees bit for bit with one query per point.
+    agrees bit for bit with one query per point.  A non-finite coordinate
+    has no nearest point and raises ValueError.
     """
     if mesh.triangles.size == 0:
         raise EmptyMesh("surface query on a mesh with no triangles")
-    return SurfaceProximity(mesh, np.asarray(points, dtype=float).reshape(-1, 3))
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not np.isfinite(points).all():
+        raise ValueError("surface query points must be finite")
+    return SurfaceProximity(mesh, points)
 
 
 # ---------------------------------------------------------------------------

@@ -128,13 +128,12 @@ class HandPoseEstimate:
     """Reconstructed human hand: skeleton config plus fingertip keypoints.
 
     `fingertip_points` may come from the same kinematic chain or from an
-    independent keypoint head; `keypoints_independent` records which.
+    independent keypoint head.
     """
 
     config: HandConfiguration
     fingertip_points: np.ndarray    # (K, 3) in the estimate's camera frame
     skeleton: str                   # bundled human model name
-    keypoints_independent: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.fingertip_points, dtype=float).reshape(-1, 3).copy()

@@ -67,6 +67,8 @@ from .reconstruction import (
     align_depth,
     build_prompt,
     gather_reconstruction,
+    read_contact,
+    replayed_file_digests,
     select_contact_fingers,
     to_object_frame,
 )
@@ -394,8 +396,8 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     # contact.json is read before any stage runs, so a broken file costs no
     # stage work; its errors still name the stage that uses it
-    contact_spec = attributed("execute",
-                              lambda: scene.contact_spec(len(model.finger_drivers)))
+    contact_spec = attributed("execute", lambda: read_contact(scene.scene_dir / "contact.json",
+                                                              len(model.finger_drivers)))
 
     def stage(name, inputs, fn):
         digest_in = content_digest(inputs)
@@ -408,23 +410,28 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     prompt = stage("prompt", {"scene": scene.name, "object": scene.object_name,
                               "intent": scene.intent, "kind": scene.prompt_kind,
-                              "observation": scene.observation.image_ref,
+                              "observation": scene.observation_ref,
                               "region": scene.region_ref, "demo": scene.demo_ref},
                    lambda: build_prompt(scene.object_name, scene.intent,
                                         scene.prompt_kind,
-                                        observation_ref=scene.observation.image_ref,
+                                        observation_ref=scene.observation_ref,
                                         region_ref=scene.region_ref,
                                         demo_ref=scene.demo_ref))
 
+    # the input holds every byte and scene.json value the replay depends on
     bundle: ReconstructionBundle = stage(
-        "providers", {"scene": scene.name, "prompt": prompt},
-        lambda: gather_reconstruction(scene, prompt))
+        "providers", {"scene": scene.name, "prompt": prompt,
+                      "files": replayed_file_digests(scene), "mesh_scale": scene.mesh_scale,
+                      "contact_fingers": scene.contact_fingers,
+                      "f_target": scene.predict_force(scene.object_name)},
+        lambda: gather_reconstruction(scene))
 
     # the one mesh of the run is in the object frame; each stage that asks
     # the surface maps its points there through one of these poses
     mesh = bundle.mesh
     t_gen = bundle.object_pose_generated
     t_obs = bundle.object_pose_observed
+    hand_eye = bundle.hand_eye
 
     def _align():
         fingers = scene.contact_fingers
@@ -454,8 +461,6 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     pre_obj, squeeze_obj = stage(
         "pre-squeeze", {"grasp": grasp_obj, "mesh": mesh},
         lambda: make_pregrasp_and_squeeze(grasp_obj, mesh, model))
-
-    hand_eye = scene.hand_eye()
 
     def _robot_frame():
         if settings.transfer:

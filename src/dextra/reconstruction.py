@@ -5,18 +5,19 @@ generation prompt, replaying recorded perception results from scene fixture
 directories, correcting the depth ambiguity of a monocular hand estimate
 against the object mesh, and re-expressing the estimate in the object frame.
 
-Generative models and pose estimators are external services; the shipped
-providers replay recorded fixtures so every downstream result is
-reproducible.  Every scene fixture file has one reader (object.obj's is
-`load_obj`), shared by `run` and `validate`; see `check_scene`.  A JSON
+Generative models and pose estimators are external services; a scene
+fixture records their results and `gather_reconstruction` replays them, so
+runs are reproducible.  Every scene fixture file has one reader (object.obj's
+is `load_obj`), shared by `run` and `validate`; see `check_scene`.  A JSON
 fixture file is checked against its rule table by `errors.check_document`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -86,15 +87,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class SceneObservation:
-    """One captured scene: image reference and object description."""
-
-    image_ref: str
-    object_name: str
-    intent: str = ""
-
-
-@dataclass(frozen=True)
 class PromptBundle:
     positive: str
     negative: str
@@ -104,13 +96,13 @@ class PromptBundle:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionBundle:
-    """Everything the transfer stage needs, gathered from the providers."""
+    """Everything the transfer stage needs, replayed from the scene's files."""
 
     hand: HandPoseEstimate
     mesh: TriangleMesh
     object_pose_generated: SE3Pose   # object in the generated-image camera
     object_pose_observed: SE3Pose    # object in the real observation camera
-    generated_image: str
+    hand_eye: SE3Pose                # camera-to-robot extrinsics
     f_target: float                  # predicted grasp force (N)
 
 
@@ -190,7 +182,6 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         "joint_angles": (numbers, "must be a list of numbers", REQUIRED),
         "fingertip_points": (lambda t: numbers(t, valid=lambda p: numbers(p, 3)),
                              "must be a list of 3-number points"),
-        "keypoints_independent": (lambda b: isinstance(b, bool), "must be true or false"),
     })
     angles, tips = v["joint_angles"], v["fingertip_points"]
     human = v["skeleton"] and bundled_model(v["skeleton"])
@@ -202,15 +193,12 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         bad += [(SchemaError, f"scene.json contact_fingers names finger {i}, "
                               f"but the estimate has {k} fingertips")
                 for i in contact_fingers or () if i >= k]
-    if v["keypoints_independent"] is not None and tips is None:
-        bad.append((SchemaError, "keypoints_independent needs fingertip_points"))
     raise_schema(bad, path.name)
     config = HandConfiguration(pose_from_record(v["root_pose"]), np.asarray(angles, dtype=float))
     return HandPoseEstimate(
         config=config, skeleton=v["skeleton"],
         fingertip_points=(fingertip_positions(human, config) if tips is None
-                          else np.asarray(tips, dtype=float)),
-        keypoints_independent=bool(v["keypoints_independent"]))
+                          else np.asarray(tips, dtype=float)))
 
 
 def read_poses(path: Path) -> dict:
@@ -248,12 +236,11 @@ def read_contact(path: Path, fingers: int | None) -> dict:
 
 
 class SceneFixture:
-    """Deterministic providers backed by one scene directory.
+    """One scene directory and its scene.json, checked when built.
 
-    scene.json is read here; object.obj, hand_estimate.json and poses.json
-    by the provider that needs them, and contact.json (`contact_spec`)
-    before the first stage runs.  Replays only, so identical inputs always
-    yield identical outputs.
+    The pipeline reads contact.json (`read_contact`) before the first stage
+    runs, and `gather_reconstruction` replays the recorded perception
+    results: hand_estimate.json, object.obj and poses.json.
     """
 
     def __init__(self, scene_dir):
@@ -266,7 +253,6 @@ class SceneFixture:
             "prompt_kind": (PROMPT_KINDS.__contains__,
                             f"must be one of {', '.join(PROMPT_KINDS)}", "language"),
             "observation_image": (*TEXT, "observation.png"),
-            "generated_image": (*TEXT, "generated.png"),
             "region_mask": TEXT,
             "demo_image": TEXT,
             "mesh_scale": (positive, "must be a positive number", 1.0),
@@ -277,8 +263,7 @@ class SceneFixture:
         })
         self.name, self.object_name, self.intent = v["name"], v["object_name"], v["intent"]
         self.prompt_kind, self.hand_model = v["prompt_kind"], v["hand_model"]
-        self.observation = SceneObservation(v["observation_image"], self.object_name, self.intent)
-        self.generated_ref, self.region_ref = v["generated_image"], v["region_mask"]
+        self.observation_ref, self.region_ref = v["observation_image"], v["region_mask"]
         self.demo_ref, self.mesh_scale = v["demo_image"], float(v["mesh_scale"])
         self.contact_fingers = v["contact_fingers"] and tuple(v["contact_fingers"])
         self._force_table = {**_load_force_table(), **_fold_names(v["force_table"])}
@@ -300,43 +285,11 @@ class SceneFixture:
             return setting, "settings"
         return (self.hand_model, "scene") if self.hand_model else (DEFAULT_HAND_MODEL, "default")
 
-    # -- providers --
-
-    def grasp_image(self, observation: SceneObservation, prompt: PromptBundle) -> str:
-        return self.generated_ref
-
-    def estimate_hand(self, image_ref: str) -> HandPoseEstimate:
-        if image_ref != self.generated_ref:
-            raise FixtureMissing(f"no hand estimate recorded for image '{image_ref}'")
-        return read_hand_estimate(self.scene_dir / "hand_estimate.json", self.contact_fingers)
-
-    @cached_property
-    def _poses(self) -> dict:
-        return read_poses(self.scene_dir / "poses.json")
-
-    def estimate_object_pose(self, image_ref: str, mesh: TriangleMesh) -> SE3Pose:
-        if image_ref == self.generated_ref:
-            return self._poses["object_pose_generated"]
-        if image_ref == self.observation.image_ref:
-            return self._poses["object_pose_observed"]
-        raise FixtureMissing(f"no object pose recorded for image '{image_ref}'")
-
-    def object_mesh(self, image_ref: str) -> TriangleMesh:
-        return load_obj(self.scene_dir / "object.obj", self.mesh_scale)
-
     def predict_force(self, object_description: str) -> float:
         key = object_description.strip().lower()
         if key not in self._force_table:
             raise FixtureMissing(f"no target force recorded for object '{object_description}'")
         return self._force_table[key]
-
-    # -- execution-stage fixtures --
-
-    def hand_eye(self) -> SE3Pose:
-        return self._poses["hand_eye"]
-
-    def contact_spec(self, fingers: int) -> dict:
-        return read_contact(self.scene_dir / "contact.json", fingers)
 
 
 def check_scene(scene_dir) -> list:
@@ -367,18 +320,21 @@ def _load_force_table() -> dict:
     return read_force_table(resources.files("dextra") / "models" / "force_table.json")
 
 
-def gather_reconstruction(scene: SceneFixture, prompt: PromptBundle) -> ReconstructionBundle:
-    """Run every provider once and bundle the results."""
-    generated = scene.grasp_image(scene.observation, prompt)
-    mesh = scene.object_mesh(scene.observation.image_ref)
-    return ReconstructionBundle(
-        hand=scene.estimate_hand(generated),
-        mesh=mesh,
-        object_pose_generated=scene.estimate_object_pose(generated, mesh),
-        object_pose_observed=scene.estimate_object_pose(scene.observation.image_ref, mesh),
-        generated_image=generated,
-        f_target=scene.predict_force(scene.object_name),
-    )
+def replayed_file_digests(scene: SceneFixture) -> dict:
+    """sha256 of each file `gather_reconstruction` reads; None for a missing
+    one, which that reader then refuses inside the stage."""
+    paths = [scene.scene_dir / n for n in ("hand_estimate.json", "object.obj", "poses.json")]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for p in paths}
+
+
+def gather_reconstruction(scene: SceneFixture) -> ReconstructionBundle:
+    """Replay the scene's recorded perception results, reading each file once."""
+    mesh = load_obj(scene.scene_dir / "object.obj", scene.mesh_scale)
+    hand = read_hand_estimate(scene.scene_dir / "hand_estimate.json", scene.contact_fingers)
+    return ReconstructionBundle(hand=hand, mesh=mesh,
+                                **read_poses(scene.scene_dir / "poses.json"),
+                                f_target=scene.predict_force(scene.object_name))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ class GraspAction:
 class ContactSet:
     """Per-finger nearest surface points for one grasp."""
 
+    tips: np.ndarray         # (K, 3) the fingertips that were queried
     points: np.ndarray       # (K, 3) contact points on the surface
     normals: np.ndarray      # (K, 3) outward unit normals
     distances: np.ndarray    # (K,) signed distances of the fingertips
@@ -209,8 +210,9 @@ def compute_contacts(grasp: GraspAction, mesh: TriangleMesh,
     """Nearest surface point per fingertip; grasp must be in the object frame."""
     if grasp.frame != FRAME_OBJECT:
         raise WrongFrame(f"contacts are defined in the object frame, got '{grasp.frame}'")
-    hits = surface_query(mesh, fingertip_positions(model, grasp.config))
-    return ContactSet(points=hits.point, normals=hits.normal, distances=hits.distance,
+    tips = fingertip_positions(model, grasp.config)
+    hits = surface_query(mesh, tips)
+    return ContactSet(tips=tips, points=hits.point, normals=hits.normal, distances=hits.distance,
                       engaged=hits.distance <= ENGAGE_THRESHOLD)
 
 
@@ -218,15 +220,14 @@ def _offset_grasp(grasp: GraspAction, contacts: ContactSet, model: KinematicHand
                   offset: float) -> GraspAction:
     """Move engaged fingertips `offset` along their fixed contact normals.
 
-    Disengaged fingers are anchored at their current positions and the
+    Disengaged fingers are anchored at their queried positions and the
     wrist never moves; a grasp with no engaged finger is returned as-is.
     """
     if contacts.engaged_count == 0:
         return replace(grasp)
-    tips = fingertip_positions(model, grasp.config)
     targets = np.where(contacts.engaged[:, None],
                        contacts.points + offset * contacts.normals,
-                       tips)
+                       contacts.tips)
     return refine_retarget(grasp, targets, model, wrist_free=False)
 
 

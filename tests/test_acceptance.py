@@ -165,8 +165,7 @@ def test_criterion_4_depth_alignment_recovers_synthetic_shifts():
             hand = HandPoseEstimate(
                 config=HandConfiguration(pose_from_rotvec((0, 0, 0), (0, 0, 0)),
                                          np.zeros(20)),
-                fingertip_points=shifted, skeleton="human-20dof",
-                keypoints_independent=True)
+                fingertip_points=shifted, skeleton="human-20dof")
             out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
                               pose=identity_pose())
             applied = float(out.config.root_pose.translation[2]

@@ -338,6 +338,10 @@ BROKEN_FIXTURES = [
     pytest.param("object.obj", b"\xff\xfe\x00", id="obj-not-utf8"),
     pytest.param("scene.json", b"[]", id="scene-json-list"),
     pytest.param("hand_estimate.json", b"[]", id="estimate-json-list"),
+    # keys that no stage acts on are refused, not ignored
+    pytest.param("scene.json", {"generated_image": "generated.png"}, id="generated-image-key"),
+    pytest.param("hand_estimate.json", {"keypoints_independent": True},
+                 id="independent-keypoints-key"),
 ]
 
 

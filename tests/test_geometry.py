@@ -303,6 +303,17 @@ def test_empty_mesh_rejected():
             surface_query(empty, points)
 
 
+def test_non_finite_query_points_rejected():
+    mesh = box_mesh((0.1, 0.1, 0.1))
+    for bad in (np.nan, np.inf, -np.inf):
+        points = np.zeros((3, 3))
+        points[1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            surface_query(mesh, points)
+        with pytest.raises(ValueError, match="must be finite"):
+            surface_query(mesh, (0.0, bad, 0.0))
+
+
 def test_empty_point_batch_has_zero_rows():
     hits = surface_query(box_mesh((0.1, 0.1, 0.1)), np.zeros((0, 3)))
     for field, shape in (("sq_distance", (0,)), ("triangle", (0,)), ("point", (0, 3)),

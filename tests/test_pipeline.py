@@ -43,7 +43,7 @@ from dextra.pipeline import (
     run_pipeline,
     settings_from_dict,
 )
-from dextra.reconstruction import SceneFixture, build_prompt, gather_reconstruction
+from dextra.reconstruction import SceneFixture, gather_reconstruction
 from dextra.retarget import FRAME_OBJECT, FRAME_ROBOT, GraspAction
 from dextra.geometry import surface_query
 
@@ -51,10 +51,7 @@ BUNDLED_SCENES = sorted(p.parent for p in SCENES_DIR.rglob("scene.json"))
 
 
 def _mug_bundle(mug_scene):
-    scene = SceneFixture(mug_scene)
-    prompt = build_prompt(scene.object_name, scene.intent, scene.prompt_kind,
-                          observation_ref=scene.observation.image_ref)
-    return scene, gather_reconstruction(scene, prompt)
+    return gather_reconstruction(SceneFixture(mug_scene))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +262,19 @@ def _nudge_translation(key, dz):
     return edit
 
 
+def _nudge_joint_angle(doc):
+    doc["joint_angles"][3] += 0.01
+
+
+def _nudge_first_vertex(text):
+    # object.obj is text: move the first vertex 1 mm along x
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    x, y, z = map(float, lines[i].split()[1:4])
+    lines[i] = f"v {x + 0.001!r} {y!r} {z!r}\n"
+    return "".join(lines)
+
+
 # one value changed at a time: (settings, {fixture file: edit}); the last two
 # differ from each other in the generated pose alone
 MUG_PERTURBATIONS = {
@@ -281,32 +291,43 @@ MUG_PERTURBATIONS = {
     "intent": ({}, {"scene.json": {"intent": "lift the mug"}}),
     "hand-eye": ({}, {"poses.json": _nudge_translation("hand_eye", 0.002)}),
     "observed-pose": ({}, {"poses.json": _nudge_translation("object_pose_observed", 0.002)}),
+    "joint-angle": ({}, {"hand_estimate.json": _nudge_joint_angle}),
+    "mesh-vertex": ({}, {"object.obj": _nudge_first_vertex}),
     "no-transfer": ({"transfer": False}, {}),
     "no-transfer-generated-pose": (
         {"transfer": False}, {"poses.json": _nudge_translation("object_pose_generated", 0.002)}),
 }
 
 
-def test_a_stage_whose_input_digest_holds_keeps_its_output_digest(mug_scene, tmp_path):
+@pytest.fixture(scope="module")
+def perturbed_mug_runs(tmp_path_factory):
+    """Stage (input, output) digests of each MUG_PERTURBATIONS run, by stage name."""
     runs = {}
     for name, (settings, edits) in MUG_PERTURBATIONS.items():
-        scene = tmp_path / name / "mug-01"
-        shutil.copytree(mug_scene, scene)
+        scene = tmp_path_factory.mktemp(name) / "mug-01"
+        shutil.copytree(SCENES_DIR / "mug-01", scene)
         for file, edit in edits.items():
-            doc = json.loads((scene / file).read_text())
-            if isinstance(edit, dict):
-                doc.update(edit)
+            text = (scene / file).read_text()
+            if file.endswith(".obj"):
+                text = edit(text)
             else:
-                edit(doc)
-            (scene / file).write_text(json.dumps(doc))
+                doc = json.loads(text)
+                if isinstance(edit, dict):
+                    doc.update(edit)
+                else:
+                    edit(doc)
+                text = json.dumps(doc)
+            (scene / file).write_text(text)
         report = run_pipeline(scene, PipelineSettings(**settings))
         runs[name] = {r["name"]: (r["input"], r["output"]) for r in report.stages}
-    # `providers` replays the scene's fixture files, and its input digest
-    # names the scene rather than their content, so it is left out here
-    stages = [n for n in STAGE_NAMES if n != "providers"]
+    return runs
+
+
+def test_a_stage_whose_input_digest_holds_keeps_its_output_digest(perturbed_mug_runs):
+    runs = perturbed_mug_runs
     same_input = 0
     for a, b in itertools.combinations(runs, 2):
-        for stage in stages:
+        for stage in STAGE_NAMES:
             (in_a, out_a), (in_b, out_b) = runs[a][stage], runs[b][stage]
             if in_a == in_b:
                 same_input += 1
@@ -318,11 +339,21 @@ def test_a_stage_whose_input_digest_holds_keeps_its_output_digest(mug_scene, tmp
     assert same_input > len(runs)
 
 
+def test_providers_input_digest_moves_with_every_replayed_file(perturbed_mug_runs):
+    # an edit to any file but contact.json reaches the providers input (the
+    # scene.json ones through the prompt or contact_fingers); a setting or a
+    # contact.json edit does not
+    default = perturbed_mug_runs["default"]["providers"][0]
+    for name, (_, edits) in MUG_PERTURBATIONS.items():
+        moved = perturbed_mug_runs[name]["providers"][0] != default
+        assert moved == bool(set(edits) - {"contact.json"}), name
+
+
 def test_pipeline_engagement_is_geometric(mug_scene, robot_model):
     report = run_pipeline(mug_scene)
-    scene, bundle = _mug_bundle(mug_scene)
+    bundle = _mug_bundle(mug_scene)
     mesh_exec = transform_mesh(bundle.mesh,
-                               compose(scene.hand_eye(), bundle.object_pose_observed))
+                               compose(bundle.hand_eye, bundle.object_pose_observed))
     engagement = report.execution["engagement"]
     drivers = [robot_model.joint_index[n] for n in robot_model.finger_drivers]
     pre = report.actions["pre_executed"]
@@ -491,7 +522,7 @@ def test_pipeline_without_transfer_uses_generated_pose(mug_scene):
     report = run_pipeline(mug_scene, PipelineSettings(transfer=False))
     assert report.execution["transfer"] is False
     assert report.verdict == "unstable"
-    _, bundle = _mug_bundle(mug_scene)
+    bundle = _mug_bundle(mug_scene)
     for name in ("pre", "squeeze"):
         executed = report.actions[f"{name}_executed"]
         in_object = report.actions[f"{name}_object"]
@@ -516,6 +547,15 @@ def test_pipeline_stage_errors_name_their_stage(mug_scene, tmp_path):
     (broken / "hand_estimate.json").write_text(json.dumps(doc))
     with pytest.raises(StageError) as err:
         run_pipeline(broken)
+    assert err.value.stage == "providers"
+
+    # the providers input digest hashes the replayed files, but leaves a
+    # missing one for the stage's reader to refuse
+    noposes = tmp_path / "mug-noposes"
+    shutil.copytree(mug_scene, noposes)
+    (noposes / "poses.json").unlink()
+    with pytest.raises(FixtureMissing, match="poses.json") as err:
+        run_pipeline(noposes)
     assert err.value.stage == "providers"
 
     nocontact = tmp_path / "mug-nocontact"

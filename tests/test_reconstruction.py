@@ -29,6 +29,7 @@ from dextra.reconstruction import (
     build_prompt,
     check_scene,
     gather_reconstruction,
+    read_poses,
     select_contact_fingers,
     to_object_frame,
 )
@@ -40,7 +41,7 @@ def _estimate(tips, root=None, skeleton="human-20dof"):
     return HandPoseEstimate(
         config=HandConfiguration(root or identity_pose(), np.zeros(20)),
         fingertip_points=np.asarray(tips, dtype=float),
-        skeleton=skeleton, keypoints_independent=True)
+        skeleton=skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +100,14 @@ def test_unknown_prompt_kind():
 
 def test_fixture_replays_scene(mug_scene):
     scene = SceneFixture(mug_scene)
-    prompt = build_prompt(scene.object_name, scene.intent,
-                          observation_ref=scene.observation.image_ref)
-    bundle = gather_reconstruction(scene, prompt)
+    bundle = gather_reconstruction(scene)
     assert bundle.hand.skeleton == "human-20dof"
     assert bundle.f_target > 0.0
     assert bundle.mesh.triangles.shape[1] == 3
-    assert bundle.generated_image == scene.generated_ref
-
-
-def test_fixture_rejects_unknown_image(mug_scene):
-    scene = SceneFixture(mug_scene)
-    with pytest.raises(FixtureMissing, match="no hand estimate"):
-        scene.estimate_hand("someone-elses-image.png")
-    with pytest.raises(FixtureMissing, match="no object pose"):
-        scene.estimate_object_pose("someone-elses-image.png", None)
+    # all three recorded poses come from poses.json as they are
+    for key, pose in read_poses(mug_scene / "poses.json").items():
+        assert np.array_equal(getattr(bundle, key).rotation, pose.rotation), key
+        assert np.array_equal(getattr(bundle, key).translation, pose.translation), key
 
 
 def test_fixture_missing_file(tmp_path):
@@ -131,10 +125,6 @@ def test_fixture_requires_object_name(tmp_path):
         SceneFixture(scene_dir)
 
 
-def _without_fingertips(doc):
-    del doc["fingertip_points"]
-
-
 @pytest.mark.parametrize("name, edit, finding", [
     ("scene.json", {"hand_model": ["leap-like-16dof"]},
      "scene.json: hand_model must name a bundled hand model"),
@@ -149,8 +139,10 @@ def _without_fingertips(doc):
     ("scene.json", {"region_mask": "mask.png"},
      "scene.json: region_mask only applies to a visual-region prompt"),
     ("scene.json", {"mesh_scale": True}, "scene.json: mesh_scale must be a positive number"),
-    ("hand_estimate.json", _without_fingertips,
-     "hand_estimate.json: keypoints_independent needs fingertip_points"),
+    ("scene.json", {"generated_image": "generated.png"},
+     "scene.json: unknown key 'generated_image'"),
+    ("hand_estimate.json", {"keypoints_independent": True},
+     "hand_estimate.json: unknown key 'keypoints_independent'"),
     ("poses.json", {"hand_eye": {"rotation": [0, 0, 0, 0], "translation": [0, 0, 0]}},
      "poses.json: hand_eye must be a pose"),
     ("contact.json", {"engagement": "manual"}, "contact.json: engagement must be 'auto'"),
@@ -158,7 +150,8 @@ def _without_fingertips(doc):
     ("hand_estimate.json", [], "hand_estimate.json: the document must be a JSON object"),
 ], ids=["hand-model-list", "hand-model-unknown", "hand-model-force-table", "hand-model-human",
         "negative-force",
-        "stray-region-mask", "boolean-scale", "independent-without-points", "zero-quaternion",
+        "stray-region-mask", "boolean-scale", "generated-image-key", "independent-keypoints-key",
+        "zero-quaternion",
         "engagement-word", "scene-json-list", "estimate-json-list"])
 def test_check_scene_names_each_violation(mug_scene, tmp_path, name, edit, finding):
     scene_dir = tmp_path / "mug-01"
@@ -198,11 +191,8 @@ def test_estimate_hand_fk_fallback(tmp_path, mug_scene, human_model):
     shutil.copytree(mug_scene, scene_dir)
     doc = json.loads((scene_dir / "hand_estimate.json").read_text())
     doc.pop("fingertip_points")
-    doc.pop("keypoints_independent", None)
     (scene_dir / "hand_estimate.json").write_text(json.dumps(doc), encoding="utf-8")
-    scene = SceneFixture(scene_dir)
-    hand = scene.estimate_hand(scene.generated_ref)
-    assert not hand.keypoints_independent
+    hand = gather_reconstruction(SceneFixture(scene_dir)).hand
     expected = fingertip_positions(human_model, hand.config)
     assert np.allclose(hand.fingertip_points, expected, atol=1e-12)
 
@@ -355,4 +345,3 @@ def test_to_object_frame_preserves_hand_shape():
                        np.linalg.norm(after, axis=1), atol=1e-12)
     assert np.array_equal(out.config.joint_angles, hand.config.joint_angles)
     assert out.skeleton == hand.skeleton
-    assert out.keypoints_independent == hand.keypoints_independent

@@ -3,7 +3,7 @@ import pytest
 
 import cases
 from cases import box_mesh, pose_to_matrix, rest_configuration
-from dextra import geometry
+from dextra import geometry, retarget
 from dextra.errors import (
     DimensionMismatch,
     MissingJointMap,
@@ -253,6 +253,29 @@ def test_pregrasp_and_squeeze_share_one_contact_query(human_model, monkeypatch):
     monkeypatch.setattr(geometry, "_closest_points", counted)
     make_pregrasp_and_squeeze(grasp, mesh, human_model)
     assert asked == [5]
+
+
+def test_pregrasp_and_squeeze_reuse_the_contact_query_fingertips(human_model, monkeypatch):
+    # with both offset solves stubbed out, the stage runs FK once: the
+    # fingertips of the contact query also anchor the disengaged fingers
+    mesh = cases.wrap_box_mesh()
+    grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(6))
+    swept, solved = [], []
+    fk = retarget.fingertip_positions
+
+    def counted(model, config):
+        swept.append(config)
+        return fk(model, config)
+
+    def stub(initial, targets, model, wrist_free):
+        solved.append(targets)
+        return initial
+
+    monkeypatch.setattr(retarget, "fingertip_positions", counted)
+    monkeypatch.setattr(retarget, "refine_retarget", stub)
+    make_pregrasp_and_squeeze(grasp, mesh, human_model)
+    assert len(swept) == 1 and swept[0] is grasp.config
+    assert len(solved) == 2
 
 
 # ---------------------------------------------------------------------------
