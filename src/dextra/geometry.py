@@ -15,12 +15,19 @@ Conventions used throughout the package:
 
     `surface_query` finds the nearest triangle in one bound pass and, for
     almost every point, one walk.  Per-triangle bounding boxes, cached on the
-    mesh, bound every point-triangle distance from below.  Each point walks
-    its `_FIRST_WALK` lowest-bound triangles with the closest-point region
-    test of Ericson, Real-Time Collision Detection (2004), 5.1.5, and the
-    best of them, plus a rounding slack, caps the answer.  A point whose next
-    lowest bound is above that cap is done: no triangle it skipped can win
-    or tie.  Only the other points are culled against the cap and walked
+    mesh, bound every point-triangle distance from below.  A mesh of more
+    than `_NEAR_LEAVES * _LEAF` triangles also caches a leaf level: its
+    triangles in Morton (Z) order of their centroids, cut into leaves of
+    `_LEAF` under one box each, the leaf level of a linear BVH (Karras, HPG
+    2012).  There a point's candidates are the triangles of its
+    `_NEAR_LEAVES` nearest leaves, so the pass scales with leaves rather
+    than triangles; on a smaller mesh every triangle is a candidate.  Each
+    point walks its `_FIRST_WALK` lowest-bound candidates with the
+    closest-point region test of Ericson, Real-Time Collision Detection
+    (2004), 5.1.5, and the best of them, plus a rounding slack, caps the
+    answer.  A point whose next lowest bound, of a candidate or of a leaf,
+    is above that cap is done: no triangle it skipped can win or tie.  Only
+    the other points are culled against the cap, leaves first, and walked
     again.  The answer is therefore bit-identical to walking every triangle.
     Vertex and edge normals are built once per mesh, vectorized, with the
     same bits as a per-triangle loop.
@@ -277,6 +284,14 @@ _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little
 _FIRST_WALK = 8
+# triangles per leaf, and the leaves whose triangles are a point's first
+# candidates.  16 Morton-ordered neighbours keep a leaf's box tight on a dense
+# mesh.  12 x 16 = 192 candidates hold a point's nearest triangle almost
+# always (1896 of the 1910 points a dense-mesh benchmark pass queries on its
+# 3072-triangle objects), and are every triangle of a 192-triangle object,
+# which therefore keeps the flat pass and builds no leaf level
+_LEAF = 16
+_NEAR_LEAVES = 12
 # slack of the bound cull: relative to the upper bound, and absolute in units
 # of the squared diagonal of the box spanning the mesh and the origin
 _CULL_REL = 1e-9
@@ -298,13 +313,56 @@ def _triangle_bounds(mesh: TriangleMesh):
     return cache["triangle_bounds"]
 
 
-def _box_bounds(lo, hi, p):
-    """Squared distance from every point to every triangle's box, (k, m)."""
+def _morton_codes(centroids: np.ndarray) -> np.ndarray:
+    """30-bit Z-order codes of points, 10 bits per axis over their extent.
+
+    An axis of zero extent maps every point to cell 0.
+    """
+    lo = centroids.min(axis=0)
+    extent = centroids.max(axis=0) - lo
+    scale = np.where(extent > 0.0, 1023.0 / np.where(extent > 0.0, extent, 1.0), 0.0)
+    cells = np.minimum(((centroids - lo) * scale).astype(np.int64), 1023)
+    code = np.zeros(len(centroids), dtype=np.int64)
+    for axis in range(3):
+        v = cells[:, axis]
+        v = (v | v << 16) & 0x030000FF
+        v = (v | v << 8) & 0x0300F00F
+        v = (v | v << 4) & 0x030C30C3
+        v = (v | v << 2) & 0x09249249
+        code |= v << (2 - axis)
+    return code
+
+
+def _leaf_bounds(mesh: TriangleMesh):
+    """The leaf level over a mesh's triangles, built once per mesh.
+
+    Triangles are sorted by the Morton code of their centroids and cut into
+    leaves of `_LEAF`; the last leaf is padded by repeating its last
+    triangle, which a walk then meets twice to no effect.  Returns the leaf
+    boxes lo and hi (3, leaves) and each leaf's triangles (leaves, _LEAF).
+    A leaf's box is the elementwise min and max of its triangles' boxes.
+    """
+    cache = mesh._cache
+    if "leaf_bounds" not in cache:
+        tri, lo, hi, _ = _triangle_bounds(mesh)
+        order = np.argsort(_morton_codes(tri.mean(axis=1)), kind="stable")
+        leaves = np.r_[order, np.repeat(order[-1], -len(order) % _LEAF)].reshape(-1, _LEAF)
+        cache["leaf_bounds"] = (lo[:, leaves].min(axis=2), hi[:, leaves].max(axis=2), leaves)
+    return cache["leaf_bounds"]
+
+
+def _box_bounds(lo, hi, p, cand=None):
+    """Squared distance from points to boxes lo and hi, (3, m).
+
+    Every point against every box, (k, m); or, given `cand` (k, j), point i
+    against boxes cand[i], (k, j).
+    """
     bound = 0.0
     for axis in range(3):
         x = p[:, axis, None]
-        gap = lo[axis] - x
-        np.maximum(gap, x - hi[axis], out=gap)
+        low, high = (lo[axis], hi[axis]) if cand is None else (lo[axis][cand], hi[axis][cand])
+        gap = low - x
+        np.maximum(gap, x - high, out=gap)
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
         bound = gap if axis == 0 else np.add(bound, gap, out=bound)
@@ -319,23 +377,27 @@ def _walk(tri, cand, p):
 
 
 def _walk_rows(tri, points, blocks, out):
-    """Walk (row, triangle) pairs; write each row's winner into `out`.
+    """Walk (row, triangle) pairs; keep each row's best so far in `out`.
 
-    `blocks` yields whole rows in ascending row order.  They are walked in
-    batches of at most `_CHUNK_PAIRS` pairs (a larger block on its own), and
-    a row's winner is its lowest (squared distance, triangle index) pair, so
-    ties go to the lowest index as in a full scan.
+    A row's best is its lowest (squared distance, triangle index) pair among
+    the answer already in `out` and every pair walked for it, so ties go to
+    the lowest index as in a full scan, however the pairs are split into
+    blocks.  Blocks are walked in batches of at most `_CHUNK_PAIRS` pairs
+    (a larger block on its own).
     """
     out_d2, out_tri, out_q = out
 
     def flush(batch):
         row, cand = (np.concatenate(a) for a in zip(*batch))
         d2, q = _walk(tri, cand, points[row])
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        win = np.lexsort((cand, d2, row))[starts]
-        out_d2[row[starts]] = d2[win]
-        out_tri[row[starts]] = cand[win]
-        out_q[row[starts]] = q[win]
+        order = np.lexsort((cand, d2, row))
+        win = order[np.r_[True, row[order[1:]] != row[order[:-1]]]]
+        r = row[win]
+        better = (d2[win] < out_d2[r]) | ((d2[win] == out_d2[r]) & (cand[win] < out_tri[r]))
+        r, win = r[better], win[better]
+        out_d2[r] = d2[win]
+        out_tri[r] = cand[win]
+        out_q[r] = q[win]
 
     batch, size = [], 0
     for row, cand in blocks:
@@ -348,20 +410,92 @@ def _walk_rows(tri, points, blocks, out):
         flush(batch)
 
 
+def _lowest(bound, k):
+    """Columns of each row's k lowest values, and each row's (k+1)-th lowest."""
+    part = np.argpartition(bound, k, axis=1)
+    return part[:, :k], bound[np.arange(len(bound)), part[:, k]]
+
+
+def _first_pass(lo, hi, leaves, points, k):
+    """Each point's k lowest-bound triangles and a bound on all the others.
+
+    Without `leaves` every triangle is a candidate.  With them a point's
+    candidates are the triangles of its `_NEAR_LEAVES` lowest-bound leaves,
+    and every other triangle's bound is at least the next leaf's bound.
+    """
+    first = np.empty((len(points), k), dtype=np.int64)
+    rest = np.empty(len(points))
+    if leaves is None:
+        rows = max(1, _CHUNK_PAIRS // lo.shape[1])
+        for s in range(0, len(points), rows):
+            first[s:s + rows], rest[s:s + rows] = _lowest(
+                _box_bounds(lo, hi, points[s:s + rows]), k)
+        return first, rest
+    leaf_lo, leaf_hi, members = leaves
+    rows = max(1, _CHUNK_PAIRS // max(len(members), _NEAR_LEAVES * _LEAF))
+    for s in range(0, len(points), rows):
+        p = points[s:s + rows]
+        near, next_leaf = _lowest(_box_bounds(leaf_lo, leaf_hi, p), _NEAR_LEAVES)
+        cand = members[near].reshape(len(p), -1)
+        pick, next_tri = _lowest(_box_bounds(lo, hi, p, cand), k)
+        first[s:s + rows] = np.take_along_axis(cand, pick, axis=1)
+        rest[s:s + rows] = np.minimum(next_tri, next_leaf)
+    return first, rest
+
+
+def _culled(lo, hi, leaves, points, redo, limit):
+    """(row, triangle) blocks: for each point in `redo`, every triangle whose
+    bound is within the point's limit.  With `leaves`, a leaf whose bound is
+    above the limit is pruned before its triangles' bounds are taken."""
+    if leaves is None:
+        rows = max(1, _CHUNK_PAIRS // lo.shape[1])
+        for s in range(0, len(redo), rows):
+            r = redo[s:s + rows]
+            row, cand = np.nonzero(_box_bounds(lo, hi, points[r]) <= limit[r, None])
+            yield r[row], cand
+        return
+    leaf_lo, leaf_hi, members = leaves
+    rows = max(1, _CHUNK_PAIRS // len(members))
+    step = _CHUNK_PAIRS // _LEAF
+    for s in range(0, len(redo), rows):
+        r = redo[s:s + rows]
+        row, leaf = np.nonzero(_box_bounds(leaf_lo, leaf_hi, points[r]) <= limit[r, None])
+        row = r[row]
+        for t in range(0, len(row), step):
+            rw, cand = row[t:t + step], members[leaf[t:t + step]]
+            pair, slot = np.nonzero(_box_bounds(lo, hi, points[rw], cand) <= limit[rw, None])
+            yield rw[pair], cand[pair, slot]
+
+
 def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     """For each query point: squared distance, winning triangle, closest point.
 
     One bound pass, one walk, and a second cull only where it can matter.
     The squared gap between a point and a triangle's bounding box is a lower
     bound on its squared distance to the triangle.  Each point walks the K =
-    `_FIRST_WALK` triangles with the lowest bounds (every triangle, if the
+    `_FIRST_WALK` candidates with the lowest bounds (every triangle, if the
     mesh has at most K), and the best squared distance `d2` among them gives
-    the cull limit `d2 * (1 + _CULL_REL) + slack`.  A point whose (K+1)-th
-    lowest bound is above the limit is done: every triangle it did not walk
-    has a bound at least that high.  Only the other points are culled again,
-    keeping every triangle whose bound is within the limit, and walk those.
-    The winner is the lowest (squared distance, triangle index) walked, so
-    ties resolve to the lowest index as in a full scan.
+    the cull limit `d2 * (1 + _CULL_REL) + slack`.  A point whose next bound
+    is above the limit is done: every triangle it did not walk has a bound
+    at least that high.  Only the other points are culled again, keeping
+    every triangle whose bound is within the limit, and walk those.  The
+    winner is the lowest (squared distance, triangle index) walked, so ties
+    resolve to the lowest index as in a full scan.
+
+    On a mesh of at most `_NEAR_LEAVES` leaves every triangle is a
+    candidate, and the next bound is the (K+1)-th lowest.  On a larger mesh
+    the candidates are the triangles of the point's `_NEAR_LEAVES`
+    lowest-bound leaves, and the next bound is the lower of the (K+1)-th
+    candidate bound and the (`_NEAR_LEAVES`+1)-th leaf bound; the second
+    cull drops every leaf whose bound is above the limit before it takes
+    the bounds of the triangles in the others.  Both steps rest on a leaf's
+    computed bound never exceeding a member triangle's computed bound.  The
+    leaf's lo is the exact minimum of its triangles' lo, so lo_leaf <=
+    lo_tri, and rounding is monotone: fl(lo_leaf - x) <= fl(lo_tri - x).
+    The same holds for hi, and the maximum with zero, the squares and the
+    sum over the axes, taken in the same order, keep the order.  A
+    triangle in a leaf whose bound is above the limit has a bound above
+    the limit too.
 
     The slack is what makes the answer bit-identical to a full scan.  A
     computed squared distance carries absolute error of about eps * L**2, L
@@ -373,10 +507,10 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     of magnitude, so the full scan's winner, whose distance is at most
     `d2`, has a bound within the limit.  A triangle whose bound is above the
     limit can therefore neither win nor tie, and that is exactly what the
-    (K+1)-th-bound test rules out for the triangles a point did not walk.
+    next-bound test rules out for the triangles a point did not walk.
 
-    Bounds are computed for `_CHUNK_PAIRS` point-triangle pairs at a time,
-    and pairs are walked in batches of at most as many.
+    Bounds are computed for `_CHUNK_PAIRS` point-box pairs at a time, and
+    pairs are walked in batches of at most as many.
     """
     n = len(points)
     out = np.empty(n), np.empty(n, dtype=np.int64), np.empty((n, 3))
@@ -385,15 +519,9 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     tri, lo, hi, slack = _triangle_bounds(mesh)
     m = len(tri)
     k = min(_FIRST_WALK, m)
-    rows = max(1, _CHUNK_PAIRS // m)
+    leaves = _leaf_bounds(mesh) if m > _NEAR_LEAVES * _LEAF else None
     if k < m:
-        first = np.empty((n, k), dtype=np.int64)
-        next_bound = np.empty(n)
-        for s in range(0, n, rows):
-            bound = _box_bounds(lo, hi, points[s:s + rows])
-            part = np.argpartition(bound, k, axis=1)
-            first[s:s + rows] = part[:, :k]
-            next_bound[s:s + rows] = bound[np.arange(len(part)), part[:, k]]
+        first, next_bound = _first_pass(lo, hi, leaves, points, k)
     else:
         first = np.broadcast_to(np.arange(m), (n, m))
         next_bound = np.full(n, np.inf)
@@ -410,14 +538,7 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
 
     limit = out_d2 * (1.0 + _CULL_REL) + slack
     redo = np.flatnonzero(next_bound <= limit)
-
-    def culled():
-        for s in range(0, len(redo), rows):
-            r = redo[s:s + rows]
-            row, cand = np.nonzero(_box_bounds(lo, hi, points[r]) <= limit[r, None])
-            yield r[row], cand
-
-    _walk_rows(tri, points, culled(), out)
+    _walk_rows(tri, points, _culled(lo, hi, leaves, points, redo, limit), out)
     return out
 
 
@@ -426,6 +547,13 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
 def _row_dots(u, v):
     """Row-wise dot products through matmul: the bits of `u[i] @ v[i]`."""
     return (u[:, None, :] @ v[:, :, None]).ravel()
+
+
+def _scatter_add(idx, rows, n):
+    """(n, 3) sums of `rows` grouped by `idx`, one bincount per component:
+    each sum starts at 0.0 and adds in index order, as np.add.at does."""
+    return np.stack([np.bincount(idx, weights=rows[:, c], minlength=n) for c in range(3)],
+                    axis=1)
 
 
 def _surface_frames(mesh: TriangleMesh):
@@ -448,15 +576,13 @@ def _surface_frames(mesh: TriangleMesh):
     lengths = np.sqrt(_row_dots(e1, e1)) * np.sqrt(_row_dots(e2, e2))
     cosang = np.clip(_row_dots(e1, e2) / lengths, -1.0, 1.0)
     angles = np.array([math.acos(c) for c in cosang.tolist()])
-    vertex_normals = np.zeros_like(v)
-    np.add.at(vertex_normals, f.ravel(), angles[:, None] * face_of_corner)
+    vertex_normals = _scatter_add(f.ravel(), angles[:, None] * face_of_corner, len(v))
     norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
     vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms), vertex_normals)
     ends = np.stack([f, np.roll(f, -1, axis=1)], axis=2).reshape(-1, 2)
     keys = ends.min(axis=1) * len(v) + ends.max(axis=1)
     edge_keys, edge_of_corner = np.unique(keys, return_inverse=True)
-    sums = np.zeros((len(edge_keys), 3))
-    np.add.at(sums, edge_of_corner.ravel(), face_of_corner)
+    sums = _scatter_add(edge_of_corner.ravel(), face_of_corner, len(edge_keys))
     norms = np.sqrt(_row_dots(sums, sums))[:, None]
     edge_normals = np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums)
     cache["vertex_normals"] = vertex_normals

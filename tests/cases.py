@@ -130,6 +130,41 @@ def cylinder_mesh(radius: float = 1.0, height: float = 1.0, segments: int = 24) 
     return TriangleMesh(v, np.asarray(f, dtype=np.int64))
 
 
+def grid_mesh(size: float = 0.2, cells: int = 12) -> TriangleMesh:
+    """Flat square of cells x cells squares, two triangles each, in z = 0.
+
+    Open and of zero extent along z."""
+    ticks = np.linspace(-0.5 * size, 0.5 * size, cells + 1)
+    x, y = np.meshgrid(ticks, ticks, indexing="ij")
+    v = np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
+    corner = (np.arange(cells)[:, None] * (cells + 1) + np.arange(cells)[None, :]).ravel()
+    a, b, c, d = corner, corner + cells + 1, corner + cells + 2, corner + 1
+    f = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+    return TriangleMesh(v, f)
+
+
+def subdivide(mesh: TriangleMesh, levels: int = 1) -> TriangleMesh:
+    """Midpoint subdivision: each level splits every triangle into four.
+
+    The midpoint of an edge is shared by the triangles on both sides, so a
+    watertight mesh stays watertight.  Triangle t's children are rows 4t to
+    4t + 3, in its winding; the new vertices follow the old ones, one per
+    edge in sorted (low, high) vertex order.
+    """
+    v, f = mesh.vertices, mesh.triangles
+    for _ in range(levels):
+        edges = np.sort(np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=1)
+                        .reshape(-1, 2), axis=1)
+        unique, inverse = np.unique(edges, axis=0, return_inverse=True)
+        ab, bc, ca = (len(v) + inverse.reshape(-1, 3)).T
+        a, b, c = f.T
+        v = np.vstack([v, 0.5 * (v[unique[:, 0]] + v[unique[:, 1]])])
+        f = np.stack([np.stack(corners, axis=1) for corners in
+                      ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))],
+                     axis=1).reshape(-1, 3)
+    return TriangleMesh(v, f)
+
+
 # ---------------------------------------------------------------------------
 # grasp and depth-alignment fixtures
 # ---------------------------------------------------------------------------

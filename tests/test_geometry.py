@@ -8,10 +8,12 @@ import oracles
 from cases import (
     box_mesh,
     cylinder_mesh,
+    grid_mesh,
     icosphere,
     pose_from_axis_angle,
     pose_to_matrix,
     rotation_angle,
+    subdivide,
 )
 from dextra import geometry
 from dextra.errors import EmptyMesh, SchemaError
@@ -351,8 +353,15 @@ EXACT_MESHES = {
     # mesh's own size
     "mug-far": lambda: transform_mesh(load_obj(MUG_OBJ),
                                       pose_from_rotvec((0.3, 0.2, -0.1), (3.0, -4.0, 2.0))),
+    # the dense-mesh benchmark object: 3072 triangles on the mug's surface
+    "mug-dense": lambda: subdivide(load_obj(MUG_OBJ), 2),
+    # 200 triangles: 13 leaves, the last one padded
+    "cylinder-50": lambda: cylinder_mesh(0.05, 0.2, segments=50),
+    # zero extent along z, where every centroid has the same Morton cell
+    "flat-grid": lambda: grid_mesh(0.2, cells=12),
     **{f"obj-{path.parent.name}": (lambda path=path: load_obj(path)) for path in BUNDLED_OBJS},
 }
+LEAF_MESHES = ("icosphere-4", "mug-dense", "cylinder-50", "flat-grid")
 
 
 def _feature_points(mesh, per_kind=300, seed=0):
@@ -377,20 +386,24 @@ def _feature_points(mesh, per_kind=300, seed=0):
 # most _FIRST_WALK triangles and each point walks every one, "one walk" for a
 # point settled by its _FIRST_WALK lowest bounds, "second cull" for one whose
 # next bound is within the cull limit (the centre of a closed mesh, which
-# ties nearly every triangle)
-QUERY_PATHS = {"tetra": {"all"}, "box": {"one walk"}}
+# ties nearly every triangle), and "leaf walk" and "leaf cull" for the same
+# two on a mesh of more than _NEAR_LEAVES leaves.  No point near the open
+# flat grid ties: past a point's own cell every box is a cell width away
+QUERY_PATHS = {"tetra": {"all"}, "box": {"one walk"},
+               **{name: {"leaf walk", "leaf cull"} for name in LEAF_MESHES},
+               "flat-grid": {"leaf walk"}}
 
 
 @pytest.mark.parametrize("name", list(EXACT_MESHES))
 def test_query_matches_full_scan_bit_for_bit(name, monkeypatch):
     mesh = EXACT_MESHES[name]()
     points = _feature_points(mesh)
-    culled = []
+    culled = set()
     walk_rows = geometry._walk_rows
 
     def recorded(tri, pts, blocks, out):
         blocks = list(blocks)
-        culled.extend(row for rows, _ in blocks for row in np.unique(rows).tolist())
+        culled.update(row for rows, _ in blocks for row in rows.tolist())
         return walk_rows(tri, pts, iter(blocks), out)
 
     monkeypatch.setattr(geometry, "_walk_rows", recorded)
@@ -399,13 +412,47 @@ def test_query_matches_full_scan_bit_for_bit(name, monkeypatch):
     assert np.array_equal(hits.sq_distance, d2)
     assert np.array_equal(hits.triangle, tri)
     assert np.array_equal(hits.point, q)
-    first = "all" if len(mesh.triangles) <= geometry._FIRST_WALK else "one walk"
+    # the leaf level is built only for a mesh of more than 192 triangles
+    leaves = "leaf_bounds" in mesh._cache
+    assert leaves == (len(mesh.triangles) > 192)
+    first = ("all" if len(mesh.triangles) <= geometry._FIRST_WALK
+             else "leaf walk" if leaves else "one walk")
     paths = {first} if len(culled) < len(points) else set()
-    paths |= {"second cull"} if culled else set()
+    paths |= {"leaf cull" if leaves else "second cull"} if culled else set()
     assert paths == QUERY_PATHS.get(name, {"one walk", "second cull"})
 
 
-@pytest.mark.parametrize("name", ["icosphere-4"] + [f"obj-{p.parent.name}" for p in BUNDLED_OBJS])
+def test_morton_codes_interleave_ten_bits_per_axis():
+    # cells span each axis's extent in 1023 steps; x's bits sit above y's
+    # above z's, and an axis of zero extent puts every point in cell 0
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
+                    [1023, 1023, 1023]], dtype=float)
+    with np.errstate(all="raise"):
+        assert geometry._morton_codes(pts).tolist() == [0, 4, 2, 1, 32, 2**30 - 1]
+        flat = pts.copy()
+        flat[:, 2] = 0.5
+        assert geometry._morton_codes(flat).tolist() == [0, 4, 2, 0, 32, 2**30 - 1 - 0x9249249]
+
+
+@pytest.mark.parametrize("name", ["mug-far", *LEAF_MESHES])
+def test_leaf_bound_never_exceeds_its_triangles_bounds(name):
+    mesh = EXACT_MESHES[name]()
+    points = _feature_points(mesh)
+    _, lo, hi, _ = geometry._triangle_bounds(mesh)
+    leaf_lo, leaf_hi, members = geometry._leaf_bounds(mesh)
+    m = len(mesh.triangles)
+    # every triangle in exactly one leaf; the last leaf padded with its last
+    assert sorted(members.ravel()[:m].tolist()) == list(range(m))
+    assert np.all(members.ravel()[m:] == members.ravel()[m - 1])
+    assert np.array_equal(leaf_lo, lo[:, members].min(axis=2))
+    assert np.array_equal(leaf_hi, hi[:, members].max(axis=2))
+    leaf_bound = geometry._box_bounds(leaf_lo, leaf_hi, points)
+    tri_bound = geometry._box_bounds(lo, hi, points)
+    assert np.all(leaf_bound[:, :, None] <= tri_bound[:, members])
+
+
+@pytest.mark.parametrize("name", ["icosphere-4", "mug-dense"]
+                         + [f"obj-{p.parent.name}" for p in BUNDLED_OBJS])
 def test_surface_frames_match_per_triangle_loop(name):
     mesh = EXACT_MESHES[name]()
     vertex_normals, edge_keys, edge_normals = geometry._surface_frames(mesh)
