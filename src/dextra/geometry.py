@@ -710,7 +710,8 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     violation in the file is collected, prefixed with the file name, before
     rejecting it; a missing file raises FixtureMissing.  Vertices are
     multiplied by `scale`, which must be positive.  The lines are read in
-    one pass; index ranges and face areas are then checked on arrays.
+    one pass; finite coordinates (before and after scaling), index ranges
+    and face areas are then checked on arrays.
     """
     if float(scale) <= 0.0:
         raise ValueError("mesh scale must be positive")
@@ -722,7 +723,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{os.path.basename(path)}: not UTF-8 text "
                           f"(byte {exc.start}: {exc.reason})") from None
-    vertices, faces, violations = [], [], []
+    vertices, vertex_lines, faces, violations = [], [], [], []
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
@@ -734,6 +735,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
                 continue
             try:
                 vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
+                vertex_lines.append(lineno)
             except ValueError:
                 violations.append(f"line {lineno}: vertex coordinates not numeric")
         elif rec == "f":
@@ -747,6 +749,11 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
             except ValueError as exc:
                 violations.append(f"line {lineno}: {exc}")
         # all other record types, comments included, are ignored
+    with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
+        v = np.array(vertices, dtype=float).reshape(-1, 3) * float(scale)
+    for k in np.flatnonzero(~np.isfinite(v).all(axis=1)).tolist():
+        scaled = " after mesh_scale" if all(map(math.isfinite, vertices[k])) else ""
+        violations.append(f"line {vertex_lines[k]}: vertex coordinates not finite{scaled}")
     if not faces and not violations:
         violations.append("no faces: mesh must contain at least one triangle")
     nv = len(vertices)
@@ -758,7 +765,6 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
         violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
                           f"({nv} vertices)")
     if not violations:
-        v = np.asarray(vertices, dtype=float) * float(scale)
         for k in _degenerate_faces(v, f):
             violations.append(f"face {int(k) + 1}: degenerate (zero area)")
     if violations:

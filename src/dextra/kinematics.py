@@ -20,6 +20,8 @@ form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,6 +100,7 @@ class KinematicHandModel:
     topo_order: tuple
     lower_limits: np.ndarray
     upper_limits: np.ndarray
+    document_sha256: str            # of the checked document; digests name the model by it
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -302,6 +305,8 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
         topo_order=tuple(topo),
         lower_limits=_frozen(np.array([j.limits[0] for j in joints])),
         upper_limits=_frozen(np.array([j.limits[1] for j in joints])),
+        document_sha256=hashlib.sha256(json.dumps(
+            doc, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest(),
     )
     # the contact-onset search sweeps every finger in one FK pass, which is
     # exact only while each driver (with its mimics) moves its own tip alone

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -62,13 +63,13 @@ from .kinematics import (
 )
 from .reconstruction import (
     ROBOT_HAND_RULE,
+    PromptBundle,
     ReconstructionBundle,
     SceneFixture,
     align_depth,
     build_prompt,
     gather_reconstruction,
     read_contact,
-    replayed_file_digests,
     select_contact_fingers,
     to_object_frame,
 )
@@ -159,8 +160,9 @@ def canonical(obj):
 
     Arrays become nested float lists, poses become records, meshes and
     execution traces are summarized by content hash (their values would
-    swamp the report), and non-finite floats become strings so the output
-    stays strict JSON.
+    swamp the report), a file path by its bytes' sha256 (None if missing), a
+    hand model by name and document sha256, and non-finite floats become
+    strings so the output stays strict JSON.
     """
     if obj is None or isinstance(obj, str):
         return obj
@@ -179,6 +181,11 @@ def canonical(obj):
         return canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
+    if isinstance(obj, Path):
+        # a file by its bytes; a missing one is left for its reader to refuse
+        return hashlib.sha256(obj.read_bytes()).hexdigest() if obj.is_file() else None
+    if isinstance(obj, KinematicHandModel):
+        return {"name": obj.name, "sha256": obj.document_sha256}
     if isinstance(obj, SE3Pose):
         return canonical(pose_to_record(obj))
     if isinstance(obj, GraspAction):
@@ -243,7 +250,7 @@ class PipelineReport:
     seed: int
     verdict: str
     f_target: float
-    prompt: dict
+    prompt: PromptBundle
     alignment: dict
     retarget: dict
     grasps: dict
@@ -343,22 +350,39 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def _as_executed_unaligned(grasp: GraspAction, t_o_gen: SE3Pose) -> GraspAction:
-    """Treat the generated-camera pose as robot coordinates (ablation)."""
-    root = compose(t_o_gen, grasp.config.root_pose)
-    return replace(grasp, config=HandConfiguration(root, grasp.config.joint_angles),
-                   frame=FRAME_ROBOT)
+def _align(hand, mesh: TriangleMesh, pose: SE3Pose, contact_fingers) -> tuple:
+    """Depth-align on `contact_fingers` (None: those near the surface); returns
+    the aligned estimate, its depth shift and the fingers."""
+    if contact_fingers is None:
+        contact_fingers = select_contact_fingers(hand, mesh, pose)
+    aligned = align_depth(hand, mesh, contact_fingers, pose)
+    shift = float(aligned.config.root_pose.translation[2] - hand.config.root_pose.translation[2])
+    return aligned, shift, contact_fingers
 
 
-def _contact_model(spec: dict, noise_sigma: float, model: KinematicHandModel,
-                   pre: GraspAction, squeeze: GraspAction, mesh: TriangleMesh,
-                   mesh_pose: SE3Pose) -> ContactModel:
-    """The scene's contact.json (`read_contact`) with the effective noise."""
-    engagement = spec["engagement"]
+def _retarget(hand, model: KinematicHandModel, human_model) -> GraspAction:
+    initial = initialize_retarget(hand, model, human_model)
+    return refine_retarget(initial, human_fingertip_targets(hand, model), model, wrist_free=True)
+
+
+def _robot_frame(pre, squeeze, transfer: bool, observed, generated, hand_eye) -> tuple:
+    """Both grasps in robot coordinates, or (ablation) at the generated-camera pose."""
+    if transfer:
+        return tuple(to_robot_frame(g, observed, hand_eye) for g in (pre, squeeze))
+    return tuple(replace(g, frame=FRAME_ROBOT, config=HandConfiguration(
+        compose(generated, g.config.root_pose), g.config.joint_angles)) for g in (pre, squeeze))
+
+
+def _execute(pre, squeeze, mesh, mesh_pose, contact: dict, noise_sigma: float,
+             f_target: float, model: KinematicHandModel, force_lock: bool, seed: int) -> tuple:
+    """Close the hand on the contact.json springs; 'auto' engagement is geometric."""
+    engagement = contact["engagement"]
     if engagement is None:
         engagement = derive_engagement(model, pre, squeeze, mesh, mesh_pose)
-    return ContactModel(stiffness=spec["stiffness"], engagement=engagement,
-                        yield_force=spec["yield_force"], noise_sigma=noise_sigma)
+    springs = ContactModel(stiffness=contact["stiffness"], engagement=engagement,
+                           yield_force=contact["yield_force"], noise_sigma=noise_sigma)
+    result = run_grasp(pre, squeeze, springs, f_target, model, lock_enabled=force_lock, seed=seed)
+    return result, springs, DEFAULT_DT
 
 
 def run_pipeline(scene, settings: PipelineSettings | None = None,
@@ -366,8 +390,11 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     """Run every stage on one scene and return the report.
 
     `scene` is a fixture directory path or an already-built SceneFixture.
-    Errors raised by a stage carry a `stage` attribute naming it.  A schema
-    error (a malformed fixture file) and anything that is not already a
+    A stage calls a module-level function with keyword arguments and digests
+    them as its input, an earlier stage's output (or a tuple element or
+    dataclass field of one) as a reference to that output's digest.  Errors
+    raised by a stage carry a `stage` attribute naming it.  A schema error
+    (a malformed fixture file) and anything that is not already a
     descriptive error is wrapped in StageError, with the cause chained.
     """
     if not isinstance(scene, SceneFixture):
@@ -377,13 +404,14 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     hand_name, hand_source = scene.effective_hand(settings.hand_model)
     model = bundled_model(hand_name)
 
-    records = []
-    timings = {}
+    # produced: id -> (reference, object) of every earlier output part;
+    # holding the object keeps its id from being reused within the run
+    records, timings, produced = [], {}, {}
 
-    def attributed(name, fn):
-        """fn(), with any error it raises naming stage `name`."""
+    def attributed(name, fn, *args, **kwargs):
+        """fn(*args, **kwargs), with any error it raises naming stage `name`."""
         try:
-            return fn()
+            return fn(*args, **kwargs)
         except SchemaError as exc:
             # the violations name the fixture file; the wrapper names the stage
             raise StageError(name, exc) from exc
@@ -396,107 +424,77 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
 
     # contact.json is read before any stage runs, so a broken file costs no
     # stage work; its errors still name the stage that uses it
-    contact_spec = attributed("execute", lambda: read_contact(scene.scene_dir / "contact.json",
-                                                              len(model.finger_drivers)))
+    contact_spec = attributed("execute", read_contact, scene.scene_dir / "contact.json",
+                              len(model.finger_drivers))
 
-    def stage(name, inputs, fn):
-        digest_in = content_digest(inputs)
+    def stage(name, fn, **inputs):
+        """fn(**inputs), recorded with its input and output digests."""
+        code = getattr(inspect.unwrap(fn), "__code__", None)
+        if code is None or code.co_freevars:
+            raise TypeError(f"stage '{name}': {fn!r} reads more than its arguments "
+                            f"({', '.join(code.co_freevars) if code else 'not a function'})")
+        digest_in = content_digest({k: produced[id(v)][0] if id(v) in produced else v
+                                    for k, v in inputs.items()})
         start = time.perf_counter()
-        out = attributed(name, fn)
+        out = attributed(name, fn, **inputs)
         timings[name] = time.perf_counter() - start
-        records.append({"name": name, "input": digest_in,
-                        "output": content_digest(out)})
+        digest_out = content_digest(out)
+        records.append({"name": name, "input": digest_in, "output": digest_out})
+        fields = dataclasses.fields(out) if dataclasses.is_dataclass(out) else ()
+        parts = enumerate(out) if isinstance(out, tuple) else [
+            (f.name, getattr(out, f.name)) for f in fields]
+        for suffix, part in [("", out), *((f":{k}", v) for k, v in parts)]:
+            # unrelated values may share the identity of a scalar or a tuple
+            # (None, small ints, interned strings, ()), never of these
+            if dataclasses.is_dataclass(part) or isinstance(part, np.ndarray):
+                produced.setdefault(id(part), (f"{name}:{digest_out}{suffix}", part))
         return out
 
-    prompt = stage("prompt", {"scene": scene.name, "object": scene.object_name,
-                              "intent": scene.intent, "kind": scene.prompt_kind,
-                              "observation": scene.observation_ref,
-                              "region": scene.region_ref, "demo": scene.demo_ref},
-                   lambda: build_prompt(scene.object_name, scene.intent,
-                                        scene.prompt_kind,
-                                        observation_ref=scene.observation_ref,
-                                        region_ref=scene.region_ref,
-                                        demo_ref=scene.demo_ref))
+    prompt = stage("prompt", build_prompt, object_name=scene.object_name,
+                   intent=scene.intent, kind=scene.prompt_kind,
+                   observation_ref=scene.observation_ref, region_ref=scene.region_ref,
+                   demo_ref=scene.demo_ref)
 
-    # the input holds every byte and scene.json value the replay depends on
     bundle: ReconstructionBundle = stage(
-        "providers", {"scene": scene.name, "prompt": prompt,
-                      "files": replayed_file_digests(scene), "mesh_scale": scene.mesh_scale,
-                      "contact_fingers": scene.contact_fingers,
-                      "f_target": scene.predict_force(scene.object_name)},
-        lambda: gather_reconstruction(scene))
+        "providers", gather_reconstruction, prompt=prompt,
+        hand_estimate=scene.scene_dir / "hand_estimate.json",
+        object_obj=scene.scene_dir / "object.obj", poses=scene.scene_dir / "poses.json",
+        mesh_scale=scene.mesh_scale, contact_fingers=scene.contact_fingers,
+        f_target=scene.predict_force(scene.object_name))
 
     # the one mesh of the run is in the object frame; each stage that asks
-    # the surface maps its points there through one of these poses
-    mesh = bundle.mesh
-    t_gen = bundle.object_pose_generated
-    t_obs = bundle.object_pose_observed
-    hand_eye = bundle.hand_eye
-
-    def _align():
-        fingers = scene.contact_fingers
-        if fingers is None:
-            fingers = select_contact_fingers(bundle.hand, mesh, t_gen)
-        aligned = align_depth(bundle.hand, mesh, fingers, t_gen)
-        shift = float(aligned.config.root_pose.translation[2]
-                      - bundle.hand.config.root_pose.translation[2])
-        return aligned, shift, fingers
-
+    # the surface maps its points there through one of the bundle's poses
+    mesh, t_gen = bundle.mesh, bundle.object_pose_generated
     hand_aligned, depth_shift, contact_fingers = stage(
-        "align-depth", {"hand": bundle.hand, "mesh": mesh, "pose": t_gen,
-                        "contact_fingers": scene.contact_fingers}, _align)
+        "align-depth", _align, hand=bundle.hand, mesh=mesh, pose=t_gen,
+        contact_fingers=scene.contact_fingers)
 
-    hand_obj = stage("object-frame", {"hand": hand_aligned, "pose": t_gen},
-                     lambda: to_object_frame(t_gen, hand_aligned))
+    hand_obj = stage("object-frame", to_object_frame, t_o_gen=t_gen, hand=hand_aligned)
 
-    def _retarget():
-        human_model = bundled_model(hand_obj.skeleton)
-        initial = initialize_retarget(hand_obj, model, human_model)
-        targets = human_fingertip_targets(hand_obj, model)
-        return refine_retarget(initial, targets, model, wrist_free=True)
+    grasp_obj = stage("retarget", _retarget, hand=hand_obj, model=model,
+                      human_model=bundled_model(hand_obj.skeleton))
 
-    grasp_obj = stage("retarget", {"hand": hand_obj, "model": model.name},
-                      _retarget)
-
-    pre_obj, squeeze_obj = stage(
-        "pre-squeeze", {"grasp": grasp_obj, "mesh": mesh},
-        lambda: make_pregrasp_and_squeeze(grasp_obj, mesh, model))
-
-    def _robot_frame():
-        if settings.transfer:
-            return (to_robot_frame(pre_obj, t_obs, hand_eye),
-                    to_robot_frame(squeeze_obj, t_obs, hand_eye))
-        return (_as_executed_unaligned(pre_obj, t_gen),
-                _as_executed_unaligned(squeeze_obj, t_gen))
+    pre_obj, squeeze_obj = stage("pre-squeeze", make_pregrasp_and_squeeze,
+                                 grasp=grasp_obj, mesh=mesh, model=model)
 
     pre_exec, squeeze_exec = stage(
-        "robot-frame", {"pre": pre_obj, "squeeze": squeeze_obj,
-                        "observed": t_obs, "generated": t_gen, "hand_eye": hand_eye,
-                        "transfer": settings.transfer}, _robot_frame)
+        "robot-frame", _robot_frame, pre=pre_obj, squeeze=squeeze_obj,
+        transfer=settings.transfer, observed=bundle.object_pose_observed, generated=t_gen,
+        hand_eye=bundle.hand_eye)
 
-    plan = stage("two-stage", {"grasp": pre_exec, "standoff": TWO_STAGE_STANDOFF},
-                 lambda: plan_two_stage(pre_exec, model))
+    plan = stage("two-stage", plan_two_stage, grasp=pre_exec, model=model)
 
     # the physical surface the fingers actually meet: the observed object
     # carried through the camera-to-robot extrinsics, in both ablations
-    mesh_pose = compose(hand_eye, t_obs)
+    mesh_pose = compose(bundle.hand_eye, bundle.object_pose_observed)
     noise_sigma = (contact_spec["noise_sigma"] if settings.noise_sigma is None
                    else settings.noise_sigma)
 
-    def _execute():
-        contact = _contact_model(contact_spec, noise_sigma, model, pre_exec,
-                                 squeeze_exec, mesh, mesh_pose)
-        result = run_grasp(pre_exec, squeeze_exec, contact, bundle.f_target,
-                           model, lock_enabled=settings.force_lock,
-                           seed=settings.seed)
-        return result, contact, DEFAULT_DT
-
     result, contact, dt = stage(
-        "execute", {"pre": pre_exec, "squeeze": squeeze_exec,
-                    "mesh": mesh, "mesh_pose": mesh_pose, "contact": contact_spec,
-                    "noise_sigma": noise_sigma, "f_target": bundle.f_target,
-                    "force_lock": settings.force_lock, "seed": settings.seed},
-        _execute)
+        "execute", _execute, pre=pre_exec, squeeze=squeeze_exec, mesh=mesh,
+        mesh_pose=mesh_pose, contact=contact_spec, noise_sigma=noise_sigma,
+        f_target=bundle.f_target, model=model, force_lock=settings.force_lock,
+        seed=settings.seed)
 
     actions = {
         "object": grasp_obj,
@@ -516,9 +514,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         seed=settings.seed,
         verdict=result.verdict,
         f_target=float(bundle.f_target),
-        prompt={"kind": prompt.kind, "positive": prompt.positive,
-                "negative": prompt.negative,
-                "attachments": [list(a) for a in prompt.attachments]},
+        prompt=prompt,
         alignment={"depth_shift": depth_shift,
                    "contact_fingers": list(contact_fingers)},
         retarget={"residual": [float(r) for r in grasp_obj.residual],

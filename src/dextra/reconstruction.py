@@ -6,15 +6,15 @@ directories, correcting the depth ambiguity of a monocular hand estimate
 against the object mesh, and re-expressing the estimate in the object frame.
 
 Generative models and pose estimators are external services; a scene
-fixture records their results and `gather_reconstruction` replays them, so
-runs are reproducible.  Every scene fixture file has one reader (object.obj's
-is `load_obj`), shared by `run` and `validate`; see `check_scene`.  A JSON
-fixture file is checked against its rule table by `errors.check_document`.
+fixture records their results, and `gather_reconstruction`, given the paths
+of those files, replays them, so runs are reproducible.  Every scene fixture
+file has one reader (object.obj's is `load_obj`), shared by `run` and
+`validate`; see `check_scene`.  A JSON fixture file is checked against its
+rule table by `errors.check_document`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -239,8 +239,9 @@ class SceneFixture:
     """One scene directory and its scene.json, checked when built.
 
     The pipeline reads contact.json (`read_contact`) before the first stage
-    runs, and `gather_reconstruction` replays the recorded perception
-    results: hand_estimate.json, object.obj and poses.json.
+    runs, and passes the paths of hand_estimate.json, object.obj and
+    poses.json, with `mesh_scale`, `contact_fingers` and the predicted
+    force, to `gather_reconstruction`, which replays them.
     """
 
     def __init__(self, scene_dir):
@@ -320,21 +321,19 @@ def _load_force_table() -> dict:
     return read_force_table(resources.files("dextra") / "models" / "force_table.json")
 
 
-def replayed_file_digests(scene: SceneFixture) -> dict:
-    """sha256 of each file `gather_reconstruction` reads; None for a missing
-    one, which that reader then refuses inside the stage."""
-    paths = [scene.scene_dir / n for n in ("hand_estimate.json", "object.obj", "poses.json")]
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
-            for p in paths}
+def gather_reconstruction(prompt: PromptBundle, hand_estimate: Path, object_obj: Path,
+                          poses: Path, mesh_scale: float, contact_fingers,
+                          f_target: float) -> ReconstructionBundle:
+    """Replay the providers' recorded answer to `prompt`, reading each file once.
 
-
-def gather_reconstruction(scene: SceneFixture) -> ReconstructionBundle:
-    """Replay the scene's recorded perception results, reading each file once."""
-    mesh = load_obj(scene.scene_dir / "object.obj", scene.mesh_scale)
-    hand = read_hand_estimate(scene.scene_dir / "hand_estimate.json", scene.contact_fingers)
-    return ReconstructionBundle(hand=hand, mesh=mesh,
-                                **read_poses(scene.scene_dir / "poses.json"),
-                                f_target=scene.predict_force(scene.object_name))
+    The files stand in for the external services' results for that prompt:
+    the hand estimate (checked against `contact_fingers`), the object mesh,
+    scaled by `mesh_scale`, and poses.json.  `prompt` is not read here; it
+    names what the recorded files answer.
+    """
+    mesh = load_obj(object_obj, mesh_scale)
+    hand = read_hand_estimate(hand_estimate, contact_fingers)
+    return ReconstructionBundle(hand=hand, mesh=mesh, **read_poses(poses), f_target=f_target)
 
 
 # ---------------------------------------------------------------------------

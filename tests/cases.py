@@ -17,6 +17,7 @@ from dextra.geometry import (
     surface_query,
 )
 from dextra.kinematics import HandConfiguration, clamp_to_limits, fingertip_positions
+from dextra.reconstruction import SceneFixture, build_prompt, gather_reconstruction
 from dextra.retarget import FRAME_OBJECT, GraspAction, refine_retarget
 
 
@@ -239,3 +240,19 @@ def depth_fixture(name):
 
 
 DEPTH_FIXTURES = ("box", "sphere", "cylinder")
+
+
+# ---------------------------------------------------------------------------
+# scene replay
+# ---------------------------------------------------------------------------
+
+def replay_scene(scene_dir):
+    """`gather_reconstruction` of a scene directory, with the arguments the
+    providers stage passes."""
+    scene = SceneFixture(scene_dir)
+    prompt = build_prompt(scene.object_name, scene.intent, scene.prompt_kind,
+                          scene.observation_ref, scene.region_ref, scene.demo_ref)
+    return gather_reconstruction(
+        prompt, scene.scene_dir / "hand_estimate.json", scene.scene_dir / "object.obj",
+        scene.scene_dir / "poses.json", scene.mesh_scale, scene.contact_fingers,
+        scene.predict_force(scene.object_name))

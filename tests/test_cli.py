@@ -317,6 +317,15 @@ def _misspell_stiffness(doc):
     doc["stifness"] = doc.pop("stiffness")
 
 
+def _first_vertex_reads(value):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("v "))
+        lines[i] = f"v {value} {' '.join(lines[i].split()[2:])}\n"
+        return "".join(lines)
+    return edit
+
+
 # one field of fragile-01 changed per case: `validate` must report it and
 # `run` must refuse the scene with the same finding
 BROKEN_FIXTURES = [
@@ -336,6 +345,8 @@ BROKEN_FIXTURES = [
     pytest.param("contact.json", _misspell_stiffness, id="misspelt-key"),
     pytest.param("scene.json", lambda doc: doc.pop("object_name"), id="no-object-name"),
     pytest.param("object.obj", b"\xff\xfe\x00", id="obj-not-utf8"),
+    pytest.param("object.obj", _first_vertex_reads("nan"), id="obj-nan-vertex"),
+    pytest.param("object.obj", _first_vertex_reads("inf"), id="obj-inf-vertex"),
     pytest.param("scene.json", b"[]", id="scene-json-list"),
     pytest.param("hand_estimate.json", b"[]", id="estimate-json-list"),
     # keys that no stage acts on are refused, not ignored
@@ -352,6 +363,8 @@ def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, caps
     shutil.copytree(fragile_dir / "fragile-01", scene)
     if isinstance(edit, bytes):
         (scene / name).write_bytes(edit)
+    elif name.endswith(".obj"):
+        (scene / name).write_text(edit((scene / name).read_text()))
     else:
         doc = json.loads((scene / name).read_text())
         if isinstance(edit, dict):

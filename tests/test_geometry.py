@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +540,24 @@ def test_load_obj_violations_in_file_order(tmp_path):
         "bad.obj: face 2: vertex index 99999999999999999999999 out of range (3 vertices)",
         "bad.obj: face 3: vertex index 5 out of range (3 vertices)",
     ]
+
+
+def test_load_obj_refuses_non_finite_vertices(tmp_path):
+    # a non-finite coordinate, read or made by the scale, is named by its line
+    path = tmp_path / "far.obj"
+    path.write_text("v 0 0 0\nv nan 0 0\nv 0 -inf 0\nv 1e10 0 0\nv 0 1 0\n"
+                    "f 1 4 5\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_obj(path)
+    assert err.value.violations == ["far.obj: line 2: vertex coordinates not finite",
+                                    "far.obj: line 3: vertex coordinates not finite"]
+    path.write_text("v 0 0 0\nv 1e10 0 0\nv 0 1 0\nf 1 2 3\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError) as err:
+            load_obj(path, scale=1e300)
+    assert err.value.violations == [
+        "far.obj: line 2: vertex coordinates not finite after mesh_scale"]
 
 
 def test_load_obj_degenerate_face(tmp_path):

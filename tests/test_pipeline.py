@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 import shutil
@@ -9,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import MODELS_DIR, SCENES_DIR
-from cases import box_mesh, pose_to_matrix, rest_configuration
+from cases import box_mesh, pose_to_matrix, replay_scene, rest_configuration
 from dextra import geometry, pipeline
 from dextra.errors import (
     FixtureMissing,
@@ -43,15 +45,10 @@ from dextra.pipeline import (
     run_pipeline,
     settings_from_dict,
 )
-from dextra.reconstruction import SceneFixture, gather_reconstruction
 from dextra.retarget import FRAME_OBJECT, FRAME_ROBOT, GraspAction
 from dextra.geometry import surface_query
 
 BUNDLED_SCENES = sorted(p.parent for p in SCENES_DIR.rglob("scene.json"))
-
-
-def _mug_bundle(mug_scene):
-    return gather_reconstruction(SceneFixture(mug_scene))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +346,85 @@ def test_providers_input_digest_moves_with_every_replayed_file(perturbed_mug_run
         assert moved == bool(set(edits) - {"contact.json"}), name
 
 
+def test_a_hand_model_digests_by_name_and_document(robot_doc):
+    model = load_hand_model(robot_doc)
+    assert canonical(model) == {"name": "inspire-like-6dof", "sha256": model.document_sha256}
+    assert load_hand_model(json.loads(json.dumps(robot_doc))).document_sha256 \
+        == model.document_sha256
+    nudged = json.loads(json.dumps(robot_doc))
+    nudged["links"][-1]["offset"]["translation"][0] += 0.001
+    assert load_hand_model(nudged).document_sha256 != model.document_sha256
+
+
+def test_every_stage_that_reads_the_hand_model_digests_it(monkeypatch, mug_scene,
+                                                          robot_doc):
+    # the scene hand with one fingertip link moved 1 mm: the stages that read
+    # the model see a new input, the ones before retargeting do not
+    doc = json.loads(json.dumps(robot_doc))
+    doc["links"][-1]["offset"]["translation"][0] += 0.001
+    nudged, bundled = load_hand_model(doc), pipeline.bundled_model
+    before = {r["name"]: r["input"] for r in run_pipeline(mug_scene).stages}
+    monkeypatch.setattr(pipeline, "bundled_model",
+                        lambda name: nudged if name == nudged.name else bundled(name))
+    after = {r["name"]: r["input"] for r in run_pipeline(mug_scene).stages}
+    moved = {name for name in STAGE_NAMES if before[name] != after[name]}
+    assert {"retarget", "pre-squeeze", "two-stage", "execute"} <= moved
+    assert not moved & {"prompt", "providers", "align-depth", "object-frame"}
+
+
+def test_no_stage_function_reads_more_than_its_arguments(mug_scene):
+    # every function a mug-01 run hands to a stage, as the stage checks it
+    fns, unwrap = [], inspect.unwrap
+
+    def recording(fn, **kwargs):
+        fns.append(unwrap(fn, **kwargs))
+        return fns[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inspect, "unwrap", recording)
+        run_pipeline(mug_scene)
+    assert len(fns) == len(STAGE_NAMES)
+    for fn in fns:
+        assert fn.__code__.co_freevars == (), fn
+        assert fn.__module__.startswith("dextra.") and "<locals>" not in fn.__qualname__, fn
+
+
+def test_a_stage_function_with_a_free_variable_is_refused(monkeypatch, mug_scene):
+    shift = np.array([0.0, 0.0, 0.01])    # read by the closure, never passed to it
+    to_object_frame = pipeline.to_object_frame
+
+    def shifted(t_o_gen, hand):
+        moved = to_object_frame(t_o_gen, hand)
+        return dataclasses.replace(moved, fingertip_points=moved.fingertip_points + shift)
+
+    monkeypatch.setattr(pipeline, "to_object_frame", shifted)
+    with pytest.raises(TypeError, match="stage 'object-frame'.*shift"):
+        run_pipeline(mug_scene)
+
+
+def test_a_wrapper_is_checked_through_its_wrapped_function(monkeypatch, mug_scene):
+    # a timing wrapper (a closure over the function it wraps) passes the
+    # check when it names that function in __wrapped__; without it, it is refused
+    calls = []
+    gather = pipeline.gather_reconstruction
+
+    @functools.wraps(gather)
+    def timed(**inputs):
+        calls.append(sorted(inputs))
+        return gather(**inputs)
+
+    monkeypatch.setattr(pipeline, "gather_reconstruction", timed)
+    assert run_pipeline(mug_scene).verdict == "stable"
+    assert calls == [["contact_fingers", "f_target", "hand_estimate", "mesh_scale",
+                      "object_obj", "poses", "prompt"]]
+    del timed.__wrapped__
+    with pytest.raises(TypeError, match="providers"):
+        run_pipeline(mug_scene)
+
+
 def test_pipeline_engagement_is_geometric(mug_scene, robot_model):
     report = run_pipeline(mug_scene)
-    bundle = _mug_bundle(mug_scene)
+    bundle = replay_scene(mug_scene)
     mesh_exec = transform_mesh(bundle.mesh,
                                compose(bundle.hand_eye, bundle.object_pose_observed))
     engagement = report.execution["engagement"]
@@ -522,7 +595,7 @@ def test_pipeline_without_transfer_uses_generated_pose(mug_scene):
     report = run_pipeline(mug_scene, PipelineSettings(transfer=False))
     assert report.execution["transfer"] is False
     assert report.verdict == "unstable"
-    bundle = _mug_bundle(mug_scene)
+    bundle = replay_scene(mug_scene)
     for name in ("pre", "squeeze"):
         executed = report.actions[f"{name}_executed"]
         in_object = report.actions[f"{name}_object"]

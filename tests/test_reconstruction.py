@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cases import box_mesh, depth_fixture, pose_to_matrix
+from cases import box_mesh, depth_fixture, pose_to_matrix, replay_scene
 from dextra import reconstruction
 from dextra.errors import (
     DimensionMismatch,
@@ -28,7 +28,6 @@ from dextra.reconstruction import (
     align_depth,
     build_prompt,
     check_scene,
-    gather_reconstruction,
     read_poses,
     select_contact_fingers,
     to_object_frame,
@@ -99,8 +98,7 @@ def test_unknown_prompt_kind():
 # ---------------------------------------------------------------------------
 
 def test_fixture_replays_scene(mug_scene):
-    scene = SceneFixture(mug_scene)
-    bundle = gather_reconstruction(scene)
+    bundle = replay_scene(mug_scene)
     assert bundle.hand.skeleton == "human-20dof"
     assert bundle.f_target > 0.0
     assert bundle.mesh.triangles.shape[1] == 3
@@ -192,7 +190,7 @@ def test_estimate_hand_fk_fallback(tmp_path, mug_scene, human_model):
     doc = json.loads((scene_dir / "hand_estimate.json").read_text())
     doc.pop("fingertip_points")
     (scene_dir / "hand_estimate.json").write_text(json.dumps(doc), encoding="utf-8")
-    hand = gather_reconstruction(SceneFixture(scene_dir)).hand
+    hand = replay_scene(scene_dir).hand
     expected = fingertip_positions(human_model, hand.config)
     assert np.allclose(hand.fingertip_points, expected, atol=1e-12)
 
