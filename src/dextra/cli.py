@@ -41,9 +41,9 @@ def _load_settings(args) -> PipelineSettings:
     flags = {}
     if args.seed is not None:
         flags["seed"] = args.seed
-    if getattr(args, "no_force_lock", False):
+    if args.no_force_lock:
         flags["force_lock"] = False
-    if getattr(args, "no_transfer", False):
+    if args.no_transfer:
         flags["transfer"] = False
     return override_settings(settings, **flags)
 
@@ -244,16 +244,15 @@ def cmd_validate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_run_flags(parser, ablations: bool = True) -> None:
+def _add_run_flags(parser) -> None:
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--settings", help="JSON file overriding pipeline settings")
     parser.add_argument("--seed", type=int, default=None, help="controller noise seed")
-    if ablations:
-        parser.add_argument("--no-force-lock", action="store_true",
-                            help="disable the force latch while closing")
-        parser.add_argument("--no-transfer", action="store_true",
-                            help="execute the generated-camera pose without "
-                                 "the frame correction")
+    parser.add_argument("--no-force-lock", action="store_true",
+                        help="disable the force latch while closing")
+    parser.add_argument("--no-transfer", action="store_true",
+                        help="execute the generated-camera pose without "
+                             "the frame correction")
 
 
 def build_parser() -> argparse.ArgumentParser:

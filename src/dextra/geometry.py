@@ -188,10 +188,11 @@ def pose_from_record(record: dict) -> SE3Pose:
 # triangle meshes
 # ---------------------------------------------------------------------------
 
-def _degenerate_faces(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Indices of the triangles whose area is below _DEGENERATE_AREA."""
-    areas = 0.5 * np.linalg.norm(_cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1)
-    return np.nonzero(areas < _DEGENERATE_AREA)[0]
+def _face_areas(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Triangle areas; inf or nan where finite but huge corners overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.linalg.norm(_cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]),
+                                    axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +208,7 @@ class TriangleMesh:
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("triangle index out of range")
         if f.size:
-            bad = _degenerate_faces(v, f)
+            bad = np.flatnonzero(_face_areas(v, f) < _DEGENERATE_AREA)
             if bad.size:
                 raise ValueError(f"degenerate triangles at indices {bad.tolist()}")
         v.setflags(write=False)
@@ -765,8 +766,11 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
         violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
                           f"({nv} vertices)")
     if not violations:
-        for k in _degenerate_faces(v, f):
-            violations.append(f"face {int(k) + 1}: degenerate (zero area)")
+        areas = _face_areas(v, f)
+        for k in np.flatnonzero(~np.isfinite(areas)).tolist():
+            violations.append(f"face {k + 1}: area not finite")
+        for k in np.flatnonzero(areas < _DEGENERATE_AREA).tolist():
+            violations.append(f"face {k + 1}: degenerate (zero area)")
     if violations:
         raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])
     return TriangleMesh(v, f)

@@ -93,7 +93,6 @@ class KinematicHandModel:
     human_fingertip_indices: tuple  # which human fingertip each tip tracks
 
     # derived, filled by load_hand_model
-    link_index: dict
     joint_index: dict
     joint_of_link: tuple            # joint index per link, -1 if welded
     fingertip_link_ids: tuple
@@ -298,7 +297,6 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
         approach_axis=_unit(doc["approach_axis"]),
         finger_drivers=drivers,
         human_fingertip_indices=human_tips,
-        link_index=link_index,
         joint_index=joint_index,
         joint_of_link=tuple(joint_of_link),
         fingertip_link_ids=tuple(link_index[t] for t in tips),

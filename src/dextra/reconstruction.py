@@ -81,9 +81,10 @@ DEFAULT_HAND_MODEL = "inspire-like-6dof"
 
 # fingers this close to the surface (m) count as intended contacts
 CONTACT_SELECT_RADIUS = 0.03
+# depth alignment searches shifts within +-DEPTH_SEARCH_HALF_RANGE (m) and
+# stops after the first grid whose spacing is at most DEPTH_SEARCH_TOL (m)
 DEPTH_SEARCH_HALF_RANGE = 0.15
 DEPTH_SEARCH_TOL = 1e-5
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -373,12 +374,15 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     Slides the whole hand along the camera depth axis (z of the estimate's
     frame) within +-DEPTH_SEARCH_HALF_RANGE and keeps the shift that
     minimizes the sum of squared fingertip-to-surface distances over the
-    `contact_fingers`.  `mesh` is the object-frame mesh and `pose` the
-    object's pose in the estimate's camera: the shifted fingertips are
-    mapped into the object frame for every query, and no surface is built
-    in the camera frame.
+    `contact_fingers`.  The search is a grid of 61 shifts over the range,
+    then grids of 21 shifts, each ten times finer than the last and centred
+    on the best shift so far, until the spacing is at most DEPTH_SEARCH_TOL;
+    each grid is one batched surface query.  `mesh` is the object-frame mesh
+    and `pose` the object's pose in the estimate's camera: the shifted
+    fingertips are mapped into the object frame for every query, and no
+    surface is built in the camera frame.
     Only the root translation z changes; the returned estimate never has a
-    worse objective than the input.
+    worse objective than the input, whose shift 0 is on the first grid.
     """
     contact_fingers = tuple(int(i) for i in contact_fingers)
     if len(contact_fingers) == 0:
@@ -389,38 +393,20 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     pts = hand.fingertip_points[list(contact_fingers)]
     to_mesh = invert(pose)
 
-    # coarse bracket first: the objective is only piecewise-smooth, so pin
-    # down the basin before the golden-section polish
-    coarse = np.linspace(-DEPTH_SEARCH_HALF_RANGE, DEPTH_SEARCH_HALF_RANGE, 61)
-    coarse_obj = _depth_objective(mesh, pts, coarse, to_mesh)
-    if float(coarse_obj.max() - coarse_obj.min()) < 1e-12:
+    # nested grids: the objective is only piecewise-smooth, so the first grid
+    # pins down the basin; each later one is centred on the best shift so
+    # far, which is one of its shifts, so the objective never rises
+    step = DEPTH_SEARCH_HALF_RANGE / 30
+    deltas = step * np.arange(-30, 31)
+    objs = _depth_objective(mesh, pts, deltas, to_mesh)
+    if float(objs.max() - objs.min()) < 1e-12:
         raise NoConvergence("depth objective is flat over the search range")
-    best = int(np.argmin(coarse_obj))
-    lo = coarse[max(best - 1, 0)]
-    hi = coarse[min(best + 1, len(coarse) - 1)]
-
-    def f(delta: float) -> float:
-        return float(_depth_objective(mesh, pts, np.array([delta]), to_mesh)[0])
-
-    a, b = float(lo), float(hi)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = _depth_objective(mesh, pts, np.array([x1, x2]), to_mesh).tolist()
-    while (b - a) > DEPTH_SEARCH_TOL:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    polished = 0.5 * (a + b)
-
-    # the input depth is always a candidate, making the step non-increasing
-    candidates = [0.0, polished, float(coarse[best])]
-    objs = _depth_objective(mesh, pts, np.array(candidates), to_mesh)
-    delta = candidates[int(np.argmin(objs))]
+    delta = float(deltas[int(np.argmin(objs))])
+    while step > DEPTH_SEARCH_TOL:
+        step /= 10
+        deltas = delta + step * np.arange(-10, 11)
+        objs = _depth_objective(mesh, pts, deltas, to_mesh)
+        delta = float(deltas[int(np.argmin(objs))])
 
     root = hand.config.root_pose
     new_root = SE3Pose(root.rotation, root.translation + np.array([0.0, 0.0, delta]))

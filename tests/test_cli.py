@@ -327,7 +327,7 @@ def _first_vertex_reads(value):
 
 
 # one field of fragile-01 changed per case: `validate` must report it and
-# `run` must refuse the scene with the same finding
+# `run` must refuse the scene with the same finding, without a numpy warning
 BROKEN_FIXTURES = [
     pytest.param("contact.json", {"noise_sigma": -0.5}, id="negative-noise"),
     pytest.param("hand_estimate.json", _drop_last_joint_angle, id="joint-angles-short"),
@@ -347,6 +347,7 @@ BROKEN_FIXTURES = [
     pytest.param("object.obj", b"\xff\xfe\x00", id="obj-not-utf8"),
     pytest.param("object.obj", _first_vertex_reads("nan"), id="obj-nan-vertex"),
     pytest.param("object.obj", _first_vertex_reads("inf"), id="obj-inf-vertex"),
+    pytest.param("object.obj", _first_vertex_reads("1e200"), id="obj-huge-vertex"),
     pytest.param("scene.json", b"[]", id="scene-json-list"),
     pytest.param("hand_estimate.json", b"[]", id="estimate-json-list"),
     # keys that no stage acts on are refused, not ignored
@@ -356,6 +357,7 @@ BROKEN_FIXTURES = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, edit", BROKEN_FIXTURES)
 def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, capsys,
                                                      name, edit):

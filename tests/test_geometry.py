@@ -569,6 +569,21 @@ def test_load_obj_degenerate_face(tmp_path):
         load_obj(path)
 
 
+def test_load_obj_refuses_faces_whose_area_overflows(tmp_path):
+    # finite but huge corners overflow the area; that is named before the
+    # degenerate faces, and no numpy warning escapes
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\nv 0 1 0\n"
+                    "f 1 2 3\nf 1 2 2\nf 1 2 4\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError) as err:
+            load_obj(path)
+    assert err.value.violations == ["huge.obj: face 1: area not finite",
+                                    "huge.obj: face 3: area not finite",
+                                    "huge.obj: face 2: degenerate (zero area)"]
+
+
 def test_load_obj_requires_faces(tmp_path):
     path = tmp_path / "points.obj"
     path.write_text("v 0 0 0\nv 1 0 0\n", encoding="utf-8")

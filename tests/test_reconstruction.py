@@ -265,7 +265,7 @@ def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
 
 def test_align_depth_inverts_the_pose_once(monkeypatch):
     # every depth evaluation maps through one inverse pose; the shifts stay
-    # the objective's third positional argument
+    # the objective's third positional argument, one batch per grid level
     mesh, pts = depth_fixture("sphere")
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
@@ -284,7 +284,7 @@ def test_align_depth_inverts_the_pose_once(monkeypatch):
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
     align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
     assert inverted == [pose]
-    assert shifts[0] == 61 and len(shifts) > 2
+    assert shifts == [61, 21, 21, 21]
 
 
 def test_align_depth_needs_contacts():
