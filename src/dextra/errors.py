@@ -42,7 +42,7 @@ class UnknownFingertipLink(SchemaError):
 
 
 class BadLimits(SchemaError):
-    """Joint limits are inverted or the rest angle falls outside them."""
+    """Joint limits are inverted, or a rest or estimated angle falls outside them."""
 
 
 class EmptyMesh(DextraError):

@@ -27,6 +27,7 @@ from .errors import (
     POSE,
     REQUIRED,
     TEXT,
+    BadLimits,
     DimensionMismatch,
     EmptyContactSet,
     FixtureMissing,
@@ -173,7 +174,8 @@ def read_force_table(path) -> dict:
 
 
 def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
-    """hand_estimate.json; scene.json's `contact_fingers` must index its tips.
+    """hand_estimate.json; scene.json's `contact_fingers` must index its tips,
+    and every joint angle must lie within its skeleton joint's limits.
 
     Without recorded fingertip_points the tips come from the skeleton's FK.
     """
@@ -191,6 +193,11 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         for key, got, want in (("joint_angles", angles, human.dof), ("fingertip_points", tips, k)):
             if got is not None and len(got) != want:
                 bad.append((SchemaError, f"{key} needs {want} entries for '{human.name}'"))
+        if angles is not None and len(angles) == human.dof:
+            bad += [(BadLimits, f"joint_angles[{i}]: joint '{joint.name}' at {angle!r} "
+                                f"outside [{joint.limits[0]}, {joint.limits[1]}]")
+                    for i, (angle, joint) in enumerate(zip(angles, human.joints))
+                    if not joint.limits[0] <= angle <= joint.limits[1]]
         bad += [(SchemaError, f"scene.json contact_fingers names finger {i}, "
                               f"but the estimate has {k} fingertips")
                 for i in contact_fingers or () if i >= k]

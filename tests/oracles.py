@@ -295,6 +295,11 @@ def depth_grid_argmin(vertices, triangles, pts, half_range=0.15,
 def engagement_per_finger(fingertip, depth, lo, hi, samples=33, tol=1e-6):
     """Contact onset of every finger by its own sweep, then its own bisection.
 
+    The independent reference for `pipeline.derive_engagement`, which closes
+    the same grid bracket by ITP steps in lockstep instead: both onsets lie
+    within tol / 2 of a surface crossing in that bracket, so they agree
+    within tol, and exactly where a finger sits at lo or +inf.
+
     `fingertip(k, angle)` is fingertip k with only finger k's driver moved
     to `angle`; `depth(point)` is the signed surface distance of one point.
     A driver that does not close (hi <= lo + 1e-12) counts only a touch at

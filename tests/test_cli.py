@@ -313,6 +313,12 @@ def _drop_last_joint_angle(doc):
     doc["joint_angles"].pop()
 
 
+def _first_joint_angle_reads(value):
+    def edit(doc):
+        doc["joint_angles"][0] = value
+    return edit
+
+
 def _misspell_stiffness(doc):
     doc["stifness"] = doc.pop("stiffness")
 
@@ -331,6 +337,8 @@ def _first_vertex_reads(value):
 BROKEN_FIXTURES = [
     pytest.param("contact.json", {"noise_sigma": -0.5}, id="negative-noise"),
     pytest.param("hand_estimate.json", _drop_last_joint_angle, id="joint-angles-short"),
+    pytest.param("hand_estimate.json", _first_joint_angle_reads(1e308),
+                 id="joint-angle-past-limit"),
     pytest.param("contact.json", {"yield_force": -1}, id="negative-yield-force"),
     pytest.param("contact.json", {"dt": 0}, id="contact-dt"),
     pytest.param("contact.json", {"stiffness": [50.0, 50.0]}, id="two-stiffnesses"),
