@@ -8,6 +8,7 @@ and every violation it finds is raised at once through `raise_schema`.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 
@@ -106,6 +107,15 @@ def positive(v) -> bool:
     return number(v) and v > 0
 
 
+# metres: every length a fixture gives lies within +-MAX_LENGTH (the bundled
+# ones within 0.65 m), far from where squared distances and their products overflow
+MAX_LENGTH = 100.0
+
+
+def length(v) -> bool:
+    return number(v) and abs(v) <= MAX_LENGTH
+
+
 def numbers(v, n=None, valid=number) -> bool:
     """A list of `n` entries (any count if None) that `valid` accepts."""
     return isinstance(v, list) and (n is None or len(v) == n) and all(map(valid, v))
@@ -114,9 +124,14 @@ def numbers(v, n=None, valid=number) -> bool:
 # rule entries: (accepts, rule[, default]); a REQUIRED default must be present
 REQUIRED = object()
 TEXT = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+# a rotation's squared norm must be a finite normal double: below that,
+# dividing by the norm does not give a unit quaternion
 POSE = (lambda r: isinstance(r, dict) and r.keys() == {"rotation", "translation"}
-        and numbers(r["rotation"], 4) and any(r["rotation"]) and numbers(r["translation"], 3),
-        "must be a pose: a nonzero 4-number rotation and a 3-number translation")
+        and numbers(r["rotation"], 4)
+        and sys.float_info.min <= sum(x * x for x in map(float, r["rotation"])) < math.inf
+        and numbers(r["translation"], 3, length),
+        f"must be a pose: a 4-number rotation of finite squared norm >= {sys.float_info.min:.2g} "
+        f"and a 3-number translation within +-{MAX_LENGTH:g} m")
 
 
 def read_json(path):

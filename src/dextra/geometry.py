@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMesh, FixtureMissing, SchemaError
+from .errors import MAX_LENGTH, EmptyMesh, FixtureMissing, SchemaError
 
 _DEGENERATE_AREA = 1e-14
 
@@ -86,26 +86,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _quat_rotate(q, v):
+    """q applied to a vector (3,) or to each row of (n, 3)."""
     # v + 2 w (u x v) + 2 u x (u x v), u = vector part
     u = q[1:]
     t = 2.0 * _cross(u, v)
     return v + q[0] * t + _cross(u, t)
-
-
-def _quat_rotate_many(q, pts):
-    u = q[1:]
-    t = 2.0 * _cross(u[None, :], pts)
-    return pts + q[0] * t + _cross(u[None, :], t)
-
-
-def _quat_from_axis_angle(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    n = math.sqrt(float(axis @ axis))
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * float(angle)
-    s = math.sin(half) / n
-    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
 def _quat_from_rotvec(rv):
@@ -115,7 +100,10 @@ def _quat_from_rotvec(rv):
         # first-order expansion keeps the map smooth through zero
         q = np.array([1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]])
         return q / math.sqrt(float(q @ q))
-    return _quat_from_axis_angle(rv / angle, angle)
+    axis = rv / angle
+    half = 0.5 * angle
+    s = math.sin(half) / math.sqrt(float(axis @ axis))
+    return np.array([math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def invert(t: SE3Pose) -> SE3Pose:
 
 def transform_points(t: SE3Pose, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    return _quat_rotate_many(t.rotation, pts) + t.translation[None, :]
+    return _quat_rotate(t.rotation, pts) + t.translation[None, :]
 
 
 def rotate_vector(t: SE3Pose, v) -> np.ndarray:
@@ -279,8 +267,12 @@ def _closest_on_matched_triangles(a, b, c, p):
     return out
 
 
-# point-triangle pairs per chunk of _closest_points: small enough that the
-# temporaries of one chunk stay in cache when batches are large
+# point-box pairs per chunk of _first_pass, the one step that chunks: its
+# bounds of every point against every triangle or leaf grow with both, and
+# chunks keep their temporaries in cache on a large batch.  The largest query
+# of one pass over the benchmark inputs is 305 points (depth alignment's 61
+# shifts x 5 fingertips), and its second cull walks at most 3109 pairs, so
+# the walks and the cull take theirs at once
 _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little
@@ -377,38 +369,23 @@ def _walk(tri, cand, p):
     return np.einsum("ij,ij->i", gap, gap), q
 
 
-def _walk_rows(tri, points, blocks, out):
-    """Walk (row, triangle) pairs; keep each row's best so far in `out`.
+def _walk_rows(tri, points, row, cand, out):
+    """Walk the (row, triangle) pairs `row`, `cand`; keep each row's best in `out`.
 
     A row's best is its lowest (squared distance, triangle index) pair among
     the answer already in `out` and every pair walked for it, so ties go to
-    the lowest index as in a full scan, however the pairs are split into
-    blocks.  Blocks are walked in batches of at most `_CHUNK_PAIRS` pairs
-    (a larger block on its own).
+    the lowest index as in a full scan.
     """
     out_d2, out_tri, out_q = out
-
-    def flush(batch):
-        row, cand = (np.concatenate(a) for a in zip(*batch))
-        d2, q = _walk(tri, cand, points[row])
-        order = np.lexsort((cand, d2, row))
-        win = order[np.r_[True, row[order[1:]] != row[order[:-1]]]]
-        r = row[win]
-        better = (d2[win] < out_d2[r]) | ((d2[win] == out_d2[r]) & (cand[win] < out_tri[r]))
-        r, win = r[better], win[better]
-        out_d2[r] = d2[win]
-        out_tri[r] = cand[win]
-        out_q[r] = q[win]
-
-    batch, size = [], 0
-    for row, cand in blocks:
-        if batch and size + len(row) > _CHUNK_PAIRS:
-            flush(batch)
-            batch, size = [], 0
-        batch.append((row, cand))
-        size += len(row)
-    if batch:
-        flush(batch)
+    d2, q = _walk(tri, cand, points[row])
+    order = np.lexsort((cand, d2, row))
+    win = order[np.r_[True, row[order[1:]] != row[order[:-1]]]]
+    r = row[win]
+    better = (d2[win] < out_d2[r]) | ((d2[win] == out_d2[r]) & (cand[win] < out_tri[r]))
+    r, win = r[better], win[better]
+    out_d2[r] = d2[win]
+    out_tri[r] = cand[win]
+    out_q[r] = q[win]
 
 
 def _lowest(bound, k):
@@ -437,7 +414,7 @@ def _first_pass(lo, hi, leaves, points, k):
     for s in range(0, len(points), rows):
         p = points[s:s + rows]
         near, next_leaf = _lowest(_box_bounds(leaf_lo, leaf_hi, p), _NEAR_LEAVES)
-        cand = members[near].reshape(len(p), -1)
+        cand = members[near].reshape(len(p), _NEAR_LEAVES * _LEAF)
         pick, next_tri = _lowest(_box_bounds(lo, hi, p, cand), k)
         first[s:s + rows] = np.take_along_axis(cand, pick, axis=1)
         rest[s:s + rows] = np.minimum(next_tri, next_leaf)
@@ -445,27 +422,17 @@ def _first_pass(lo, hi, leaves, points, k):
 
 
 def _culled(lo, hi, leaves, points, redo, limit):
-    """(row, triangle) blocks: for each point in `redo`, every triangle whose
+    """(row, triangle) pairs: for each point in `redo`, every triangle whose
     bound is within the point's limit.  With `leaves`, a leaf whose bound is
     above the limit is pruned before its triangles' bounds are taken."""
     if leaves is None:
-        rows = max(1, _CHUNK_PAIRS // lo.shape[1])
-        for s in range(0, len(redo), rows):
-            r = redo[s:s + rows]
-            row, cand = np.nonzero(_box_bounds(lo, hi, points[r]) <= limit[r, None])
-            yield r[row], cand
-        return
+        row, cand = np.nonzero(_box_bounds(lo, hi, points[redo]) <= limit[redo, None])
+        return redo[row], cand
     leaf_lo, leaf_hi, members = leaves
-    rows = max(1, _CHUNK_PAIRS // len(members))
-    step = _CHUNK_PAIRS // _LEAF
-    for s in range(0, len(redo), rows):
-        r = redo[s:s + rows]
-        row, leaf = np.nonzero(_box_bounds(leaf_lo, leaf_hi, points[r]) <= limit[r, None])
-        row = r[row]
-        for t in range(0, len(row), step):
-            rw, cand = row[t:t + step], members[leaf[t:t + step]]
-            pair, slot = np.nonzero(_box_bounds(lo, hi, points[rw], cand) <= limit[rw, None])
-            yield rw[pair], cand[pair, slot]
+    row, leaf = np.nonzero(_box_bounds(leaf_lo, leaf_hi, points[redo]) <= limit[redo, None])
+    row, cand = redo[row], members[leaf]
+    pair, slot = np.nonzero(_box_bounds(lo, hi, points[row], cand) <= limit[row, None])
+    return row[pair], cand[pair, slot]
 
 
 def _closest_points(mesh: TriangleMesh, points: np.ndarray):
@@ -510,13 +477,11 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     limit can therefore neither win nor tie, and that is exactly what the
     next-bound test rules out for the triangles a point did not walk.
 
-    Bounds are computed for `_CHUNK_PAIRS` point-box pairs at a time, and
-    pairs are walked in batches of at most as many.
+    Only `_first_pass` takes its bounds in chunks of `_CHUNK_PAIRS` point-box
+    pairs; the first walk, the second cull and its walk each take all their
+    pairs at once, as every query the benchmark inputs ask fits one chunk.
     """
     n = len(points)
-    out = np.empty(n), np.empty(n, dtype=np.int64), np.empty((n, 3))
-    if n == 0:
-        return out
     tri, lo, hi, slack = _triangle_bounds(mesh)
     m = len(tri)
     k = min(_FIRST_WALK, m)
@@ -526,20 +491,14 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     else:
         first = np.broadcast_to(np.arange(m), (n, m))
         next_bound = np.full(n, np.inf)
-    out_d2, out_tri, out_q = out
-    step = _CHUNK_PAIRS // k
-    for s in range(0, n, step):
-        cand = first[s:s + step]
-        d2, q = _walk(tri, cand.ravel(), np.repeat(points[s:s + step], k, axis=0))
-        d2 = d2.reshape(-1, k)
-        win = (np.arange(len(cand)), np.lexsort((cand, d2))[:, 0])
-        out_d2[s:s + step] = d2[win]
-        out_tri[s:s + step] = cand[win]
-        out_q[s:s + step] = q.reshape(-1, k, 3)[win]
-
-    limit = out_d2 * (1.0 + _CULL_REL) + slack
+    d2, q = _walk(tri, first.ravel(), np.repeat(points, k, axis=0))
+    d2 = d2.reshape(n, k)
+    win = (np.arange(n), np.lexsort((first, d2))[:, 0])
+    out = d2[win], first[win], q.reshape(n, k, 3)[win]
+    limit = out[0] * (1.0 + _CULL_REL) + slack
     redo = np.flatnonzero(next_bound <= limit)
-    _walk_rows(tri, points, _culled(lo, hi, leaves, points, redo, limit), out)
+    if redo.size:
+        _walk_rows(tri, points, *_culled(lo, hi, leaves, points, redo, limit), out)
     return out
 
 
@@ -711,8 +670,8 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     violation in the file is collected, prefixed with the file name, before
     rejecting it; a missing file raises FixtureMissing.  Vertices are
     multiplied by `scale`, which must be positive.  The lines are read in
-    one pass; finite coordinates (before and after scaling), index ranges
-    and face areas are then checked on arrays.
+    one pass; coordinates within +-MAX_LENGTH metres (before and after
+    scaling), index ranges and face areas are then checked on arrays.
     """
     if float(scale) <= 0.0:
         raise ValueError("mesh scale must be positive")
@@ -752,9 +711,10 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
         # all other record types, comments included, are ignored
     with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
         v = np.array(vertices, dtype=float).reshape(-1, 3) * float(scale)
-    for k in np.flatnonzero(~np.isfinite(v).all(axis=1)).tolist():
-        scaled = " after mesh_scale" if all(map(math.isfinite, vertices[k])) else ""
-        violations.append(f"line {vertex_lines[k]}: vertex coordinates not finite{scaled}")
+    for k in np.flatnonzero(~(np.abs(v) <= MAX_LENGTH).all(axis=1)).tolist():
+        scaled = " after mesh_scale" if all(abs(c) <= MAX_LENGTH for c in vertices[k]) else ""
+        violations.append(f"line {vertex_lines[k]}: vertex coordinates not within "
+                          f"+-{MAX_LENGTH:g} m{scaled}")
     if not faces and not violations:
         violations.append("no faces: mesh must contain at least one triangle")
     nv = len(vertices)
@@ -766,10 +726,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
         violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
                           f"({nv} vertices)")
     if not violations:
-        areas = _face_areas(v, f)
-        for k in np.flatnonzero(~np.isfinite(areas)).tolist():
-            violations.append(f"face {k + 1}: area not finite")
-        for k in np.flatnonzero(areas < _DEGENERATE_AREA).tolist():
+        for k in np.flatnonzero(_face_areas(v, f) < _DEGENERATE_AREA).tolist():
             violations.append(f"face {k + 1}: degenerate (zero area)")
     if violations:
         raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])

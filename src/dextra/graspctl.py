@@ -147,13 +147,10 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
                 locked[i] = True
                 setpoints[i] = positions[i]
         error = [s - p for s, p in zip(setpoints, positions)]
-        if last_error is None:
-            # no derivative on the first step, but kd * 0 is still added: it
-            # turns a -0.0 command into 0.0, and the trace records the sign
-            command = [DEFAULT_KP * e + DEFAULT_KD * 0.0 for e in error]
-        else:
-            command = [DEFAULT_KP * e + DEFAULT_KD * ((e - le) / DEFAULT_DT)
-                       for e, le in zip(error, last_error)]
+        # the first step's derivative is against its own error: kd * 0.0 is
+        # still added, which turns a -0.0 command into 0.0 as the trace records
+        command = [DEFAULT_KP * e + DEFAULT_KD * ((e - le) / DEFAULT_DT)
+                   for e, le in zip(error, last_error or error)]
         last_error = error
         rows.append(positions + forces + command + locked)
         positions = [p + c * DEFAULT_DT for p, c in zip(positions, command)]

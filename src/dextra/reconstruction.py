@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    MAX_LENGTH,
     POSE,
     REQUIRED,
     TEXT,
@@ -35,6 +36,7 @@ from .errors import (
     NoConvergence,
     SchemaError,
     check_document,
+    length,
     number,
     numbers,
     positive,
@@ -183,8 +185,8 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         "skeleton": (*_MODEL, REQUIRED),
         "root_pose": (*POSE, REQUIRED),
         "joint_angles": (numbers, "must be a list of numbers", REQUIRED),
-        "fingertip_points": (lambda t: numbers(t, valid=lambda p: numbers(p, 3)),
-                             "must be a list of 3-number points"),
+        "fingertip_points": (lambda t: numbers(t, valid=lambda p: numbers(p, 3, length)),
+                             f"must be a list of 3-number points within +-{MAX_LENGTH:g} m"),
     })
     angles, tips = v["joint_angles"], v["fingertip_points"]
     human = v["skeleton"] and bundled_model(v["skeleton"])

@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
+import tempfile
+from functools import reduce
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, SCENES_DIR
 from dextra import cli, pipeline
 from dextra.cli import main
-from dextra.errors import SchemaError
+from dextra.errors import DextraError, SchemaError, StageError
 from dextra.kinematics import load_hand_model, load_hand_model_file
 
 
@@ -319,6 +327,12 @@ def _first_joint_angle_reads(value):
     return edit
 
 
+def _sets(*keys, value):
+    def edit(doc):
+        reduce(lambda d, k: d[k], keys[:-1], doc)[keys[-1]] = value
+    return edit
+
+
 def _misspell_stiffness(doc):
     doc["stifness"] = doc.pop("stiffness")
 
@@ -356,6 +370,17 @@ BROKEN_FIXTURES = [
     pytest.param("object.obj", _first_vertex_reads("nan"), id="obj-nan-vertex"),
     pytest.param("object.obj", _first_vertex_reads("inf"), id="obj-inf-vertex"),
     pytest.param("object.obj", _first_vertex_reads("1e200"), id="obj-huge-vertex"),
+    # numbers past the length bound, or a rotation whose squared norm
+    # overflows, once validated ok and then overflowed in a stage
+    pytest.param("object.obj", _first_vertex_reads("1e150"), id="obj-vertex-past-length-bound"),
+    pytest.param("poses.json", _sets("object_pose_generated", "translation", 0, value=1e160),
+                 id="pose-translation-past-length-bound"),
+    pytest.param("poses.json",
+                 _sets("object_pose_generated", "rotation", value=[1e308, 1e308, 0, 0]),
+                 id="pose-rotation-norm-overflows"),
+    # a subnormal squared norm: dividing by the norm leaves no unit quaternion
+    pytest.param("poses.json", _sets("hand_eye", "rotation", value=[3e-162, 3e-162, 0, 0]),
+                 id="pose-rotation-norm-subnormal"),
     pytest.param("scene.json", b"[]", id="scene-json-list"),
     pytest.param("hand_estimate.json", b"[]", id="estimate-json-list"),
     # keys that no stage acts on are refused, not ignored
@@ -393,6 +418,104 @@ def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, caps
     assert code == 2, stdout + stderr
     assert all(f in stderr for f in findings), (findings, stderr)
     assert not (tmp_path / "runs").exists()
+
+
+FRAGILE_01 = SCENES_DIR / "fragile" / "fragile-01"
+VERTICES = sum(line.startswith("v ") for line in
+               (FRAGILE_01 / "object.obj").read_text().splitlines())
+POSE_NAMES = ("object_pose_generated", "object_pose_observed", "hand_eye")
+# edges of the float range, and numbers a length or a rotation may not take
+EDGE_NUMBERS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e150, -1e150, 0.0, -1.0, 5e-324)
+
+
+@st.composite
+def fixture_numbers(draw):
+    """(file, where, value): one object.obj vertex coordinate, poses.json
+    pose component, or hand_estimate.json root translation or fingertip
+    coordinate of fragile-01, and the value it is set to."""
+    name = draw(st.sampled_from(["object.obj", "poses.json", "hand_estimate.json"]))
+    if name == "object.obj":
+        where = (draw(st.integers(0, VERTICES - 1)), draw(st.integers(0, 2)))
+    elif name == "poses.json":
+        part = draw(st.sampled_from(["rotation", "translation"]))
+        where = (draw(st.sampled_from(POSE_NAMES)), part,
+                 draw(st.integers(0, 3 if part == "rotation" else 2)))
+    else:
+        tip = draw(st.integers(-1, 4))     # -1: the root translation
+        where = (("root_pose", "translation") if tip < 0 else ("fingertip_points", tip)) \
+            + (draw(st.integers(0, 2)),)
+    return name, where, draw(st.sampled_from(EDGE_NUMBERS))
+
+
+def _captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _non_finite(doc, path=""):
+    """Where a report spells a non-finite number, apart from the documented
+    "inf" engagement of a finger that never touches."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _non_finite(v, f"{path}.{k}")]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in _non_finite(v, f"{path}[{i}]")]
+    if isinstance(doc, str) and doc in ("nan", "inf", "-inf"):
+        return [] if doc == "inf" and path.startswith(".execution.engagement[") else [path]
+    return []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(1901)
+@settings(max_examples=50)
+@given(fixture_numbers())
+def test_fixture_numbers_are_refused_alike_or_run_to_a_finite_report(edit):
+    # `validate` and `run` refuse the file with the same findings; or the scene
+    # is well formed and `run` ends in a verdict with an all-finite report, or
+    # stops on a package error naming its stage (an object moved away from
+    # every fingertip leaves no contact finger).  No numpy warning either way
+    name, where, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "fragile-01"
+        shutil.copytree(FRAGILE_01, scene)
+        path = scene / name
+        if name == "object.obj":
+            lines = path.read_text().splitlines(keepends=True)
+            i = [k for k, line in enumerate(lines) if line.startswith("v ")][where[0]]
+            coords = lines[i].split()
+            coords[1 + where[1]] = repr(value)
+            lines[i] = " ".join(coords) + "\n"
+            path.write_text("".join(lines))
+        else:
+            doc = json.loads(path.read_text())
+            _sets(*where, value=value)(doc)
+            path.write_text(json.dumps(doc))
+
+        code, stdout, _ = _captured("validate", str(scene))
+        raised = []
+
+        def run_pipeline(*args, **kwargs):
+            try:
+                return pipeline.run_pipeline(*args, **kwargs)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        with mock.patch.object(cli, "run_pipeline", run_pipeline):
+            run_code, _, stderr = _captured("run", str(scene), "--out", f"{tmp}/runs")
+        findings = stdout.splitlines()[:-1]
+        if code == 1:
+            assert findings and all(name in f for f in findings), findings
+            assert run_code == 2 and all(f in stderr for f in findings), (findings, stderr)
+        elif raised:
+            assert (code, stdout) == (0, "ok\n")
+            assert run_code == 1 and isinstance(raised[0], DextraError), stderr
+            assert not isinstance(raised[0], StageError), stderr
+        else:
+            assert (code, stdout) == (0, "ok\n") and run_code in (0, 1)
+            report = json.loads((scene.parent / "runs" / "fragile-01" / "report.json").read_text())
+            assert _non_finite(report) == []
 
 
 def test_broken_contact_is_refused_before_any_stage_work(fragile_dir, tmp_path, capsys,

@@ -318,10 +318,12 @@ def test_non_finite_query_points_rejected():
 
 
 def test_empty_point_batch_has_zero_rows():
-    hits = surface_query(box_mesh((0.1, 0.1, 0.1)), np.zeros((0, 3)))
-    for field, shape in (("sq_distance", (0,)), ("triangle", (0,)), ("point", (0, 3)),
-                         ("normal", (0, 3)), ("distance", (0,))):
-        assert getattr(hits, field).shape == shape, field
+    # on a mesh of at most _FIRST_WALK triangles, a flat one and a leaf one
+    for mesh in (SURFACE_MESHES["tetra"](), box_mesh((0.1, 0.1, 0.1)), icosphere(subdivisions=4)):
+        hits = surface_query(mesh, np.zeros((0, 3)))
+        for field, shape in (("sq_distance", (0,)), ("triangle", (0,)), ("point", (0, 3)),
+                             ("normal", (0, 3)), ("distance", (0,))):
+            assert getattr(hits, field).shape == shape, field
 
 
 def test_squared_distances_match_nearest_point():
@@ -402,10 +404,9 @@ def test_query_matches_full_scan_bit_for_bit(name, monkeypatch):
     culled = set()
     walk_rows = geometry._walk_rows
 
-    def recorded(tri, pts, blocks, out):
-        blocks = list(blocks)
-        culled.update(row for rows, _ in blocks for row in rows.tolist())
-        return walk_rows(tri, pts, iter(blocks), out)
+    def recorded(tri, pts, row, cand, out):
+        culled.update(row.tolist())
+        return walk_rows(tri, pts, row, cand, out)
 
     monkeypatch.setattr(geometry, "_walk_rows", recorded)
     hits = surface_query(mesh, points)
@@ -543,21 +544,23 @@ def test_load_obj_violations_in_file_order(tmp_path):
 
 
 def test_load_obj_refuses_non_finite_vertices(tmp_path):
-    # a non-finite coordinate, read or made by the scale, is named by its line
+    # a coordinate that is not finite, or beyond the length bound, read or
+    # made by the scale, is named by its line
     path = tmp_path / "far.obj"
-    path.write_text("v 0 0 0\nv nan 0 0\nv 0 -inf 0\nv 1e10 0 0\nv 0 1 0\n"
-                    "f 1 4 5\n", encoding="utf-8")
+    path.write_text("v 0 0 0\nv nan 0 0\nv 0 -inf 0\nv 0 0 1e150\nv 100 0 0\nv 0 1 0\n"
+                    "f 1 5 6\n", encoding="utf-8")
     with pytest.raises(SchemaError) as err:
         load_obj(path)
-    assert err.value.violations == ["far.obj: line 2: vertex coordinates not finite",
-                                    "far.obj: line 3: vertex coordinates not finite"]
-    path.write_text("v 0 0 0\nv 1e10 0 0\nv 0 1 0\nf 1 2 3\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SchemaError) as err:
-            load_obj(path, scale=1e300)
-    assert err.value.violations == [
-        "far.obj: line 2: vertex coordinates not finite after mesh_scale"]
+    assert err.value.violations == [f"far.obj: line {n}: vertex coordinates not within +-100 m"
+                                    for n in (2, 3, 4)]
+    path.write_text("v 0 0 0\nv 10 0 0\nv 0 1e-299 0\nf 1 2 3\n", encoding="utf-8")
+    for scale in (20.0, 1e300):     # past the bound, and past the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as err:
+                load_obj(path, scale=scale)
+        assert err.value.violations == [
+            "far.obj: line 2: vertex coordinates not within +-100 m after mesh_scale"]
 
 
 def test_load_obj_degenerate_face(tmp_path):
@@ -570,8 +573,9 @@ def test_load_obj_degenerate_face(tmp_path):
 
 
 def test_load_obj_refuses_faces_whose_area_overflows(tmp_path):
-    # finite but huge corners overflow the area; that is named before the
-    # degenerate faces, and no numpy warning escapes
+    # finite corners huge enough to overflow the area are beyond the length
+    # bound: they are named by their lines before any face is measured, and
+    # no numpy warning escapes
     path = tmp_path / "huge.obj"
     path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\nv 0 1 0\n"
                     "f 1 2 3\nf 1 2 2\nf 1 2 4\n", encoding="utf-8")
@@ -579,9 +583,8 @@ def test_load_obj_refuses_faces_whose_area_overflows(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(SchemaError) as err:
             load_obj(path)
-    assert err.value.violations == ["huge.obj: face 1: area not finite",
-                                    "huge.obj: face 3: area not finite",
-                                    "huge.obj: face 2: degenerate (zero area)"]
+    assert err.value.violations == ["huge.obj: line 2: vertex coordinates not within +-100 m",
+                                    "huge.obj: line 3: vertex coordinates not within +-100 m"]
 
 
 def test_load_obj_requires_faces(tmp_path):
