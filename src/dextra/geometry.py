@@ -270,9 +270,9 @@ def _closest_on_matched_triangles(a, b, c, p):
 # point-box pairs per chunk of _first_pass, the one step that chunks: its
 # bounds of every point against every triangle or leaf grow with both, and
 # chunks keep their temporaries in cache on a large batch.  The largest query
-# of one pass over the benchmark inputs is 305 points (depth alignment's 61
-# shifts x 5 fingertips), and its second cull walks at most 3109 pairs, so
-# the walks and the cull take theirs at once
+# of the benchmark inputs is 305 points (61 depth shifts x 5 fingertips): its
+# walks take at most 3109 pairs at once, and the second cull's leaf bounds,
+# redo points x leaves, up to 305 x 192 on the benchmark's dense meshes
 _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little
@@ -478,8 +478,8 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     next-bound test rules out for the triangles a point did not walk.
 
     Only `_first_pass` takes its bounds in chunks of `_CHUNK_PAIRS` point-box
-    pairs; the first walk, the second cull and its walk each take all their
-    pairs at once, as every query the benchmark inputs ask fits one chunk.
+    pairs; the walks and the second cull take theirs at once, though the
+    cull's leaf bounds grow with redo points x leaves, uncapped.
     """
     n = len(points)
     tri, lo, hi, slack = _triangle_bounds(mesh)
@@ -670,8 +670,8 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     violation in the file is collected, prefixed with the file name, before
     rejecting it; a missing file raises FixtureMissing.  Vertices are
     multiplied by `scale`, which must be positive.  The lines are read in
-    one pass; coordinates within +-MAX_LENGTH metres (before and after
-    scaling), index ranges and face areas are then checked on arrays.
+    one pass; coordinates within +-MAX_LENGTH metres after scaling, index
+    ranges and face areas are then checked on arrays.
     """
     if float(scale) <= 0.0:
         raise ValueError("mesh scale must be positive")

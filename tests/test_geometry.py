@@ -553,8 +553,8 @@ def test_load_obj_refuses_non_finite_vertices(tmp_path):
         load_obj(path)
     assert err.value.violations == [f"far.obj: line {n}: vertex coordinates not within +-100 m"
                                     for n in (2, 3, 4)]
-    path.write_text("v 0 0 0\nv 10 0 0\nv 0 1e-299 0\nf 1 2 3\n", encoding="utf-8")
-    for scale in (20.0, 1e300):     # past the bound, and past the largest float
+    path.write_text("v 0 0 0\nv 10 0 0\nv 0 1e-307 0\nf 1 2 3\n", encoding="utf-8")
+    for scale in (20.0, 1e308):     # past the bound, and 10 * 1e308 overflows to inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SchemaError) as err:
