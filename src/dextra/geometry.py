@@ -176,16 +176,44 @@ def pose_from_record(record: dict) -> SE3Pose:
 # triangle meshes
 # ---------------------------------------------------------------------------
 
-def _face_areas(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Triangle areas; inf or nan where finite but huge corners overflow."""
+class _FaceError(ValueError):
+    """Faces a mesh refuses: `faces` lists (index, reason) in index order."""
+
+    def __init__(self, faces):
+        self.faces = faces
+        super().__init__("; ".join(f"triangle {k}: {why}" for k, why in faces))
+
+
+def _face_normals(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Unit face normals from one cross product per face.
+
+    The cross product's norm is twice the face's area.  A face whose area is
+    below `_DEGENERATE_AREA`, or is not finite because finite but huge
+    corners overflow the products, is refused with `_FaceError`; the
+    overflow raises no numpy warning.  The normals divide the same cross
+    products by the same norms.
+    """
+    a = v[f[:, 0]]
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * np.linalg.norm(_cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]),
-                                    axis=1)
+        n = _cross(v[f[:, 1]] - a, v[f[:, 2]] - a)
+        norm = np.linalg.norm(n, axis=1, keepdims=True)
+    area = 0.5 * norm[:, 0]
+    small = area < _DEGENERATE_AREA
+    bad = np.flatnonzero(small | ~np.isfinite(area)).tolist()
+    if bad:
+        raise _FaceError([(k, "degenerate (zero area)" if small[k] else "area not finite")
+                          for k in bad])
+    n /= norm
+    return n
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Triangle soup with validated indices; vertices in meters."""
+    """Triangle soup with validated indices; vertices in meters.
+
+    Every face must have a finite area of at least `_DEGENERATE_AREA`;
+    `face_normals` (m, 3) are its outward unit normals.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -195,26 +223,13 @@ class TriangleMesh:
         f = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).copy()
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise ValueError("triangle index out of range")
-        if f.size:
-            bad = np.flatnonzero(_face_areas(v, f) < _DEGENERATE_AREA)
-            if bad.size:
-                raise ValueError(f"degenerate triangles at indices {bad.tolist()}")
-        v.setflags(write=False)
-        f.setflags(write=False)
+        normals = _face_normals(v, f)
+        for a in (v, f, normals):
+            a.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", f)
+        object.__setattr__(self, "face_normals", normals)
         object.__setattr__(self, "_cache", {})
-
-    @property
-    def face_normals(self) -> np.ndarray:
-        cache = self._cache
-        if "face_normals" not in cache:
-            v, f = self.vertices, self.triangles
-            n = _cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            n.setflags(write=False)
-            cache["face_normals"] = n
-        return cache["face_normals"]
 
 
 def transform_mesh(mesh: TriangleMesh, pose: SE3Pose) -> TriangleMesh:
@@ -299,7 +314,8 @@ def _triangle_bounds(mesh: TriangleMesh):
     cache = mesh._cache
     if "triangle_bounds" not in cache:
         tri = mesh.vertices[mesh.triangles]
-        lo, hi = tri.min(axis=1), tri.max(axis=1)
+        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
         span = np.maximum(hi.max(axis=0), 0.0) - np.minimum(lo.min(axis=0), 0.0)
         cache["triangle_bounds"] = (tri, lo.T.copy(), hi.T.copy(),
                                     _CULL_ABS * float(span @ span))
@@ -338,7 +354,9 @@ def _leaf_bounds(mesh: TriangleMesh):
     cache = mesh._cache
     if "leaf_bounds" not in cache:
         tri, lo, hi, _ = _triangle_bounds(mesh)
-        order = np.argsort(_morton_codes(tri.mean(axis=1)), kind="stable")
+        # the centroids' bits are those of tri.mean(axis=1)
+        centroids = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
+        order = np.argsort(_morton_codes(centroids), kind="stable")
         leaves = np.r_[order, np.repeat(order[-1], -len(order) % _LEAF)].reshape(-1, _LEAF)
         cache["leaf_bounds"] = (lo[:, leaves].min(axis=2), hi[:, leaves].max(axis=2), leaves)
     return cache["leaf_bounds"]
@@ -531,16 +549,16 @@ def _surface_frames(mesh: TriangleMesh):
     face_of_corner = np.repeat(mesh.face_normals, 3, axis=0)
     pts = v[f]
     # per corner k: the edges towards corners k + 1 and k + 2
-    e1 = (np.roll(pts, -1, axis=1) - pts).reshape(-1, 3)
-    e2 = (np.roll(pts, -2, axis=1) - pts).reshape(-1, 3)
+    e1 = (pts[:, [1, 2, 0]] - pts).reshape(-1, 3)
+    e2 = (pts[:, [2, 0, 1]] - pts).reshape(-1, 3)
     lengths = np.sqrt(_row_dots(e1, e1)) * np.sqrt(_row_dots(e2, e2))
     cosang = np.clip(_row_dots(e1, e2) / lengths, -1.0, 1.0)
-    angles = np.array([math.acos(c) for c in cosang.tolist()])
+    angles = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))
     vertex_normals = _scatter_add(f.ravel(), angles[:, None] * face_of_corner, len(v))
     norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
     vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms), vertex_normals)
-    ends = np.stack([f, np.roll(f, -1, axis=1)], axis=2).reshape(-1, 2)
-    keys = ends.min(axis=1) * len(v) + ends.max(axis=1)
+    ends = f[:, [1, 2, 0]]
+    keys = (np.minimum(f, ends) * len(v) + np.maximum(f, ends)).ravel()
     edge_keys, edge_of_corner = np.unique(keys, return_inverse=True)
     sums = _scatter_add(edge_of_corner.ravel(), face_of_corner, len(edge_keys))
     norms = np.sqrt(_row_dots(sums, sums))[:, None]
@@ -638,18 +656,12 @@ def surface_query(mesh: TriangleMesh, points) -> SurfaceProximity:
 # OBJ subset: v and f records, triangles only
 # ---------------------------------------------------------------------------
 
-def _face_corners(corners) -> tuple:
+def _face_corners(corners) -> list:
     """Zero-based vertex indices of one f record's three corners.
 
     A corner is `v`, `v/vt`, `v//vn` or `v/vt/vn`; only `v` is kept.  Raises
     ValueError naming the first corner that is not a positive integer.
     """
-    try:
-        idx = int(corners[0]) - 1, int(corners[1]) - 1, int(corners[2]) - 1
-        if min(idx) >= 0:
-            return idx
-    except ValueError:
-        pass
     idx = []
     for t in corners:
         head = t.split("/")[0]
@@ -660,31 +672,52 @@ def _face_corners(corners) -> tuple:
         if i <= 0:
             raise ValueError(f"face index {i} must be positive (1-based)")
         idx.append(i - 1)
-    return tuple(idx)
+    return idx
 
 
-def load_obj(path, scale: float = 1.0) -> TriangleMesh:
-    """Load a triangle mesh from a Wavefront OBJ file.
+def _read_plain(text: str, scale: float):
+    """Vertices and triangles of an OBJ text in the plain layout, else None.
 
-    Only v and f records are honored; faces must be triangles.  Every
-    violation in the file is collected, prefixed with the file name, before
-    rejecting it; a missing file raises FixtureMissing.  Vertices are
-    multiplied by `scale`, which must be positive.  The lines are read in
-    one pass; coordinates within +-MAX_LENGTH metres after scaling, index
-    ranges and face areas are then checked on arrays.
+    In the plain layout, the one `save_obj` writes, every line is `v x y z`
+    or `f i j k` with a space after the record name, vertices come before
+    faces, and corners are bare integers.  One split proves it: the text
+    has 4 tokens per line, every line starts with `v ` or `f `, every
+    fourth token is `v` up to the first `f` and `f` after it, and every
+    other token converts with `float` or `int`, which neither `v` nor `f`
+    does.  The line heads are then exactly the record tokens, 4 apart.
+    Also None for a file with a finding (no faces, a coordinate beyond the
+    length bound, an index out of range), which `_read_lines` then names.
     """
-    if float(scale) <= 0.0:
-        raise ValueError("mesh scale must be positive")
-    if not os.path.isfile(path):
-        raise FixtureMissing(f"fixture file missing: {path}")
+    tokens = text.split()
+    lines = text.count("\n") + (not text.endswith("\n"))
+    heads = tokens[::4]
+    nv = heads.count("v")
+    nf = len(heads) - nv
+    if (len(tokens) != 4 * lines or nf == 0 or heads[nv:].count("f") != nf
+            or text.startswith(("v ", "f ")) + text.count("\nv ") + text.count("\nf ") != lines):
+        return None
+    coords, corners = tokens[:4 * nv], tokens[4 * nv:]
+    del coords[::4], corners[::4]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{os.path.basename(path)}: not UTF-8 text "
-                          f"(byte {exc.start}: {exc.reason})") from None
+        v = np.fromiter(map(float, coords), float, len(coords)).reshape(-1, 3)
+        f = np.fromiter(map(int, corners), np.int64, len(corners)).reshape(-1, 3)
+    except (ValueError, OverflowError):    # OverflowError: an index past int64
+        return None
+    with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
+        v *= scale
+    if not (np.abs(v) <= MAX_LENGTH).all() or f.min() < 1 or f.max() > nv:
+        return None
+    return v, f - 1
+
+
+def _read_lines(text: str, scale: float):
+    """Vertices, triangles and findings of any OBJ text, line by line.
+
+    Findings come in line order, then index ranges face by face; an empty
+    list means the arrays are the mesh.
+    """
     vertices, vertex_lines, faces, violations = [], [], [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens:
             continue
@@ -710,7 +743,7 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
                 violations.append(f"line {lineno}: {exc}")
         # all other record types, comments included, are ignored
     with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
-        v = np.array(vertices, dtype=float).reshape(-1, 3) * float(scale)
+        v = np.array(vertices, dtype=float).reshape(-1, 3) * scale
     for k in np.flatnonzero(~(np.abs(v) <= MAX_LENGTH).all(axis=1)).tolist():
         scaled = " after mesh_scale" if all(abs(c) <= MAX_LENGTH for c in vertices[k]) else ""
         violations.append(f"line {vertex_lines[k]}: vertex coordinates not within "
@@ -725,12 +758,43 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     for k, c in np.argwhere(f >= nv).tolist():  # face by face, corner by corner
         violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
                           f"({nv} vertices)")
-    if not violations:
-        for k in np.flatnonzero(_face_areas(v, f) < _DEGENERATE_AREA).tolist():
-            violations.append(f"face {k + 1}: degenerate (zero area)")
-    if violations:
-        raise SchemaError([f"{os.path.basename(path)}: {v}" for v in violations])
-    return TriangleMesh(v, f)
+    return v, f, violations
+
+
+def load_obj(path, scale: float = 1.0) -> TriangleMesh:
+    """Load a triangle mesh from a Wavefront OBJ file.
+
+    Only v and f records are honored; faces must be triangles.  Every
+    violation in the file is collected, prefixed with the file name, before
+    rejecting it; a missing file raises FixtureMissing.  Vertices are
+    multiplied by `scale`, which must be positive, and must lie within
+    +-MAX_LENGTH metres after it; every face must have a non-zero area.
+
+    A file in the plain layout (`_read_plain`) is read in bulk: one split
+    of the text and one conversion per column.  Any other layout, and any
+    file with a finding, is read line by line (`_read_lines`), so a file
+    gets the same arrays and the same findings either way.
+    """
+    scale = float(scale)
+    if scale <= 0.0:
+        raise ValueError("mesh scale must be positive")
+    if not os.path.isfile(path):
+        raise FixtureMissing(f"fixture file missing: {path}")
+    name = os.path.basename(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    arrays = _read_plain(text, scale)
+    if arrays is None:
+        *arrays, violations = _read_lines(text, scale)
+        if violations:
+            raise SchemaError([f"{name}: {v}" for v in violations])
+    try:
+        return TriangleMesh(*arrays)
+    except _FaceError as exc:
+        raise SchemaError([f"{name}: face {k + 1}: {why}" for k, why in exc.faces]) from None
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:

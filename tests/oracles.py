@@ -7,6 +7,7 @@ package.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -201,6 +202,85 @@ def mesh_closest_point(vertices, triangles, point):
     """Brute-force (distance, surface point) for a single query."""
     d2, _, q = mesh_closest(vertices, triangles, np.asarray(point, dtype=float)[None, :])
     return math.sqrt(d2[0]), q[0]
+
+
+# ---------------------------------------------------------------------------
+# OBJ text, one line at a time
+# ---------------------------------------------------------------------------
+
+def _obj_corner(token):
+    """Zero-based vertex index of an f-record corner `v[/vt[/vn]]`."""
+    head = token.split("/")[0]
+    try:
+        i = int(head)
+    except ValueError:
+        raise ValueError(f"face index '{head}' not an integer") from None
+    if i <= 0:
+        raise ValueError(f"face index {i} must be positive (1-based)")
+    return i - 1
+
+
+def obj_arrays(path, scale=1.0, max_length=100.0, min_area=1e-14):
+    """(vertices, triangles, findings) of an OBJ file, read line by line.
+
+    Only v and f records count, and faces must be triangles.  Findings are
+    prefixed with the file name and come in line order, then out-of-range
+    indices face by face; a face's area is measured only when there is no
+    other finding.  The scaled vertices must lie within +-`max_length`, and
+    every face must have an area of at least `min_area`.  No findings
+    means the arrays are the mesh.
+    """
+    name = os.path.basename(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    vertices, vertex_lines, faces, findings = [], [], [], []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0] == "v":
+            if len(tokens) < 4:
+                findings.append(f"line {lineno}: vertex needs 3 coordinates")
+                continue
+            try:
+                vertices.append([float(t) for t in tokens[1:4]])
+                vertex_lines.append(lineno)
+            except ValueError:
+                findings.append(f"line {lineno}: vertex coordinates not numeric")
+        elif tokens[0] == "f":
+            if len(tokens) != 4:
+                findings.append(f"line {lineno}: face {len(faces) + 1} has "
+                                f"{len(tokens) - 1} vertices; only triangles supported")
+                continue
+            try:
+                faces.append([_obj_corner(t) for t in tokens[1:]])
+            except ValueError as exc:
+                findings.append(f"line {lineno}: {exc}")
+    scaled = []
+    for k, corner in enumerate(vertices):
+        with np.errstate(over="ignore"):
+            point = [c * float(scale) for c in np.array(corner)]
+        if not all(abs(c) <= max_length for c in point):
+            after = " after mesh_scale" if all(abs(c) <= max_length for c in corner) else ""
+            findings.append(f"line {vertex_lines[k]}: vertex coordinates not within "
+                            f"+-{max_length:g} m{after}")
+        scaled.append(point)
+    if not faces and not findings:
+        findings.append("no faces: mesh must contain at least one triangle")
+    for k, face in enumerate(faces):
+        for i in face:
+            if i >= len(vertices):
+                findings.append(f"face {k + 1}: vertex index {i + 1} out of range "
+                                f"({len(vertices)} vertices)")
+    v = np.array(scaled, dtype=float).reshape(-1, 3)
+    f = None
+    if not findings:
+        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+        area = 0.5 * np.linalg.norm(np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]),
+                                    axis=1)
+        findings = [f"face {k + 1}: degenerate (zero area)"
+                    for k in np.flatnonzero(area < min_area).tolist()]
+    return v, f, [f"{name}: {x}" for x in findings]
 
 
 # ---------------------------------------------------------------------------

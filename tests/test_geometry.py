@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from cases import (
@@ -217,6 +217,22 @@ def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         TriangleMesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_faces_whose_area_overflows_are_refused():
+    # finite corners whose cross product or its norm overflows: the face is
+    # named, and no numpy warning escapes.  A huge translation collapses a
+    # small mesh's corners onto each other, so every face is degenerate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^triangle 0: area not finite$"):
+            TriangleMesh([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]], [[0, 1, 2]])
+        with pytest.raises(ValueError, match=r"^triangle 1: area not finite$"):
+            TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1e100, 0, 0], [0, 1e100, 0]],
+                         [[0, 1, 2], [0, 3, 4]])
+        with pytest.raises(ValueError, match=r"^triangle 0: degenerate \(zero area\); "
+                                             r"triangle 1: degenerate"):
+            transform_mesh(box_mesh(), pose_from_rotvec((0.0, 0.0, 0.0), (1e200, 1e200, 1e200)))
 
 
 def test_triangle_index_out_of_range():
@@ -587,11 +603,154 @@ def test_load_obj_refuses_faces_whose_area_overflows(tmp_path):
                                     "huge.obj: line 3: vertex coordinates not within +-100 m"]
 
 
+def test_load_obj_names_a_bad_byte_by_its_offset_in_the_file(tmp_path):
+    path = tmp_path / "late.obj"
+    path.write_bytes(b"v 0 0 0\n" * 2000 + b"\xff\n")
+    with pytest.raises(SchemaError) as err:
+        load_obj(path)
+    assert err.value.violations == ["late.obj: not UTF-8 text (byte 16000: invalid start byte)"]
+
+
 def test_load_obj_requires_faces(tmp_path):
     path = tmp_path / "points.obj"
     path.write_text("v 0 0 0\nv 1 0 0\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="no faces"):
         load_obj(path)
+
+
+# OBJ texts for the line reader oracle: plain files (vertices, then faces,
+# one space, "\n"), some one step off that layout, and files in any other
+# layout: comments, blank lines, CRLF, tabs, leading spaces, v/vt/vn
+# corners, extra vertex tokens, quads, interleaved records.  Plain
+# coordinates are valid indices too, so a misaligned read of a plain-looking
+# file would make a mesh rather than fail
+_PLAIN_COORDS = st.integers(1, 3).map(str)
+_ODD_COORDS = st.sampled_from(["0.5", "-1.25", "1e-3", "nan", "-inf", "inf", "1e150",
+                               "1e200", "1_0", "abc", "1e-320", "+2", "0x1", "v", "f"])
+_ODD_INDEX = st.sampled_from(["0", "-1", "9", "99999999999999999999999", "x", "1/1/1",
+                              "2//2", "3/3", "1_0", "+1", "/1", "1.0", "f", "v"])
+_OTHER_LINES = st.sampled_from(["# a comment", "#", "", "   ", "vn 0 0 1", "vt 0.5 0.5",
+                                "o mug", "v 1 2", "f 1 2", "f 1 2 3 4", "v 1 2 3 1"])
+_SCALES = st.sampled_from([1.0, 0.5, 20.0, 1e-3, 1e-8, 1e200, 1e308])
+
+
+@st.composite
+def obj_texts(draw):
+    plain = draw(st.booleans())
+    # a plain file has three vertices and a face, so that one step off the
+    # layout mostly turns a mesh into findings or another mesh
+    nv = draw(st.integers(3 if plain else 0, 6))
+    coords = _PLAIN_COORDS if plain else st.integers(-3, 3).map(str)
+    vertices = [["v", *draw(st.lists(coords, min_size=3, max_size=3))] for _ in range(nv)]
+    # distinct corners in range, where there are three vertices to pick
+    corners = st.lists(st.integers(1, max(nv, 3)).map(str), min_size=3, max_size=3,
+                       unique=True)
+    faces = [["f", *draw(corners)] for _ in range(draw(st.integers(1 if plain else 0, 4)))]
+    records = vertices + faces
+
+    def spoil(record):
+        record[draw(st.integers(1, 3))] = draw(_ODD_COORDS if record[0] == "v" else _ODD_INDEX)
+
+    if plain:
+        # the plain layout, or one step off it: a token spoiled, a corner
+        # just out of range, two records swapped, two lines joined, or a line
+        # break moved to another space (each defeats one of the bulk pass's
+        # checks)
+        step = draw(st.sampled_from(["none", "token", "index", "swap", "join", "move"]))
+        if step == "token":
+            spoil(draw(st.sampled_from(records)))
+        if step == "index":
+            draw(st.sampled_from(faces))[draw(st.integers(1, 3))] = draw(
+                st.sampled_from(["0", str(nv + 1)]))
+        if step == "swap":
+            i, j = draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            records[i], records[j] = records[j], records[i]
+        text = list("".join(" ".join(r) + "\n" for r in records))
+        breaks = [k for k, c in enumerate(text[:-1]) if c == "\n"]
+        if step in ("join", "move"):
+            text[draw(st.sampled_from(breaks))] = " "
+        if step == "move":
+            spaces = [k for k, c in enumerate(text) if c == " "]
+            text[draw(st.sampled_from(spaces))] = "\n"
+        return "".join(text)
+    for record in records:
+        if draw(st.integers(0, 5)) == 0:
+            spoil(record)
+    lines = [" ".join(r) for r in records] + draw(st.lists(_OTHER_LINES, max_size=3))
+    out = []
+    for line in draw(st.permutations(lines)):
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+        end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        out.append(lead + line.replace(" ", sep) + end)
+    text = "".join(out)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def _reads_like_the_line_reader(path, scale=1.0):
+    # the same arrays, bit for bit, or the same findings in the same order,
+    # whichever way load_obj reads the file, and no numpy warning
+    want_v, want_f, findings = oracles.obj_arrays(path, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if findings:
+            with pytest.raises(SchemaError) as err:
+                load_obj(path, scale)
+            assert err.value.violations == findings
+            return
+        mesh = load_obj(path, scale)
+    assert mesh.vertices.dtype == want_v.dtype and mesh.triangles.dtype == want_f.dtype
+    assert mesh.vertices.tobytes() == want_v.tobytes()
+    assert mesh.triangles.tobytes() == want_f.tobytes()
+
+
+@seed(2001)
+@settings(max_examples=200, deadline=None)
+@given(text=obj_texts(), scale=_SCALES)
+def test_load_obj_matches_the_line_reader_oracle(text, scale, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.obj"
+    path.write_bytes(text.encode("utf-8"))
+    _reads_like_the_line_reader(path, scale)
+
+
+# a plain file, and the same one step off the plain layout: each step passes
+# every check of the bulk pass but one
+OFF_PLAIN = {
+    "plain": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 3\n",
+    "corner-0": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 0\n",
+    "corner-past": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 4\n",
+    "interleaved": "v 1 1 1\nv 2 1 3\nf 1 2 3\nv 1 3 2\n",
+    "joined": "v 1 1 1\nv 2 1 3 v 1 3 2\nf 1 2 3\n",
+    "moved-break": "v 1 1 1\nv 2 1\n3 v 1 3 2\nf 1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_PLAIN))
+def test_one_step_off_the_plain_layout_reads_like_the_line_reader(name, tmp_path):
+    path = tmp_path / "step.obj"
+    path.write_text(OFF_PLAIN[name], encoding="utf-8")
+    _reads_like_the_line_reader(path)
+
+
+@pytest.mark.parametrize("path", [*BUNDLED_OBJS, None],
+                         ids=[*(p.parent.name for p in BUNDLED_OBJS), "mug-dense"])
+def test_plain_files_are_read_in_bulk(path, tmp_path, monkeypatch):
+    # every bundled object and the dense mug (None) skip the line reader,
+    # and the bulk read gives the line reader's arrays bit for bit
+    if path is None:
+        path = tmp_path / "object.obj"
+        save_obj(path, subdivide(load_obj(MUG_OBJ), 2))
+
+    def line_reader(*args):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(geometry, "_read_lines", line_reader)
+    mesh = load_obj(path)
+    want_v, want_f, findings = oracles.obj_arrays(path)
+    assert findings == []
+    assert mesh.vertices.tobytes() == want_v.tobytes()
+    assert mesh.triangles.tobytes() == want_f.tobytes()
 
 
 def test_save_points_obj(tmp_path):
