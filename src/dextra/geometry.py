@@ -29,8 +29,8 @@ Conventions used throughout the package:
     is above that cap is done: no triangle it skipped can win or tie.  Only
     the other points are culled against the cap, leaves first, and walked
     again.  The answer is therefore bit-identical to walking every triangle.
-    Vertex and edge normals are built once per mesh, vectorized, with the
-    same bits as a per-triangle loop.
+    A vertex or edge normal is built only for a point that lands on that
+    vertex or edge, with the same bits as a per-triangle loop.
 
     A run keeps one mesh: the object-frame mesh `load_obj` returns.  Every
     surface query is asked in the object frame, so a caller holding points
@@ -522,11 +522,6 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
 
 # ---- pseudonormals for the inside/outside sign ----
 
-def _row_dots(u, v):
-    """Row-wise dot products through matmul: the bits of `u[i] @ v[i]`."""
-    return (u[:, None, :] @ v[:, :, None]).ravel()
-
-
 def _scatter_add(idx, rows, n):
     """(n, 3) sums of `rows` grouped by `idx`, one bincount per component:
     each sum starts at 0.0 and adds in index order, as np.add.at does."""
@@ -534,39 +529,45 @@ def _scatter_add(idx, rows, n):
                     axis=1)
 
 
-def _surface_frames(mesh: TriangleMesh):
-    """Angle-weighted vertex normals and edge normals, built once.
+def _pseudonormals(mesh: TriangleMesh, at: np.ndarray, to: np.ndarray = None) -> np.ndarray:
+    """Unit pseudonormals of the vertices `at`, or of the edges (at[i], to[i]).
 
-    Edge normals are rows in the order of the sorted edge keys
-    `min(i, j) * len(vertices) + max(i, j)`.  Sums run in triangle order and
-    dot products go through matmul, so every bit matches a per-triangle loop
-    that uses `@`, `np.linalg.norm` and `math.acos`.
+    A vertex normal sums the normals of the faces around the vertex, each
+    weighted by the face's angle there; an edge normal sums the normals of
+    the faces holding both ends.  A sum whose norm is at most 1e-12 is kept
+    as it is.  Only the corners at `at` are visited, found through a corner
+    index built once per mesh: the corners sorted by vertex, stably, and
+    each vertex's first slot.  Sums run in triangle order and every dot
+    goes through einsum, so the bits match a per-triangle loop doing the
+    same on any BLAS kernel, and an edge's normal does not depend on the
+    order of its ends.
     """
-    cache = mesh._cache
-    if "vertex_normals" in cache:
-        return cache["vertex_normals"], cache["edge_keys"], cache["edge_normals"]
-    v, f = mesh.vertices, mesh.triangles
-    face_of_corner = np.repeat(mesh.face_normals, 3, axis=0)
-    pts = v[f]
-    # per corner k: the edges towards corners k + 1 and k + 2
-    e1 = (pts[:, [1, 2, 0]] - pts).reshape(-1, 3)
-    e2 = (pts[:, [2, 0, 1]] - pts).reshape(-1, 3)
-    lengths = np.sqrt(_row_dots(e1, e1)) * np.sqrt(_row_dots(e2, e2))
-    cosang = np.clip(_row_dots(e1, e2) / lengths, -1.0, 1.0)
-    angles = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))
-    vertex_normals = _scatter_add(f.ravel(), angles[:, None] * face_of_corner, len(v))
-    norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
-    vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms), vertex_normals)
-    ends = f[:, [1, 2, 0]]
-    keys = (np.minimum(f, ends) * len(v) + np.maximum(f, ends)).ravel()
-    edge_keys, edge_of_corner = np.unique(keys, return_inverse=True)
-    sums = _scatter_add(edge_of_corner.ravel(), face_of_corner, len(edge_keys))
-    norms = np.sqrt(_row_dots(sums, sums))[:, None]
-    edge_normals = np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums)
-    cache["vertex_normals"] = vertex_normals
-    cache["edge_keys"] = edge_keys
-    cache["edge_normals"] = edge_normals
-    return vertex_normals, edge_keys, edge_normals
+    flat = mesh.triangles.ravel()
+    if "corners" not in mesh._cache:
+        order = np.argsort(flat, kind="stable")
+        mesh._cache["corners"] = order, np.searchsorted(flat[order],
+                                                        np.arange(len(mesh.vertices) + 1))
+    order, starts = mesh._cache["corners"]
+    # row i's corners are order[starts[at[i]]:starts[at[i] + 1]], one after another
+    count = starts[at + 1] - starts[at]
+    row = np.repeat(np.arange(len(at)), count)
+    corner = order[np.arange(len(row)) + np.repeat(starts[at] - np.cumsum(count) + count, count)]
+    tri, k = np.divmod(corner, 3)
+    terms = mesh.face_normals[tri]
+    if to is None:
+        # the edges from the corner towards corners k + 1 and k + 2
+        here = mesh.vertices[flat[corner]]
+        e1 = mesh.vertices[flat[corner - k + (k + 1) % 3]] - here
+        e2 = mesh.vertices[flat[corner - k + (k + 2) % 3]] - here
+        lengths = np.sqrt(np.einsum("ij,ij->i", e1, e1)) * np.sqrt(np.einsum("ij,ij->i", e2, e2))
+        cosang = np.clip(np.einsum("ij,ij->i", e1, e2) / lengths, -1.0, 1.0)
+        terms = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))[:, None] * terms
+    else:
+        held = (mesh.triangles[tri] == to[row, None]).any(axis=1)
+        row, terms = row[held], terms[held]
+    sums = _scatter_add(row, terms, len(at))
+    norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
+    return np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums)
 
 
 _FEATURE_EPS = 1e-7
@@ -575,8 +576,8 @@ _FEATURE_EPS = 1e-7
 def _feature_normals(mesh: TriangleMesh, tri_idx: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pseudonormal of the feature (face, edge, vertex) each point q lies on.
 
-    Barycentrics are classified for the whole batch; only points on an edge
-    or a vertex build (or reuse) the cached vertex and edge normals.
+    Barycentrics are classified for the whole batch; only the vertices and
+    edges that points lie on get a pseudonormal built.
     """
     verts = mesh.triangles[tri_idx]
     a, b, c = (mesh.vertices[verts[:, k]] for k in range(3))
@@ -592,21 +593,18 @@ def _feature_normals(mesh: TriangleMesh, tri_idx: np.ndarray, q: np.ndarray) -> 
     small = np.stack([1.0 - v - w < _FEATURE_EPS, v < _FEATURE_EPS, w < _FEATURE_EPS], axis=1)
     count = small.sum(axis=1)
     normals = mesh.face_normals[tri_idx]
-    if not count.any():
-        return normals
-    vertex_normals, edge_keys, edge_normals = _surface_frames(mesh)
     # two barycentrics vanish: the first non-vanishing corner carries the
     # point (corner 0 if all three vanish)
-    on_vertex = np.nonzero(count >= 2)[0]
-    corner = np.argmin(small[on_vertex], axis=1)
-    normals[on_vertex] = vertex_normals[verts[on_vertex, corner]]
+    on_vertex = np.flatnonzero(count >= 2)
+    if on_vertex.size:
+        corner = np.argmin(small[on_vertex], axis=1)
+        normals[on_vertex] = _pseudonormals(mesh, verts[on_vertex, corner])
     # exactly one vanishes: the opposite edge carries the point
-    on_edge = np.nonzero(count == 1)[0]
-    k = np.argmax(small[on_edge], axis=1)
-    e0 = verts[on_edge, (k + 1) % 3]
-    e1 = verts[on_edge, (k + 2) % 3]
-    keys = np.minimum(e0, e1) * len(mesh.vertices) + np.maximum(e0, e1)
-    normals[on_edge] = edge_normals[np.searchsorted(edge_keys, keys)]
+    on_edge = np.flatnonzero(count == 1)
+    if on_edge.size:
+        k = np.argmax(small[on_edge], axis=1)
+        normals[on_edge] = _pseudonormals(mesh, verts[on_edge, (k + 1) % 3],
+                                          verts[on_edge, (k + 2) % 3])
     return normals
 
 
@@ -616,8 +614,8 @@ class SurfaceProximity:
     `sq_distance` (n,), `triangle` (n,) and `point` (n, 3) are computed up
     front.  The outward unit pseudonormal `normal` (n, 3) and the signed
     `distance` (n,), negative inside, are computed on first access, so a
-    caller that needs only distances never builds the mesh's vertex and
-    edge normals.  The sign assumes a watertight mesh.
+    caller that needs only distances builds no pseudonormal.  The sign
+    assumes a watertight mesh.
     """
 
     def __init__(self, mesh: TriangleMesh, points: np.ndarray):

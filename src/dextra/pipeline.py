@@ -31,6 +31,7 @@ from .errors import (
     DextraError,
     SchemaError,
     StageError,
+    WrongFrame,
     check_document,
     number,
     raise_schema,
@@ -313,7 +314,7 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     in a search that moves only its own finger.
     """
     if pre.frame != squeeze.frame:
-        raise SchemaError([f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'"])
+        raise WrongFrame(f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'")
     drivers = [model.joint_index[n] for n in model.finger_drivers]
     if not drivers:
         return np.empty(0)      # a model without finger drivers closes nothing

@@ -221,7 +221,9 @@ def _offset_grasp(grasp: GraspAction, contacts: ContactSet, model: KinematicHand
     """Move engaged fingertips `offset` along their fixed contact normals.
 
     Disengaged fingers are anchored at their queried positions and the
-    wrist never moves; a grasp with no engaged finger is returned as-is.
+    root pose is frozen.  Joints that several fingertips share, such as a
+    wrist joint, still move; a grasp with no engaged finger is returned
+    as-is.
     """
     if contacts.engaged_count == 0:
         return replace(grasp)

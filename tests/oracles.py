@@ -292,7 +292,8 @@ def pseudonormal_frames(vertices, triangles):
 
     A vertex normal sums each incident face normal weighted by the face's
     angle at that vertex; an edge normal sums the normals of the faces
-    sharing the edge.  Both are normalized unless (near) zero.
+    sharing the edge.  Both are normalized unless (near) zero.  Every dot
+    product is an einsum, which gives the same bits under any BLAS kernel.
     """
     v = np.asarray(vertices, dtype=float)
     f = np.asarray(triangles, dtype=int)
@@ -306,19 +307,19 @@ def pseudonormal_frames(vertices, triangles):
         for k in range(3):
             e1 = pts[(k + 1) % 3] - pts[k]
             e2 = pts[(k + 2) % 3] - pts[k]
-            cosang = float(e1 @ e2) / (np.linalg.norm(e1) * np.linalg.norm(e2))
+            cosang = float(np.einsum("i,i->", e1, e2)) / (
+                math.sqrt(np.einsum("i,i->", e1, e1)) * math.sqrt(np.einsum("i,i->", e2, e2)))
             vertex_normals[corners[k]] += math.acos(max(-1.0, min(1.0, cosang))) * fn[t]
         for k in range(3):
             e = (min(corners[k], corners[(k + 1) % 3]), max(corners[k], corners[(k + 1) % 3]))
             edge_sums[e] = edge_sums.get(e, 0.0) + fn[t]
-    norms = np.linalg.norm(vertex_normals, axis=1, keepdims=True)
-    vertex_normals = np.where(norms > 1e-12, vertex_normals / np.where(norms == 0, 1, norms),
-                              vertex_normals)
-    edge_normals = {}
-    for e, s in edge_sums.items():
-        n = np.linalg.norm(s)
-        edge_normals[e] = s / n if n > 1e-12 else np.array(s)
-    return vertex_normals, edge_normals
+
+    def unit(s):
+        n = math.sqrt(np.einsum("i,i->", s, s))
+        return s / n if n > 1e-12 else np.array(s)
+
+    return (np.array([unit(s) for s in vertex_normals]).reshape(-1, 3),
+            {e: unit(s) for e, s in edge_sums.items()})
 
 
 def convex_side(vertices, triangles, pts):

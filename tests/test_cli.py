@@ -518,6 +518,64 @@ def test_fixture_numbers_are_refused_alike_or_run_to_a_finite_report(edit):
             assert _non_finite(report) == []
 
 
+# fragile-01's JSON fixtures, and a settings file with every setting at its
+# default, which runs like no settings file
+SHAPED_DOCS = {
+    **{name: json.loads((FRAGILE_01 / name).read_text())
+       for name in ("scene.json", "contact.json", "hand_estimate.json", "poses.json")},
+    "settings.json": {"hand_model": None, "transfer": True, "force_lock": True, "seed": 0,
+                      "noise_sigma": None},
+}
+
+
+def _key_paths(doc, path=()):
+    """The path of every object key and list index in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    return [p for k, v in items for p in ((*path, k), *_key_paths(v, (*path, k)))]
+
+
+@st.composite
+def fixture_shapes(draw):
+    """(file, key path, value): one key of a file in `SHAPED_DOCS` set to a
+    value of another type, a list one item short or long, an empty list or
+    object, or null."""
+    name = draw(st.sampled_from(sorted(SHAPED_DOCS)))
+    doc = SHAPED_DOCS[name]
+    where = draw(st.sampled_from(_key_paths(doc)))
+    old = reduce(lambda d, k: d[k], where, doc)
+    lengths = [old[:-1], old + old[-1:]] if isinstance(old, list) and old else []
+    return name, where, draw(st.sampled_from([None, [], {}, "text", 0.5, 7, True, *lengths]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(2102)
+@settings(max_examples=80)
+@given(fixture_shapes())
+def test_fixture_shapes_are_refused_alike_or_run_to_a_verdict(edit):
+    # `validate` and `run` refuse the file with the same findings, or the
+    # scene is well formed and `run` writes a report with its verdict
+    name, where, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "fragile-01"
+        shutil.copytree(FRAGILE_01, scene)
+        settings_file = Path(tmp) / "settings.json"
+        settings_file.write_text(json.dumps(SHAPED_DOCS["settings.json"]))
+        doc = json.loads(json.dumps(SHAPED_DOCS[name]))
+        _sets(*where, value=value)(doc)
+        (settings_file if name == "settings.json" else scene / name).write_text(json.dumps(doc))
+
+        flags = ("--settings", str(settings_file))
+        code, stdout, _ = _captured("validate", str(scene), *flags)
+        run_code, _, stderr = _captured("run", str(scene), *flags, "--out", f"{tmp}/runs")
+        findings = stdout.splitlines()[:-1]
+        if code == 1:
+            assert findings and all(name in f for f in findings), findings
+            assert run_code == 2 and all(f in stderr for f in findings), (findings, stderr)
+        else:
+            assert (code, stdout) == (0, "ok\n") and run_code in (0, 1), stderr
+            assert list(Path(tmp).glob("runs/*/report.json")), stderr
+
+
 def test_broken_contact_is_refused_before_any_stage_work(fragile_dir, tmp_path, capsys,
                                                         monkeypatch):
     scene = tmp_path / "fragile-01"

@@ -1,3 +1,4 @@
+import functools
 import warnings
 from pathlib import Path
 
@@ -347,9 +348,9 @@ def test_squared_distances_match_nearest_point():
         mesh = make()
         pts = _points_around(mesh, 25, 5)
         batch = surface_query(mesh, pts)
-        # distances alone never build the pseudonormal frames
+        # distances alone never build the corner index of the pseudonormals
         assert batch.sq_distance.shape == (25,)
-        assert "vertex_normals" not in mesh._cache, name
+        assert "corners" not in mesh._cache, name
         for i, p in enumerate(pts):
             one = surface_query(mesh, p)
             # rows are independent: a batch agrees with single queries bit for bit
@@ -472,14 +473,57 @@ def test_leaf_bound_never_exceeds_its_triangles_bounds(name):
 @pytest.mark.parametrize("name", ["icosphere-4", "mug-dense"]
                          + [f"obj-{p.parent.name}" for p in BUNDLED_OBJS])
 def test_surface_frames_match_per_triangle_loop(name):
+    # every vertex, and every edge with its ends in both orders
     mesh = EXACT_MESHES[name]()
-    vertex_normals, edge_keys, edge_normals = geometry._surface_frames(mesh)
     want_vertex, want_edge = oracles.pseudonormal_frames(mesh.vertices, mesh.triangles)
-    assert np.array_equal(vertex_normals, want_vertex)
-    nv = len(mesh.vertices)
-    got_edge = {(int(k) // nv, int(k) % nv): n for k, n in zip(edge_keys, edge_normals)}
-    assert got_edge.keys() == want_edge.keys()
-    assert all(np.array_equal(got_edge[e], n) for e, n in want_edge.items())
+    at = np.arange(len(mesh.vertices))
+    assert np.array_equal(geometry._pseudonormals(mesh, at), want_vertex)
+    i, j = np.array(list(want_edge)).T
+    want = np.array(list(want_edge.values()))
+    assert np.array_equal(geometry._pseudonormals(mesh, i, j), want)
+    assert np.array_equal(geometry._pseudonormals(mesh, j, i), want)
+
+
+@functools.lru_cache(maxsize=None)
+def _frames(name):
+    mesh = EXACT_MESHES[name]()
+    return mesh, oracles.pseudonormal_frames(mesh.vertices, mesh.triangles)
+
+
+@st.composite
+def feature_batches(draw):
+    """(mesh name, points, their triangles, the oracle's normals): exact
+    vertex positions and points along edges, each feature repeated 1-3
+    times, a repeat on an edge at its own fraction.  On the box, whose edge
+    midpoints have zero coordinates, those zeros may be signed."""
+    name = draw(st.sampled_from(["mug-dense", "box"]))
+    mesh, (want_vertex, want_edge) = _frames(name)
+    v, f = mesh.vertices, mesh.triangles
+    signed = name == "box" and draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        t, k = draw(st.integers(0, len(f) - 1)), draw(st.integers(0, 2))
+        i, j = int(f[t, k]), int(f[t, (k + 1) % 3])
+        on_vertex = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            if on_vertex:
+                rows.append((v[i], t, want_vertex[i]))
+                continue
+            frac = draw(st.just(0.5) | st.floats(1e-3, 1.0 - 1e-3))
+            q = v[i] + frac * (v[j] - v[i])
+            rows.append((np.where(q == 0.0, -0.0, q) if signed else q, t,
+                         want_edge[min(i, j), max(i, j)]))
+    points, tri, want = (np.array(c) for c in zip(*rows))
+    return name, points, tri, want
+
+
+@seed(2101)
+@settings(max_examples=60, deadline=None)
+@given(feature_batches())
+def test_feature_normals_match_the_oracle_bit_for_bit(batch):
+    name, points, tri, want = batch
+    got = geometry._feature_normals(_frames(name)[0], tri, points)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_transform_mesh_is_isometry():

@@ -17,6 +17,7 @@ from dextra.errors import (
     FixtureMissing,
     SchemaError,
     StageError,
+    WrongFrame,
 )
 from dextra.geometry import (
     TriangleMesh,
@@ -454,7 +455,7 @@ def test_pipeline_engagement_rejects_frame_mismatch(robot_model):
     rob = GraspAction(hand_model=robot_model.name,
                       config=rest_configuration(robot_model),
                       frame=FRAME_ROBOT, residual=np.zeros(5))
-    with pytest.raises(SchemaError, match="pre grasp is in"):
+    with pytest.raises(WrongFrame, match="pre grasp is in"):
         derive_engagement(robot_model, obj, rob, box_mesh((0.1, 0.1, 0.1)), identity_pose())
 
 
