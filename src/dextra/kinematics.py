@@ -48,7 +48,6 @@ from .errors import (
 )
 from .geometry import (
     SE3Pose,
-    _cross,
     pose_from_record,
     pose_from_rotvec,
     compose,
@@ -308,13 +307,13 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     )
     # the contact-onset search sweeps every finger in one FK pass, which is
     # exact only while each driver (with its mimics) moves its own tip alone
-    _, _, moves, fold = _jacobian_tables(model)
-    moved = moves[:, 3:, 0] @ (fold != 0.0)        # (K, J): tip k moved by joint j
+    columns, _, fold = _jacobian_tables(model)
     for k, dn in enumerate(drivers):
-        for t in np.flatnonzero(moved[:, joint_index[dn]]):
-            if t != k:
-                bad.append((SchemaError, f"finger driver '{dn}' of '{tips[k]}' "
-                                         f"also moves fingertip '{tips[t]}'"))
+        # the tips of the driver's column and of every mimic folded onto it
+        moved = {t for j in np.flatnonzero(fold[:, joint_index[dn]]) for t in columns[3 + j][2]}
+        for t in sorted(moved - {k}):
+            bad.append((SchemaError, f"finger driver '{dn}' of '{tips[k]}' "
+                                     f"also moves fingertip '{tips[t]}'"))
     raise_schema(bad, where)
     return model
 
@@ -432,12 +431,22 @@ def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
     return qs, ts
 
 
-def fingertip_positions(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
-    """(K, 3) fingertip positions: the model's one forward-kinematics entry point."""
+def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> tuple:
+    """One FK sweep: the (K, 3) fingertip positions, then every link's world
+    quaternion and translation as float tuples, in link order.
+
+    The model's one forward-kinematics entry point.  A caller that keeps the
+    sweep hands it to `fingertip_jacobian` instead of sweeping again.
+    """
     _check_dof(model, config.joint_angles)
     eff = effective_angles(model, config.joint_angles).tolist()
-    _, ts = _raw_fk(model, config.root_pose.rotation, config.root_pose.translation, eff)
-    return np.array([ts[i] for i in model.fingertip_link_ids])
+    qs, ts = _raw_fk(model, config.root_pose.rotation, config.root_pose.translation, eff)
+    return np.array([ts[i] for i in model.fingertip_link_ids]), qs, ts
+
+
+def fingertip_positions(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
+    """(K, 3) fingertip positions of one `forward_kinematics` sweep."""
+    return forward_kinematics(model, config)[0]
 
 
 def perturb_root(pose: SE3Pose, twist: np.ndarray) -> SE3Pose:
@@ -447,52 +456,80 @@ def perturb_root(pose: SE3Pose, twist: np.ndarray) -> SE3Pose:
 
 
 def _jacobian_tables(model: KinematicHandModel):
-    """Rotation axes of the jacobian, the root's three first: the link whose
-    frame holds each axis (-1: the root), the axis in that frame, a (K, A, 1)
-    mask of the tips it moves, and the fold of mimic columns onto drivers."""
+    """Rotation axes of the jacobian, the root's three first, each as (the link
+    whose frame holds it, -1 for the root; the axis in that frame as floats;
+    the fingertips it moves); the flat positions in the (3K, 6 + J) jacobian
+    that `fingertip_jacobian` writes, in the order it computes them; and the
+    (J, J) fold of mimic columns onto drivers."""
     cache = model._cache
     if "jac" not in cache:
-        frames = (-1, -1, -1) + tuple(jt.child_link for jt in model.joints)
-        axes = np.vstack([np.eye(3)] + [jt.axis for jt in model.joints])
-        moves = np.zeros((model.fingertip_count, len(frames), 1))
-        moves[:, :3] = 1.0
+        moved = [[] for _ in model.joints]
         for k, i in enumerate(model.fingertip_link_ids):
             while i >= 0:
                 if model.joint_of_link[i] >= 0:
-                    moves[k, 3 + model.joint_of_link[i]] = 1.0
+                    moved[model.joint_of_link[i]].append(k)
                 i = model.links[i].parent
+        every = tuple(range(model.fingertip_count))
+        columns = [(-1, axis, every) for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        columns += [(jt.child_link, tuple(jt.axis.tolist()), tuple(moved[j]))
+                    for j, jt in enumerate(model.joints)]
+        width = ROOT_DOF + model.dof
+        at = []
+        for a, (frame, _, tips) in enumerate(columns):
+            col = a if frame < 0 else a + 3
+            at += [(3 * k + c) * width + col for k in tips for c in range(3)]
+            if frame < 0:       # then the root translation column along the same axis
+                at += [(3 * k + c) * width + col + 3 for k in every for c in range(3)]
         fold = np.eye(model.dof)
         for j, (driver, ratio) in model.mimics.items():
             fold[j, j] = 0.0
             fold[j, driver] = ratio
-        cache["jac"] = (frames, _frozen(axes), _frozen(moves), _frozen(fold))
+        cache["jac"] = (tuple(columns), _frozen(np.array(at)), _frozen(fold))
     return cache["jac"]
 
 
-def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
+def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
+                       sweep: tuple | None = None) -> np.ndarray:
     """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
     Columns are ordered [root twist (6), joint angles (J)]; rows stack the
     fingertips as (x0, y0, z0, x1, ...).  A rotation column is
     axis x (tip - axis origin) in world coordinates, for the tips the axis
-    moves; a root translation column is the wrist axis itself.  Mimic joints
-    contribute zero columns because kinematics resolves them from their
-    drivers.
+    moves, and +0.0 for the others; a root translation column is the wrist
+    axis itself.  Mimic joints contribute zero columns because kinematics
+    resolves them from their drivers.
+
+    `sweep` is `forward_kinematics(model, config)` when the caller holds it;
+    without it the configuration is swept here.  The columns are assembled
+    in Python floats, so the fold of mimic columns onto their drivers
+    (`rows @ fold`) is the only step that goes through BLAS, and the only
+    one whose bits can depend on the BLAS kernel.
     """
-    _check_dof(model, config.joint_angles)
-    frames, axes, moves, fold = _jacobian_tables(model)
-    root = config.root_pose
-    eff = effective_angles(model, config.joint_angles).tolist()
-    qs, ts = _raw_fk(model, root.rotation, root.translation, eff)
-    quats = np.array([root.rotation if i < 0 else qs[i] for i in frames])
-    origins = np.array([root.translation if i < 0 else ts[i] for i in frames])
-    # rotate each axis into the world: v + 2w (u x v) + 2u x (u x v)
-    turn = 2.0 * _cross(quats[:, 1:], axes)
-    world = axes + quats[:, :1] * turn + _cross(quats[:, 1:], turn)
-    tips = np.array([ts[i] for i in model.fingertip_link_ids])
-    cols = _cross(world, tips[:, None] - origins) * moves      # (K, 3 + J, 3)
-    rows = cols.transpose(0, 2, 1).reshape(3 * len(tips), -1)
-    return np.hstack([rows[:, :3], np.tile(world[:3].T, (len(tips), 1)), rows[:, 3:] @ fold])
+    columns, at, fold = _jacobian_tables(model)
+    _, qs, ts = forward_kinematics(model, config) if sweep is None else sweep
+    tips = [ts[i] for i in model.fingertip_link_ids]
+    root_q, root_t = config.root_pose.rotation.tolist(), config.root_pose.translation.tolist()
+    vals = []
+    for frame, (ax, ay, az), moved in columns:
+        w, x, y, z = root_q if frame < 0 else qs[frame]
+        ox, oy, oz = root_t if frame < 0 else ts[frame]
+        # rotate the axis into the world: v + 2w (u x v) + 2u x (u x v)
+        tx = 2.0 * (y * az - z * ay)
+        ty = 2.0 * (z * ax - x * az)
+        tz = 2.0 * (x * ay - y * ax)
+        wx = ax + w * tx + (y * tz - z * ty)
+        wy = ay + w * ty + (z * tx - x * tz)
+        wz = az + w * tz + (x * ty - y * tx)
+        for k in moved:
+            px, py, pz = tips[k]
+            dx, dy, dz = px - ox, py - oy, pz - oz
+            vals += (wy * dz - wz * dy, wz * dx - wx * dz, wx * dy - wy * dx)
+        if frame < 0:
+            vals += (wx, wy, wz) * len(tips)
+    jac = np.zeros((3 * len(tips), ROOT_DOF + model.dof))
+    jac.flat[at] = vals
+    jac[:, ROOT_DOF:] = jac[:, ROOT_DOF:] @ fold
+    return jac
 
 
 def clamp_to_limits(model: KinematicHandModel, joint_angles: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .kinematics import (
     clamp_to_limits,
     fingertip_jacobian,
     fingertip_positions,
+    forward_kinematics,
     perturb_root,
 )
 
@@ -145,7 +146,9 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
     passes 1e12, or MAX_ITERATIONS candidates have been tried.  Joint
     angles are clamped into their limits after every step; the recorded
     objective trace is strictly decreasing.  With the wrist frozen the root
-    pose of the result is bitwise identical to the input.
+    pose of the result is bitwise identical to the input.  Each candidate
+    is swept once by `forward_kinematics`, and an accepted candidate's
+    jacobian is built from that same sweep.
     """
     targets = np.asarray(targets, dtype=float)
     k = model.fingertip_count
@@ -155,8 +158,8 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
 
     cfg = HandConfiguration(initial.config.root_pose,
                             clamp_to_limits(model, initial.config.joint_angles))
-    tips = fingertip_positions(model, cfg)
-    res_vec = (tips - targets).ravel()
+    sweep = forward_kinematics(model, cfg)
+    res_vec = (sweep[0] - targets).ravel()
     objective = float(res_vec @ res_vec)
     trace = [objective]
     lam, nu = DAMPING_INIT, 2.0
@@ -165,7 +168,7 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if gram is None:
-            jac = fingertip_jacobian(model, cfg)
+            jac = fingertip_jacobian(model, cfg, sweep)
             if not wrist_free:
                 jac = jac[:, ROOT_DOF:]
             gram = jac.T @ jac
@@ -178,14 +181,14 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
             root_c = cfg.root_pose
             ang_c = clamp_to_limits(model, cfg.joint_angles + step)
         cand = HandConfiguration(root_c, ang_c)
-        tips_c = fingertip_positions(model, cand)
-        res_c = (tips_c - targets).ravel()
+        sweep_c = forward_kinematics(model, cand)
+        res_c = (sweep_c[0] - targets).ravel()
         obj_c = float(res_c @ res_c)
         if not math.isfinite(obj_c):
             raise NoConvergence("fingertip objective became non-finite")
         if obj_c < objective:
             improvement = objective - obj_c
-            cfg, tips, res_vec, objective = cand, tips_c, res_c, obj_c
+            cfg, sweep, res_vec, objective = cand, sweep_c, res_c, obj_c
             trace.append(objective)
             if improvement < MIN_IMPROVEMENT:
                 break
@@ -200,7 +203,7 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
             if lam > 1e12:
                 break  # step size is down in the noise; nothing left to gain
 
-    residual = np.linalg.norm(tips - targets, axis=1)
+    residual = np.linalg.norm(sweep[0] - targets, axis=1)
     return GraspAction(hand_model=model.name, config=cfg, frame=initial.frame,
                        residual=residual, objective_trace=tuple(trace))
 

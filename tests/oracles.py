@@ -119,6 +119,48 @@ def chain_jacobian(doc, root_matrix, joint_angles, step=1e-6):
     return np.stack(columns, axis=1)
 
 
+def sweep_jacobian(doc, root_rotation, root_translation, quats, trans):
+    """Geometric jacobian (3K, 6 + J) assembled in whole numpy arrays from one
+    FK sweep: `quats` and `trans` give every link's world pose in document
+    link order.
+
+    Columns are built for every axis and tip at once, with `np.cross`, then
+    masked by the tips each axis moves (a product with 0.0 keeps the sign of
+    the cross product) and the mimic columns folded onto their drivers by
+    one matmul.  Rounding and signed zeros are the reference for the
+    package's Python-float assembly, bit for bit.
+    """
+    link_index = {l["name"]: i for i, l in enumerate(doc["links"])}
+    joint_index = {j["name"]: i for i, j in enumerate(doc["joints"])}
+    joint_of_link = {link_index[j["child_link"]]: i for i, j in enumerate(doc["joints"])}
+    frames = (-1, -1, -1) + tuple(link_index[j["child_link"]] for j in doc["joints"])
+    axes = np.vstack([np.eye(3)] + [np.array(j["axis"], dtype=float) / np.linalg.norm(j["axis"])
+                                    for j in doc["joints"]])
+    tip_ids = [link_index[n] for n in doc["fingertip_links"]]
+    moves = np.zeros((len(tip_ids), len(frames), 1))
+    moves[:, :3] = 1.0
+    for k, i in enumerate(tip_ids):
+        while i >= 0:
+            if i in joint_of_link:
+                moves[k, 3 + joint_of_link[i]] = 1.0
+            i = doc["links"][i]["parent"]
+    fold = np.eye(len(doc["joints"]))
+    for m in doc.get("mimics", []):
+        j = joint_index[m["joint"]]
+        fold[j, j] = 0.0
+        fold[j, joint_index[m["driver"]]] = float(m.get("ratio", 1.0))
+
+    q = np.array([root_rotation if i < 0 else quats[i] for i in frames], dtype=float)
+    origins = np.array([root_translation if i < 0 else trans[i] for i in frames], dtype=float)
+    # rotate each axis into the world: v + 2w (u x v) + 2u x (u x v)
+    turn = 2.0 * np.cross(q[:, 1:], axes)
+    world = axes + q[:, :1] * turn + np.cross(q[:, 1:], turn)
+    tips = np.array([trans[i] for i in tip_ids], dtype=float)
+    cols = np.cross(world, tips[:, None] - origins) * moves      # (K, 3 + J, 3)
+    rows = cols.transpose(0, 2, 1).reshape(3 * len(tips), -1)
+    return np.hstack([rows[:, :3], np.tile(world[:3].T, (len(tips), 1)), rows[:, 3:] @ fold])
+
+
 # ---------------------------------------------------------------------------
 # point-to-triangle-mesh distance (Ericson region classification)
 # ---------------------------------------------------------------------------

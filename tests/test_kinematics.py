@@ -69,6 +69,40 @@ def tiny_doc():
     }
 
 
+def oblique_doc():
+    """Two fingers on a turned wrist joint, one with a mimic: no axis lies
+    along a frame axis, so no term of the jacobian's arithmetic vanishes."""
+    def link(name, parent, t, q=(1.0, 0.0, 0.0, 0.0)):
+        return {"name": name, "parent": parent,
+                "offset": {"rotation": list(q), "translation": list(t)}}
+
+    def joint(name, child, axis):
+        return {"name": name, "child_link": child, "axis": list(axis),
+                "type": "revolute", "limits": [-1.0, 1.5], "rest": 0.1}
+
+    return {
+        "name": "oblique",
+        "links": [
+            link("palm", -1, (0.0, 0.0, 0.0)),
+            link("wrist", 0, (0.01, -0.02, 0.03), (0.9, 0.1, -0.3, 0.2)),
+            link("f1_prox", 1, (0.02, 0.01, 0.0), (0.7, -0.2, 0.1, 0.4)),
+            link("f1_tip", 2, (0.003, 0.031, -0.002)),
+            link("f2_prox", 1, (-0.02, 0.005, 0.01)),
+            link("f2_mid", 4, (0.001, 0.027, 0.004)),
+            link("f2_tip", 5, (-0.002, 0.022, 0.003)),
+        ],
+        "joints": [
+            joint("wrist_tilt", "wrist", (0.3, -0.5, 0.8)),
+            joint("f1_bend", "f1_prox", (1.0, 2.0, 3.0)),
+            joint("f2_bend", "f2_prox", (-2.0, 1.0, 0.5)),
+            joint("f2_curl", "f2_mid", (0.4, 0.4, -1.0)),
+        ],
+        "mimics": [{"joint": "f2_curl", "driver": "f2_bend", "ratio": 0.7}],
+        "fingertip_links": ["f1_tip", "f2_tip"],
+        "finger_drivers": ["f1_bend", "f2_bend"],
+    }
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics against the matrix-chain oracle
 # ---------------------------------------------------------------------------
@@ -203,6 +237,31 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
     assert len(sweeps) == 2
 
 
+@pytest.mark.parametrize("name", (*BUNDLED, "oblique"))
+def test_jacobian_matches_numpy_assembly_bit_for_bit(name):
+    # tobytes, not np.array_equal: the sign of every exact zero counts.  The
+    # bundled hands' axes all lie along a frame axis; the oblique hand's do
+    # not, so a change in the order of operations shows in its bits
+    doc = oblique_doc() if name == "oblique" else bundled_doc(name)
+    model = load_hand_model(doc)
+    rng = np.random.default_rng(31)
+    rest = rest_configuration(model).joint_angles
+    configs = [HandConfiguration(identity_pose(), angles)
+               for angles in (rest, np.zeros(model.dof), model.lower_limits, model.upper_limits)]
+    for axis in np.eye(3):
+        configs.append(HandConfiguration(pose_from_rotvec(0.5 * np.pi * axis, (0.01, -0.02, 0.03)), rest))
+    for _ in range(40):
+        configs.append(HandConfiguration(
+            pose_from_rotvec(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 3)),
+            rng.uniform(model.lower_limits, model.upper_limits)))
+    for cfg in configs:
+        sweep = kinematics.forward_kinematics(model, cfg)
+        want = oracles.sweep_jacobian(doc, cfg.root_pose.rotation, cfg.root_pose.translation,
+                                      sweep[1], sweep[2]).tobytes()
+        assert fingertip_jacobian(model, cfg).tobytes() == want
+        assert fingertip_jacobian(model, cfg, sweep).tobytes() == want
+
+
 def test_private_cross_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(29)
     a, b = rng.normal(size=(2, 40, 3)) * rng.uniform(1e-3, 1e3, (2, 40, 1))
@@ -217,15 +276,15 @@ def test_private_cross_matches_numpy_bit_for_bit():
         *((a[i], b[i]) for i in range(6)),
         # (1, 3) or (3,) against (n, 3), as `transform_points` rotates a batch
         (a[:1], b), (b, a[:1]), (a[0], b),
-        # the broadcast shapes the jacobian uses: (A, 3) axes against
-        # (K, A, 3) tips, and origins against (K, 1, 3) tips
+        # higher-rank broadcasts, (A, 3) against (K, A, 3) and (A, 3) against
+        # (K, 1, 3): the shapes of the whole-array jacobian in
+        # `oracles.sweep_jacobian`, which the package no longer assembles
         (axes, tips), (tips, axes), (origins, points - origins),
     ]
     for x, y in pairs:
         got, want = geometry._cross(x, y), np.cross(x, y)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    assert kinematics._cross is geometry._cross
 
 
 def test_jacobian_mimic_columns_zero(robot_model):
@@ -508,9 +567,15 @@ def test_bundled_model_loads_once_with_read_only_arrays():
     model = bundled_model("inspire-like-6dof")
     assert bundled_model("inspire-like-6dof") is model
     fingertip_jacobian(model, rest_configuration(model))    # fills the cached tables
+    columns, at, fold = model._cache["jac"]
     arrays = [model.approach_axis, model.lower_limits, model.upper_limits,
-              *(j.axis for j in model.joints), *model._cache["jac"][1:]]
+              *(j.axis for j in model.joints), at, fold]
     assert not any(a.flags.writeable for a in arrays)
+    # the per-column table is nested tuples of numbers, so nothing in it is writable
+    assert type(columns) is tuple and len(columns) == 3 + model.dof
+    for frame, axis, tips in columns:
+        assert type(frame) is int and type(axis) is tuple and type(tips) is tuple
+        assert all(type(v) is float for v in axis) and all(type(k) is int for k in tips)
 
 
 def test_load_hand_model_file(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 import cases
 from cases import box_mesh, pose_to_matrix, rest_configuration
-from dextra import geometry, retarget
+from dextra import geometry, kinematics, retarget
 from dextra.errors import (
     DimensionMismatch,
     MissingJointMap,
@@ -19,6 +19,7 @@ from dextra.geometry import (
 from dextra.kinematics import (
     HandConfiguration,
     HandPoseEstimate,
+    bundled_model,
     clamp_to_limits,
     fingertip_positions,
     perturb_root,
@@ -153,6 +154,30 @@ def test_refine_frozen_wrist_keeps_root_bitwise(robot_model):
     targets = fingertip_positions(robot_model, seed.config) + 0.02
     out = refine_retarget(seed, targets, robot_model, wrist_free=False)
     assert out.config.root_pose is root
+
+
+@pytest.mark.parametrize("wrist_free", (True, False))
+@pytest.mark.parametrize("name", ("leap-like-16dof", "shadow-like-22dof"))
+def test_refine_sweeps_no_configuration_twice(name, wrist_free, monkeypatch):
+    # an accepted candidate's jacobian comes from the sweep that scored it
+    model = bundled_model(name)
+    rng = np.random.default_rng(17)
+    root = pose_from_rotvec((0.2, -0.1, 0.3), (0.01, 0.0, 0.02))
+    goal = HandConfiguration(root, rng.uniform(model.lower_limits, model.upper_limits))
+    targets = fingertip_positions(model, goal) + rng.normal(0.0, 0.005, (model.fingertip_count, 3))
+    seed = _object_grasp(model, HandConfiguration(root, rest_configuration(model).joint_angles))
+    swept = []
+    raw_fk = kinematics._raw_fk
+
+    def recorded(model, root_q, root_t, eff):
+        swept.append(np.concatenate([root_q, root_t, eff]).tobytes())
+        return raw_fk(model, root_q, root_t, eff)
+
+    monkeypatch.setattr(kinematics, "_raw_fk", recorded)
+    out = refine_retarget(seed, targets, model, wrist_free=wrist_free)
+    assert len(out.objective_trace) > 5
+    repeats = len(swept) - len(set(swept))
+    assert repeats == 0, f"{repeats} of {len(swept)} sweeps repeat a configuration"
 
 
 def test_refine_rejects_wrong_target_shape(robot_model):
