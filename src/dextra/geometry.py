@@ -31,6 +31,8 @@ Conventions used throughout the package:
     again.  The answer is therefore bit-identical to walking every triangle.
     A vertex or edge normal is built only for a point that lands on that
     vertex or edge, with the same bits as a per-triangle loop.
+    `sq_distance_floor` bounds the squared distances from below by the
+    mesh's bounding box alone, so a caller can rule points out unasked.
 
     A run keeps one mesh: the object-frame mesh `load_obj` returns.  Every
     surface query is asked in the object frame, so a caller holding points
@@ -285,9 +287,10 @@ def _closest_on_matched_triangles(a, b, c, p):
 # point-box pairs per chunk of _first_pass, the one step that chunks: its
 # bounds of every point against every triangle or leaf grow with both, and
 # chunks keep their temporaries in cache on a large batch.  The largest query
-# of the benchmark inputs is 305 points (61 depth shifts x 5 fingertips): its
-# walks take at most 3109 pairs at once, and the second cull's leaf bounds,
-# redo points x leaves, up to 305 x 192 on the benchmark's dense meshes
+# of the benchmark inputs is 165 points (the onset grid's 33 rows x 5
+# fingertips): the walks take at most 2500 pairs at once, and the second
+# cull's leaf bounds, redo points x leaves, up to 136 x 192 on the
+# benchmark's dense meshes
 _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little
@@ -518,6 +521,25 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     if redo.size:
         _walk_rows(tri, points, *_culled(lo, hi, leaves, points, redo, limit), out)
     return out
+
+
+def sq_distance_floor(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
+    """A lower bound on `surface_query(mesh, points).sq_distance`, row by
+    row, from the mesh's bounding box alone; `points` is (n, 3).
+
+    The box is the elementwise min and max of the triangle boxes, so its
+    computed squared gap G to a point is never above any triangle box's
+    computed bound, by the leaf argument of `_closest_points`.  The winning
+    triangle's bound is within the cull limit d2 * (1 + _CULL_REL) + slack,
+    so (G - slack) / (1 + _CULL_REL), and 0 if that is negative, is at most
+    d2: the subtraction and the division round by an eps or two, orders of
+    magnitude inside `_CULL_REL`.
+    """
+    if mesh.triangles.size == 0:
+        raise EmptyMesh("distance floor on a mesh with no triangles")
+    _, lo, hi, slack = _triangle_bounds(mesh)
+    gap = _box_bounds(lo.min(axis=1, keepdims=True), hi.max(axis=1, keepdims=True), points)
+    return np.maximum(gap[:, 0] - slack, 0.0) / (1.0 + _CULL_REL)
 
 
 # ---- pseudonormals for the inside/outside sign ----

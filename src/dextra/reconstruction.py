@@ -50,6 +50,7 @@ from .geometry import (
     invert,
     load_obj,
     pose_from_record,
+    sq_distance_floor,
     surface_query,
     transform_points,
 )
@@ -88,6 +89,9 @@ CONTACT_SELECT_RADIUS = 0.03
 # stops after the first grid whose spacing is at most DEPTH_SEARCH_TOL (m)
 DEPTH_SEARCH_HALF_RANGE = 0.15
 DEPTH_SEARCH_TOL = 1e-5
+# the first grid's objective is flat when it varies by less than this; it is
+# also the margin above the bound within which a shift's floor is asked
+_FLAT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -361,6 +365,14 @@ def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
     return tuple(int(i) for i in np.nonzero(d2 <= CONTACT_SELECT_RADIUS ** 2)[0])
 
 
+def _mesh_frame_tips(pts: np.ndarray, deltas: np.ndarray, to_mesh: SE3Pose) -> np.ndarray:
+    """The camera-frame fingertips `pts` (k, 3) moved along camera z by each
+    shift in `deltas`, then mapped by `to_mesh`: k rows per shift, in order."""
+    shifted = np.repeat(pts[None, :, :], len(deltas), axis=0)
+    shifted[:, :, 2] += deltas[:, None]
+    return transform_points(to_mesh, shifted)
+
+
 def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
                      to_mesh: SE3Pose) -> np.ndarray:
     """Sum of squared surface distances for every depth shift in `deltas`.
@@ -369,11 +381,20 @@ def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
     then `to_mesh` (the inverse of the object's pose in the camera) maps
     them into the frame of the object-frame `mesh`.
     """
-    k = len(pts)
-    shifted = np.repeat(pts[None, :, :], len(deltas), axis=0)
-    shifted[:, :, 2] += deltas[:, None]
-    d2 = surface_query(mesh, transform_points(to_mesh, shifted)).sq_distance
-    return d2.reshape(len(deltas), k).sum(axis=1)
+    d2 = surface_query(mesh, _mesh_frame_tips(pts, deltas, to_mesh)).sq_distance
+    return d2.reshape(len(deltas), len(pts)).sum(axis=1)
+
+
+def _depth_floor(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
+                 to_mesh: SE3Pose) -> np.ndarray:
+    """A lower bound on `_depth_objective` at every shift in `deltas`.
+
+    Each row's `sq_distance_floor` is at most its squared distance, and the
+    rows are summed in the same order; rounding is monotone, so each sum is
+    at most the objective's.
+    """
+    floor = sq_distance_floor(mesh, _mesh_frame_tips(pts, deltas, to_mesh))
+    return floor.reshape(len(deltas), len(pts)).sum(axis=1)
 
 
 def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
@@ -385,11 +406,22 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     minimizes the sum of squared fingertip-to-surface distances over the
     `contact_fingers`.  The search is a grid of 61 shifts over the range,
     then grids of 21 shifts, each ten times finer than the last and centred
-    on the best shift so far, until the spacing is at most DEPTH_SEARCH_TOL;
-    each grid is one batched surface query.  `mesh` is the object-frame mesh
-    and `pose` the object's pose in the estimate's camera: the shifted
-    fingertips are mapped into the object frame for every query, and no
-    surface is built in the camera frame.
+    on the best shift so far, until the spacing is at most DEPTH_SEARCH_TOL.
+    `mesh` is the object-frame mesh and `pose` the object's pose in the
+    estimate's camera: the shifted fingertips are mapped into the object
+    frame for every query, and no surface is built in the camera frame.
+
+    Each grid asks the surface only for the shifts it cannot rule out.  A
+    shift's floor (`_depth_floor`, from the mesh's bounding box) is at most
+    its objective.  The bound is an objective some shift of the grid
+    reaches: on the first grid, that of a probe, one query at the shift of
+    lowest floor (shift 0, the input, on a tie); on a finer grid, the last
+    grid's best, which is its centre.  Every shift whose floor is within the
+    bound plus a margin of `_FLAT` is asked in one batched query; any other
+    can neither win nor tie, so it reads +inf and the best shift, first on a
+    tie, is the one a query of every shift finds.  A shift ruled out also
+    proves the first grid's objective varies by more than `_FLAT`, the
+    flatness test, so that test too agrees with asking every shift.
     Only the root translation z changes; the returned estimate never has a
     worse objective than the input, whose shift 0 is on the first grid.
     """
@@ -402,19 +434,29 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     pts = hand.fingertip_points[list(contact_fingers)]
     to_mesh = invert(pose)
 
+    def asked(deltas, floors, bound):
+        # the objective at every shift whose floor is within the margin of
+        # `bound`, and +inf at the others
+        objs = np.full(len(deltas), np.inf)
+        ask = floors <= bound + _FLAT
+        objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
+        return objs
+
     # nested grids: the objective is only piecewise-smooth, so the first grid
     # pins down the basin; each later one is centred on the best shift so
     # far, which is one of its shifts, so the objective never rises
     step = DEPTH_SEARCH_HALF_RANGE / 30
     deltas = step * np.arange(-30, 31)
-    objs = _depth_objective(mesh, pts, deltas, to_mesh)
-    if float(objs.max() - objs.min()) < 1e-12:
+    floors = _depth_floor(mesh, pts, deltas, to_mesh)
+    probe = 30 if floors[30] == floors.min() else int(np.argmin(floors))
+    objs = asked(deltas, floors, _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0])
+    if float(objs.max() - objs.min()) < _FLAT:
         raise NoConvergence("depth objective is flat over the search range")
     delta = float(deltas[int(np.argmin(objs))])
     while step > DEPTH_SEARCH_TOL:
         step /= 10
         deltas = delta + step * np.arange(-10, 11)
-        objs = _depth_objective(mesh, pts, deltas, to_mesh)
+        objs = asked(deltas, _depth_floor(mesh, pts, deltas, to_mesh), objs.min())
         delta = float(deltas[int(np.argmin(objs))])
 
     root = hand.config.root_pose

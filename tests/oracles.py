@@ -411,6 +411,28 @@ def depth_grid_argmin(vertices, triangles, pts, half_range=0.15,
     return float(fine[int(np.argmin(objective(fine)))])
 
 
+def nested_depth_grid(objective, half_range=0.15, tol=1e-5, flat=1e-12):
+    """The nested depth search asking `objective` for every shift of every grid.
+
+    `objective(deltas)` gives one objective per shift.  The first grid is 61
+    shifts over +-half_range, each later one 21 shifts at a tenth of the last
+    spacing, centred on the best shift so far (the first on a tie), until the
+    spacing is at most `tol`.  Returns the last best shift, or None where the
+    first grid's objective varies by less than `flat`.
+    """
+    step = half_range / 30
+    deltas = step * np.arange(-30, 31)
+    objs = objective(deltas)
+    if float(objs.max() - objs.min()) < flat:
+        return None
+    delta = float(deltas[int(np.argmin(objs))])
+    while step > tol:
+        step /= 10
+        deltas = delta + step * np.arange(-10, 11)
+        delta = float(deltas[int(np.argmin(objective(deltas)))])
+    return delta
+
+
 # ---------------------------------------------------------------------------
 # geometric contact onset, one finger at a time
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cases import (
     subdivide,
 )
 from dextra import geometry
-from dextra.errors import EmptyMesh, SchemaError
+from dextra.errors import MAX_LENGTH, EmptyMesh, SchemaError
 from dextra.geometry import (
     SE3Pose,
     TriangleMesh,
@@ -32,6 +32,7 @@ from dextra.geometry import (
     rotate_vector,
     save_obj,
     save_points_obj,
+    sq_distance_floor,
     surface_query,
     transform_mesh,
     transform_points,
@@ -468,6 +469,72 @@ def test_leaf_bound_never_exceeds_its_triangles_bounds(name):
     leaf_bound = geometry._box_bounds(leaf_lo, leaf_hi, points)
     tri_bound = geometry._box_bounds(lo, hi, points)
     assert np.all(leaf_bound[:, :, None] <= tri_bound[:, members])
+
+
+# the depth search's meshes, and two whose coordinates reach errors.MAX_LENGTH,
+# where the cull slack is largest
+FLOOR_MESHES = {
+    "box": SURFACE_MESHES["box"],
+    "sphere": lambda: icosphere(0.08, subdivisions=2),
+    "mug": SURFACE_MESHES["mug"],
+    "mug-dense": EXACT_MESHES["mug-dense"],
+    "box-max": lambda: box_mesh((2.0 * MAX_LENGTH,) * 3),
+    "mug-max": lambda: transform_mesh(load_obj(MUG_OBJ), pose_from_rotvec(
+        (0.3, 0.2, -0.1), (MAX_LENGTH - 0.2, 0.2 - MAX_LENGTH, MAX_LENGTH - 0.2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _floor_mesh(name):
+    return FLOOR_MESHES[name]()
+
+
+@st.composite
+def floor_batches(draw):
+    """(mesh name, points, rows of the far points): exact vertices, points
+    along edges, points on faces or pushed off either side, points between
+    the centre and a vertex, and points at least the mesh's size from its
+    centre, which lie outside its bounding box."""
+    name = draw(st.sampled_from(list(FLOOR_MESHES)))
+    mesh = _floor_mesh(name)
+    v, f = mesh.vertices, mesh.triangles
+    centre = 0.5 * (v.min(axis=0) + v.max(axis=0))
+    size = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda d: sum(x * x for x in d) > 0.01).map(lambda d: np.array(d) / np.linalg.norm(d))
+    rows, far = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        t, k = draw(st.integers(0, len(f) - 1)), draw(st.integers(0, 2))
+        a, b, c = v[f[t, k]], v[f[t, (k + 1) % 3]], v[f[t, (k + 2) % 3]]
+        kind = draw(st.sampled_from(["vertex", "edge", "face", "inside", "far"]))
+        if kind == "vertex":
+            rows.append(a)
+        elif kind == "edge":
+            rows.append(a + draw(st.just(0.5) | st.floats(0.0, 1.0)) * (b - a))
+        elif kind == "face":
+            u = draw(st.floats(0.0, 1.0))
+            w = draw(st.floats(0.0, 1.0 - u))
+            off = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, 1e-6]) | st.floats(-0.01, 0.01))
+            rows.append(a + u * (b - a) + w * (c - a) + off * mesh.face_normals[t])
+        elif kind == "inside":
+            rows.append(centre + draw(st.floats(0.0, 1.0)) * (a - centre))
+        else:
+            far.append(len(rows))
+            rows.append(centre + draw(st.floats(1.0, 1e3)) * size * draw(direction))
+    return name, np.array(rows), np.array(far, dtype=int)
+
+
+@seed(2302)
+@settings(max_examples=200, deadline=None)
+@given(floor_batches())
+def test_distance_floor_never_exceeds_the_squared_distance(batch):
+    name, points, far = batch
+    mesh = _floor_mesh(name)
+    floor = sq_distance_floor(mesh, points)
+    assert np.all(floor >= 0.0)
+    assert np.all(floor <= surface_query(mesh, points).sq_distance)
+    # far outside the bounding box the floor rules something out
+    assert np.all(floor[far] > 0.0)
 
 
 @pytest.mark.parametrize("name", ["icosphere-4", "mug-dense"]

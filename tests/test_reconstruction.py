@@ -1,11 +1,15 @@
+import contextlib
+import functools
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
-from cases import box_mesh, depth_fixture, pose_to_matrix, replay_scene
+from cases import box_mesh, depth_fixture, pose_to_matrix, replay_scene, subdivide
 from dextra import reconstruction
 from dextra.errors import (
     DimensionMismatch,
@@ -17,6 +21,7 @@ from dextra.errors import (
 from dextra.geometry import (
     identity_pose,
     invert,
+    load_obj,
     pose_from_rotvec,
     transform_mesh,
     transform_points,
@@ -34,6 +39,7 @@ from dextra.reconstruction import (
 )
 
 CORE_SENTENCE = "generate a image of a human right hand grasping the object"
+MUG_OBJ = Path(__file__).resolve().parents[1] / "scenes" / "mug-01" / "object.obj"
 
 
 def _estimate(tips, root=None, skeleton="human-20dof"):
@@ -263,28 +269,142 @@ def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
     assert np.allclose(got.fingertip_points, want.fingertip_points, atol=1e-9)
 
 
+def _full_grid_shift(hand, mesh, contact_fingers, pose, objective=None):
+    """The shift the nested search settles on when every shift of every grid
+    is asked, or None where it finds the objective flat."""
+    pts, to_mesh = hand.fingertip_points[list(contact_fingers)], invert(pose)
+    objective = objective or reconstruction._depth_objective
+    return oracles.nested_depth_grid(lambda deltas: objective(mesh, pts, deltas, to_mesh))
+
+
+def _assert_aligns_like_the_full_grid(hand, mesh, contact_fingers, pose):
+    # the same bits as asking every shift, and NoConvergence exactly where
+    # that search finds the objective flat
+    want = _full_grid_shift(hand, mesh, contact_fingers, pose)
+    if want is None:
+        with pytest.raises(NoConvergence, match="flat"):
+            align_depth(hand, mesh, contact_fingers, pose)
+        return
+    got = align_depth(hand, mesh, contact_fingers, pose)
+    shift = np.array([0.0, 0.0, want])
+    assert got.fingertip_points.tobytes() == (hand.fingertip_points + shift).tobytes()
+    assert (got.config.root_pose.translation.tobytes()
+            == (hand.config.root_pose.translation + shift).tobytes())
+
+
 def test_align_depth_inverts_the_pose_once(monkeypatch):
     # every depth evaluation maps through one inverse pose; the shifts stay
-    # the objective's third positional argument, one batch per grid level
+    # the objective's third positional argument.  The first grid asks a probe
+    # and then the shifts the floor leaves, fewer than all 61; each finer
+    # grid asks only shifts of the grid a search asking every shift builds
     mesh, pts = depth_fixture("sphere")
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
-    inverted, shifts = [], []
-    invert, objective = reconstruction.invert, reconstruction._depth_objective
+    grids = []
+    objective = reconstruction._depth_objective
+
+    def every_shift(*args):
+        grids.append(args[2])
+        return objective(*args)
+
+    want = _full_grid_shift(hand, mesh, (0, 1, 2, 3, 4), pose, every_shift)
+    inverted, asked = [], []
+    invert = reconstruction.invert
 
     def counted_invert(p):
         inverted.append(p)
         return invert(p)
 
     def counted_objective(*args):
-        shifts.append(len(args[2]))
+        asked.append(args[2])
         return objective(*args)
 
     monkeypatch.setattr(reconstruction, "invert", counted_invert)
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
-    align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
+    got = align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
     assert inverted == [pose]
-    assert shifts == [61, 21, 21, 21]
+    assert len(asked) == len(grids) + 1 and len(asked[0]) == 1 and len(asked[1]) < 61
+    for shifts, grid in zip(asked, [grids[0], *grids]):
+        assert np.isin(shifts, grid).all()
+    assert got.fingertip_points.tobytes() == (
+        hand.fingertip_points + np.array([0.0, 0.0, want])).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _depth_mesh(name):
+    if name in ("box", "sphere"):
+        return depth_fixture(name)[0]
+    mug = load_obj(MUG_OBJ)
+    return {"mug": mug, "mug-dense": subdivide(mug, 2), "wall": box_mesh((0.01, 10.0, 10.0))}[name]
+
+
+@st.composite
+def depth_cases(draw):
+    """(hand, mesh, contact fingers, object pose): five fingertips on the
+    surface, or near it, posed in the camera and slid along camera z.
+
+    The box and sphere fixtures keep their own fingertips; on the mugs each
+    lands on a drawn triangle; on the wall, a plane along camera z that the
+    pose only turns about z, the objective is flat.
+    """
+    name = draw(st.sampled_from(["box", "sphere", "mug", "mug-dense", "wall"]))
+    mesh = _depth_mesh(name)
+    if name in ("box", "sphere"):
+        tips = depth_fixture(name)[1]
+    elif name == "wall":
+        tips = np.array([[0.055, y, 0.0] for y in (-0.02, -0.01, 0.0, 0.01, 0.02)])
+    else:
+        corners = mesh.vertices[mesh.triangles[draw(st.lists(
+            st.integers(0, len(mesh.triangles) - 1), min_size=5, max_size=5))]]
+        u, v = (np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))[:, None]
+                for _ in range(2))
+        # barycentric weights with u + v <= 1: a point on each triangle
+        ab, ac = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+        tips = corners[:, 0] + np.minimum(u, 1.0 - v) * ab + v * ac
+    tips = tips + np.array(draw(st.lists(st.floats(-0.005, 0.005), min_size=15,
+                                         max_size=15))).reshape(5, 3)
+    angle = st.floats(-3.0, 3.0)
+    rotvec = (0.0, 0.0, draw(angle)) if name == "wall" else draw(st.tuples(angle, angle, angle))
+    pose = pose_from_rotvec(rotvec, draw(st.tuples(*[st.floats(-0.3, 0.3)] * 2,
+                                                     st.floats(0.3, 0.9))))
+    # true shifts within the search range and beyond it
+    shift = draw(st.floats(-0.3, 0.3))
+    hand = _estimate(transform_points(pose, tips) + [0.0, 0.0, shift])
+    fingers = tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=1))))
+    return hand, mesh, fingers, pose
+
+
+@seed(2301)
+@settings(max_examples=120, deadline=None)
+@given(depth_cases())
+def test_align_depth_matches_the_full_grid(case):
+    _assert_aligns_like_the_full_grid(*case)
+
+
+@pytest.mark.parametrize("tilt, flat", [(1e-10, True), (2.5e-10, False)])
+def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
+    # a wall tilted by `tilt` rad towards camera z, one fingertip 1 cm off it:
+    # over the first grid the objective varies by 0.6e-12 (flat) or 1.5e-12.
+    # At 1.5e-12 the floor rules the farthest shifts out, which proves the
+    # objective is not flat, and the search runs as when every shift is asked
+    mesh = box_mesh((0.01, 0.04, 0.4))
+    pose = pose_from_rotvec((0.0, tilt, 0.0))
+    hand = _estimate(transform_points(pose, np.tile([0.015, 0.0, 0.0], (5, 1))))
+    deltas = reconstruction.DEPTH_SEARCH_HALF_RANGE / 30 * np.arange(-30, 31)
+    objs = reconstruction._depth_objective(mesh, hand.fingertip_points[:1], deltas, invert(pose))
+    assert (objs.max() - objs.min() < 1e-12) == flat
+    assert 0.5e-12 < objs.max() - objs.min() < 2e-12
+    _assert_aligns_like_the_full_grid(hand, mesh, (0,), pose)
+    asked, objective = [], reconstruction._depth_objective
+
+    def counted_objective(*args):
+        asked.append(len(args[2]))
+        return objective(*args)
+
+    monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
+    with contextlib.suppress(NoConvergence):
+        align_depth(hand, mesh, (0,), pose)
+    assert (asked[1] < 61) == (not flat)
 
 
 def test_align_depth_needs_contacts():
