@@ -16,7 +16,7 @@ Conventions used throughout the package:
     `surface_query` finds the nearest triangle in one bound pass and, for
     almost every point, one walk.  Per-triangle bounding boxes, cached on the
     mesh, bound every point-triangle distance from below.  A mesh of more
-    than `_NEAR_LEAVES * _LEAF` triangles also caches a leaf level: its
+    than `_FLAT_TRIANGLES` triangles also caches a leaf level: its
     triangles in Morton (Z) order of their centroids, cut into leaves of
     `_LEAF` under one box each, the leaf level of a linear BVH (Karras, HPG
     2012).  There a point's candidates are the triangles of its
@@ -288,21 +288,29 @@ def _closest_on_matched_triangles(a, b, c, p):
 # bounds of every point against every triangle or leaf grow with both, and
 # chunks keep their temporaries in cache on a large batch.  The largest query
 # of the benchmark inputs is 165 points (the onset grid's 33 rows x 5
-# fingertips): the walks take at most 2500 pairs at once, and the second
-# cull's leaf bounds, redo points x leaves, up to 136 x 192 on the
-# benchmark's dense meshes
+# fingertips): the first walk takes 1320 pairs at once, and on the
+# benchmark's 3072-triangle meshes the second cull's leaf bounds, redo points
+# x leaves, reach 120 x 96 and its walk 1868 pairs
 _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little
 _FIRST_WALK = 8
 # triangles per leaf, and the leaves whose triangles are a point's first
-# candidates.  16 Morton-ordered neighbours keep a leaf's box tight on a dense
-# mesh.  12 x 16 = 192 candidates hold a point's nearest triangle almost
-# always (1896 of the 1910 points a dense-mesh benchmark pass queries on its
-# 3072-triangle objects), and are every triangle of a 192-triangle object,
-# which therefore keeps the flat pass and builds no leaf level
-_LEAF = 16
-_NEAR_LEAVES = 12
+# candidates.  Chosen by replaying the queries of one dense-mesh benchmark
+# pass (36 queries, 1633 points) on its objects subdivided to 768, 3072 and
+# 12288 triangles, every answer byte-identical: against 12 x 16, query time
+# at 4 x 32 was about 0.80x, 0.77x and 0.69x, the best or within noise of it
+# among 3 to 5 leaves of 24 to 48.  The 128 candidates hold a point's
+# nearest triangle for 1604 of the 1633 points at 3072 triangles; fewer,
+# larger leaves cost a second cull more often (22% of points instead of 19%)
+# but bound far fewer boxes per point
+_LEAF = 32
+_NEAR_LEAVES = 4
+# a mesh of at most this many triangles, every bundled object, keeps the flat
+# pass and builds no leaf level: on the 192-triangle objects, leaves at 4 x 32
+# made the queries of one fragile-batch and one hand-sweep pass (195 queries,
+# 8448 points) 14% slower.  A mesh above it has more than _NEAR_LEAVES leaves
+_FLAT_TRIANGLES = 192
 # slack of the bound cull: relative to the upper bound, and absolute in units
 # of the squared diagonal of the box spanning the mesh and the origin
 _CULL_REL = 1e-9
@@ -471,7 +479,7 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     winner is the lowest (squared distance, triangle index) walked, so ties
     resolve to the lowest index as in a full scan.
 
-    On a mesh of at most `_NEAR_LEAVES` leaves every triangle is a
+    On a mesh of at most `_FLAT_TRIANGLES` triangles every triangle is a
     candidate, and the next bound is the (K+1)-th lowest.  On a larger mesh
     the candidates are the triangles of the point's `_NEAR_LEAVES`
     lowest-bound leaves, and the next bound is the lower of the (K+1)-th
@@ -506,7 +514,7 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     tri, lo, hi, slack = _triangle_bounds(mesh)
     m = len(tri)
     k = min(_FIRST_WALK, m)
-    leaves = _leaf_bounds(mesh) if m > _NEAR_LEAVES * _LEAF else None
+    leaves = _leaf_bounds(mesh) if m > _FLAT_TRIANGLES else None
     if k < m:
         first, next_bound = _first_pass(lo, hi, leaves, points, k)
     else:

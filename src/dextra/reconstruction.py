@@ -416,12 +416,15 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     its objective.  The bound is an objective some shift of the grid
     reaches: on the first grid, that of a probe, one query at the shift of
     lowest floor (shift 0, the input, on a tie); on a finer grid, the last
-    grid's best, which is its centre.  Every shift whose floor is within the
-    bound plus a margin of `_FLAT` is asked in one batched query; any other
-    can neither win nor tie, so it reads +inf and the best shift, first on a
-    tie, is the one a query of every shift finds.  A shift ruled out also
-    proves the first grid's objective varies by more than `_FLAT`, the
-    flatness test, so that test too agrees with asking every shift.
+    grid's best, which is its centre.  The probe and the centre are not
+    asked again: a query's rows do not depend on its batch, so the shift
+    that gave the bound has the bound as its objective.  Every other shift
+    whose floor is within the bound plus a margin of `_FLAT` is asked in one
+    batched query; any other can neither win nor tie, so it reads +inf and
+    the best shift, first on a tie, is the one a query of every shift
+    finds.  A shift ruled out also proves the first grid's objective varies
+    by more than `_FLAT`, the flatness test, so that test too agrees with
+    asking every shift.
     Only the root translation z changes; the returned estimate never has a
     worse objective than the input, whose shift 0 is on the first grid.
     """
@@ -434,11 +437,14 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     pts = hand.fingertip_points[list(contact_fingers)]
     to_mesh = invert(pose)
 
-    def asked(deltas, floors, bound):
+    def asked(deltas, floors, known, bound):
         # the objective at every shift whose floor is within the margin of
-        # `bound`, and +inf at the others
+        # `bound`, and +inf at the others; shift `known`, whose objective is
+        # `bound`, reads it unasked
         objs = np.full(len(deltas), np.inf)
         ask = floors <= bound + _FLAT
+        ask[known] = False
+        objs[known] = bound
         objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
         return objs
 
@@ -449,14 +455,15 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     deltas = step * np.arange(-30, 31)
     floors = _depth_floor(mesh, pts, deltas, to_mesh)
     probe = 30 if floors[30] == floors.min() else int(np.argmin(floors))
-    objs = asked(deltas, floors, _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0])
+    objs = asked(deltas, floors, probe,
+                 _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0])
     if float(objs.max() - objs.min()) < _FLAT:
         raise NoConvergence("depth objective is flat over the search range")
     delta = float(deltas[int(np.argmin(objs))])
     while step > DEPTH_SEARCH_TOL:
         step /= 10
         deltas = delta + step * np.arange(-10, 11)
-        objs = asked(deltas, _depth_floor(mesh, pts, deltas, to_mesh), objs.min())
+        objs = asked(deltas, _depth_floor(mesh, pts, deltas, to_mesh), 10, objs.min())
         delta = float(deltas[int(np.argmin(objs))])
 
     root = hand.config.root_pose

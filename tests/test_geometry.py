@@ -363,6 +363,10 @@ def test_squared_distances_match_nearest_point():
             assert np.isclose(batch.sq_distance[i], batch.distance[i] ** 2, atol=1e-12)
 
 
+def _first_triangles(mesh, m):
+    return TriangleMesh(mesh.vertices, mesh.triangles[:m])
+
+
 BUNDLED_OBJS = sorted((Path(__file__).resolve().parents[1] / "scenes").rglob("object.obj"))
 # the query's bound cull and the pseudonormal frames are checked bit for bit
 # against full scans on these, plus every bundled object mesh
@@ -376,13 +380,20 @@ EXACT_MESHES = {
                                       pose_from_rotvec((0.3, 0.2, -0.1), (3.0, -4.0, 2.0))),
     # the dense-mesh benchmark object: 3072 triangles on the mug's surface
     "mug-dense": lambda: subdivide(load_obj(MUG_OBJ), 2),
-    # 200 triangles: 13 leaves, the last one padded
+    # the mug subdivided once: 768 triangles, 24 leaves
+    "mug-768": lambda: subdivide(load_obj(MUG_OBJ), 1),
+    # 200 triangles: 7 leaves, the last one padded
     "cylinder-50": lambda: cylinder_mesh(0.05, 0.2, segments=50),
+    # 196 triangles: 7 leaves, the fewest a mesh with a leaf level gets
+    "cylinder-49": lambda: cylinder_mesh(0.05, 0.2, segments=49),
+    # its first 193 triangles, the fewest that get a leaf level
+    "cylinder-193": lambda: _first_triangles(cylinder_mesh(0.05, 0.2, segments=49), 193),
     # zero extent along z, where every centroid has the same Morton cell
     "flat-grid": lambda: grid_mesh(0.2, cells=12),
     **{f"obj-{path.parent.name}": (lambda path=path: load_obj(path)) for path in BUNDLED_OBJS},
 }
-LEAF_MESHES = ("icosphere-4", "mug-dense", "cylinder-50", "flat-grid")
+LEAF_MESHES = ("icosphere-4", "mug-dense", "mug-768", "cylinder-50", "cylinder-49",
+               "cylinder-193", "flat-grid")
 
 
 def _feature_points(mesh, per_kind=300, seed=0):
@@ -408,11 +419,10 @@ def _feature_points(mesh, per_kind=300, seed=0):
 # point settled by its _FIRST_WALK lowest bounds, "second cull" for one whose
 # next bound is within the cull limit (the centre of a closed mesh, which
 # ties nearly every triangle), and "leaf walk" and "leaf cull" for the same
-# two on a mesh of more than _NEAR_LEAVES leaves.  No point near the open
-# flat grid ties: past a point's own cell every box is a cell width away
+# two on a mesh with a leaf level.  On the open flat grid, whose leaf boxes
+# overlap, a point in the plane can lie in more than _NEAR_LEAVES of them
 QUERY_PATHS = {"tetra": {"all"}, "box": {"one walk"},
-               **{name: {"leaf walk", "leaf cull"} for name in LEAF_MESHES},
-               "flat-grid": {"leaf walk"}}
+               **{name: {"leaf walk", "leaf cull"} for name in LEAF_MESHES}}
 
 
 @pytest.mark.parametrize("name", list(EXACT_MESHES))
@@ -461,6 +471,9 @@ def test_leaf_bound_never_exceeds_its_triangles_bounds(name):
     _, lo, hi, _ = geometry._triangle_bounds(mesh)
     leaf_lo, leaf_hi, members = geometry._leaf_bounds(mesh)
     m = len(mesh.triangles)
+    # the first pass takes each point's (_NEAR_LEAVES + 1)-th lowest leaf
+    # bound, so a mesh with a leaf level needs more leaves than that
+    assert len(members) > geometry._NEAR_LEAVES
     # every triangle in exactly one leaf; the last leaf padded with its last
     assert sorted(members.ravel()[:m].tolist()) == list(range(m))
     assert np.all(members.ravel()[m:] == members.ravel()[m - 1])

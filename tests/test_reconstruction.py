@@ -296,7 +296,9 @@ def test_align_depth_inverts_the_pose_once(monkeypatch):
     # every depth evaluation maps through one inverse pose; the shifts stay
     # the objective's third positional argument.  The first grid asks a probe
     # and then the shifts the floor leaves, fewer than all 61; each finer
-    # grid asks only shifts of the grid a search asking every shift builds
+    # grid asks only shifts of the grid a search asking every shift builds.
+    # No shift is asked twice: not the probe, and not a finer grid's centre,
+    # the last grid's best
     mesh, pts = depth_fixture("sphere")
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
@@ -326,6 +328,9 @@ def test_align_depth_inverts_the_pose_once(monkeypatch):
     assert len(asked) == len(grids) + 1 and len(asked[0]) == 1 and len(asked[1]) < 61
     for shifts, grid in zip(asked, [grids[0], *grids]):
         assert np.isin(shifts, grid).all()
+    assert asked[0][0] not in asked[1]
+    for shifts, grid in zip(asked[2:], grids[1:]):
+        assert grid[10] not in shifts and len(shifts) > 0
     assert got.fingertip_points.tobytes() == (
         hand.fingertip_points + np.array([0.0, 0.0, want])).tobytes()
 
@@ -386,7 +391,8 @@ def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     # a wall tilted by `tilt` rad towards camera z, one fingertip 1 cm off it:
     # over the first grid the objective varies by 0.6e-12 (flat) or 1.5e-12.
     # At 1.5e-12 the floor rules the farthest shifts out, which proves the
-    # objective is not flat, and the search runs as when every shift is asked
+    # objective is not flat, and the search runs as when every shift is asked.
+    # Flat, the first grid asks its 60 shifts other than the probe
     mesh = box_mesh((0.01, 0.04, 0.4))
     pose = pose_from_rotvec((0.0, tilt, 0.0))
     hand = _estimate(transform_points(pose, np.tile([0.015, 0.0, 0.0], (5, 1))))
@@ -404,7 +410,7 @@ def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
     with contextlib.suppress(NoConvergence):
         align_depth(hand, mesh, (0,), pose)
-    assert (asked[1] < 61) == (not flat)
+    assert (asked[1] < 60) == (not flat)
 
 
 def test_align_depth_needs_contacts():
