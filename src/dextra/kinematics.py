@@ -436,7 +436,7 @@ def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> 
     quaternion and translation as float tuples, in link order.
 
     The model's one forward-kinematics entry point.  A caller that keeps the
-    sweep hands it to `fingertip_jacobian` instead of sweeping again.
+    sweep hands it to `fingertip_jacobian`, which does not sweep.
     """
     _check_dof(model, config.joint_angles)
     eff = effective_angles(model, config.joint_angles).tolist()
@@ -489,7 +489,7 @@ def _jacobian_tables(model: KinematicHandModel):
 
 
 def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
-                       sweep: tuple | None = None) -> np.ndarray:
+                       sweep: tuple) -> np.ndarray:
     """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
     Columns are ordered [root twist (6), joint angles (J)]; rows stack the
@@ -499,14 +499,13 @@ def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
     axis itself.  Mimic joints contribute zero columns because kinematics
     resolves them from their drivers.
 
-    `sweep` is `forward_kinematics(model, config)` when the caller holds it;
-    without it the configuration is swept here.  The columns are assembled
-    in Python floats, so the fold of mimic columns onto their drivers
-    (`rows @ fold`) is the only step that goes through BLAS, and the only
-    one whose bits can depend on the BLAS kernel.
+    `sweep` is `forward_kinematics(model, config)`.  The columns are
+    assembled in Python floats, so the fold of mimic columns onto their
+    drivers (`rows @ fold`) is the only step that goes through BLAS, and the
+    only one whose bits can depend on the BLAS kernel.
     """
     columns, at, fold = _jacobian_tables(model)
-    _, qs, ts = forward_kinematics(model, config) if sweep is None else sweep
+    _, qs, ts = sweep
     tips = [ts[i] for i in model.fingertip_link_ids]
     root_q, root_t = config.root_pose.rotation.tolist(), config.root_pose.translation.tolist()
     vals = []

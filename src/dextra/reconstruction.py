@@ -90,7 +90,7 @@ CONTACT_SELECT_RADIUS = 0.03
 DEPTH_SEARCH_HALF_RANGE = 0.15
 DEPTH_SEARCH_TOL = 1e-5
 # the first grid's objective is flat when it varies by less than this; it is
-# also the margin above the bound within which a shift's floor is asked
+# also the margin above the bound within which a first-grid shift is asked
 _FLAT = 1e-12
 
 
@@ -262,7 +262,10 @@ class SceneFixture:
         self.scene_dir = Path(scene_dir)
         path = self.scene_dir / "scene.json"
         v, bad = check_document(read_json(path), {
-            "name": (*TEXT, self.scene_dir.name),
+            # run and batch write to --out/<name>, so it is one path component
+            "name": (lambda n: TEXT[0](n) and n not in (".", "..") and not {"/", "\\"} & set(n),
+                     "must be one path component: not empty, '.' or '..', and no '/' or '\\'",
+                     self.scene_dir.resolve().name),
             "object_name": (*TEXT, REQUIRED),
             "intent": (lambda i: isinstance(i, str), "must be a string", ""),
             "prompt_kind": (PROMPT_KINDS.__contains__,
@@ -385,18 +388,6 @@ def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
     return d2.reshape(len(deltas), len(pts)).sum(axis=1)
 
 
-def _depth_floor(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
-                 to_mesh: SE3Pose) -> np.ndarray:
-    """A lower bound on `_depth_objective` at every shift in `deltas`.
-
-    Each row's `sq_distance_floor` is at most its squared distance, and the
-    rows are summed in the same order; rounding is monotone, so each sum is
-    at most the objective's.
-    """
-    floor = sq_distance_floor(mesh, _mesh_frame_tips(pts, deltas, to_mesh))
-    return floor.reshape(len(deltas), len(pts)).sum(axis=1)
-
-
 def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
                 pose: SE3Pose) -> HandPoseEstimate:
     """Correct the depth ambiguity of a monocular hand estimate.
@@ -411,20 +402,17 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     estimate's camera: the shifted fingertips are mapped into the object
     frame for every query, and no surface is built in the camera frame.
 
-    Each grid asks the surface only for the shifts it cannot rule out.  A
-    shift's floor (`_depth_floor`, from the mesh's bounding box) is at most
-    its objective.  The bound is an objective some shift of the grid
-    reaches: on the first grid, that of a probe, one query at the shift of
-    lowest floor (shift 0, the input, on a tie); on a finer grid, the last
-    grid's best, which is its centre.  The probe and the centre are not
-    asked again: a query's rows do not depend on its batch, so the shift
-    that gave the bound has the bound as its objective.  Every other shift
-    whose floor is within the bound plus a margin of `_FLAT` is asked in one
+    The first grid asks the surface only for the shifts it cannot rule out.
+    A shift's floor, from the mesh's bounding box, is at most its objective,
+    and the bound is the objective of a probe: one query at the shift of
+    lowest floor (shift 0, the input, on a tie).  Every other shift whose
+    floor is within the bound plus a margin of `_FLAT` is asked in one
     batched query; any other can neither win nor tie, so it reads +inf and
     the best shift, first on a tie, is the one a query of every shift
-    finds.  A shift ruled out also proves the first grid's objective varies
-    by more than `_FLAT`, the flatness test, so that test too agrees with
-    asking every shift.
+    finds.  A shift ruled out also proves the objective varies by more than
+    `_FLAT`, so the flatness test agrees with asking every shift too.  A
+    finer grid asks every shift but its centre, the last grid's best, whose
+    objective is known: a query's rows do not depend on its batch.
     Only the root translation z changes; the returned estimate never has a
     worse objective than the input, whose shift 0 is on the first grid.
     """
@@ -437,33 +425,29 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     pts = hand.fingertip_points[list(contact_fingers)]
     to_mesh = invert(pose)
 
-    def asked(deltas, floors, known, bound):
-        # the objective at every shift whose floor is within the margin of
-        # `bound`, and +inf at the others; shift `known`, whose objective is
-        # `bound`, reads it unasked
-        objs = np.full(len(deltas), np.inf)
-        ask = floors <= bound + _FLAT
-        ask[known] = False
-        objs[known] = bound
-        objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
-        return objs
-
     # nested grids: the objective is only piecewise-smooth, so the first grid
     # pins down the basin; each later one is centred on the best shift so
     # far, which is one of its shifts, so the objective never rises
     step = DEPTH_SEARCH_HALF_RANGE / 30
     deltas = step * np.arange(-30, 31)
-    floors = _depth_floor(mesh, pts, deltas, to_mesh)
+    # a row's floor is at most its squared distance and rows sum in the
+    # objective's order; rounding is monotone, so no floor tops its objective
+    floors = sq_distance_floor(mesh, _mesh_frame_tips(pts, deltas, to_mesh))
+    floors = floors.reshape(len(deltas), len(pts)).sum(axis=1)
     probe = 30 if floors[30] == floors.min() else int(np.argmin(floors))
-    objs = asked(deltas, floors, probe,
-                 _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0])
+    objs = np.full(len(deltas), np.inf)
+    objs[probe] = _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0]
+    ask = floors <= objs[probe] + _FLAT
+    ask[probe] = False
+    objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
     if float(objs.max() - objs.min()) < _FLAT:
         raise NoConvergence("depth objective is flat over the search range")
     delta = float(deltas[int(np.argmin(objs))])
     while step > DEPTH_SEARCH_TOL:
         step /= 10
         deltas = delta + step * np.arange(-10, 11)
-        objs = asked(deltas, _depth_floor(mesh, pts, deltas, to_mesh), 10, objs.min())
+        objs = np.insert(_depth_objective(mesh, pts, np.delete(deltas, 10), to_mesh),
+                         10, objs.min())
         delta = float(deltas[int(np.argmin(objs))])
 
     root = hand.config.root_pose

@@ -276,6 +276,43 @@ def test_run_and_batch_write_a_scene_under_its_scene_json_name(fragile_dir, tmp_
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "ABS"])
+def test_a_scene_name_that_is_not_one_path_component_is_refused(fragile_dir, tmp_path,
+                                                                capsys, name):
+    # run and batch write to --out/<name>: a name with a separator, '.' or '..'
+    # would write beside or above --out, an absolute one anywhere
+    name = str(tmp_path / "escaped") if name == "ABS" else name
+    root = tmp_path / "scenes"
+    shutil.copytree(fragile_dir / "fragile-01", root / "s")
+    doc = json.loads((root / "s" / "scene.json").read_text())
+    (root / "s" / "scene.json").write_text(json.dumps({**doc, "name": name}))
+    code, stdout, _ = _run(capsys, "validate", str(root / "s"))
+    assert code == 1
+    assert "scene.json: name must be one path component" in stdout
+    for command, target in (("run", root / "s"), ("batch", root)):
+        out = tmp_path / "runs" / "out"
+        code, stdout, stderr = _run(capsys, command, str(target), "--out", str(out))
+        assert code == 2, stdout + stderr
+        assert "name must be one path component" in stderr
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenes"]
+
+
+def test_a_scene_without_a_name_is_named_by_its_resolved_directory(fragile_dir, tmp_path,
+                                                                    capsys, monkeypatch):
+    scene = tmp_path / "fragile-unnamed"
+    shutil.copytree(fragile_dir / "fragile-01", scene)
+    doc = json.loads((scene / "scene.json").read_text())
+    del doc["name"]
+    (scene / "scene.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(scene)
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, "run", ".", "--out", str(out))
+    assert code in (0, 1), stdout + stderr
+    assert stdout.startswith("fragile-unnamed: ")
+    assert sorted(p.name for p in out.iterdir()) == ["fragile-unnamed"]
+
+
 def test_batch_refuses_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
     root = tmp_path / "scenes"
     shutil.copytree(fragile_dir / "fragile-01", root / "fragile-01")

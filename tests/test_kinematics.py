@@ -28,6 +28,7 @@ from dextra.kinematics import (
     effective_angles,
     fingertip_jacobian,
     fingertip_positions,
+    forward_kinematics,
     load_hand_model,
     load_hand_model_file,
     perturb_root,
@@ -192,7 +193,7 @@ def test_jacobian_directional_derivative(robot_model):
         rng.uniform(robot_model.lower_limits + 0.1, robot_model.upper_limits - 0.1))
     root = pose_from_rotvec((0.1, -0.2, 0.3), (0.02, 0.0, -0.01))
     cfg = HandConfiguration(root, angles)
-    jac = fingertip_jacobian(robot_model, cfg)
+    jac = fingertip_jacobian(robot_model, cfg, forward_kinematics(robot_model, cfg))
     assert jac.shape == (3 * robot_model.fingertip_count, 6 + robot_model.dof)
 
     h = 1e-5
@@ -217,13 +218,17 @@ def test_jacobian_matches_central_difference_oracle(name):
     for _ in range(10):
         angles = rng.uniform(model.lower_limits, model.upper_limits)
         root = pose_from_rotvec(rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.1, 3))
-        jac = fingertip_jacobian(model, HandConfiguration(root, angles))
+        cfg = HandConfiguration(root, angles)
+        jac = fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))
         expected = oracles.chain_jacobian(doc, pose_to_matrix(root), angles)
         assert np.abs(jac - expected).max() <= 1e-8
 
 
 def test_jacobian_is_one_fk_sweep(monkeypatch):
+    # the jacobian reads the sweep it is handed and sweeps nothing itself
     model = bundled_model("shadow-like-22dof")
+    cfg = rest_configuration(model)
+    sweep = forward_kinematics(model, cfg)
     sweeps = []
     raw_fk = kinematics._raw_fk
 
@@ -232,9 +237,9 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
         return raw_fk(*args)
 
     monkeypatch.setattr(kinematics, "_raw_fk", counted)
-    fingertip_jacobian(model, rest_configuration(model))
-    fingertip_jacobian(model, rest_configuration(model))
-    assert len(sweeps) == 2
+    fingertip_jacobian(model, cfg, sweep)
+    fingertip_jacobian(model, cfg, sweep)
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("name", (*BUNDLED, "oblique"))
@@ -255,10 +260,9 @@ def test_jacobian_matches_numpy_assembly_bit_for_bit(name):
             pose_from_rotvec(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 3)),
             rng.uniform(model.lower_limits, model.upper_limits)))
     for cfg in configs:
-        sweep = kinematics.forward_kinematics(model, cfg)
+        sweep = forward_kinematics(model, cfg)
         want = oracles.sweep_jacobian(doc, cfg.root_pose.rotation, cfg.root_pose.translation,
                                       sweep[1], sweep[2]).tobytes()
-        assert fingertip_jacobian(model, cfg).tobytes() == want
         assert fingertip_jacobian(model, cfg, sweep).tobytes() == want
 
 
@@ -289,7 +293,7 @@ def test_private_cross_matches_numpy_bit_for_bit():
 
 def test_jacobian_mimic_columns_zero(robot_model):
     cfg = rest_configuration(robot_model)
-    jac = fingertip_jacobian(robot_model, cfg)
+    jac = fingertip_jacobian(robot_model, cfg, forward_kinematics(robot_model, cfg))
     for mimic_idx in robot_model.mimics:
         assert np.array_equal(jac[:, 6 + mimic_idx], np.zeros(jac.shape[0]))
 
@@ -566,7 +570,8 @@ def test_bundled_model_unknown_name():
 def test_bundled_model_loads_once_with_read_only_arrays():
     model = bundled_model("inspire-like-6dof")
     assert bundled_model("inspire-like-6dof") is model
-    fingertip_jacobian(model, rest_configuration(model))    # fills the cached tables
+    cfg = rest_configuration(model)
+    fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))    # fills the cached tables
     columns, at, fold = model._cache["jac"]
     arrays = [model.approach_axis, model.lower_limits, model.upper_limits,
               *(j.axis for j in model.joints), at, fold]
