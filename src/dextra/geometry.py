@@ -287,10 +287,11 @@ def _closest_on_matched_triangles(a, b, c, p):
 # point-box pairs per chunk of _first_pass, the one step that chunks: its
 # bounds of every point against every triangle or leaf grow with both, and
 # chunks keep their temporaries in cache on a large batch.  The largest query
-# of the benchmark inputs is 165 points (the onset grid's 33 rows x 5
-# fingertips): the first walk takes 1320 pairs at once, and on the
-# benchmark's 3072-triangle meshes the second cull's leaf bounds, redo points
-# x leaves, reach 120 x 96 and its walk 1868 pairs
+# of the benchmark inputs is 109 points (the in-box samples of an onset grid
+# on the 22-joint hand): the first walk takes 872 pairs at once.  On the
+# benchmark's 3072-triangle meshes the largest query is 100 points, and the
+# second cull's leaf bounds, redo points x leaves, reach 20 x 96 and its walk
+# 236 pairs
 _CHUNK_PAIRS = 8192
 # triangles each point walks before the cull: enough that the nearest one is
 # almost always among them, few enough that a small query walks little

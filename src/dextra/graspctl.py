@@ -8,8 +8,10 @@ force, its current position is locked in as the new setpoint for the rest
 of the episode.  Closing force is therefore bounded near the target
 instead of running to the squeeze pose on rigid objects.  `run_grasp` is
 the whole controller: one loop over per-finger Python floats (positions,
-setpoints, latch flags, last error) that appends one row per step and
-builds the `ExecutionTrace` from those rows once, at the end.
+setpoints, latch flags, last error).  Each step is one pass over the
+fingers that senses, latches, commands and advances each in turn and
+appends one row; the `ExecutionTrace` is built from those rows once, at
+the end.
 
 Contact is simulated by a one-sided linear spring per finger: zero force
 until the closing coordinate passes the engagement position, then force
@@ -138,22 +140,35 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
     # the squeeze angle until a finger latches, then the position it latched at
     setpoints = squeeze.config.joint_angles[drivers].tolist()
     locked = [False] * k
-    last_error = None
+    error = [0.0] * k    # each finger's error at the last step
     rows = []
+    # the gains as locals, read K times per step
+    kp, kd, dt = DEFAULT_KP, DEFAULT_KD, DEFAULT_DT
+    fingers = range(k)
     for step in range(DEFAULT_MAX_STEPS):
-        forces = sense(positions, step)
-        for i, f in enumerate(forces):
+        # one pass over the fingers: sense as `sense` does, latch, command
+        # and advance
+        draws = noise[step] if noise is not None else None
+        forces, command, advanced = [], [], []
+        for i in fingers:
+            p = positions[i]
+            f = stiffness[i] * max(0.0, p - engagement[i])
+            if draws is not None:
+                f = max(0.0, f + draws[i])
             if f >= latch_threshold and not locked[i]:
                 locked[i] = True
-                setpoints[i] = positions[i]
-        error = [s - p for s, p in zip(setpoints, positions)]
-        # the first step's derivative is against its own error: kd * 0.0 is
-        # still added, which turns a -0.0 command into 0.0 as the trace records
-        command = [DEFAULT_KP * e + DEFAULT_KD * ((e - le) / DEFAULT_DT)
-                   for e, le in zip(error, last_error or error)]
-        last_error = error
-        rows.append(positions + forces + command + locked)
-        positions = [p + c * DEFAULT_DT for p, c in zip(positions, command)]
+                setpoints[i] = p
+            e = setpoints[i] - p
+            # the first step's derivative is against its own error: kd * 0.0
+            # is still added, which turns a -0.0 command into 0.0 as the
+            # trace records
+            c = kp * e + kd * ((e - (error[i] if step else e)) / dt)
+            error[i] = e
+            forces.append(f)
+            command.append(c)
+            advanced.append(p + c * dt)
+        rows.append([*positions, *forces, *command, *locked])
+        positions = advanced
         # settling covers the all-locked case too: the latch flips the
         # setpoint, and the PD needs a few more steps to absorb the
         # derivative transient and hold the locked position
@@ -161,7 +176,8 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
             break
 
     final_forces = np.array(sense(positions, len(rows)))
-    table = np.array(rows)      # (T, 4K): positions, forces, commands, latch flags
+    # (T, 4K): positions, forces, commands, latch flags as 1.0 or 0.0
+    table = np.array(rows, dtype=float)
     trace = ExecutionTrace(positions=table[:, :k], forces=table[:, k:2 * k],
                            commands=table[:, 2 * k:3 * k], locked=table[:, 3 * k:] == 1.0)
     peak_forces = np.vstack([trace.forces, final_forces]).max(axis=0)

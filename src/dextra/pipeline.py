@@ -45,6 +45,7 @@ from .geometry import (
     pose_to_record,
     save_obj,
     save_points_obj,
+    sq_distance_floor,
     surface_query,
     transform_mesh,
 )
@@ -306,12 +307,19 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     own frame.
 
     All fingers are searched in lockstep: each grid sample is one FK sweep
-    with every driver at its own angle, the whole grid is one surface query,
-    and every ITP step is one FK sweep and one query for the fingers still
-    open.  `load_hand_model` guarantees that a driver, with its mimic joints,
+    with every driver at its own angle, the grid is one surface query, and
+    every ITP step is one FK sweep and one query for the fingers still open.
+    `load_hand_model` guarantees that a driver, with its mimic joints,
     moves its own fingertip alone, and every finger is open from the first
     step until its bracket closes, so each fingertip gets the same bits as
     in a search that moves only its own finger.
+
+    The grid query asks only the samples whose distance the answer reads:
+    those the mesh's bounding box cannot rule out (`sq_distance_floor` is
+    0), the sample before each of them, and a driver that does not close at
+    its pre-grasp angle alone.  Every other sample lies outside the box of a
+    closed mesh, so outside the mesh, and the onsets keep the bits of a
+    query of the whole grid.
     """
     if pre.frame != squeeze.frame:
         raise WrongFrame(f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'")
@@ -336,7 +344,15 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
                      else np.full(_ENGAGEMENT_SAMPLES, a)
                      for a, b, c in zip(lo, hi, closes)]).T
     tips = np.array([tips_at(row) for row in grid])
-    depths = surface_query(mesh, tips.reshape(-1, 3)).distance.reshape(grid.shape)
+    # ask the in-box samples, the sample before each (a bracket's outer end)
+    # and a driver that does not close in row 0 alone, as its tip is the
+    # same in every row; every other sample reads +inf
+    in_box = (sq_distance_floor(mesh, tips.reshape(-1, 3)) == 0.0).reshape(grid.shape)
+    asked = in_box.copy()
+    asked[:-1] |= in_box[1:]
+    asked[1:, ~closes] = False
+    depths = np.full(grid.shape, np.inf)
+    depths[asked] = surface_query(mesh, tips[asked]).distance
     inside = depths <= 0.0
 
     out = np.where(inside[0], lo, np.inf)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import MODELS_DIR
 from cases import rest_configuration
+from dextra import graspctl
 from dextra.errors import DimensionMismatch, MissingField
 from dextra.graspctl import (
     DEFAULT_KP,
@@ -120,6 +121,27 @@ def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma,
         f_target=F_TARGET, lock_enabled=lock_enabled,
         noise_sigma=noise_sigma, seed=7)
     assert result.steps == len(oracle["commands"])
+    for field in ("positions", "forces", "commands", "locked"):
+        assert _bits(getattr(result.trace, field)) == _bits(oracle[field]), field
+    assert _bits(result.final_positions) == _bits(oracle["final_positions"])
+    assert _bits(result.final_forces) == _bits(oracle["final_forces"])
+
+
+def test_run_grasp_stopped_at_the_step_cap_matches_scalar_replay(monkeypatch, robot_model):
+    # a cap of 50 stops the episode before the commands settle; the final
+    # reading is then reading 50, the last row of the noise draws
+    monkeypatch.setattr(graspctl, "DEFAULT_MAX_STEPS", 50)
+    pre = _driver_grasp(robot_model, 0.1)
+    squeeze = _driver_grasp(robot_model, 0.55)
+    contact = _uniform_contact(5, noise_sigma=0.5)
+    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=7)
+    oracle = oracles.pd_spring_episode(
+        start=np.full(5, 0.1), squeeze=np.full(5, 0.55),
+        stiffness=np.full(5, STIFF), engagement=np.full(5, ENGAGE),
+        f_target=F_TARGET, max_steps=50, noise_sigma=0.5, seed=7)
+    assert result.steps == len(oracle["commands"]) == 50
+    assert np.abs(result.trace.commands[-1]).max() >= 1e-9
+    assert result.locked.any()
     for field in ("positions", "forces", "commands", "locked"):
         assert _bits(getattr(result.trace, field)) == _bits(oracle[field]), field
     assert _bits(result.final_positions) == _bits(oracle["final_positions"])

@@ -555,6 +555,66 @@ def test_engagement_matches_per_finger_oracle(monkeypatch, scene_dir, hand):
     _assert_rounds_within_n_max(rounds, onset, model, pre, squeeze)
 
 
+def _grid_queries(args, floor=None):
+    """derive_engagement's onsets, the fingertips its grid took the box floor
+    of and those floors, (S, K, 3) and (S, K), and the points its grid query
+    asked; `floor` stands in for `sq_distance_floor` if given."""
+    seen, asked, query = [], [], pipeline.surface_query
+    floor = floor or pipeline.sq_distance_floor
+
+    def floored(mesh, points):
+        seen.append((points, floor(mesh, points)))
+        return seen[-1][1]
+
+    def recorded(mesh, points):
+        asked.append(points)
+        return query(mesh, points)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "sq_distance_floor", floored)
+        m.setattr(pipeline, "surface_query", recorded)
+        onset = derive_engagement(*args)
+    assert len(seen) == 1
+    shape = (_ENGAGEMENT_SAMPLES, len(args[0].finger_drivers))
+    return onset, seen[0][0].reshape(shape + (3,)), seen[0][1].reshape(shape), asked[0]
+
+
+@pytest.mark.parametrize("hand", [None, "leap-like-16dof", "shadow-like-22dof"])
+@pytest.mark.parametrize("scene_dir", BUNDLED_SCENES, ids=lambda p: p.name)
+def test_engagement_grid_asks_only_in_box_samples_and_keeps_full_grid_bits(
+        monkeypatch, scene_dir, hand):
+    args, engagement = _engagement_inputs(monkeypatch, scene_dir, hand_model=hand)
+    model, pre, squeeze = args[:3]
+    # a zero floor rules nothing out, so the grid asks every sample
+    full, _, _, every = _grid_queries(args, floor=lambda mesh, points: np.zeros(len(points)))
+    assert full.tobytes() == engagement.tobytes()
+    onset, tips, floors, points = _grid_queries(args)
+    assert onset.tobytes() == engagement.tobytes()
+    drivers = _drivers(model)
+    closes = squeeze.config.joint_angles[drivers] > pre.config.joint_angles[drivers] + 1e-12
+    in_box = floors == 0.0
+    # a closing finger: its in-box samples and one outer end per in-box run
+    # that does not start at row 0; a finger that does not close: row 0 alone
+    runs = in_box & ~np.vstack([np.ones_like(in_box[:1]), in_box[:-1]])
+    want = np.where(closes, in_box.sum(axis=0) + runs[1:].sum(axis=0), in_box[0])
+    ask = in_box.copy()
+    ask[:-1] |= in_box[1:]
+    ask[1:, ~closes] = False
+    assert np.array_equal(ask.sum(axis=0), want)
+    assert points.tobytes() == tips[ask].tobytes()
+    assert len(every) == closes.sum() * _ENGAGEMENT_SAMPLES + (~closes).sum()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_engagement_with_the_mesh_out_of_reach_asks_no_point(monkeypatch, mug_scene):
+    (model, pre, squeeze, mesh, pose), _ = _engagement_inputs(monkeypatch, mug_scene)
+    away = compose(pose_from_rotvec(np.zeros(3), (1.0, 0.0, 0.0)), pose)
+    onset, _, floors, points = _grid_queries((model, pre, squeeze, mesh, away))
+    assert (floors > 0.0).all()
+    assert onset.tolist() == [np.inf] * len(model.finger_drivers)
+    assert points.shape == (0, 3)
+
+
 def _with_drivers(grasp, model, changes):
     angles = np.array(grasp.config.joint_angles)
     for k, angle in changes.items():
