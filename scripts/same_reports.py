@@ -2,10 +2,12 @@
 
 Run from the repository root:  python3 scripts/same_reports.py A B COUNT
 
-Every report.json one level under directory A is compared with the file at
-the same place under B, each without its "timings"; report.json holds every
-stage digest, so only the timings may differ between two runs of one scene.
-Exits non-zero if a pair differs, B lacks a file, or A does not hold COUNT.
+The report.json files one level under directories A and B must sit at the
+same places, COUNT of them, and each pair must match without its
+"timings"; report.json holds every stage digest, so only the timings may
+differ between two runs of one scene.  Exits non-zero with a one-line
+message if a pair differs, a report is under only one of A and B, or A does
+not hold COUNT.
 """
 
 import json
@@ -21,10 +23,14 @@ def load(path):
 
 def main(argv):
     a, b, count = pathlib.Path(argv[0]), pathlib.Path(argv[1]), int(argv[2])
-    reports = sorted(a.glob("*/report.json"))
+    found = [{p.relative_to(d) for p in d.glob("*/report.json")} for d in (a, b)]
+    for here, there, only_here in ((a, b, found[0] - found[1]), (b, a, found[1] - found[0])):
+        if only_here:
+            return f"{here / min(only_here)}: no report at the same place under {there}"
+    reports = sorted(found[0])
     for path in reports:
-        if load(path) != load(b / path.relative_to(a)):
-            return f"{path}: differs outside timings"
+        if load(a / path) != load(b / path):
+            return f"{a / path}: differs outside timings"
     if len(reports) != count:
         return f"{len(reports)} report.json files under {a}, expected {count}"
     print(f"{count} report.json files identical outside timings")

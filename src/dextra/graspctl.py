@@ -1,17 +1,16 @@
 """Force-constrained grasp execution in finger closing coordinates.
 
-Each finger is commanded through one closing coordinate, the driver joint
-declared by the hand model (linkage-coupled segments follow via mimics).
-A PD loop drives every finger from its pre-grasp angle toward its squeeze
-angle; the moment a finger's sensed force reaches the predicted target
+Each finger is commanded through one closing coordinate, and
+`pipeline.ClosingPath` maps those onto a hand's joints, so the controller
+knows no hand model.  A PD loop drives every finger from its start toward
+its end; the moment a finger's sensed force reaches the predicted target
 force, its current position is locked in as the new setpoint for the rest
 of the episode.  Closing force is therefore bounded near the target
-instead of running to the squeeze pose on rigid objects.  `run_grasp` is
-the whole controller: one loop over per-finger Python floats (positions,
-setpoints, latch flags, last error).  Each step is one pass over the
-fingers that senses, latches, commands and advances each in turn and
-appends one row; the `ExecutionTrace` is built from those rows once, at
-the end.
+instead of running to the end on rigid objects.  `run_grasp` is the whole
+controller: one loop over per-finger Python floats (positions, setpoints,
+latch flags, last error).  Each step is one pass over the fingers that
+senses, latches, commands and advances each in turn and appends one row;
+the `ExecutionTrace` is built from those rows once, at the end.
 
 Contact is simulated by a one-sided linear spring per finger: zero force
 until the closing coordinate passes the engagement position, then force
@@ -26,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingField
-from .kinematics import KinematicHandModel
-from .retarget import GraspAction
+from .errors import DimensionMismatch
 
 DEFAULT_KP = 5.0          # 1/s
 DEFAULT_KD = 0.1
@@ -96,10 +93,9 @@ class GraspExecutionResult:
     trace: ExecutionTrace
 
 
-def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
-              f_target: float, model: KinematicHandModel,
+def run_grasp(start, end, contact: ContactModel, f_target: float,
               lock_enabled: bool = True, seed: int = 0) -> GraspExecutionResult:
-    """Close from the pre-grasp toward the squeeze pose under force limits.
+    """Close (K,) closing coordinates from `start` toward `end` under force limits.
 
     The PD loop runs with gains DEFAULT_KP and DEFAULT_KD at time step
     DEFAULT_DT.  The episode ends when the velocity commands settle below a
@@ -108,17 +104,16 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
     any finger's peak force exceeded the object's yield force; stable if at
     least MIN_STABLE_FINGERS fingers ended inside STABILITY_BAND around
     `f_target`; unstable otherwise.  With `lock_enabled` False the force
-    latch is bypassed and fingers drive all the way to the squeeze pose.
+    latch is bypassed and fingers drive all the way to `end`.
     """
     if not 0.0 < f_target < math.inf:
         raise ValueError(f"target force must be positive and finite, got {f_target}")
-    if not model.finger_drivers:
-        raise MissingField(f"model '{model.name}' declares no finger_drivers")
-    drivers = [model.joint_index[name] for name in model.finger_drivers]
-    k = len(drivers)
-    if contact.engagement.shape != (k,):
-        raise DimensionMismatch(
-            f"contact model covers {contact.engagement.shape[0]} fingers, hand has {k}")
+    start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    if start.shape != end.shape:
+        raise DimensionMismatch(f"start has shape {start.shape}, end {end.shape}")
+    k = contact.engagement.shape[0]
+    if start.shape != (k,):
+        raise DimensionMismatch(f"contact model covers {k} fingers, start {start.shape}")
 
     # one row of draws per reading, every step's and the final one: the same
     # stream as one (K,) draw per reading
@@ -136,9 +131,9 @@ def run_grasp(pre: GraspAction, squeeze: GraspAction, contact: ContactModel,
         return f
 
     latch_threshold = f_target if lock_enabled else math.inf
-    positions = pre.config.joint_angles[drivers].tolist()
-    # the squeeze angle until a finger latches, then the position it latched at
-    setpoints = squeeze.config.joint_angles[drivers].tolist()
+    positions = start.tolist()
+    # the end until a finger latches, then the position it latched at
+    setpoints = end.tolist()
     locked = [False] * k
     error = [0.0] * k    # each finger's error at the last step
     rows = []

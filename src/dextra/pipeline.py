@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DextraError,
+    MissingField,
     SchemaError,
     StageError,
     WrongFrame,
@@ -278,28 +279,58 @@ class PipelineReport:
 
 
 # ---------------------------------------------------------------------------
-# geometric contact onset
+# the closing path and its contact onset
 # ---------------------------------------------------------------------------
 
-def derive_engagement(model: KinematicHandModel, pre: GraspAction,
-                      squeeze: GraspAction, mesh: TriangleMesh,
-                      pose: SE3Pose) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ClosingPath:
+    """How each finger closes: its driver joint, with its mimics, moves from
+    `start` toward `end` while every other joint holds `squeeze`.  A finger
+    that does not close (or closes the wrong way for a one-sided spring)
+    stays at its start."""
+
+    drivers: list                 # (K,) joint index of each finger's driver
+    start: np.ndarray             # (K,) closing coordinates at the pre-grasp
+    end: np.ndarray               # (K,) closing coordinates at the squeeze
+    closes: np.ndarray            # (K,) end > start + 1e-12
+    squeeze: HandConfiguration
+
+    def joint_angles(self, coords) -> np.ndarray:
+        """The full joint vector with the drivers at (K,) closing coordinates."""
+        angles = np.array(self.squeeze.joint_angles)
+        angles[self.drivers] = coords
+        return angles
+
+
+def closing_path(model: KinematicHandModel, pre: GraspAction,
+                 squeeze: GraspAction) -> ClosingPath:
+    """Each finger's closing path from `pre` to `squeeze`, grasps in one frame."""
+    if pre.frame != squeeze.frame:
+        raise WrongFrame(f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'")
+    if not model.finger_drivers:
+        raise MissingField(f"model '{model.name}' declares no finger_drivers")
+    drivers = [model.joint_index[n] for n in model.finger_drivers]
+    start, end = (g.config.joint_angles[drivers] for g in (pre, squeeze))
+    return ClosingPath(drivers, start, end, end > start + 1e-12, squeeze.config)
+
+
+def derive_engagement(model: KinematicHandModel, path: ClosingPath,
+                      mesh: TriangleMesh, pose: SE3Pose) -> np.ndarray:
     """Closing coordinate at which each fingertip first meets the surface.
 
-    Every finger's driver sweeps from its pre-grasp value toward its squeeze
-    value while the other joints hold their squeeze values.  The first of
-    _ENGAGEMENT_SAMPLES grid samples whose fingertip is inside the surface
-    brackets the onset with the sample before it; ITP steps (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020) on the signed distance close the
-    bracket to at most ENGAGEMENT_TOL, and its midpoint, within
-    ENGAGEMENT_TOL / 2 of a surface crossing in the grid bracket, is that
-    finger's contact onset.  A step takes the regula-falsi point, truncates
-    it toward the midpoint and projects it into a radius around the midpoint
-    that halves with every step, so a finger takes at most one step more
-    than bisection would (about 4 instead of 15 on the bundled scenes).  A
-    driver that does not close counts only a touch already at its pre-grasp
-    angle, and a fingertip that never reaches the surface gets +inf, which
-    the spring model reads as free air.
+    Every finger moves along `path`.  The first of _ENGAGEMENT_SAMPLES grid
+    samples whose fingertip is inside the surface brackets the onset with
+    the sample before it; ITP steps (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) on the signed distance close the bracket to at most
+    ENGAGEMENT_TOL, and its midpoint, within ENGAGEMENT_TOL / 2 of a surface
+    crossing in the grid bracket, is that finger's contact onset.  A step
+    takes the regula-falsi point, truncates it toward the midpoint and
+    projects it into a radius around the midpoint that halves with every
+    step, so a finger takes at most one step more than bisection would
+    (about 4 instead of 15 on the bundled scenes).  A finger that does not
+    close counts only a touch already at its start, and a fingertip that
+    never reaches the surface gets +inf, which the spring model reads as
+    free air.
 
     `mesh` is the object-frame mesh and `pose` its pose in the grasps' frame.
     The inverse of `pose` is composed into the squeeze root once, so every
@@ -316,50 +347,37 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
 
     The grid query asks only the samples whose distance the answer reads:
     those the mesh's bounding box cannot rule out (`sq_distance_floor` is
-    0), the sample before each of them, and a driver that does not close at
-    its pre-grasp angle alone.  Every other sample lies outside the box of a
-    closed mesh, so outside the mesh, and the onsets keep the bits of a
-    query of the whole grid.
+    0), the sample before each of them, and a finger that does not close at
+    its start alone.  Every other sample lies outside the box of a closed
+    mesh, so outside the mesh, and the onsets keep the bits of a query of
+    the whole grid.
     """
-    if pre.frame != squeeze.frame:
-        raise WrongFrame(f"pre grasp is in '{pre.frame}', squeeze in '{squeeze.frame}'")
-    drivers = [model.joint_index[n] for n in model.finger_drivers]
-    if not drivers:
-        return np.empty(0)      # a model without finger drivers closes nothing
-    root = compose(invert(pose), squeeze.config.root_pose)
-    base = np.array(squeeze.config.joint_angles)
-    lo = np.array(pre.config.joint_angles)[drivers]
-    hi = base[drivers]
-    # a driver that does not close (or closes the wrong way for a one-sided
-    # spring) stays at its pre-grasp angle
-    closes = hi > lo + 1e-12
+    root = compose(invert(pose), path.squeeze.root_pose)
 
-    def tips_at(driver_angles) -> np.ndarray:
-        """(K, 3) fingertips with each driver at its own angle."""
-        angles = base.copy()
-        angles[drivers] = driver_angles
-        return fingertip_positions(model, HandConfiguration(root, angles))
+    def tips_at(coords) -> np.ndarray:
+        """(K, 3) fingertips with each finger at its own closing coordinate."""
+        return fingertip_positions(model, HandConfiguration(root, path.joint_angles(coords)))
 
     grid = np.array([np.linspace(a, b, _ENGAGEMENT_SAMPLES) if c
                      else np.full(_ENGAGEMENT_SAMPLES, a)
-                     for a, b, c in zip(lo, hi, closes)]).T
+                     for a, b, c in zip(path.start, path.end, path.closes)]).T
     tips = np.array([tips_at(row) for row in grid])
     # ask the in-box samples, the sample before each (a bracket's outer end)
-    # and a driver that does not close in row 0 alone, as its tip is the
+    # and a finger that does not close in row 0 alone, as its tip is the
     # same in every row; every other sample reads +inf
     in_box = (sq_distance_floor(mesh, tips.reshape(-1, 3)) == 0.0).reshape(grid.shape)
     asked = in_box.copy()
     asked[:-1] |= in_box[1:]
-    asked[1:, ~closes] = False
+    asked[1:, ~path.closes] = False
     depths = np.full(grid.shape, np.inf)
     depths[asked] = surface_query(mesh, tips[asked]).distance
     inside = depths <= 0.0
 
-    out = np.where(inside[0], lo, np.inf)
+    out = np.where(inside[0], path.start, np.inf)
     # the fingers that start outside and cross, each with its grid bracket
     # [a, b] and signed distances fa > 0 >= fb at its ends
     crossing = inside.argmax(axis=0)
-    k = np.flatnonzero(~inside[0] & inside.any(axis=0) & closes)
+    k = np.flatnonzero(~inside[0] & inside.any(axis=0) & path.closes)
     a, b = grid[crossing[k] - 1, k], grid[crossing[k], k]
     fa, fb = depths[crossing[k] - 1, k], depths[crossing[k], k]
     # ITP with kappa2 = 2 and n0 = 1: step j lands within `radius` of the
@@ -371,7 +389,7 @@ def derive_engagement(model: KinematicHandModel, pre: GraspAction,
     eps = 0.5 * ENGAGEMENT_TOL * (1.0 - 2.0 ** -20)
     bound = eps * 2.0 ** (np.ceil(np.log2((b - a) / ENGAGEMENT_TOL)) + 1.0)
     kappa = _ITP_KAPPA / (b - a)
-    driver_angles = lo.copy()
+    driver_angles = path.start.copy()
     while (open_ := (b - a) > ENGAGEMENT_TOL).any():
         mid = 0.5 * (a + b)
         falsi = (b * fa - a * fb) / (fa - fb)
@@ -420,13 +438,14 @@ def _robot_frame(pre, squeeze, transfer: bool, observed, generated, hand_eye) ->
 
 def _execute(pre, squeeze, mesh, mesh_pose, contact: dict, noise_sigma: float,
              f_target: float, model: KinematicHandModel, force_lock: bool, seed: int) -> tuple:
-    """Close the hand on the contact.json springs; 'auto' engagement is geometric."""
+    """Close the hand along its closing path; 'auto' engagement is geometric."""
+    path = closing_path(model, pre, squeeze)
     engagement = contact["engagement"]
     if engagement is None:
-        engagement = derive_engagement(model, pre, squeeze, mesh, mesh_pose)
+        engagement = derive_engagement(model, path, mesh, mesh_pose)
     springs = ContactModel(stiffness=contact["stiffness"], engagement=engagement,
                            yield_force=contact["yield_force"], noise_sigma=noise_sigma)
-    result = run_grasp(pre, squeeze, springs, f_target, model, lock_enabled=force_lock, seed=seed)
+    result = run_grasp(path.start, path.end, springs, f_target, force_lock, seed)
     return result, springs, DEFAULT_DT
 
 

@@ -1,14 +1,11 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR
-from cases import rest_configuration
 from dextra import graspctl
-from dextra.errors import DimensionMismatch, MissingField
+from dextra.errors import DimensionMismatch
 from dextra.graspctl import (
     DEFAULT_KP,
     MIN_STABLE_FINGERS,
@@ -16,12 +13,7 @@ from dextra.graspctl import (
     run_grasp,
     trace_csv,
 )
-from dextra.kinematics import (
-    HandConfiguration,
-    load_hand_model,
-)
 from dextra.pipeline import PipelineSettings, content_digest, run_pipeline
-from dextra.retarget import FRAME_ROBOT, GraspAction
 
 # stiffness sized so the latch overshoot (one step of spring compression)
 # stays well inside the stability band around the target force
@@ -30,16 +22,8 @@ ENGAGE = 0.3
 F_TARGET = 2.0
 
 
-def _driver_grasp(model, value):
-    """Grasp action whose driver joints all sit at `value`."""
-    cfg = rest_configuration(model)
-    angles = cfg.joint_angles.copy()
-    for name in model.finger_drivers:
-        angles[model.joint_index[name]] = value
-    return GraspAction(hand_model=model.name,
-                       config=HandConfiguration(cfg.root_pose, angles),
-                       frame=FRAME_ROBOT,
-                       residual=np.zeros(model.fingertip_count))
+# five fingers closing from 0.1 to 0.55 in closing coordinates
+START, END = np.full(5, 0.1), np.full(5, 0.55)
 
 
 def _uniform_contact(k, **kw):
@@ -89,10 +73,8 @@ def test_contact_model_rejects_shape_mismatch():
 # full episodes
 # ---------------------------------------------------------------------------
 
-def test_run_grasp_locks_every_finger_near_target(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
+def test_run_grasp_locks_every_finger_near_target():
+    result = run_grasp(START, END, _uniform_contact(5), F_TARGET)
     assert result.verdict == "stable"
     assert result.locked.all()
     assert result.steps < 1000
@@ -108,12 +90,10 @@ def test_run_grasp_locks_every_finger_near_target(robot_model):
                          ids=["all-engage", "one-never-engages"])
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.5], ids=["quiet", "noisy"])
 @pytest.mark.parametrize("lock_enabled", [True, False], ids=["lock", "no-lock"])
-def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma, engagement):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_matches_scalar_replay(lock_enabled, noise_sigma, engagement):
     contact = ContactModel(stiffness=np.full(5, STIFF), engagement=engagement,
                            noise_sigma=noise_sigma)
-    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model,
+    result = run_grasp(START, END, contact, F_TARGET,
                        lock_enabled=lock_enabled, seed=7)
     oracle = oracles.pd_spring_episode(
         start=np.full(5, 0.1), squeeze=np.full(5, 0.55),
@@ -127,14 +107,12 @@ def test_run_grasp_matches_scalar_replay(robot_model, lock_enabled, noise_sigma,
     assert _bits(result.final_forces) == _bits(oracle["final_forces"])
 
 
-def test_run_grasp_stopped_at_the_step_cap_matches_scalar_replay(monkeypatch, robot_model):
+def test_run_grasp_stopped_at_the_step_cap_matches_scalar_replay(monkeypatch):
     # a cap of 50 stops the episode before the commands settle; the final
     # reading is then reading 50, the last row of the noise draws
     monkeypatch.setattr(graspctl, "DEFAULT_MAX_STEPS", 50)
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
     contact = _uniform_contact(5, noise_sigma=0.5)
-    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=7)
+    result = run_grasp(START, END, contact, F_TARGET, seed=7)
     oracle = oracles.pd_spring_episode(
         start=np.full(5, 0.1), squeeze=np.full(5, 0.55),
         stiffness=np.full(5, STIFF), engagement=np.full(5, ENGAGE),
@@ -150,24 +128,19 @@ def test_run_grasp_stopped_at_the_step_cap_matches_scalar_replay(monkeypatch, ro
 
 @pytest.mark.parametrize(("start", "goal"), [(0.1, 0.55), (0.0, -0.0)],
                          ids=["closing", "signed-zero"])
-def test_run_grasp_first_command_is_pure_proportional(robot_model, start, goal):
-    pre = _driver_grasp(robot_model, start)
-    squeeze = _driver_grasp(robot_model, goal)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
-    drivers = [robot_model.joint_index[n] for n in robot_model.finger_drivers]
-    expected = DEFAULT_KP * (squeeze.config.joint_angles[drivers]
-                             - pre.config.joint_angles[drivers])
+def test_run_grasp_first_command_is_pure_proportional(start, goal):
+    start, goal = np.full(5, start), np.full(5, goal)
+    result = run_grasp(start, goal, _uniform_contact(5), F_TARGET)
+    expected = DEFAULT_KP * (goal - start)
     assert np.array_equal(result.trace.commands[0], expected)
     assert not result.trace.locked[0].any()
     # the zero derivative is still added, so a -0.0 error commands +0.0
     assert not np.signbit(result.trace.commands[0]).any()
 
 
-def test_run_grasp_latch_never_releases_under_noise(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_latch_never_releases_under_noise():
     contact = _uniform_contact(5, noise_sigma=0.5)
-    t = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3).trace
+    t = run_grasp(START, END, contact, F_TARGET, seed=3).trace
     assert t.locked[-1].all()
     assert np.all(np.diff(t.locked.astype(int), axis=0) >= 0)
     # the noisy reading falls back below target after the latch on some
@@ -176,34 +149,28 @@ def test_run_grasp_latch_never_releases_under_noise(robot_model):
     assert any((t.forces[first[i] + 1:, i] < F_TARGET).any() for i in range(5))
 
 
-def test_run_grasp_noisy_forces_are_clipped_at_zero(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_noisy_forces_are_clipped_at_zero():
     contact = _uniform_contact(5, noise_sigma=0.5)
-    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3)
+    result = run_grasp(START, END, contact, F_TARGET, seed=3)
     # before engagement the spring reads 0, so half the noisy readings clip
     assert result.trace.forces.min() >= 0.0
     assert (result.trace.forces == 0.0).any()
     assert result.final_forces.min() >= 0.0
 
 
-def test_run_grasp_without_lock_drives_to_squeeze(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET,
-                       robot_model, lock_enabled=False)
+def test_run_grasp_without_lock_drives_to_squeeze():
+    result = run_grasp(START, END, _uniform_contact(5), F_TARGET,
+                       lock_enabled=False)
     assert not result.locked.any()
     assert np.allclose(result.final_positions, 0.55, atol=1e-6)
     assert np.allclose(result.final_forces, STIFF * (0.55 - ENGAGE), atol=1e-4)
 
 
-def test_run_grasp_unengaged_finger_never_locks(robot_model):
+def test_run_grasp_unengaged_finger_never_locks():
     contact = ContactModel(stiffness=np.full(5, STIFF),
                            engagement=np.array([np.inf, ENGAGE, ENGAGE,
                                                 ENGAGE, ENGAGE]))
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
-    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model)
+    result = run_grasp(START, END, contact, F_TARGET)
     assert not result.locked[0]
     assert result.locked[1:].all()
     assert result.final_forces[0] == 0.0
@@ -211,73 +178,61 @@ def test_run_grasp_unengaged_finger_never_locks(robot_model):
     assert result.verdict == "stable"
 
 
-def test_run_grasp_damaged_when_peak_exceeds_yield(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_damaged_when_peak_exceeds_yield():
     contact = _uniform_contact(5, yield_force=1.0)
-    result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model)
+    result = run_grasp(START, END, contact, F_TARGET)
     assert result.verdict == "damaged"
     assert float(result.peak_forces.max()) > 1.0
 
 
-def test_run_grasp_unstable_when_nothing_engages(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.2)   # stops short of engagement
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
+def test_run_grasp_unstable_when_nothing_engages():
+    # stops short of engagement
+    result = run_grasp(START, np.full(5, 0.2), _uniform_contact(5), F_TARGET)
     assert result.verdict == "unstable"
     assert np.allclose(result.final_forces, 0.0)
 
 
-def test_run_grasp_min_stable_fingers_threshold(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_min_stable_fingers_threshold():
     # one finger short of the threshold is unstable, the threshold is stable
     for engaging, verdict in ((MIN_STABLE_FINGERS - 1, "unstable"),
                               (MIN_STABLE_FINGERS, "stable")):
         engagement = np.where(np.arange(5) < engaging, ENGAGE, np.inf)
         contact = ContactModel(stiffness=np.full(5, STIFF), engagement=engagement)
-        result = run_grasp(pre, squeeze, contact, F_TARGET, robot_model)
+        result = run_grasp(START, END, contact, F_TARGET)
         assert int(result.locked.sum()) == engaging
         assert result.verdict == verdict
 
 
-def test_run_grasp_rejects_bad_scalars(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_rejects_bad_scalars():
     for f_target in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="target force must be positive"):
-            run_grasp(pre, squeeze, _uniform_contact(5), f_target, robot_model)
+            run_grasp(START, END, _uniform_contact(5), f_target)
     with pytest.raises(DimensionMismatch, match="contact model covers"):
-        run_grasp(pre, squeeze, _uniform_contact(3), F_TARGET, robot_model)
+        run_grasp(START, END, _uniform_contact(3), F_TARGET)
 
 
-def test_run_grasp_noise_is_reproducible_per_seed(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
+def test_run_grasp_rejects_start_and_end_of_different_shapes():
+    for start, end in ((START, END[:4]), (START[:4], END), (START[:, None], END)):
+        with pytest.raises(DimensionMismatch, match="start has shape"):
+            run_grasp(start, end, _uniform_contact(5), F_TARGET)
+    # one shape, but not one coordinate per finger of the contact model
+    for start, end in ((START[0], END[0]), (START[:, None], END[:, None])):
+        with pytest.raises(DimensionMismatch, match="contact model covers 5 fingers"):
+            run_grasp(start, end, _uniform_contact(5), F_TARGET)
+
+
+def test_run_grasp_noise_is_reproducible_per_seed():
     contact = _uniform_contact(5, noise_sigma=0.05)
-    a = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3)
-    b = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=3)
-    c = run_grasp(pre, squeeze, contact, F_TARGET, robot_model, seed=4)
+    a = run_grasp(START, END, contact, F_TARGET, seed=3)
+    b = run_grasp(START, END, contact, F_TARGET, seed=3)
+    c = run_grasp(START, END, contact, F_TARGET, seed=4)
     assert np.array_equal(a.trace.forces, b.trace.forces)
     assert np.array_equal(a.final_positions, b.final_positions)
     assert not np.array_equal(a.trace.forces, c.trace.forces)
 
 
-def test_run_grasp_needs_declared_drivers():
-    doc = json.loads((MODELS_DIR / "human-20dof.json").read_text())
-    doc.pop("finger_drivers")
-    doc["name"] = "driverless"
-    model = load_hand_model(doc)
-    pre = GraspAction(hand_model=model.name, config=rest_configuration(model),
-                      frame=FRAME_ROBOT, residual=np.zeros(5))
-    with pytest.raises(MissingField, match="declares no finger_drivers"):
-        run_grasp(pre, pre, _uniform_contact(5), F_TARGET, model)
-
-
-def test_trace_csv(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
-    result = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model)
+def test_trace_csv():
+    result = run_grasp(START, END, _uniform_contact(5), F_TARGET)
     text = trace_csv(result)
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -294,11 +249,9 @@ def test_trace_csv(robot_model):
     assert first[1 + 3 * k] in ("0", "1")
 
 
-def test_trace_digest_sees_every_bit(robot_model):
-    pre = _driver_grasp(robot_model, 0.1)
-    squeeze = _driver_grasp(robot_model, 0.55)
-    trace = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model).trace
-    again = run_grasp(pre, squeeze, _uniform_contact(5), F_TARGET, robot_model).trace
+def test_trace_digest_sees_every_bit():
+    trace = run_grasp(START, END, _uniform_contact(5), F_TARGET).trace
+    again = run_grasp(START, END, _uniform_contact(5), F_TARGET).trace
     assert content_digest(again) == content_digest(trace)
 
     def edited(t, field, index, value):

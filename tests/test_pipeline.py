@@ -14,7 +14,9 @@ from conftest import MODELS_DIR, SCENES_DIR
 from cases import box_mesh, pose_to_matrix, replay_scene, rest_configuration
 from dextra import geometry, pipeline
 from dextra.errors import (
+    DimensionMismatch,
     FixtureMissing,
+    MissingField,
     SchemaError,
     StageError,
     WrongFrame,
@@ -27,6 +29,7 @@ from dextra.geometry import (
     pose_from_rotvec,
     transform_mesh,
 )
+from dextra.graspctl import ContactModel, run_grasp
 from dextra.kinematics import (
     HandConfiguration,
     fingertip_positions,
@@ -40,12 +43,14 @@ from dextra.pipeline import (
     _SETTINGS_RULES,
     canonical,
     canonical_json,
+    closing_path,
     content_digest,
     derive_engagement,
     grasp_record,
     run_pipeline,
     settings_from_dict,
 )
+from dextra.reconstruction import read_contact
 from dextra.retarget import FRAME_OBJECT, FRAME_ROBOT, GraspAction
 from dextra.geometry import surface_query
 
@@ -448,44 +453,98 @@ def test_pipeline_engagement_is_geometric(mug_scene, robot_model):
         assert abs(surface_query(mesh_exec, tips[k]).distance[0]) < 5e-5
 
 
-def test_pipeline_engagement_rejects_frame_mismatch(robot_model):
+def test_closing_path_rejects_frame_mismatch(robot_model):
     obj = GraspAction(hand_model=robot_model.name,
                       config=rest_configuration(robot_model),
                       frame=FRAME_OBJECT, residual=np.zeros(5))
     rob = GraspAction(hand_model=robot_model.name,
                       config=rest_configuration(robot_model),
                       frame=FRAME_ROBOT, residual=np.zeros(5))
-    with pytest.raises(WrongFrame, match="pre grasp is in"):
-        derive_engagement(robot_model, obj, rob, box_mesh((0.1, 0.1, 0.1)), identity_pose())
+    for pre, squeeze in ((obj, rob), (rob, obj)):
+        with pytest.raises(WrongFrame, match="pre grasp is in"):
+            closing_path(robot_model, pre, squeeze)
 
 
-def test_engagement_without_finger_drivers_is_empty():
+def test_closing_path_needs_declared_drivers():
+    # neither the onset search nor the controller has a path to close along
     doc = json.loads((MODELS_DIR / "leap-like-16dof.json").read_text(encoding="utf-8"))
     del doc["finger_drivers"]
+    doc["name"] = "driverless"
     model = load_hand_model(doc)
     grasp = GraspAction(hand_model=model.name, config=rest_configuration(model),
                         frame=FRAME_ROBOT, residual=np.zeros(model.fingertip_count))
-    mesh = box_mesh((0.1, 0.1, 0.1))
-    assert derive_engagement(model, grasp, grasp, mesh, identity_pose()).shape == (0,)
+    with pytest.raises(MissingField, match="'driverless' declares no finger_drivers"):
+        closing_path(model, grasp, grasp)
+
+
+@pytest.mark.parametrize("engagement", ["auto", "contact.json"])
+def test_execute_refuses_grasps_in_mixed_frames(mug_scene, robot_model, engagement):
+    # the closing path is built whether the onsets are derived or given, so
+    # a given engagement does not let an object-frame pre-grasp through
+    report = run_pipeline(mug_scene)
+    spec = read_contact(mug_scene / "contact.json", robot_model.fingertip_count)
+    if engagement != "auto":
+        spec = dict(spec, engagement=report.execution["engagement"])
+    bundle = replay_scene(mug_scene)
+    mesh_pose = compose(bundle.hand_eye, bundle.object_pose_observed)
+    inputs = dict(squeeze=report.actions["squeeze_executed"], mesh=bundle.mesh,
+                  mesh_pose=mesh_pose, contact=spec, noise_sigma=0.0,
+                  f_target=report.f_target, model=robot_model, force_lock=True, seed=0)
+    result, _, _ = pipeline._execute(pre=report.actions["pre_executed"], **inputs)
+    assert result.verdict == report.verdict == "stable"
+    with pytest.raises(WrongFrame, match="pre grasp is in 'object'"):
+        pipeline._execute(pre=report.actions["pre_object"], **inputs)
 
 
 def _engagement_inputs(monkeypatch, scene_dir, **settings):
-    """(model, pre, squeeze, mesh, pose) and the engagement the execute stage derived."""
-    calls = []
+    """(model, pre, squeeze, mesh, pose) and the engagement the execute stage
+    derived along the closing path it built from `pre` to `squeeze`."""
+    paths, calls = [], []
+
+    def built(*args):
+        paths.append((args, closing_path(*args)))
+        return paths[-1][1]
 
     def recording(*args):
         calls.append((args, derive_engagement(*args)))
         return calls[-1][1]
 
+    monkeypatch.setattr(pipeline, "closing_path", built)
     monkeypatch.setattr(pipeline, "derive_engagement", recording)
     report = run_pipeline(scene_dir, PipelineSettings(**settings))
-    assert len(calls) == 1
-    assert np.array_equal(report.execution["engagement"], calls[0][1])
-    return calls[0]
+    assert len(paths) == len(calls) == 1
+    (model, pre, squeeze), path = paths[0]
+    (searched_model, searched_path, mesh, pose), engagement = calls[0]
+    assert searched_model is model and searched_path is path
+    assert np.array_equal(report.execution["engagement"], engagement)
+    return (model, pre, squeeze, mesh, pose), engagement
+
+
+def _onset(model, pre, squeeze, mesh, pose):
+    """derive_engagement along the closing path from `pre` to `squeeze`."""
+    return derive_engagement(model, closing_path(model, pre, squeeze), mesh, pose)
 
 
 def _drivers(model):
     return [model.joint_index[n] for n in model.finger_drivers]
+
+
+@pytest.mark.parametrize("hand", [None, "leap-like-16dof", "shadow-like-22dof"])
+@pytest.mark.parametrize("scene_dir", BUNDLED_SCENES, ids=lambda p: p.name)
+def test_closing_path_ends_are_the_grasps(monkeypatch, scene_dir, hand):
+    (model, pre, squeeze, _, _), _ = _engagement_inputs(monkeypatch, scene_dir,
+                                                        hand_model=hand)
+    path = closing_path(model, pre, squeeze)
+    # the end is the squeeze, bit for bit; the start is the squeeze with
+    # each finger's driver at its pre-grasp angle
+    assert path.joint_angles(path.end).tobytes() == squeeze.config.joint_angles.tobytes()
+    want = np.array(squeeze.config.joint_angles)
+    want[_drivers(model)] = pre.config.joint_angles[_drivers(model)]
+    assert path.joint_angles(path.start).tobytes() == want.tobytes()
+    k = len(model.finger_drivers)
+    springs = ContactModel(stiffness=np.ones(k), engagement=np.zeros(k))
+    with pytest.raises(DimensionMismatch, match="start has shape"):
+        run_grasp(path.start, path.end[:-1], springs, 1.0)
 
 
 def _oracle_engagement(model, pre, squeeze, mesh, pose):
@@ -527,7 +586,7 @@ def _searched(model, pre, squeeze, mesh, pose):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "surface_query", counted)
-        onset = derive_engagement(model, pre, squeeze, mesh, pose)
+        onset = _onset(model, pre, squeeze, mesh, pose)
     return onset, sizes[1:]
 
 
@@ -573,7 +632,7 @@ def _grid_queries(args, floor=None):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(pipeline, "sq_distance_floor", floored)
         m.setattr(pipeline, "surface_query", recorded)
-        onset = derive_engagement(*args)
+        onset = _onset(*args)
     assert len(seen) == 1
     shape = (_ENGAGEMENT_SAMPLES, len(args[0].finger_drivers))
     return onset, seen[0][0].reshape(shape + (3,)), seen[0][1].reshape(shape), asked[0]
@@ -633,7 +692,7 @@ def test_engagement_cases_match_per_finger_oracle(monkeypatch, mug_scene):
     # stays outside; 3 does not close but starts inside; 4 is searched
     pre = _with_drivers(pre, model, {1: past[1], 3: past[3]})
     squeeze = _with_drivers(squeeze, model, {2: lo[2] - 0.1, 3: past[3] - 0.05})
-    got = derive_engagement(model, pre, squeeze, mesh, pose)
+    got = _onset(model, pre, squeeze, mesh, pose)
     _assert_onsets_agree(got, _oracle_engagement(model, pre, squeeze, mesh, pose), pre, model)
     assert got[:4].tolist() == [np.inf, past[1], np.inf, past[3]]
     assert lo[4] < got[4] < hi[4] and got[4] == onset[4]
@@ -652,7 +711,7 @@ def test_engagement_searches_every_finger_in_lockstep(monkeypatch, mug_scene):
     monkeypatch.setattr(pipeline, "fingertip_positions",
                         counted("fk", pipeline.fingertip_positions))
     monkeypatch.setattr(pipeline, "surface_query", counted("query", pipeline.surface_query))
-    assert derive_engagement(model, pre, squeeze, mesh, pose).tobytes() == onset.tobytes()
+    assert _onset(model, pre, squeeze, mesh, pose).tobytes() == onset.tobytes()
     steps = counts["query"] - 1
     # one FK sweep per grid sample and per ITP step for the whole hand; four
     # fingers are searched, each alone would take about as many steps
@@ -728,8 +787,7 @@ def test_engagement_in_the_object_frame_matches_a_moved_mesh(monkeypatch, mug_sc
     # mesh's distances differ in their last bits, and ITP reads their values
     (model, pre, squeeze, mesh, pose), onset = _engagement_inputs(
         monkeypatch, mug_scene, transfer=transfer)
-    moved = derive_engagement(model, pre, squeeze, transform_mesh(mesh, pose),
-                              identity_pose())
+    moved = _onset(model, pre, squeeze, transform_mesh(mesh, pose), identity_pose())
     _assert_onsets_agree(moved, onset, pre, model)
 
 
