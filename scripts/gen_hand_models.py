@@ -33,6 +33,36 @@ def joint(name, child, axis, limits, rest=0.0):
 
 
 X, Z = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+# a finger chain's joints in knuckle-to-tip order, as the human skeleton and
+# the leap and shadow hands name them
+HUMAN_JOINTS = ("mcp_abd", "mcp_flex", "pip", "dip")
+ROBOT_JOINTS = ("abd", "mcp", "pip", "dip")
+
+
+def finger_chain(links, finger, spec, parent, joint_names):
+    """Append one finger's five links below link `parent`; return its four joints.
+
+    The links are knuckle, proximal, middle, distal and tip.  The joints
+    abduct about z at the knuckle and flex about x at the next three, with
+    the (limits, rest) of `spec`'s abd, mcp, pip and dip.
+    """
+    l1, l2, l3 = spec["lengths"]
+    base = len(links)
+    links += [
+        link(f"{finger}_knuckle", parent, spec["base"], spec["rot"]),
+        link(f"{finger}_prox", base),
+        link(f"{finger}_mid", base + 1, (0.0, l1, 0.0)),
+        link(f"{finger}_dist", base + 2, (0.0, l2, 0.0)),
+        link(f"{finger}_tip", base + 3, (0.0, l3, 0.0)),
+    ]
+    return [joint(f"{finger}_{name}", f"{finger}_{child}", axis, *spec[key])
+            for name, child, axis, key in zip(joint_names, ("knuckle", "prox", "mid", "dist"),
+                                              (Z, X, X, X), ("abd", "mcp", "pip", "dip"))]
+
+
+def human_joint_map(fingers):
+    return [[f"{f}_{h}", f"{f}_{r}"] for f in fingers
+            for h, r in zip(HUMAN_JOINTS, ROBOT_JOINTS)]
 
 
 def human_20dof():
@@ -62,21 +92,7 @@ def human_20dof():
     links = [link("palm", -1)]
     joints = []
     for f, p in fingers.items():
-        l1, l2, l3 = p["lengths"]
-        base = len(links)
-        links += [
-            link(f"{f}_knuckle", 0, p["base"], p["rot"]),
-            link(f"{f}_prox", base),
-            link(f"{f}_mid", base + 1, (0.0, l1, 0.0)),
-            link(f"{f}_dist", base + 2, (0.0, l2, 0.0)),
-            link(f"{f}_tip", base + 3, (0.0, l3, 0.0)),
-        ]
-        joints += [
-            joint(f"{f}_mcp_abd", f"{f}_knuckle", Z, *[p["abd"][0]], rest=p["abd"][1]),
-            joint(f"{f}_mcp_flex", f"{f}_prox", X, p["mcp"][0], rest=p["mcp"][1]),
-            joint(f"{f}_pip", f"{f}_mid", X, p["pip"][0], rest=p["pip"][1]),
-            joint(f"{f}_dip", f"{f}_dist", X, p["dip"][0], rest=p["dip"][1]),
-        ]
+        joints += finger_chain(links, f, p, 0, HUMAN_JOINTS)
     return {
         "name": "human-20dof",
         "links": links,
@@ -166,32 +182,16 @@ def leap_like_16dof():
     links = [link("palm", -1)]
     joints = []
     for f, p in fingers.items():
-        l1, l2, l3 = p["lengths"]
-        base = len(links)
-        links += [
-            link(f"{f}_knuckle", 0, p["base"], p["rot"]),
-            link(f"{f}_prox", base),
-            link(f"{f}_mid", base + 1, (0.0, l1, 0.0)),
-            link(f"{f}_dist", base + 2, (0.0, l2, 0.0)),
-            link(f"{f}_tip", base + 3, (0.0, l3, 0.0)),
-        ]
-        joints += [
-            joint(f"{f}_abd", f"{f}_knuckle", Z, p["abd"][0], rest=p["abd"][1]),
-            joint(f"{f}_mcp", f"{f}_prox", X, p["mcp"][0], rest=p["mcp"][1]),
-            joint(f"{f}_pip", f"{f}_mid", X, (-0.2, 1.9), rest=0.2),
-            joint(f"{f}_dip", f"{f}_dist", X, (-0.2, 1.6), rest=0.1),
-        ]
-    jmap = []
-    for f in fingers:
-        jmap += [[f"{f}_mcp_abd", f"{f}_abd"], [f"{f}_mcp_flex", f"{f}_mcp"],
-                 [f"{f}_pip", f"{f}_pip"], [f"{f}_dip", f"{f}_dip"]]
+        # every leap finger's pip and dip joints share their limits and rest
+        spec = {**p, "pip": ((-0.2, 1.9), 0.2), "dip": ((-0.2, 1.6), 0.1)}
+        joints += finger_chain(links, f, spec, 0, ROBOT_JOINTS)
     return {
         "name": "leap-like-16dof",
         "links": links,
         "joints": joints,
         "fingertip_links": [f"{f}_tip" for f in fingers],
         "mimics": [],
-        "human_joint_map": jmap,
+        "human_joint_map": human_joint_map(fingers),
         "approach_axis": [0.0, 0.0, 1.0],
         "finger_drivers": [f"{f}_mcp" for f in fingers],
         "human_fingertip_indices": [0, 1, 2, 3],
@@ -231,32 +231,14 @@ def shadow_like_22dof():
                       pip=((-0.1, 1.9), 0.2), dip=((-0.1, 1.57), 0.1)),
     }
     for f, p in fingers.items():
-        l1, l2, l3 = p["lengths"]
-        base = len(links)
-        links += [
-            link(f"{f}_knuckle", 2, p["base"], p["rot"]),
-            link(f"{f}_prox", base),
-            link(f"{f}_mid", base + 1, (0.0, l1, 0.0)),
-            link(f"{f}_dist", base + 2, (0.0, l2, 0.0)),
-            link(f"{f}_tip", base + 3, (0.0, l3, 0.0)),
-        ]
-        joints += [
-            joint(f"{f}_abd", f"{f}_knuckle", Z, p["abd"][0], rest=p["abd"][1]),
-            joint(f"{f}_mcp", f"{f}_prox", X, p["mcp"][0], rest=p["mcp"][1]),
-            joint(f"{f}_pip", f"{f}_mid", X, p["pip"][0], rest=p["pip"][1]),
-            joint(f"{f}_dip", f"{f}_dist", X, p["dip"][0], rest=p["dip"][1]),
-        ]
-    jmap = []
-    for f in fingers:
-        jmap += [[f"{f}_mcp_abd", f"{f}_abd"], [f"{f}_mcp_flex", f"{f}_mcp"],
-                 [f"{f}_pip", f"{f}_pip"], [f"{f}_dip", f"{f}_dip"]]
+        joints += finger_chain(links, f, p, 2, ROBOT_JOINTS)
     return {
         "name": "shadow-like-22dof",
         "links": links,
         "joints": joints,
         "fingertip_links": [f"{f}_tip" for f in fingers],
         "mimics": [],
-        "human_joint_map": jmap,
+        "human_joint_map": human_joint_map(fingers),
         "approach_axis": [0.0, 0.0, 1.0],
         "finger_drivers": [f"{f}_mcp" for f in fingers],
         "human_fingertip_indices": [0, 1, 2, 3, 4],

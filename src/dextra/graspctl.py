@@ -114,6 +114,8 @@ def run_grasp(start, end, contact: ContactModel, f_target: float,
     k = contact.engagement.shape[0]
     if start.shape != (k,):
         raise DimensionMismatch(f"contact model covers {k} fingers, start {start.shape}")
+    if k == 0:
+        raise DimensionMismatch("a grasp needs at least one finger to close")
 
     # one row of draws per reading, every step's and the final one: the same
     # stream as one (K,) draw per reading

@@ -273,8 +273,8 @@ class PipelineReport:
         return canonical({f.name: getattr(self, f.name)
                           for f in dataclasses.fields(self) if f.name not in live})
 
-    def to_json(self, include_timings: bool = False, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(include_timings), indent=indent,
+    def to_json(self, include_timings: bool = False) -> str:
+        return json.dumps(self.as_dict(include_timings), indent=2,
                           sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -424,8 +424,8 @@ def _align(hand, mesh: TriangleMesh, pose: SE3Pose, contact_fingers) -> tuple:
 
 
 def _retarget(hand, model: KinematicHandModel, human_model) -> GraspAction:
-    initial = initialize_retarget(hand, model, human_model)
-    return refine_retarget(initial, human_fingertip_targets(hand, model), model, wrist_free=True)
+    return refine_retarget(initialize_retarget(hand, model, human_model),
+                           human_fingertip_targets(hand, model), model, wrist_free=True)
 
 
 def _robot_frame(pre, squeeze, transfer: bool, observed, generated, hand_eye) -> tuple:

@@ -81,21 +81,6 @@ class GraspAction:
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
 
-@dataclass(frozen=True, eq=False)
-class ContactSet:
-    """Per-finger nearest surface points for one grasp."""
-
-    tips: np.ndarray         # (K, 3) the fingertips that were queried
-    points: np.ndarray       # (K, 3) contact points on the surface
-    normals: np.ndarray      # (K, 3) outward unit normals
-    distances: np.ndarray    # (K,) signed distances of the fingertips
-    engaged: np.ndarray      # (K,) bool, within the engage threshold
-
-    @property
-    def engaged_count(self) -> int:
-        return int(self.engaged.sum())
-
-
 def human_fingertip_targets(human: HandPoseEstimate, model: KinematicHandModel) -> np.ndarray:
     """Pick the human fingertip keypoints this hand's fingertips track."""
     idx = list(model.human_fingertip_indices)
@@ -107,11 +92,12 @@ def human_fingertip_targets(human: HandPoseEstimate, model: KinematicHandModel) 
 
 
 def initialize_retarget(human: HandPoseEstimate, model: KinematicHandModel,
-                        human_model: KinematicHandModel) -> GraspAction:
-    """Seed the robot grasp from the human estimate.
+                        human_model: KinematicHandModel) -> HandConfiguration:
+    """Seed the robot hand from the human estimate.
 
     Copies the wrist pose verbatim and transplants the angles of joints the
-    model declares structurally similar; everything else starts at rest.
+    model declares structurally similar, clamped into the model's limits;
+    everything else starts at rest.
     """
     if not model.human_joint_map:
         raise MissingJointMap(f"model '{model.name}' declares no human joint map")
@@ -122,31 +108,25 @@ def initialize_retarget(human: HandPoseEstimate, model: KinematicHandModel,
                 f"human joint '{hname}' not present in skeleton '{human_model.name}'")
         angles[model.joint_index[mname]] = human.config.joint_angles[
             human_model.joint_index[hname]]
-    angles = clamp_to_limits(model, angles)
-    config = HandConfiguration(human.config.root_pose, angles)
-    targets = human_fingertip_targets(human, model)
-    tips = fingertip_positions(model, config)
-    residual = np.linalg.norm(tips - targets, axis=1)
-    return GraspAction(hand_model=model.name, config=config,
-                       frame=FRAME_OBJECT, residual=residual)
+    return HandConfiguration(human.config.root_pose, clamp_to_limits(model, angles))
 
 
-def refine_retarget(initial: GraspAction, targets: np.ndarray,
+def refine_retarget(start: HandConfiguration, targets: np.ndarray,
                     model: KinematicHandModel, wrist_free: bool = True) -> GraspAction:
-    """Damped least-squares refinement of fingertip placement.
+    """The object-frame grasp whose fingertips best reach `targets`, from `start`.
 
-    Minimizes the summed squared fingertip-to-target distance |r|^2 over the
-    joint angles, plus the wrist twist when `wrist_free`.  Each step h
-    solves (J^T J + lam I) h = -g with g = J^T r.  A step that lowers the
-    objective is taken, and lam follows the gain ratio rho of the actual to
-    the predicted reduction h^T (lam h - g): lam *= max(1/3, 1 - (2 rho - 1)^3)
-    and nu = 2.  A step that does not is refused and lam *= nu, nu *= 2
+    Damped least squares minimizes the summed squared fingertip-to-target
+    distance |r|^2 over the joint angles, plus the wrist twist when
+    `wrist_free`.  Each step h solves (J^T J + lam I) h = -g with g = J^T r.
+    A step that lowers the objective is taken, and lam follows the gain
+    ratio rho of the actual to the predicted reduction h^T (lam h - g):
+    lam *= max(1/3, 1 - (2 rho - 1)^3) and nu = 2.  A step that does not is refused and lam *= nu, nu *= 2
     (Nielsen 1999; Madsen, Nielsen & Tingleff 2004, sec. 3.2).  The search
     stops once an accepted step gains less than MIN_IMPROVEMENT, lam
     passes 1e12, or MAX_ITERATIONS candidates have been tried.  Joint
     angles are clamped into their limits after every step; the recorded
     objective trace is strictly decreasing.  With the wrist frozen the root
-    pose of the result is bitwise identical to the input.  Each candidate
+    pose of the result is bitwise identical to `start`'s.  Each candidate
     is swept once by `forward_kinematics`, and an accepted candidate's
     jacobian is built from that same sweep.
     """
@@ -156,8 +136,7 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
         raise DimensionMismatch(
             f"targets shape {targets.shape} does not match {k} fingertips")
 
-    cfg = HandConfiguration(initial.config.root_pose,
-                            clamp_to_limits(model, initial.config.joint_angles))
+    cfg = HandConfiguration(start.root_pose, clamp_to_limits(model, start.joint_angles))
     sweep = forward_kinematics(model, cfg)
     res_vec = (sweep[0] - targets).ravel()
     objective = float(res_vec @ res_vec)
@@ -204,48 +183,33 @@ def refine_retarget(initial: GraspAction, targets: np.ndarray,
                 break  # step size is down in the noise; nothing left to gain
 
     residual = np.linalg.norm(sweep[0] - targets, axis=1)
-    return GraspAction(hand_model=model.name, config=cfg, frame=initial.frame,
+    return GraspAction(hand_model=model.name, config=cfg, frame=FRAME_OBJECT,
                        residual=residual, objective_trace=tuple(trace))
-
-
-def compute_contacts(grasp: GraspAction, mesh: TriangleMesh,
-                     model: KinematicHandModel) -> ContactSet:
-    """Nearest surface point per fingertip; grasp must be in the object frame."""
-    if grasp.frame != FRAME_OBJECT:
-        raise WrongFrame(f"contacts are defined in the object frame, got '{grasp.frame}'")
-    tips = fingertip_positions(model, grasp.config)
-    hits = surface_query(mesh, tips)
-    return ContactSet(tips=tips, points=hits.point, normals=hits.normal, distances=hits.distance,
-                      engaged=hits.distance <= ENGAGE_THRESHOLD)
-
-
-def _offset_grasp(grasp: GraspAction, contacts: ContactSet, model: KinematicHandModel,
-                  offset: float) -> GraspAction:
-    """Move engaged fingertips `offset` along their fixed contact normals.
-
-    Disengaged fingers are anchored at their queried positions and the
-    root pose is frozen.  Joints that several fingertips share, such as a
-    wrist joint, still move; a grasp with no engaged finger is returned
-    as-is.
-    """
-    if contacts.engaged_count == 0:
-        return replace(grasp)
-    targets = np.where(contacts.engaged[:, None],
-                       contacts.points + offset * contacts.normals,
-                       contacts.tips)
-    return refine_retarget(grasp, targets, model, wrist_free=False)
 
 
 def make_pregrasp_and_squeeze(grasp: GraspAction, mesh: TriangleMesh,
                               model: KinematicHandModel) -> tuple:
-    """The pre-grasp and the squeeze of an object-frame grasp, from one contact query.
+    """The pre-grasp and the squeeze of an object-frame grasp, from one surface query.
 
-    Pre-grasp: contact fingertips retreat PREGRASP_OFFSET along their normals.
-    Squeeze: they press past the surface by SQUEEZE_OFFSET.
+    Fingertips within ENGAGE_THRESHOLD of the surface engage.  Pre-grasp:
+    they retreat PREGRASP_OFFSET along their contact normals; squeeze: they
+    press past the surface by SQUEEZE_OFFSET.  Each is one solve from the
+    grasp's configuration with the root pose frozen and the disengaged
+    fingertips anchored where they are; joints that several fingertips
+    share, such as a wrist joint, still move.  With no engaged finger both
+    are the grasp as-is.
     """
-    contacts = compute_contacts(grasp, mesh, model)
-    return (_offset_grasp(grasp, contacts, model, PREGRASP_OFFSET),
-            _offset_grasp(grasp, contacts, model, SQUEEZE_OFFSET))
+    if grasp.frame != FRAME_OBJECT:
+        raise WrongFrame(f"contacts are defined in the object frame, got '{grasp.frame}'")
+    tips = fingertip_positions(model, grasp.config)
+    hits = surface_query(mesh, tips)
+    engaged = (hits.distance <= ENGAGE_THRESHOLD)[:, None]
+    if not engaged.any():
+        return replace(grasp), replace(grasp)
+    return tuple(refine_retarget(grasp.config,
+                                 np.where(engaged, hits.point + offset * hits.normal, tips),
+                                 model, wrist_free=False)
+                 for offset in (PREGRASP_OFFSET, SQUEEZE_OFFSET))
 
 
 def to_robot_frame(grasp: GraspAction, t_o_obs: SE3Pose, hand_eye: SE3Pose) -> GraspAction:

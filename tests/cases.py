@@ -18,7 +18,7 @@ from dextra.geometry import (
 )
 from dextra.kinematics import HandConfiguration, clamp_to_limits, fingertip_positions
 from dextra.reconstruction import SceneFixture, build_prompt, gather_reconstruction
-from dextra.retarget import FRAME_OBJECT, GraspAction, refine_retarget
+from dextra.retarget import refine_retarget
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,7 @@ def wrap_grasp(model, mesh, rng):
     config = HandConfiguration(root, angles)
     targets = fingertip_positions(model, config).copy()
     targets[:, 1] = WRAP_FACE_Y
-    seed = GraspAction(hand_model=model.name, config=config, frame=FRAME_OBJECT,
-                       residual=np.zeros(len(targets)))
-    return refine_retarget(seed, targets, model, wrist_free=True)
+    return refine_retarget(config, targets, model, wrist_free=True)
 
 
 # depth-alignment fixtures: fingertips resting on a surface patch whose

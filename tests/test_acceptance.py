@@ -30,9 +30,9 @@ from dextra.kinematics import (
 from dextra.pipeline import run_pipeline
 from dextra.reconstruction import align_depth
 from dextra.retarget import (
+    ENGAGE_THRESHOLD,
     FRAME_OBJECT,
     GraspAction,
-    compute_contacts,
     make_pregrasp_and_squeeze,
     refine_retarget,
     to_robot_frame,
@@ -109,11 +109,8 @@ def test_criterion_2_retarget_recovers_reachable_targets(robot_model):
             robot_model, angles + rng.uniform(-0.2, 0.2, robot_model.dof))
         seed_root = perturb_root(
             root, np.concatenate([np.zeros(3), rng.uniform(-0.02, 0.02, 3)]))
-        seed = GraspAction(hand_model=robot_model.name,
-                           config=HandConfiguration(seed_root, seed_angles),
-                           frame=FRAME_OBJECT,
-                           residual=np.zeros(robot_model.fingertip_count))
-        out = refine_retarget(seed, targets, robot_model, wrist_free=True)
+        out = refine_retarget(HandConfiguration(seed_root, seed_angles), targets,
+                              robot_model, wrist_free=True)
         residuals.append(float(out.residual.max()))
         recovered += residuals[-1] < 1e-3
     elapsed = time.perf_counter() - start
@@ -191,12 +188,12 @@ def test_criterion_5_grasp_offsets_on_flat_faces(human_model):
     worst_squeeze = 0.0
     for _ in range(trials):
         grasp = cases.wrap_grasp(human_model, mesh, rng)
-        contacts = compute_contacts(grasp, mesh, human_model)
-        assert contacts.engaged_count == 5
+        contacts = surface_query(mesh, fingertip_positions(human_model, grasp.config))
+        assert np.all(contacts.distance <= ENGAGE_THRESHOLD)
         pre, _ = make_pregrasp_and_squeeze(grasp, mesh, human_model)
         heights = surface_query(mesh, fingertip_positions(human_model, pre.config)).distance
         worst_pre = max(worst_pre, float(np.abs(heights - 0.05).max()))
-        targets = contacts.points - 0.01 * contacts.normals
+        targets = contacts.point - 0.01 * contacts.normal
         depths = surface_query(mesh, targets).distance
         worst_squeeze = max(worst_squeeze, float(np.abs(depths + 0.01).max()))
         wrist_fixed += pre.config.root_pose is grasp.config.root_pose

@@ -9,13 +9,15 @@ the file and says why:
 
 The same scenes on the sweep hands pin their verdicts, and every run on every
 hand shows that the fingertip refinements converge rather than stop at the
-iteration cap.
+iteration cap, and that the retarget stage sweeps no configuration twice.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -68,11 +70,14 @@ SWEEP_VERDICTS = {
 def recorded_run(scene_dir, hand) -> dict:
     """`scene_digests` of one run on `hand` (None: the scene's own), plus
     every `refine_retarget` call in it as (wrist_free, candidates tried,
-    objective trace), counted through the solver's FK binding."""
-    from dextra import pipeline, retarget
+    objective trace), counted through the solver's FK binding, and the
+    configurations the retarget stage swept, as bytes."""
+    from dextra import kinematics, pipeline, retarget
 
-    evaluations, refinements = [0], []
-    fk, refine = retarget.fingertip_positions, retarget.refine_retarget
+    evaluations, refinements, retarget_sweeps = [0], [], []
+    in_retarget = [False]
+    fk, refine = retarget.forward_kinematics, retarget.refine_retarget
+    raw_fk, stage = kinematics._raw_fk, pipeline._retarget
 
     def counted_fk(*args):
         evaluations[0] += 1
@@ -86,12 +91,29 @@ def recorded_run(scene_dir, hand) -> dict:
                             grasp.objective_trace))
         return grasp
 
+    def recorded_raw_fk(model, root_q, root_t, eff):
+        if in_retarget[0]:
+            retarget_sweeps.append(np.concatenate([root_q, root_t, eff]).tobytes())
+        return raw_fk(model, root_q, root_t, eff)
+
+    # the pipeline checks a stage's function by its unwrapped code
+    @functools.wraps(stage)
+    def recorded_stage(**kwargs):
+        in_retarget[0] = True
+        try:
+            return stage(**kwargs)
+        finally:
+            in_retarget[0] = False
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(retarget, "fingertip_positions", counted_fk)
+        mp.setattr(retarget, "forward_kinematics", counted_fk)
         mp.setattr(retarget, "refine_retarget", recorded_refine)
         mp.setattr(pipeline, "refine_retarget", recorded_refine)
+        mp.setattr(kinematics, "_raw_fk", recorded_raw_fk)
+        mp.setattr(pipeline, "_retarget", recorded_stage)
         digests = scene_digests(scene_dir, hand_model=hand)
-    return {"digests": digests, "refinements": refinements}
+    return {"digests": digests, "refinements": refinements,
+            "retarget_sweeps": retarget_sweeps}
 
 
 @pytest.fixture(scope="module")
@@ -128,9 +150,21 @@ def test_no_refinement_runs_out_of_iterations(sweep):
     from dextra.retarget import MAX_ITERATIONS
 
     assert len(sweep) == 33
-    tried = {f"{scene}@{hand}": [n for _, n, _ in run["refinements"]]
+    tried = {f"{scene}@{hand}": [(n, len(trace) - 1) for _, n, trace in run["refinements"]]
              for (scene, hand), run in sweep.items()}
-    assert all(n < MAX_ITERATIONS for runs in tried.values() for n in runs), tried
+    # a candidate is tried before it is accepted, so a counter that reads
+    # fewer tries than accepted steps has stopped counting
+    assert all(accepted <= n < MAX_ITERATIONS
+               for runs in tried.values() for n, accepted in runs), tried
+
+
+def test_retarget_stage_sweeps_no_configuration_twice(sweep):
+    # the solver starts from the seed it is given, and the seed is not
+    # swept before the solve
+    swept = {f"{scene}@{hand}": run["retarget_sweeps"] for (scene, hand), run in sweep.items()}
+    repeats = {run: len(configs) - len(set(configs)) for run, configs in swept.items()}
+    assert len(repeats) == 33 and all(swept.values())
+    assert not any(repeats.values()), repeats
 
 
 def test_doubling_the_iteration_cap_moves_no_digest(sweep, monkeypatch):

@@ -221,6 +221,12 @@ def test_run_grasp_rejects_start_and_end_of_different_shapes():
             run_grasp(start, end, _uniform_contact(5), F_TARGET)
 
 
+def test_run_grasp_refuses_zero_fingers():
+    # every shape agrees, and the settle test has no command to read
+    with pytest.raises(DimensionMismatch, match="at least one finger"):
+        run_grasp(np.zeros(0), np.zeros(0), _uniform_contact(0), F_TARGET)
+
+
 def test_run_grasp_noise_is_reproducible_per_seed():
     contact = _uniform_contact(5, noise_sigma=0.05)
     a = run_grasp(START, END, contact, F_TARGET, seed=3)

@@ -25,10 +25,10 @@ from dextra.kinematics import (
     perturb_root,
 )
 from dextra.retarget import (
+    ENGAGE_THRESHOLD,
     FRAME_OBJECT,
     FRAME_ROBOT,
     GraspAction,
-    compute_contacts,
     human_fingertip_targets,
     initialize_retarget,
     make_pregrasp_and_squeeze,
@@ -73,29 +73,18 @@ def test_initialize_transplants_mapped_joints(robot_model, human_model):
     hand = HandPoseEstimate(
         config=HandConfiguration(root, human_angles),
         fingertip_points=np.zeros((5, 3)), skeleton=human_model.name)
-    grasp = initialize_retarget(hand, robot_model, human_model)
+    seed = initialize_retarget(hand, robot_model, human_model)
 
-    assert grasp.frame == FRAME_OBJECT
-    assert grasp.config.root_pose is root
+    assert seed.root_pose is root
     mapped = dict(robot_model.human_joint_map)
     for hname, mname in mapped.items():
         j = robot_model.joint_index[mname]
         lo, hi = robot_model.joints[j].limits
         want = np.clip(human_angles[human_model.joint_index[hname]], lo, hi)
-        assert np.isclose(grasp.config.joint_angles[j], want)
+        assert np.isclose(seed.joint_angles[j], want)
     for j, joint in enumerate(robot_model.joints):
         if joint.name not in mapped.values():
-            assert grasp.config.joint_angles[j] == joint.rest
-
-
-def test_initialize_residual_is_tip_distance(robot_model, human_model):
-    hand = HandPoseEstimate(
-        config=rest_configuration(human_model),
-        fingertip_points=np.full((5, 3), 0.1), skeleton=human_model.name)
-    grasp = initialize_retarget(hand, robot_model, human_model)
-    tips = fingertip_positions(robot_model, grasp.config)
-    targets = human_fingertip_targets(hand, robot_model)
-    assert np.allclose(grasp.residual, np.linalg.norm(tips - targets, axis=1))
+            assert seed.joint_angles[j] == joint.rest
 
 
 def test_initialize_requires_joint_map(human_model, robot_model):
@@ -129,9 +118,9 @@ def test_refine_recovers_reachable_targets(robot_model):
             robot_model, angles + rng.uniform(-0.2, 0.2, robot_model.dof))
         start_root = perturb_root(
             root, np.concatenate([np.zeros(3), rng.uniform(-0.02, 0.02, 3)]))
-        seed = _object_grasp(robot_model,
-                             HandConfiguration(start_root, start_angles))
-        out = refine_retarget(seed, targets, robot_model, wrist_free=True)
+        out = refine_retarget(HandConfiguration(start_root, start_angles), targets,
+                              robot_model, wrist_free=True)
+        assert out.frame == FRAME_OBJECT
         assert out.residual.max() < 1e-3
 
 
@@ -140,8 +129,7 @@ def test_refine_trace_strictly_decreasing(robot_model):
     angles = rng.uniform(robot_model.lower_limits, robot_model.upper_limits)
     targets = fingertip_positions(
         robot_model, HandConfiguration(identity_pose(), angles))
-    seed = _object_grasp(robot_model, rest_configuration(robot_model))
-    out = refine_retarget(seed, targets, robot_model)
+    out = refine_retarget(rest_configuration(robot_model), targets, robot_model)
     trace = np.asarray(out.objective_trace)
     assert len(trace) >= 2
     assert np.all(np.diff(trace) < 0.0)
@@ -149,9 +137,8 @@ def test_refine_trace_strictly_decreasing(robot_model):
 
 def test_refine_frozen_wrist_keeps_root_bitwise(robot_model):
     root = pose_from_rotvec((0.3, -0.2, 0.1), (0.01, 0.02, 0.03))
-    seed = _object_grasp(
-        robot_model, HandConfiguration(root, rest_configuration(robot_model).joint_angles))
-    targets = fingertip_positions(robot_model, seed.config) + 0.02
+    seed = HandConfiguration(root, rest_configuration(robot_model).joint_angles)
+    targets = fingertip_positions(robot_model, seed) + 0.02
     out = refine_retarget(seed, targets, robot_model, wrist_free=False)
     assert out.config.root_pose is root
 
@@ -165,7 +152,7 @@ def test_refine_sweeps_no_configuration_twice(name, wrist_free, monkeypatch):
     root = pose_from_rotvec((0.2, -0.1, 0.3), (0.01, 0.0, 0.02))
     goal = HandConfiguration(root, rng.uniform(model.lower_limits, model.upper_limits))
     targets = fingertip_positions(model, goal) + rng.normal(0.0, 0.005, (model.fingertip_count, 3))
-    seed = _object_grasp(model, HandConfiguration(root, rest_configuration(model).joint_angles))
+    seed = HandConfiguration(root, rest_configuration(model).joint_angles)
     swept = []
     raw_fk = kinematics._raw_fk
 
@@ -181,46 +168,44 @@ def test_refine_sweeps_no_configuration_twice(name, wrist_free, monkeypatch):
 
 
 def test_refine_rejects_wrong_target_shape(robot_model):
-    seed = _object_grasp(robot_model, rest_configuration(robot_model))
     with pytest.raises(DimensionMismatch):
-        refine_retarget(seed, np.zeros((3, 3)), robot_model)
+        refine_retarget(rest_configuration(robot_model), np.zeros((3, 3)), robot_model)
 
 
 def test_refine_already_optimal_is_a_fixed_point(robot_model):
     cfg = rest_configuration(robot_model)
     targets = fingertip_positions(robot_model, cfg)
-    out = refine_retarget(_object_grasp(robot_model, cfg), targets, robot_model,
-                          wrist_free=False)
+    out = refine_retarget(cfg, targets, robot_model, wrist_free=False)
     assert out.objective_trace == (0.0,)
     assert np.array_equal(out.config.joint_angles, cfg.joint_angles)
 
 
 def test_refine_raises_on_non_finite_objective(robot_model):
-    seed = _object_grasp(robot_model, rest_configuration(robot_model))
     with pytest.raises(NoConvergence, match="non-finite"):
-        refine_retarget(seed, np.full((5, 3), np.nan), robot_model)
+        refine_retarget(rest_configuration(robot_model), np.full((5, 3), np.nan), robot_model)
 
 
 # ---------------------------------------------------------------------------
-# contacts and grasp offsets
+# pre-grasp and squeeze
 # ---------------------------------------------------------------------------
 
-def test_compute_contacts_requires_object_frame(robot_model):
+def _wall_contacts(model, mesh, grasp):
+    """The surface query of the grasp's fingertips, checked to hold every
+    fingertip on the wrap box's -y wall."""
+    hits = surface_query(mesh, fingertip_positions(model, grasp.config))
+    assert np.all(hits.distance <= ENGAGE_THRESHOLD)
+    assert np.all(np.abs(hits.distance) <= 0.01)
+    assert np.allclose(hits.normal, [0.0, -1.0, 0.0], atol=1e-12)
+    assert np.allclose(hits.point[:, 1], cases.WRAP_FACE_Y, atol=1e-12)
+    return hits
+
+
+def test_pregrasp_and_squeeze_require_object_frame(robot_model):
     grasp = GraspAction(hand_model=robot_model.name,
                         config=rest_configuration(robot_model),
                         frame=FRAME_ROBOT, residual=np.zeros(5))
-    with pytest.raises(WrongFrame):
-        compute_contacts(grasp, box_mesh((0.1, 0.1, 0.1)), robot_model)
-
-
-def test_compute_contacts_flat_face(human_model):
-    mesh = cases.wrap_box_mesh()
-    grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(0))
-    contacts = compute_contacts(grasp, mesh, human_model)
-    assert contacts.engaged_count == 5
-    assert np.allclose(contacts.normals, [0.0, -1.0, 0.0], atol=1e-12)
-    assert np.allclose(contacts.points[:, 1], cases.WRAP_FACE_Y, atol=1e-12)
-    assert np.all(np.abs(contacts.distances) <= 0.01)
+    with pytest.raises(WrongFrame, match="object frame"):
+        make_pregrasp_and_squeeze(grasp, box_mesh((0.1, 0.1, 0.1)), robot_model)
 
 
 def test_offsets_no_engaged_fingers_is_identity(robot_model):
@@ -238,8 +223,7 @@ def test_offsets_no_engaged_fingers_is_identity(robot_model):
 def test_pregrasp_lifts_tips_off_flat_face(human_model):
     mesh = cases.wrap_box_mesh()
     grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(6))
-    contacts = compute_contacts(grasp, mesh, human_model)
-    assert contacts.engaged_count == 5
+    _wall_contacts(human_model, mesh, grasp)
 
     pre, _ = make_pregrasp_and_squeeze(grasp, mesh, human_model)
     tips = fingertip_positions(human_model, pre.config)
@@ -252,8 +236,8 @@ def test_pregrasp_lifts_tips_off_flat_face(human_model):
 def test_squeeze_targets_press_into_flat_face(human_model):
     mesh = cases.wrap_box_mesh()
     grasp = cases.wrap_grasp(human_model, mesh, np.random.default_rng(8))
-    contacts = compute_contacts(grasp, mesh, human_model)
-    targets = contacts.points - 0.01 * contacts.normals
+    contacts = _wall_contacts(human_model, mesh, grasp)
+    targets = contacts.point - 0.01 * contacts.normal
     depths = surface_query(mesh, targets).distance
     assert np.allclose(depths, -0.01, atol=1e-9)
 
@@ -292,9 +276,10 @@ def test_pregrasp_and_squeeze_reuse_the_contact_query_fingertips(human_model, mo
         swept.append(config)
         return fk(model, config)
 
-    def stub(initial, targets, model, wrist_free):
+    def stub(start, targets, model, wrist_free):
+        assert start is grasp.config
         solved.append(targets)
-        return initial
+        return grasp
 
     monkeypatch.setattr(retarget, "fingertip_positions", counted)
     monkeypatch.setattr(retarget, "refine_retarget", stub)
