@@ -11,11 +11,26 @@ A hand model document is checked against `_HAND_RULES` by
 `errors.check_document`, then for what relates one entry to another.  Each
 bundled model is loaded once per process and shared, so its arrays are read-only.
 
+FK sweeps the links in Python floats from per-link tables built once per
+model.  The tables mark a link whose offset rotation is exactly the identity
+and a joint whose axis is exactly e_x or e_z, and the sweep skips the
+products with their exact zeros: every bundled hand has only such joints,
+and every link but the thumb base has an identity offset.  Each remaining
+sum keeps the order of the general product.  Dropping an exact zero term
+can change a sum only when the sum is itself zero, and then only in its
+sign: with exact-zero root rotation components and angles past +-pi, or
+with -0.0 inputs, a link rotation can hold -0.0 where the general products
+give +0.0, or the reverse.  So link rotations keep their values up to the
+sign of zero, and the fingertips, the link translations and the jacobian
+keep the bits of the general products; the tests check them on every
+bundled hand and on generated ones.
+
 The root pose is optimized as a 6-vector twist (rotation vector then
 translation) applied on the body side of the current pose, which stays
 singularity-free for the small increments a solver takes.  The fingertip
 jacobian is geometric: its columns are read off the one FK sweep in closed
-form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.
+form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.  A
+solve that holds the wrist still asks for the joint columns alone.
 """
 
 from __future__ import annotations
@@ -307,7 +322,7 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     )
     # the contact-onset search sweeps every finger in one FK pass, which is
     # exact only while each driver (with its mimics) moves its own tip alone
-    columns, _, fold = _jacobian_tables(model)
+    columns, _, _, fold = _jacobian_tables(model)
     for k, dn in enumerate(drivers):
         # the tips of the driver's column and of every mimic folded onto it
         moved = {t for j in np.flatnonzero(fold[:, joint_index[dn]]) for t in columns[3 + j][2]}
@@ -357,7 +372,12 @@ def bundled_model(name: str) -> KinematicHandModel:
 
 def effective_angles(model: KinematicHandModel, joint_angles: np.ndarray) -> np.ndarray:
     """Resolve mimic joints from their drivers; other entries pass through."""
-    eff = np.array(joint_angles, dtype=float)
+    return np.array(_effective(model, joint_angles))
+
+
+def _effective(model: KinematicHandModel, joint_angles) -> list:
+    """`effective_angles` as Python floats, the form FK reads."""
+    eff = np.asarray(joint_angles, dtype=float).tolist()
     for j, (driver, ratio) in model.mimics.items():
         eff[j] = ratio * eff[driver]
     return eff
@@ -371,40 +391,52 @@ def _check_dof(model: KinematicHandModel, angles: np.ndarray) -> None:
 
 def _fk_tables(model: KinematicHandModel):
     """Per-link scalar tables in topo order; the python-float FK hot path
-    avoids per-link numpy array construction, which dominates otherwise."""
+    avoids per-link numpy array construction, which dominates otherwise.
+
+    Each row is (link, parent, offset rotation, offset translation, joint
+    or -1, axis kind, axis).  The rotation is None when it is exactly
+    (1, 0, 0, 0), and the axis kind is 0 or 2 when the joint's unit axis is
+    exactly e_x or e_z, the axes every bundled joint turns about, and 3 for
+    any other axis: `_raw_fk` skips the products of those exact zeros.
+    """
     cache = model._cache
     if "fk" not in cache:
+        identity = np.eye(4)[0].tobytes()
+        frame_axes = {np.eye(3)[k].tobytes(): k for k in (0, 2)}
         rows = []
         for i in model.topo_order:
             link = model.links[i]
             j = model.joint_of_link[i]
+            axis = model.joints[j].axis if j >= 0 else np.zeros(3)
+            rotation = link.offset.rotation
             rows.append((
                 i,
                 link.parent,
-                tuple(float(v) for v in link.offset.rotation),
-                tuple(float(v) for v in link.offset.translation),
+                None if rotation.tobytes() == identity else tuple(rotation.tolist()),
+                tuple(link.offset.translation.tolist()),
                 j,
-                tuple(float(v) for v in model.joints[j].axis) if j >= 0 else None,
+                frame_axes.get(axis.tobytes(), 3),
+                tuple(axis.tolist()),
             ))
         cache["fk"] = tuple(rows)
     return cache["fk"]
 
 
 def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
-    """Quaternion/translation tuples per link; fast path shared by callers."""
-    n = len(model.links)
-    qs = [None] * n
-    ts = [None] * n
-    root_q = (float(root_q[0]), float(root_q[1]), float(root_q[2]), float(root_q[3]))
-    root_t = (float(root_t[0]), float(root_t[1]), float(root_t[2]))
-    for i, parent, off_q, off_t, j, axis in _fk_tables(model):
-        if parent < 0:
-            pw, px, py, pz = root_q
-            tx, ty, tz = root_t
-        else:
-            pw, px, py, pz = qs[parent]
-            tx, ty, tz = ts[parent]
-        ow, ox, oy, oz = off_q
+    """Quaternion/translation tuples per link; fast path shared by callers.
+
+    A link with an identity offset rotation takes its parent's rotation as
+    is, and a joint about e_x or e_z multiplies by (c, s e_k) with only the
+    eight products that are not exact zeros, each sum in the order of the
+    general product; any other link runs the general products.
+    """
+    sin, cos = math.sin, math.cos
+    # the root's parent index, -1, reads the root pose from the end of the lists
+    qs = [None] * len(model.links) + [tuple(map(float, root_q))]
+    ts = [None] * len(model.links) + [tuple(map(float, root_t))]
+    for i, parent, off_q, off_t, j, kind, axis in _fk_tables(model):
+        pw, px, py, pz = qs[parent]
+        tx, ty, tz = ts[parent]
         vx, vy, vz = off_t
         # rotate the offset translation by the parent quaternion
         cx = 2.0 * (py * vz - pz * vy)
@@ -414,20 +446,32 @@ def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
                  ty + vy + pw * cy + pz * cx - px * cz,
                  tz + vz + pw * cz + px * cy - py * cx)
         # parent rotation times offset rotation
-        qw = pw * ow - px * ox - py * oy - pz * oz
-        qx = pw * ox + px * ow + py * oz - pz * oy
-        qy = pw * oy - px * oz + py * ow + pz * ox
-        qz = pw * oz + px * oy - py * ox + pz * ow
-        if j >= 0:
-            half = 0.5 * eff[j]
-            s = math.sin(half)
-            jw, jx, jy, jz = math.cos(half), s * axis[0], s * axis[1], s * axis[2]
-            qs[i] = (qw * jw - qx * jx - qy * jy - qz * jz,
-                     qw * jx + qx * jw + qy * jz - qz * jy,
-                     qw * jy - qx * jz + qy * jw + qz * jx,
-                     qw * jz + qx * jy - qy * jx + qz * jw)
+        if off_q is None:
+            qw, qx, qy, qz = pw, px, py, pz
         else:
+            ow, ox, oy, oz = off_q
+            qw = pw * ow - px * ox - py * oy - pz * oz
+            qx = pw * ox + px * ow + py * oz - pz * oy
+            qy = pw * oy - px * oz + py * ow + pz * ox
+            qz = pw * oz + px * oy - py * ox + pz * ow
+        if j < 0:
             qs[i] = (qw, qx, qy, qz)
+            continue
+        half = 0.5 * eff[j]
+        s = sin(half)
+        c = cos(half)
+        if kind == 0:
+            qs[i] = (qw * c - qx * s, qw * s + qx * c, qy * c + qz * s, qz * c - qy * s)
+        elif kind == 2:
+            qs[i] = (qw * c - qz * s, qx * c + qy * s, qy * c - qx * s, qw * s + qz * c)
+        else:
+            jx, jy, jz = s * axis[0], s * axis[1], s * axis[2]
+            qs[i] = (qw * c - qx * jx - qy * jy - qz * jz,
+                     qw * jx + qx * c + qy * jz - qz * jy,
+                     qw * jy - qx * jz + qy * c + qz * jx,
+                     qw * jz + qx * jy - qy * jx + qz * c)
+    qs.pop()
+    ts.pop()
     return qs, ts
 
 
@@ -439,8 +483,9 @@ def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> 
     sweep hands it to `fingertip_jacobian`, which does not sweep.
     """
     _check_dof(model, config.joint_angles)
-    eff = effective_angles(model, config.joint_angles).tolist()
-    qs, ts = _raw_fk(model, config.root_pose.rotation, config.root_pose.translation, eff)
+    root = config.root_pose
+    qs, ts = _raw_fk(model, root.rotation.tolist(), root.translation.tolist(),
+                     _effective(model, config.joint_angles))
     return np.array([ts[i] for i in model.fingertip_link_ids]), qs, ts
 
 
@@ -459,8 +504,9 @@ def _jacobian_tables(model: KinematicHandModel):
     """Rotation axes of the jacobian, the root's three first, each as (the link
     whose frame holds it, -1 for the root; the axis in that frame as floats;
     the fingertips it moves); the flat positions in the (3K, 6 + J) jacobian
-    that `fingertip_jacobian` writes, in the order it computes them; and the
-    (J, J) fold of mimic columns onto drivers."""
+    of the root columns' values and in the (3K, J) joint block of the joint
+    columns' values, each in the order `fingertip_jacobian` computes them;
+    and the (J, J) fold of mimic columns onto drivers."""
     cache = model._cache
     if "jac" not in cache:
         moved = [[] for _ in model.joints]
@@ -473,23 +519,24 @@ def _jacobian_tables(model: KinematicHandModel):
         columns = [(-1, axis, every) for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
         columns += [(jt.child_link, tuple(jt.axis.tolist()), tuple(moved[j]))
                     for j, jt in enumerate(model.joints)]
-        width = ROOT_DOF + model.dof
-        at = []
-        for a, (frame, _, tips) in enumerate(columns):
-            col = a if frame < 0 else a + 3
-            at += [(3 * k + c) * width + col for k in tips for c in range(3)]
-            if frame < 0:       # then the root translation column along the same axis
-                at += [(3 * k + c) * width + col + 3 for k in every for c in range(3)]
+        # each root rotation column, then the root translation column along
+        # the same axis
+        rows = range(3 * model.fingertip_count)
+        root_at = [r * (ROOT_DOF + model.dof) + a + shift
+                   for a in range(3) for shift in (0, 3) for r in rows]
+        joint_at = [(3 * k + c) * model.dof + j
+                    for j, tips in enumerate(moved) for k in tips for c in range(3)]
         fold = np.eye(model.dof)
         for j, (driver, ratio) in model.mimics.items():
             fold[j, j] = 0.0
             fold[j, driver] = ratio
-        cache["jac"] = (tuple(columns), _frozen(np.array(at)), _frozen(fold))
+        cache["jac"] = (tuple(columns), _frozen(np.array(root_at)),
+                        _frozen(np.array(joint_at, dtype=int)), _frozen(fold))
     return cache["jac"]
 
 
 def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
-                       sweep: tuple) -> np.ndarray:
+                       sweep: tuple, wrist_free: bool = True) -> np.ndarray:
     """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
     Columns are ordered [root twist (6), joint angles (J)]; rows stack the
@@ -497,17 +544,22 @@ def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
     axis x (tip - axis origin) in world coordinates, for the tips the axis
     moves, and +0.0 for the others; a root translation column is the wrist
     axis itself.  Mimic joints contribute zero columns because kinematics
-    resolves them from their drivers.
+    resolves them from their drivers.  With `wrist_free` False only the
+    (3K, J) joint columns are built, the same bits as the full jacobian's
+    `[:, ROOT_DOF:]`.
 
     `sweep` is `forward_kinematics(model, config)`.  The columns are
     assembled in Python floats, so the fold of mimic columns onto their
     drivers (`rows @ fold`) is the only step that goes through BLAS, and the
     only one whose bits can depend on the BLAS kernel.
     """
-    columns, at, fold = _jacobian_tables(model)
+    columns, root_at, joint_at, fold = _jacobian_tables(model)
     _, qs, ts = sweep
     tips = [ts[i] for i in model.fingertip_link_ids]
-    root_q, root_t = config.root_pose.rotation.tolist(), config.root_pose.translation.tolist()
+    if wrist_free:
+        root_q, root_t = config.root_pose.rotation.tolist(), config.root_pose.translation.tolist()
+    else:
+        columns = columns[3:]
     vals = []
     for frame, (ax, ay, az), moved in columns:
         w, x, y, z = root_q if frame < 0 else qs[frame]
@@ -525,9 +577,19 @@ def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
             vals += (wy * dz - wz * dy, wz * dx - wx * dz, wx * dy - wy * dx)
         if frame < 0:
             vals += (wx, wy, wz) * len(tips)
+    root_n = len(vals) - len(joint_at)
+    joint = np.zeros((3 * len(tips), model.dof))
+    joint.flat[joint_at] = vals[root_n:]
+    # Keep the fold on every hand, mimic-free ones included: its sums turn a
+    # joint column's -0.0 into the +0.0 of the general products, and so keep
+    # the zero signs that FK's skipped products can leave in the link
+    # rotations out of the jacobian and the solver
+    joint = joint @ fold
+    if not wrist_free:
+        return joint
     jac = np.zeros((3 * len(tips), ROOT_DOF + model.dof))
-    jac.flat[at] = vals
-    jac[:, ROOT_DOF:] = jac[:, ROOT_DOF:] @ fold
+    jac.flat[root_at] = vals[:root_n]
+    jac[:, ROOT_DOF:] = joint
     return jac
 
 

@@ -128,7 +128,8 @@ def refine_retarget(start: HandConfiguration, targets: np.ndarray,
     objective trace is strictly decreasing.  With the wrist frozen the root
     pose of the result is bitwise identical to `start`'s.  Each candidate
     is swept once by `forward_kinematics`, and an accepted candidate's
-    jacobian is built from that same sweep.
+    jacobian is built from that same sweep: all 6 + J columns with the
+    wrist free, the J joint columns alone with it frozen.
     """
     targets = np.asarray(targets, dtype=float)
     k = model.fingertip_count
@@ -143,22 +144,22 @@ def refine_retarget(start: HandConfiguration, targets: np.ndarray,
     trace = [objective]
     lam, nu = DAMPING_INIT, 2.0
     gram = grad = None
+    eye = np.eye(ROOT_DOF + model.dof if wrist_free else model.dof)
+    lower, upper = model.lower_limits, model.upper_limits
     iterations = 0
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if gram is None:
-            jac = fingertip_jacobian(model, cfg, sweep)
-            if not wrist_free:
-                jac = jac[:, ROOT_DOF:]
+            jac = fingertip_jacobian(model, cfg, sweep, wrist_free=wrist_free)
             gram = jac.T @ jac
             grad = jac.T @ res_vec
-        step = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), -grad)
+        step = np.linalg.solve(gram + lam * eye, -grad)
         if wrist_free:
             root_c = perturb_root(cfg.root_pose, step[:ROOT_DOF])
-            ang_c = clamp_to_limits(model, cfg.joint_angles + step[ROOT_DOF:])
+            ang_c = (cfg.joint_angles + step[ROOT_DOF:]).clip(lower, upper)
         else:
             root_c = cfg.root_pose
-            ang_c = clamp_to_limits(model, cfg.joint_angles + step)
+            ang_c = (cfg.joint_angles + step).clip(lower, upper)
         cand = HandConfiguration(root_c, ang_c)
         sweep_c = forward_kinematics(model, cand)
         res_c = (sweep_c[0] - targets).ravel()

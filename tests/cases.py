@@ -8,6 +8,7 @@ and depth-alignment fixtures built from them.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dextra.geometry import (
     SE3Pose,
@@ -53,6 +54,90 @@ def rotation_angle(a: SE3Pose, b: SE3Pose) -> float:
 def rest_configuration(model) -> HandConfiguration:
     return HandConfiguration(identity_pose(),
                              np.array([j.rest for j in model.joints]))
+
+
+def bitwise_configurations(model, rng, count):
+    """Configurations for checks that compare bits: the degenerate ones first
+    (identity root at rest, zero angles and either limit; a quarter turn of
+    the root about each frame axis at rest), then `count` random ones."""
+    rest = rest_configuration(model).joint_angles
+    configs = [HandConfiguration(identity_pose(), angles)
+               for angles in (rest, np.zeros(model.dof), model.lower_limits, model.upper_limits)]
+    for axis in np.eye(3):
+        configs.append(HandConfiguration(pose_from_rotvec(0.5 * np.pi * axis, (0.01, -0.02, 0.03)), rest))
+    for _ in range(count):
+        configs.append(HandConfiguration(
+            pose_from_rotvec(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 3)),
+            rng.uniform(model.lower_limits, model.upper_limits)))
+    return configs
+
+
+# ---------------------------------------------------------------------------
+# generated hand model documents
+# ---------------------------------------------------------------------------
+
+_LENGTH = st.one_of(st.just(0.0), st.floats(-0.04, 0.04))
+_TURN = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: math.hypot(*q) >= 0.1)
+
+
+@st.composite
+def hand_documents(draw):
+    """A hand model document for `load_hand_model`: 2-5 fingers of 1-4
+    revolute joints each, on a palm or on a shared wrist joint, with 0-2
+    mimics among the finger joints.
+
+    Each joint axis is a frame axis, a negated one, or oblique; each link
+    offset rotation is the identity or turned, and offset translations have
+    exact zero components too.  The mimics may be ones the loader refuses
+    (a joint mimicked twice, a mimic chain, a driver that moves another
+    finger's tip).  Every finger's first joint drives it.
+    """
+    def offset():
+        rotation = draw(st.one_of(st.just([1.0, 0.0, 0.0, 0.0]), _TURN))
+        return {"rotation": rotation, "translation": [draw(_LENGTH) for _ in range(3)]}
+
+    def axis():
+        k = draw(st.integers(0, 2))
+        frame = [0.0, 0.0, 0.0]
+        frame[k] = 1.0
+        negated = [0.0, 0.0, 0.0]
+        negated[k] = -1.0
+        oblique = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: math.hypot(*v) >= 0.1)
+        return draw(st.one_of(st.just(frame), st.just(negated), oblique))
+
+    links = [{"name": "palm", "parent": -1, "offset": offset()}]
+    joints = []
+
+    def joint(name, child):
+        lo, hi = draw(st.floats(-1.5, 0.0)), draw(st.floats(0.0, 1.5))
+        rest = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        joints.append({"name": name, "child_link": child, "axis": axis(),
+                       "limits": [lo, hi], "rest": min(max(rest, lo), hi)})
+
+    base = 0
+    if draw(st.booleans()):
+        links.append({"name": "wrist", "parent": 0, "offset": offset()})
+        joint("wrist_tilt", "wrist")
+        base = 1
+    tips, drivers, finger_joints = [], [], []
+    for f in range(draw(st.integers(2, 5))):
+        parent = base
+        for m in range(draw(st.integers(1, 4))):
+            links.append({"name": f"f{f}_l{m}", "parent": parent, "offset": offset()})
+            joint(f"f{f}_j{m}", f"f{f}_l{m}")
+            finger_joints.append(f"f{f}_j{m}")
+            parent = len(links) - 1
+        links.append({"name": f"f{f}_tip", "parent": parent, "offset": offset()})
+        tips.append(f"f{f}_tip")
+        drivers.append(f"f{f}_j0")
+    mimics = [{"joint": draw(st.sampled_from(finger_joints)),
+               "driver": draw(st.sampled_from(finger_joints)),
+               "ratio": draw(st.floats(-1.5, 1.5))}
+              for _ in range(draw(st.integers(0, 2)))]
+    return {"name": "generated", "links": links, "joints": joints, "mimics": mimics,
+            "fingertip_links": tips, "finger_drivers": drivers}
 
 
 # ---------------------------------------------------------------------------

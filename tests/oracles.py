@@ -94,6 +94,73 @@ def chain_fingertips(doc, root_matrix, joint_angles):
     return np.array([link_matrix(n)[:3, 3] for n in doc["fingertip_links"]])
 
 
+def sweep_fk(doc, root_rotation, root_translation, joint_angles):
+    """One FK sweep over the document in Python floats: the (K, 3) fingertip
+    positions, then every link's world quaternion and translation as float
+    tuples, in document link order.
+
+    Every link multiplies its parent's rotation by its offset rotation and
+    then by the joint's (cos, sin * axis), all as general quaternion
+    products: no term is skipped because a factor is an exact zero.  Offset
+    rotations and axes are normalized as the loader normalizes them.  This is
+    the arithmetic, rounding and signed zeros included, that the package's
+    FK must match bit for bit.
+    """
+    identity = {"rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, 0.0]}
+    joint_names = [j["name"] for j in doc["joints"]]
+    angles = dict(zip(joint_names, [float(a) for a in joint_angles]))
+    effective = dict(angles)
+    for m in doc.get("mimics", []):
+        effective[m["joint"]] = float(m.get("ratio", 1.0)) * angles[m["driver"]]
+    joint_of_link = {j["child_link"]: j for j in doc["joints"]}
+    links = doc["links"]
+    quats, trans = [None] * len(links), [None] * len(links)
+
+    def sweep(i):
+        if quats[i] is not None:
+            return
+        link = links[i]
+        if link["parent"] < 0:
+            pw, px, py, pz = (float(v) for v in root_rotation)
+            tx, ty, tz = (float(v) for v in root_translation)
+        else:
+            sweep(link["parent"])
+            pw, px, py, pz = quats[link["parent"]]
+            tx, ty, tz = trans[link["parent"]]
+        offset = link.get("offset", identity)
+        q = np.asarray(offset["rotation"], dtype=float)
+        ow, ox, oy, oz = (q / np.linalg.norm(q)).tolist()
+        vx, vy, vz = (float(v) for v in offset["translation"])
+        cx = 2.0 * (py * vz - pz * vy)
+        cy = 2.0 * (pz * vx - px * vz)
+        cz = 2.0 * (px * vy - py * vx)
+        trans[i] = (tx + vx + pw * cx + py * cz - pz * cy,
+                    ty + vy + pw * cy + pz * cx - px * cz,
+                    tz + vz + pw * cz + px * cy - py * cx)
+        qw = pw * ow - px * ox - py * oy - pz * oz
+        qx = pw * ox + px * ow + py * oz - pz * oy
+        qy = pw * oy - px * oz + py * ow + pz * ox
+        qz = pw * oz + px * oy - py * ox + pz * ow
+        joint = joint_of_link.get(link["name"])
+        if joint is None:
+            quats[i] = (qw, qx, qy, qz)
+            return
+        axis = np.asarray(joint["axis"], dtype=float)
+        ax, ay, az = (axis / np.linalg.norm(axis)).tolist()
+        half = 0.5 * effective[joint["name"]]
+        s = math.sin(half)
+        jw, jx, jy, jz = math.cos(half), s * ax, s * ay, s * az
+        quats[i] = (qw * jw - qx * jx - qy * jy - qz * jz,
+                    qw * jx + qx * jw + qy * jz - qz * jy,
+                    qw * jy - qx * jz + qy * jw + qz * jx,
+                    qw * jz + qx * jy - qy * jx + qz * jw)
+
+    for i in range(len(links)):
+        sweep(i)
+    index = {l["name"]: i for i, l in enumerate(links)}
+    return np.array([trans[index[n]] for n in doc["fingertip_links"]]), quats, trans
+
+
 def chain_jacobian(doc, root_matrix, joint_angles, step=1e-6):
     """Central-difference jacobian of `chain_fingertips`, (3K, 6 + J).
 

@@ -2,12 +2,13 @@
 
 A refactor is proven by unchanged digests: the verdict and the input and
 output digest of all nine stages must match `golden/digests.json` on every
-bundled scene at seed 0.  A change that moves digests on purpose regenerates
-the file and says why:
+bundled scene at seed 0, and `golden/sweep_digests.json` for the same scenes
+on each sweep hand.  A change that moves digests on purpose regenerates both
+files and says why:
 
     PYTHONPATH=src python3 tests/test_digests.py
 
-The same scenes on the sweep hands pin their verdicts, and every run on every
+The sweep hands' verdicts are pinned here as well, and every run on every
 hand shows that the fingertip refinements converge rather than stop at the
 iteration cap, and that the retarget stage sweeps no configuration twice.
 """
@@ -23,6 +24,7 @@ import pytest
 TESTS_DIR = Path(__file__).resolve().parent
 SCENES_DIR = TESTS_DIR.parent / "scenes"
 GOLDEN = TESTS_DIR / "golden" / "digests.json"
+SWEEP_GOLDEN = TESTS_DIR / "golden" / "sweep_digests.json"
 
 
 def bundled_scenes():
@@ -39,7 +41,8 @@ def scene_digests(scene_dir, **settings) -> dict:
 
 
 # The golden file runs each scene on its own hand only.  These hands take tens
-# of LM steps per refinement, so their verdicts are pinned as well.
+# of LM steps per refinement, so their runs have a golden file of their own,
+# keyed by `sweep_key`, and their verdicts are pinned here as well.
 SWEEP_HANDS = ("leap-like-16dof", "shadow-like-22dof")
 SWEEP_VERDICTS = {
     ("mug-01", "leap-like-16dof"): "unstable",
@@ -65,6 +68,16 @@ SWEEP_VERDICTS = {
     ("fragile-08", "shadow-like-22dof"): "stable",
     ("fragile-09", "shadow-like-22dof"): "stable",
 }
+
+
+def sweep_key(scene: str, hand: str) -> str:
+    return f"{scene}@{hand}"
+
+
+def sweep_digests() -> dict:
+    """`scene_digests` of every bundled scene on every sweep hand, by `sweep_key`."""
+    return {sweep_key(p.name, hand): scene_digests(p, hand_model=hand)
+            for p in bundled_scenes() for hand in SWEEP_HANDS}
 
 
 def recorded_run(scene_dir, hand) -> dict:
@@ -146,6 +159,19 @@ def test_sweep_verdicts_cover_every_scene_on_every_sweep_hand():
     assert sorted(SWEEP_VERDICTS) == sorted((n, h) for n in names for h in SWEEP_HANDS)
 
 
+def test_sweep_golden_covers_every_sweep_run():
+    golden = json.loads(SWEEP_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(sweep_key(*run) for run in SWEEP_VERDICTS)
+    assert {run: golden[sweep_key(*run)]["verdict"] for run in SWEEP_VERDICTS} == SWEEP_VERDICTS
+
+
+@pytest.mark.parametrize(("scene", "hand"), SWEEP_VERDICTS,
+                         ids=["/".join(k) for k in SWEEP_VERDICTS])
+def test_sweep_hand_stage_digests_match_golden(scene, hand, sweep):
+    golden = json.loads(SWEEP_GOLDEN.read_text(encoding="utf-8"))[sweep_key(scene, hand)]
+    assert sweep[scene, hand]["digests"] == golden
+
+
 def test_no_refinement_runs_out_of_iterations(sweep):
     from dextra.retarget import MAX_ITERATIONS
 
@@ -193,12 +219,13 @@ def _at(doc: dict, *path):
     return doc
 
 
-def moved_report(old: dict, new: dict) -> list:
+def moved_report(old: dict, new: dict, unit: str = "scenes") -> list:
     """Lines saying what moved from golden file `old` to `new`.
 
-    Per stage, in pipeline order, the number of scenes whose input digest
-    and whose output digest moved; then every verdict that moved.  A scene
-    in only one of the two files counts as moved everywhere.
+    Per stage, in pipeline order, the number of entries (scenes, or runs in
+    the sweep file) whose input digest and whose output digest moved; then
+    every verdict that moved.  An entry in only one of the two files counts
+    as moved everywhere.
     """
     from dextra.pipeline import STAGE_NAMES
 
@@ -208,7 +235,7 @@ def moved_report(old: dict, new: dict) -> list:
         return [s for s in scenes if _at(old, s, *path) != _at(new, s, *path)]
 
     width = max(map(len, STAGE_NAMES))
-    lines = [f"{'stage':<{width}}  input moved  output moved  (of {len(scenes)} scenes)"]
+    lines = [f"{'stage':<{width}}  input moved  output moved  (of {len(scenes)} {unit})"]
     for stage in STAGE_NAMES:
         lines.append(f"{stage:<{width}}  {len(moved('stages', stage, 'input')):>11}"
                      f"  {len(moved('stages', stage, 'output')):>12}")
@@ -239,12 +266,16 @@ def test_moved_report_counts_scenes_per_stage_and_names_moved_verdicts():
     assert lines[-1] == ("verdicts moved: b: stable -> damaged, c: unstable -> None, "
                          "d: None -> stable")
     assert moved_report(old, old)[-1] == "verdicts moved: none"
+    assert "(of 4 runs)" in moved_report(old, new, "runs")[0]
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.is_file() else {}
-    doc = {p.name: scene_digests(p) for p in bundled_scenes()}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {GOLDEN} ({len(doc)} scenes); moved from the file it replaces:\n")
-    sys.stdout.write("\n".join(moved_report(old, doc)) + "\n")
+    for path, unit, build in ((GOLDEN, "scenes", lambda: {p.name: scene_digests(p)
+                                                          for p in bundled_scenes()}),
+                              (SWEEP_GOLDEN, "runs", sweep_digests)):
+        old = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+        doc = build()
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.stdout.write(f"wrote {path} ({len(doc)} {unit}); moved from the file it replaces:\n")
+        sys.stdout.write("\n".join(moved_report(old, doc, unit)) + "\n")

@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from conftest import MODELS_DIR
-from cases import pose_to_matrix, rest_configuration
+from cases import bitwise_configurations, hand_documents, pose_to_matrix, rest_configuration
 from dextra import geometry, kinematics
 from dextra.errors import (
     BadLimits,
@@ -16,12 +17,14 @@ from dextra.errors import (
     UnknownFingertipLink,
 )
 from dextra.geometry import (
+    SE3Pose,
     compose,
     identity_pose,
     pose_from_rotvec,
     transform_points,
 )
 from dextra.kinematics import (
+    ROOT_DOF,
     HandConfiguration,
     bundled_model,
     clamp_to_limits,
@@ -242,28 +245,123 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
     assert sweeps == []
 
 
+def _same_bits(got, want) -> bool:
+    # tobytes, not np.array_equal: the sign of every exact zero counts
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_fk_matches_the_oracle(doc, model, cfg) -> tuple:
+    """The sweep of `cfg`, after checking that it equals `oracles.sweep_fk`
+    bit for bit: the fingertips and every link's quaternion and translation."""
+    sweep = forward_kinematics(model, cfg)
+    want = oracles.sweep_fk(doc, cfg.root_pose.rotation, cfg.root_pose.translation,
+                            cfg.joint_angles)
+    for got, expected in zip(sweep, want):
+        assert _same_bits(got, expected)
+    return sweep
+
+
+def assert_jacobians_match_the_oracle(doc, model, cfg, sweep):
+    """The full jacobian equals `oracles.sweep_jacobian` bit for bit, and the
+    joint-only one the full one's joint columns."""
+    full = fingertip_jacobian(model, cfg, sweep)
+    assert _same_bits(full, oracles.sweep_jacobian(
+        doc, cfg.root_pose.rotation, cfg.root_pose.translation, sweep[1], sweep[2]))
+    assert _same_bits(fingertip_jacobian(model, cfg, sweep, wrist_free=False), full[:, ROOT_DOF:])
+
+
+# The bundled hands' axes all lie along e_x or e_z, and all their links but
+# the thumb base have an identity offset rotation, which FK skips the zero
+# products of; the oblique hand has neither, so a change in the order of
+# operations shows in its bits
 @pytest.mark.parametrize("name", (*BUNDLED, "oblique"))
-def test_jacobian_matches_numpy_assembly_bit_for_bit(name):
-    # tobytes, not np.array_equal: the sign of every exact zero counts.  The
-    # bundled hands' axes all lie along a frame axis; the oblique hand's do
-    # not, so a change in the order of operations shows in its bits
+def test_fk_matches_the_per_link_oracle_bit_for_bit(name):
     doc = oblique_doc() if name == "oblique" else bundled_doc(name)
     model = load_hand_model(doc)
-    rng = np.random.default_rng(31)
-    rest = rest_configuration(model).joint_angles
-    configs = [HandConfiguration(identity_pose(), angles)
-               for angles in (rest, np.zeros(model.dof), model.lower_limits, model.upper_limits)]
-    for axis in np.eye(3):
-        configs.append(HandConfiguration(pose_from_rotvec(0.5 * np.pi * axis, (0.01, -0.02, 0.03)), rest))
-    for _ in range(40):
-        configs.append(HandConfiguration(
-            pose_from_rotvec(rng.normal(0.0, 1.0, 3), rng.normal(0.0, 0.1, 3)),
-            rng.uniform(model.lower_limits, model.upper_limits)))
-    for cfg in configs:
+    for cfg in bitwise_configurations(model, np.random.default_rng(31), 40):
+        assert_fk_matches_the_oracle(doc, model, cfg)
+
+
+@pytest.mark.parametrize("name", (*BUNDLED, "oblique"))
+def test_jacobian_matches_numpy_assembly_bit_for_bit(name):
+    doc = oblique_doc() if name == "oblique" else bundled_doc(name)
+    model = load_hand_model(doc)
+    for cfg in bitwise_configurations(model, np.random.default_rng(31), 40):
+        assert_jacobians_match_the_oracle(doc, model, cfg, forward_kinematics(model, cfg))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_fk_zero_signs_move_only_inside_link_rotations(name):
+    # Exact-zero root rotation components with angles past +-pi, or -0.0
+    # inputs, make link rotation components exact zeros, and a dropped
+    # exact-zero product can flip the sign of such a zero.  The rotations
+    # keep their values; the fingertips, the link translations and the
+    # jacobian keep the bits of the general products
+    doc = bundled_doc(name)
+    model = load_hand_model(doc)
+    rng = np.random.default_rng(37)
+    angles = np.array([0.0, -0.0, 0.5, 3.0, -3.0, 4.0, -5.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi])
+    roots = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, 0.0],
+                      [-0.0, 1.0, -0.0, 0.0], [0.6, 0.0, 0.8, 0.0]])
+    for _ in range(200):
+        cfg = HandConfiguration(SE3Pose(roots[rng.integers(len(roots))], np.zeros(3)),
+                                angles[rng.integers(len(angles), size=model.dof)])
         sweep = forward_kinematics(model, cfg)
-        want = oracles.sweep_jacobian(doc, cfg.root_pose.rotation, cfg.root_pose.translation,
-                                      sweep[1], sweep[2]).tobytes()
-        assert fingertip_jacobian(model, cfg, sweep).tobytes() == want
+        tips, quats, trans = oracles.sweep_fk(doc, cfg.root_pose.rotation,
+                                              cfg.root_pose.translation, cfg.joint_angles)
+        assert _same_bits(sweep[0], tips) and _same_bits(sweep[2], trans)
+        assert np.array_equal(sweep[1], quats)
+        assert _same_bits(fingertip_jacobian(model, cfg, sweep), oracles.sweep_jacobian(
+            doc, cfg.root_pose.rotation, cfg.root_pose.translation, quats, trans))
+
+
+def test_fk_tables_mark_identity_offsets_and_frame_axes():
+    # every bundled joint turns about e_x or e_z, and every link but the
+    # thumb base has an identity offset rotation, so FK skips their zero
+    # products; the oblique hand has neither
+    for name in BUNDLED:
+        model = bundled_model(name)
+        rows = kinematics._fk_tables(model)
+        turned = [model.links[row[0]].name for row in rows if row[2] is not None]
+        assert len(turned) == 1 and turned[0].startswith("thumb_"), turned
+        assert all(kind in (0, 2) for _, _, _, _, j, kind, _ in rows if j >= 0)
+    rows = kinematics._fk_tables(load_hand_model(oblique_doc()))
+    assert all(kind == 3 for _, _, _, _, j, kind, _ in rows if j >= 0)
+    assert sum(row[2] is None for row in rows) == 5
+
+
+# what the loader names when a generated document's mimics are invalid
+_MIMIC_FINDINGS = re.compile(r"hand model: (mimic '.*' cannot drive itself|joint '.*' mimicked twice"
+                             r"|mimic chain: driver '.*' is itself a mimic"
+                             r"|finger driver '.*' of '.*' also moves fingertip '.*')$")
+
+
+@seed(3001)
+@settings(max_examples=120)
+@given(doc=hand_documents(), config_seed=st.integers(0, 2**32 - 1))
+def test_generated_hands_load_and_match_the_oracles_bit_for_bit(doc, config_seed):
+    try:
+        model = load_hand_model(doc)
+    except SchemaError as err:
+        # only the mimics can make a generated document invalid
+        assert doc["mimics"] and err.violations
+        assert all(_MIMIC_FINDINGS.match(v) for v in err.violations), err.violations
+        return
+    for cfg in bitwise_configurations(model, np.random.default_rng(config_seed), 3):
+        assert_jacobians_match_the_oracle(doc, model, cfg, assert_fk_matches_the_oracle(doc, model, cfg))
+        chain = oracles.chain_fingertips(doc, pose_to_matrix(cfg.root_pose), cfg.joint_angles)
+        assert np.allclose(fingertip_positions(model, cfg), chain, rtol=0.0, atol=1e-12)
+    # a finger driver, with its mimics, moves its own fingertip alone: the
+    # loader refuses a hand where it does not
+    tips = fingertip_positions(model, cfg)
+    for k, driver in enumerate(model.finger_drivers):
+        angles = cfg.joint_angles.copy()
+        angles[model.joint_index[driver]] += 0.1
+        moved = fingertip_positions(model, HandConfiguration(cfg.root_pose, angles))
+        others = np.arange(model.fingertip_count) != k
+        assert _same_bits(moved[others], tips[others]), driver
 
 
 def test_private_cross_matches_numpy_bit_for_bit():
@@ -572,9 +670,9 @@ def test_bundled_model_loads_once_with_read_only_arrays():
     assert bundled_model("inspire-like-6dof") is model
     cfg = rest_configuration(model)
     fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))    # fills the cached tables
-    columns, at, fold = model._cache["jac"]
+    columns, root_at, joint_at, fold = model._cache["jac"]
     arrays = [model.approach_axis, model.lower_limits, model.upper_limits,
-              *(j.axis for j in model.joints), at, fold]
+              *(j.axis for j in model.joints), root_at, joint_at, fold]
     assert not any(a.flags.writeable for a in arrays)
     # the per-column table is nested tuples of numbers, so nothing in it is writable
     assert type(columns) is tuple and len(columns) == 3 + model.dof
