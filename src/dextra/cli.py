@@ -53,13 +53,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _unwrapped(exc: DextraError) -> tuple:
+    """The stage an error names, or None, and the error a StageError wraps."""
+    return getattr(exc, "stage", None), exc.__cause__ if isinstance(exc, StageError) else exc
+
+
+def _error_text(stage, exc) -> str:
+    return f"error: stage '{stage}': {exc}" if stage else f"error: {exc}"
+
+
 def _error_exit(exc: DextraError) -> int:
-    stage = getattr(exc, "stage", None)
-    prefix = f"stage '{stage}': " if stage else ""
-    if isinstance(exc, StageError):
-        exc = exc.__cause__
+    stage, exc = _unwrapped(exc)
     code = _USAGE_ERROR if isinstance(exc, (FixtureMissing, SchemaError)) else _RUN_FAILED
-    return _fail(f"error: {prefix}{exc}", code)
+    return _fail(_error_text(stage, exc), code)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -108,8 +114,8 @@ def _discover_scenes(root: Path) -> list:
                   key=lambda p: p.name)
 
 
-def _summary_rows(reports) -> list:
-    return [{
+def _summary_row(report) -> dict:
+    return {
         "scene": report.scene,
         "object_name": report.object_name,
         "verdict": report.verdict,
@@ -118,33 +124,41 @@ def _summary_rows(reports) -> list:
         "residual": report.retarget["residual"],
         "depth_shift": report.alignment["depth_shift"],
         "steps": report.result.steps,
-    } for report in reports]
+    }
 
 
 def _summary_doc(rows, seed: int) -> dict:
-    stable = sum(1 for r in rows if r["verdict"] == "stable")
-    residuals = [v for r in rows for v in r["residual"]]
+    """Counts over every scene; the mean residual over the scenes that ran."""
+    stable = sum(1 for r in rows if r.get("verdict") == "stable")
+    residuals = [v for r in rows for v in r.get("residual", ())]
     return canonical({
         "scene_count": len(rows),
         "stable_count": stable,
         "success_rate": stable / len(rows),
-        "mean_residual": float(np.mean(residuals)),
+        "mean_residual": float(np.mean(residuals)) if residuals else None,
         "seed": seed,
         "scenes": rows,
     })
 
 
 def _summary_csv(rows) -> str:
+    """One line per scene.  A batch with an error row has three more
+    columns, stage, error and message, which only error rows fill."""
+    errors = ["stage", "error", "message"] if any("error" in r for r in rows) else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scene", "object_name", "verdict", "f_target",
-                     "depth_shift", "steps", "max_residual", "final_forces"])
+                     "depth_shift", "steps", "max_residual", "final_forces"] + errors)
     for r in rows:
+        if "error" in r:
+            writer.writerow([r["scene"], *[""] * 7, r["stage"] or "", r["error"], r["message"]])
+            continue
         writer.writerow([
             r["scene"], r["object_name"], r["verdict"], f"{r['f_target']:.9g}",
             f"{r['depth_shift']:.9g}", r["steps"],
             f"{max(r['residual']):.9g}",
             " ".join(f"{f:.9g}" for f in r["final_forces"]),
+            *[""] * len(errors),
         ])
     return buf.getvalue()
 
@@ -171,18 +185,22 @@ def cmd_batch(args) -> int:
     except DextraError as exc:
         return _fail(f"error: {exc}", _USAGE_ERROR)
 
+    # a scene that raises is an error row, and the batch goes on
     out = Path(args.out)
-    reports = []
+    rows = []
     for scene in scenes:
         try:
             report = run_pipeline(scene, settings)
         except DextraError as exc:
-            return _error_exit(exc)
+            stage, cause = _unwrapped(exc)
+            rows.append({"scene": scene.name, "stage": stage, "error": type(cause).__name__,
+                         "message": str(cause)})
+            print(f"{scene.name}: {_error_text(stage, cause)}")
+            continue
         _emit_scene(out / report.scene, report)
         print(f"{report.scene}: {report.verdict}")
-        reports.append(report)
+        rows.append(_summary_row(report))
 
-    rows = _summary_rows(reports)
     doc = _summary_doc(rows, settings.seed)
     _write_text(out / "summary.json",
                 json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")

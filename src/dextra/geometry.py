@@ -11,7 +11,10 @@ Conventions used throughout the package:
     counterclockwise winding and outward normals.  Inside/outside for a
     watertight mesh is decided by the angle-weighted pseudonormal of the
     nearest surface feature (Baerentzen & Aanaes, IEEE TVCG 2005), so
-    queries near edges and vertices get a consistent sign.
+    queries near edges and vertices get a consistent sign.  `load_obj`,
+    the way an object enters a run, refuses a mesh that is not closed,
+    consistently wound and outward; a `TriangleMesh` built in code may be
+    open or flat, and a query on it then has distances but no sign.
 
     `surface_query` finds the nearest triangle in one bound pass and, for
     almost every point, one walk.  Per-triangle bounding boxes, cached on the
@@ -686,7 +689,7 @@ def surface_query(mesh: TriangleMesh, points) -> SurfaceProximity:
 # ---------------------------------------------------------------------------
 
 def _face_corners(corners) -> list:
-    """Zero-based vertex indices of one f record's three corners.
+    """One-based vertex indices of one f record's three corners.
 
     A corner is `v`, `v/vt`, `v//vn` or `v/vt/vn`; only `v` is kept.  Raises
     ValueError naming the first corner that is not a positive integer.
@@ -700,12 +703,12 @@ def _face_corners(corners) -> list:
             raise ValueError(f"face index '{head}' not an integer") from None
         if i <= 0:
             raise ValueError(f"face index {i} must be positive (1-based)")
-        idx.append(i - 1)
+        idx.append(i)
     return idx
 
 
-def _read_plain(text: str, scale: float):
-    """Vertices and triangles of an OBJ text in the plain layout, else None.
+def _read_plain(text: str):
+    """`_read_lines` of an OBJ text in the plain layout, in bulk, else None.
 
     In the plain layout, the one `save_obj` writes, every line is `v x y z`
     or `f i j k` with a space after the record name, vertices come before
@@ -713,16 +716,15 @@ def _read_plain(text: str, scale: float):
     has 4 tokens per line, every line starts with `v ` or `f `, every
     fourth token is `v` up to the first `f` and `f` after it, and every
     other token converts with `float` or `int`, which neither `v` nor `f`
-    does.  The line heads are then exactly the record tokens, 4 apart.
-    Also None for a file with a finding (no faces, a coordinate beyond the
-    length bound, an index out of range), which `_read_lines` then names.
+    does.  The line heads are then exactly the record tokens, 4 apart, and
+    vertex k is on line k + 1.  Also None for a corner below 1, which
+    `_read_lines` then names.
     """
     tokens = text.split()
     lines = text.count("\n") + (not text.endswith("\n"))
     heads = tokens[::4]
     nv = heads.count("v")
-    nf = len(heads) - nv
-    if (len(tokens) != 4 * lines or nf == 0 or heads[nv:].count("f") != nf
+    if (len(tokens) != 4 * lines or heads[nv:].count("f") != len(heads) - nv
             or text.startswith(("v ", "f ")) + text.count("\nv ") + text.count("\nf ") != lines):
         return None
     coords, corners = tokens[:4 * nv], tokens[4 * nv:]
@@ -732,20 +734,13 @@ def _read_plain(text: str, scale: float):
         f = np.fromiter(map(int, corners), np.int64, len(corners)).reshape(-1, 3)
     except (ValueError, OverflowError):    # OverflowError: an index past int64
         return None
-    with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
-        v *= scale
-    if not (np.abs(v) <= MAX_LENGTH).all() or f.min() < 1 or f.max() > nv:
-        return None
-    return v, f - 1
+    return None if (f < 1).any() else (v, f, range(1, nv + 1), [])
 
 
-def _read_lines(text: str, scale: float):
-    """Vertices, triangles and findings of any OBJ text, line by line.
-
-    Findings come in line order, then index ranges face by face; an empty
-    list means the arrays are the mesh.
-    """
-    vertices, vertex_lines, faces, violations = [], [], [], []
+def _read_lines(text: str):
+    """Vertices, one-based faces, each vertex's line and the line findings
+    of any OBJ text, line by line; findings come in line order."""
+    vertices, vertex_lines, faces, findings = [], [], [], []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens:
@@ -753,41 +748,49 @@ def _read_lines(text: str, scale: float):
         rec = tokens[0]
         if rec == "v":
             if len(tokens) < 4:
-                violations.append(f"line {lineno}: vertex needs 3 coordinates")
+                findings.append(f"line {lineno}: vertex needs 3 coordinates")
                 continue
             try:
                 vertices.append((float(tokens[1]), float(tokens[2]), float(tokens[3])))
                 vertex_lines.append(lineno)
             except ValueError:
-                violations.append(f"line {lineno}: vertex coordinates not numeric")
+                findings.append(f"line {lineno}: vertex coordinates not numeric")
         elif rec == "f":
             if len(tokens) != 4:
-                violations.append(
+                findings.append(
                     f"line {lineno}: face {len(faces) + 1} has "
                     f"{len(tokens) - 1} vertices; only triangles supported")
                 continue
             try:
                 faces.append(_face_corners(tokens[1:]))
             except ValueError as exc:
-                violations.append(f"line {lineno}: {exc}")
+                findings.append(f"line {lineno}: {exc}")
         # all other record types, comments included, are ignored
-    with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
-        v = np.array(vertices, dtype=float).reshape(-1, 3) * scale
-    for k in np.flatnonzero(~(np.abs(v) <= MAX_LENGTH).all(axis=1)).tolist():
-        scaled = " after mesh_scale" if all(abs(c) <= MAX_LENGTH for c in vertices[k]) else ""
-        violations.append(f"line {vertex_lines[k]}: vertex coordinates not within "
-                          f"+-{MAX_LENGTH:g} m{scaled}")
-    if not faces and not violations:
-        violations.append("no faces: mesh must contain at least one triangle")
-    nv = len(vertices)
-    try:
-        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:  # an index past int64 is past every vertex
-        f = np.array([[min(i, nv) for i in tri] for tri in faces], dtype=np.int64)
-    for k, c in np.argwhere(f >= nv).tolist():  # face by face, corner by corner
-        violations.append(f"face {k + 1}: vertex index {faces[k][c] + 1} out of range "
-                          f"({nv} vertices)")
-    return v, f, violations
+    return vertices, faces, vertex_lines, findings
+
+
+def _unclosed(mesh: TriangleMesh) -> list:
+    """Why `mesh` is not a closed, consistently wound surface facing out.
+
+    The sign of a surface query and the onset grid's box pruning assume
+    one.  A mesh is closed and consistently wound exactly when each edge
+    a-b of its faces is walked once a->b and once b->a: no edge belongs to
+    one face, and no directed edge is walked twice (an edge of two or more
+    faces then has both walks).  Only such a mesh has an inside, and its
+    faces face out when its signed volume is positive.
+    """
+    n = len(mesh.vertices)
+    start, end = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+    faces = np.unique(np.minimum(start, end) * n + np.maximum(start, end), return_counts=True)[1]
+    walks = np.unique(start * n + end, return_counts=True)[1]
+    lone, same = np.count_nonzero(faces == 1), np.count_nonzero(walks > 1)
+    if lone or same:
+        return ([f"{lone} edges belong to one face"] if lone else []) + (
+            [f"{same} edges are walked the same way by two faces"] if same else [])
+    tri = _triangle_bounds(mesh)[0]    # the corners every surface query reads
+    if np.einsum("ij,ij->", tri[:, 0], _cross(tri[:, 1], tri[:, 2])) <= 0.0:
+        return ["faces wind inward (signed volume <= 0)"]
+    return []
 
 
 def load_obj(path, scale: float = 1.0) -> TriangleMesh:
@@ -800,9 +803,11 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
     +-MAX_LENGTH metres after it; every face must have a non-zero area.
 
     A file in the plain layout (`_read_plain`) is read in bulk: one split
-    of the text and one conversion per column.  Any other layout, and any
-    file with a finding, is read line by line (`_read_lines`), so a file
-    gets the same arrays and the same findings either way.
+    of the text and one conversion per column.  Any other layout is read
+    line by line (`_read_lines`).  The readers only parse: the findings on
+    the arrays (coordinates, then no faces, then index ranges face by face)
+    are named here, once, so a file gets the same arrays and the same
+    findings either way.
     """
     scale = float(scale)
     if scale <= 0.0:
@@ -815,15 +820,34 @@ def load_obj(path, scale: float = 1.0) -> TriangleMesh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    arrays = _read_plain(text, scale)
-    if arrays is None:
-        *arrays, violations = _read_lines(text, scale)
-        if violations:
-            raise SchemaError([f"{name}: {v}" for v in violations])
+    raw, faces, vertex_lines, findings = _read_plain(text) or _read_lines(text)
+    raw = np.asarray(raw, dtype=float).reshape(-1, 3)
+    with np.errstate(over="ignore"):    # a finite coordinate times `scale` may overflow
+        v = raw * scale
+    for k in np.flatnonzero(~(np.abs(v) <= MAX_LENGTH).all(axis=1)).tolist():
+        scaled = " after mesh_scale" if (np.abs(raw[k]) <= MAX_LENGTH).all() else ""
+        findings.append(f"line {vertex_lines[k]}: vertex coordinates not within "
+                        f"+-{MAX_LENGTH:g} m{scaled}")
+    if not len(faces) and not findings:
+        findings.append("no faces: mesh must contain at least one triangle")
+    nv = len(v)
     try:
-        return TriangleMesh(*arrays)
-    except _FaceError as exc:
-        raise SchemaError([f"{name}: face {k + 1}: {why}" for k, why in exc.faces]) from None
+        f = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # an index past int64 is past every vertex
+        f = np.array([[min(i, nv + 1) for i in tri] for tri in faces], dtype=np.int64)
+    for k, c in np.argwhere(f > nv).tolist():  # face by face, corner by corner
+        findings.append(f"face {k + 1}: vertex index {faces[k][c]} out of range "
+                        f"({nv} vertices)")
+    if not findings:
+        try:
+            mesh = TriangleMesh(v, f - 1)
+        except _FaceError as exc:
+            findings = [f"face {k + 1}: {why}" for k, why in exc.faces]
+        else:
+            findings = _unclosed(mesh)
+    if findings:
+        raise SchemaError([f"{name}: {x}" for x in findings])
+    return mesh
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:

@@ -370,13 +370,9 @@ def bundled_model(name: str) -> KinematicHandModel:
 # kinematics
 # ---------------------------------------------------------------------------
 
-def effective_angles(model: KinematicHandModel, joint_angles: np.ndarray) -> np.ndarray:
-    """Resolve mimic joints from their drivers; other entries pass through."""
-    return np.array(_effective(model, joint_angles))
-
-
 def _effective(model: KinematicHandModel, joint_angles) -> list:
-    """`effective_angles` as Python floats, the form FK reads."""
+    """Joint angles with each mimic joint resolved from its driver, as Python
+    floats, the form FK reads; other entries pass through."""
     eff = np.asarray(joint_angles, dtype=float).tolist()
     for j, (driver, ratio) in model.mimics.items():
         eff[j] = ratio * eff[driver]

@@ -251,6 +251,22 @@ def subdivide(mesh: TriangleMesh, levels: int = 1) -> TriangleMesh:
     return TriangleMesh(v, f)
 
 
+def break_obj(text: str, how: str) -> str:
+    """An OBJ text with every other face, from the first, dropped ("open")
+    or wound the other way ("mixed"): on the bundled mug the first leaves
+    96 edges with one face, the second walks 96 edges the same way twice."""
+    lines, faces = [], 0
+    for line in text.splitlines(keepends=True):
+        if line.startswith("f "):
+            faces += 1
+            if faces % 2:
+                if how == "open":
+                    continue
+                line = "f " + " ".join(line.split()[:0:-1]) + "\n"
+        lines.append(line)
+    return "".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # grasp and depth-alignment fixtures
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ package.
 
 import math
 import os
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -335,9 +337,11 @@ def obj_arrays(path, scale=1.0, max_length=100.0, min_area=1e-14):
     Only v and f records count, and faces must be triangles.  Findings are
     prefixed with the file name and come in line order, then out-of-range
     indices face by face; a face's area is measured only when there is no
-    other finding.  The scaled vertices must lie within +-`max_length`, and
-    every face must have an area of at least `min_area`.  No findings
-    means the arrays are the mesh.
+    other finding, and the surface's closure only when every area passes.
+    The scaled vertices must lie within +-`max_length`, every face must
+    have an area of at least `min_area`, every edge must be walked once
+    each way, and the exact signed volume of the scaled vertices must be
+    positive.  No findings means the arrays are the mesh.
     """
     name = os.path.basename(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -389,7 +393,28 @@ def obj_arrays(path, scale=1.0, max_length=100.0, min_area=1e-14):
                                     axis=1)
         findings = [f"face {k + 1}: degenerate (zero area)"
                     for k in np.flatnonzero(area < min_area).tolist()]
+    if not findings:
+        findings = _closure_findings(faces, scaled)
     return v, f, [f"{name}: {x}" for x in findings]
+
+
+def _closure_findings(faces, vertices):
+    """Edges walked by one face, directed edges walked twice, and, for a
+    surface free of both, an exact signed volume that is not positive."""
+    walks = Counter((face[k], face[(k + 1) % 3]) for face in faces for k in range(3))
+    lone = sum(1 for (a, b), n in walks.items() if n == 1 and (b, a) not in walks)
+    same = sum(1 for n in walks.values() if n > 1)
+    findings = [f"{lone} edges belong to one face"] if lone else []
+    if same:
+        findings.append(f"{same} edges are walked the same way by two faces")
+    if findings:
+        return findings
+    volume = 0
+    for face in faces:
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = (
+            [Fraction(float(x)) for x in vertices[i]] for i in face)
+        volume += ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+    return [] if volume > 0 else ["faces wind inward (signed volume <= 0)"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from cases import break_obj
 from conftest import MODELS_DIR, SCENES_DIR
 from dextra import cli, pipeline
 from dextra.cli import main
@@ -231,6 +232,44 @@ def test_batch_same_seed_is_byte_identical(fragile_dir, tmp_path, capsys):
     assert _run(capsys, "batch", str(fragile_dir), "--out", str(b))[0] == 0
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batch_records_a_broken_scene_and_runs_the_rest(fragile_dir, tmp_path, capsys):
+    # fragile-03 with half its faces gone fails in the providers stage; the
+    # other nine run, and their rows are those of the intact batch
+    root = tmp_path / "scenes"
+    shutil.copytree(fragile_dir, root)
+    obj = root / "fragile-03" / "object.obj"
+    obj.write_text(break_obj(obj.read_text(), "open"))
+    out, intact = tmp_path / "batch", tmp_path / "intact"
+    code, stdout, _ = _run(capsys, "batch", str(root), "--out", str(out))
+    assert code == 1
+    message = "object.obj: 96 edges belong to one face"
+    assert f"fragile-03: error: stage 'providers': {message}\n" in stdout
+    assert sorted(p.parent.name for p in out.glob("*/report.json")) == [
+        f"fragile-{k:02d}" for k in range(1, 11) if k != 3]
+
+    assert _run(capsys, "batch", str(fragile_dir), "--out", str(intact))[0] == 0
+    doc, want = (json.loads((d / "summary.json").read_text()) for d in (out, intact))
+    error = {"scene": "fragile-03", "stage": "providers", "error": "SchemaError",
+             "message": message}
+    assert doc["scenes"] == [error if r["scene"] == "fragile-03" else r for r in want["scenes"]]
+    assert (doc["scene_count"], doc["stable_count"]) == (10, 9)
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[0] == ("scene,object_name,verdict,f_target,depth_shift,"
+                       "steps,max_residual,final_forces,stage,error,message")
+    assert rows[3] == f"fragile-03,,,,,,,,providers,SchemaError,{message}"
+    assert rows[1:3] + rows[4:] == [
+        row + ",,," for row in (intact / "summary.csv").read_text().splitlines()[1:] if
+        not row.startswith("fragile-03,")]
+
+    # a batch whose every scene fails still writes its summaries
+    shutil.copytree(root / "fragile-03", tmp_path / "alone" / "fragile-03")
+    code, _, _ = _run(capsys, "batch", str(tmp_path / "alone"), "--out", str(tmp_path / "a"))
+    doc = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert (code, doc["stable_count"], doc["mean_residual"], doc["scenes"]) == (1, 0, None,
+                                                                               [error])
 
 
 def test_batch_rejects_duplicate_scene_names(fragile_dir, tmp_path, capsys):
@@ -640,6 +679,23 @@ def test_validate_reads_every_file_past_a_broken_one(mug_scene, tmp_path, capsys
     assert "poses.json: missing 'object_pose_generated'" in stdout
     assert "poses.json: hand_eye must be a pose" in stdout
     assert "4 problem(s) found" in stdout
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("how, finding", [
+    ("open", "object.obj: 96 edges belong to one face"),
+    ("mixed", "object.obj: 96 edges are walked the same way by two faces"),
+])
+def test_a_mug_with_no_inside_is_refused(mug_scene, tmp_path, capsys, how, finding):
+    # half the faces dropped, or every other face flipped, which would run
+    # into a numpy warning in the onset search
+    broken = tmp_path / "mug-01"
+    shutil.copytree(mug_scene, broken)
+    (broken / "object.obj").write_text(break_obj((mug_scene / "object.obj").read_text(), how))
+    code, stdout, _ = _run(capsys, "validate", str(broken))
+    assert (code, stdout) == (1, f"{finding}\n1 problem(s) found\n")
+    code, _, stderr = _run(capsys, "run", str(broken), "--out", str(tmp_path / "runs"))
+    assert (code, stderr) == (2, f"error: stage 'providers': {finding}\n")
 
 
 def test_validate_reports_broken_mesh(mug_scene, tmp_path, capsys):

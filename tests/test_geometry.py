@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 import oracles
 from cases import (
     box_mesh,
+    break_obj,
     cylinder_mesh,
     grid_mesh,
     icosphere,
@@ -756,21 +757,41 @@ _ODD_INDEX = st.sampled_from(["0", "-1", "9", "99999999999999999999999", "x", "1
 _OTHER_LINES = st.sampled_from(["# a comment", "#", "", "   ", "vn 0 0 1", "vt 0.5 0.5",
                                 "o mug", "v 1 2", "f 1 2", "f 1 2 3 4", "v 1 2 3 1"])
 _SCALES = st.sampled_from([1.0, 0.5, 20.0, 1e-3, 1e-8, 1e200, 1e308])
+# a tetrahedron whose faces (zero-based corners) wind outward: the closed
+# mesh of the texts, so that a file can load
+_TETRA = (("1", "1", "1"), ("3", "1", "1"), ("1", "3", "1"), ("1", "1", "3"))
+_TETRA_FACES = ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))
+_TETRA_V = "".join(f"v {' '.join(corner)}\n" for corner in _TETRA)
 
 
 @st.composite
 def obj_texts(draw):
     plain = draw(st.booleans())
-    # a plain file has three vertices and a face, so that one step off the
-    # layout mostly turns a mesh into findings or another mesh
-    nv = draw(st.integers(3 if plain else 0, 6))
-    coords = _PLAIN_COORDS if plain else st.integers(-3, 3).map(str)
-    vertices = [["v", *draw(st.lists(coords, min_size=3, max_size=3))] for _ in range(nv)]
-    # distinct corners in range, where there are three vertices to pick
-    corners = st.lists(st.integers(1, max(nv, 3)).map(str), min_size=3, max_size=3,
-                       unique=True)
-    faces = [["f", *draw(corners)] for _ in range(draw(st.integers(1 if plain else 0, 4)))]
-    records = vertices + faces
+    if draw(st.integers(0, 2)):
+        # the tetrahedron: its vertices in any order, each face from any
+        # corner, the faces in any order, wound outward, inward, or outward
+        # but for one face
+        order = draw(st.permutations(range(4)))
+        winding = draw(st.sampled_from(["out", "out", "in", "one in"]))
+        vertices = [["v", *_TETRA[i]] for i in order]
+        faces = []
+        for k, face in enumerate(_TETRA_FACES):
+            turn = draw(st.integers(0, 2))
+            face = [str(order.index(i) + 1) for i in face[turn:] + face[:turn]]
+            inward = winding == "in" or (winding == "one in" and k == 0)
+            faces.append(["f", *(face[::-1] if inward else face)])
+        faces = draw(st.permutations(faces))
+    else:
+        # an open mesh: a plain file has three vertices and a face, so that
+        # one step off the layout mostly turns findings into other findings
+        nv = draw(st.integers(3 if plain else 0, 6))
+        coords = _PLAIN_COORDS if plain else st.integers(-3, 3).map(str)
+        vertices = [["v", *draw(st.lists(coords, min_size=3, max_size=3))] for _ in range(nv)]
+        # distinct corners in range, where there are three vertices to pick
+        corners = st.lists(st.integers(1, max(nv, 3)).map(str), min_size=3, max_size=3,
+                           unique=True)
+        faces = [["f", *draw(corners)] for _ in range(draw(st.integers(1 if plain else 0, 4)))]
+    nv, records = len(vertices), vertices + faces
 
     def spoil(record):
         record[draw(st.integers(1, 3))] = draw(_ODD_COORDS if record[0] == "v" else _ODD_INDEX)
@@ -830,7 +851,7 @@ def _reads_like_the_line_reader(path, scale=1.0):
 
 
 @seed(2001)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(text=obj_texts(), scale=_SCALES)
 def test_load_obj_matches_the_line_reader_oracle(text, scale, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzz.obj"
@@ -841,12 +862,12 @@ def test_load_obj_matches_the_line_reader_oracle(text, scale, tmp_path_factory):
 # a plain file, and the same one step off the plain layout: each step passes
 # every check of the bulk pass but one
 OFF_PLAIN = {
-    "plain": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 3\n",
-    "corner-0": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 0\n",
-    "corner-past": "v 1 1 1\nv 2 1 3\nv 1 3 2\nf 1 2 4\n",
-    "interleaved": "v 1 1 1\nv 2 1 3\nf 1 2 3\nv 1 3 2\n",
-    "joined": "v 1 1 1\nv 2 1 3 v 1 3 2\nf 1 2 3\n",
-    "moved-break": "v 1 1 1\nv 2 1\n3 v 1 3 2\nf 1 2 3\n",
+    "plain": _TETRA_V + "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
+    "corner-0": _TETRA_V + "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 0\n",
+    "corner-past": _TETRA_V + "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 5\n",
+    "interleaved": "v 1 1 1\nv 3 1 1\nv 1 3 1\nf 1 3 2\nv 1 1 3\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
+    "joined": "v 1 1 1\nv 3 1 1 v 1 3 1\nv 1 1 3\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
+    "moved-break": "v 1 1 1\nv 3 1\n1 v 1 3 1\nv 1 1 3\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n",
 }
 
 
@@ -857,24 +878,73 @@ def test_one_step_off_the_plain_layout_reads_like_the_line_reader(name, tmp_path
     _reads_like_the_line_reader(path)
 
 
-@pytest.mark.parametrize("path", [*BUNDLED_OBJS, None],
-                         ids=[*(p.parent.name for p in BUNDLED_OBJS), "mug-dense"])
-def test_plain_files_are_read_in_bulk(path, tmp_path, monkeypatch):
-    # every bundled object and the dense mug (None) skip the line reader,
-    # and the bulk read gives the line reader's arrays bit for bit
-    if path is None:
-        path = tmp_path / "object.obj"
-        save_obj(path, subdivide(load_obj(MUG_OBJ), 2))
+# the objects of the benchmark's dense inputs, each subdivided to 3072 triangles
+DENSE_OBJS = {"mug-dense": MUG_OBJ, **{f"{path.parent.name}-dense": path for path in BUNDLED_OBJS
+                                       if path.parent.name in ("fragile-06", "fragile-10")}}
 
+
+def _no_line_reader(path, monkeypatch):
     def line_reader(*args):
         raise AssertionError(f"{path} was read line by line")
 
     monkeypatch.setattr(geometry, "_read_lines", line_reader)
+
+
+@pytest.mark.parametrize("path", [*BUNDLED_OBJS, *DENSE_OBJS],
+                         ids=[*(p.parent.name for p in BUNDLED_OBJS), *DENSE_OBJS])
+def test_plain_files_are_read_in_bulk(path, tmp_path, monkeypatch):
+    # every bundled object and every dense one skip the line reader, and the
+    # bulk read gives the line reader's arrays bit for bit
+    if path in DENSE_OBJS:
+        dense, path = DENSE_OBJS[path], tmp_path / "object.obj"
+        save_obj(path, subdivide(load_obj(dense), 2))
+
+    _no_line_reader(path, monkeypatch)
     mesh = load_obj(path)
     want_v, want_f, findings = oracles.obj_arrays(path)
     assert findings == []
     assert mesh.vertices.tobytes() == want_v.tobytes()
     assert mesh.triangles.tobytes() == want_f.tobytes()
+
+
+# plain files with one finding each, on the arrays rather than on a line
+PLAIN_FINDINGS = {
+    "far-vertex": (OFF_PLAIN["plain"].replace("v 1 1 3", "v 1 1 1e3"),
+                   "line 4: vertex coordinates not within +-100 m"),
+    "index-past": (OFF_PLAIN["corner-past"], "face 4: vertex index 5 out of range (4 vertices)"),
+    "no-faces": (_TETRA_V, "no faces: mesh must contain at least one triangle"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_FINDINGS))
+def test_findings_of_a_plain_file_come_from_its_bulk_read(name, tmp_path, monkeypatch):
+    text, finding = PLAIN_FINDINGS[name]
+    path = tmp_path / "one.obj"
+    path.write_text(text, encoding="utf-8")
+    assert oracles.obj_arrays(path)[2] == [f"one.obj: {finding}"]
+    _no_line_reader(path, monkeypatch)
+    _reads_like_the_line_reader(path)
+
+
+@pytest.mark.parametrize("how, finding", [
+    ("open", "96 edges belong to one face"),
+    ("mixed", "96 edges are walked the same way by two faces"),
+    ("inward", "faces wind inward (signed volume <= 0)"),
+])
+def test_load_obj_refuses_a_surface_with_no_inside(how, finding, tmp_path):
+    # a mesh whose every edge is not walked once each way has no inside for
+    # the surface query's sign, and one turned inside out has it outside;
+    # TriangleMesh still takes each
+    path = tmp_path / "mug.obj"
+    if how == "inward":
+        mesh = load_obj(MUG_OBJ)
+        save_obj(path, TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1]))
+    else:
+        path.write_text(break_obj(MUG_OBJ.read_text(), how), encoding="utf-8")
+    v, f, findings = oracles.obj_arrays(path)
+    assert findings == [f"mug.obj: {finding}"]
+    TriangleMesh(v, f)
+    _reads_like_the_line_reader(path)
 
 
 def test_save_points_obj(tmp_path):

@@ -28,7 +28,6 @@ from dextra.kinematics import (
     HandConfiguration,
     bundled_model,
     clamp_to_limits,
-    effective_angles,
     fingertip_jacobian,
     fingertip_positions,
     forward_kinematics,
@@ -143,7 +142,7 @@ def test_effective_angles_resolve_mimics(robot_model):
     i_mimic = robot_model.joint_index["index_inter_bend"]
     angles[i_driver] = 0.4
     angles[i_mimic] = 9.9  # ignored: the driver owns this joint
-    eff = effective_angles(robot_model, angles)
+    eff = kinematics._effective(robot_model, angles)
     assert np.isclose(eff[i_mimic], 1.1 * 0.4)
     assert np.isclose(eff[i_driver], 0.4)
 
