@@ -110,8 +110,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _discover_scenes(root: Path) -> list:
+    """Scene directories by name, then by path, so rglob's order never shows."""
     return sorted((p.parent for p in root.rglob("scene.json")),
-                  key=lambda p: p.name)
+                  key=lambda p: (p.name, p))
 
 
 def _summary_row(report) -> dict:
@@ -170,12 +171,15 @@ def cmd_batch(args) -> int:
     scene_dirs = _discover_scenes(root)
     if not scene_dirs:
         return _fail(f"error: no scenes under {root}", _USAGE_ERROR)
-    try:
-        scenes = [SceneFixture(d) for d in scene_dirs]
-    except DextraError as exc:
-        return _error_exit(exc)
+    # a scene.json that is refused is its directory's error row
+    scenes = []
+    for scene_dir in scene_dirs:
+        try:
+            scenes.append(SceneFixture(scene_dir))
+        except DextraError as exc:
+            scenes.append((scene_dir.name, exc))
     # each scene writes to --out/<its scene.json name>, so names must not repeat
-    names = [scene.name for scene in scenes]
+    names = [scene.name for scene in scenes if isinstance(scene, SceneFixture)]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         return _fail(f"error: duplicate scene names: {', '.join(dupes)}", _USAGE_ERROR)
@@ -185,17 +189,23 @@ def cmd_batch(args) -> int:
     except DextraError as exc:
         return _fail(f"error: {exc}", _USAGE_ERROR)
 
+    def error_row(name, exc):
+        stage, cause = _unwrapped(exc)
+        print(f"{name}: {_error_text(stage, cause)}")
+        return {"scene": name, "stage": stage, "error": type(cause).__name__,
+                "message": str(cause)}
+
     # a scene that raises is an error row, and the batch goes on
     out = Path(args.out)
     rows = []
     for scene in scenes:
+        if not isinstance(scene, SceneFixture):
+            rows.append(error_row(*scene))
+            continue
         try:
             report = run_pipeline(scene, settings)
         except DextraError as exc:
-            stage, cause = _unwrapped(exc)
-            rows.append({"scene": scene.name, "stage": stage, "error": type(cause).__name__,
-                         "message": str(cause)})
-            print(f"{scene.name}: {_error_text(stage, cause)}")
+            rows.append(error_row(scene.name, exc))
             continue
         _emit_scene(out / report.scene, report)
         print(f"{report.scene}: {report.verdict}")

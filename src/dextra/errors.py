@@ -1,8 +1,10 @@
 """Exception types shared across the package, and its one JSON document checker.
 
 Every JSON document the package reads (the scene fixture files, a settings
-file, a hand model) is checked by `check_document` against a rule table,
-and every violation it finds is raised at once through `raise_schema`.
+file, a hand model) is checked by `check_document` against a rule table.
+A finding is a plain message, and `raise_schema` raises every finding of a
+document at once as one SchemaError.  `StageError` wraps only an exception
+from outside the package; a DextraError names its stage itself.
 """
 
 from __future__ import annotations
@@ -31,19 +33,7 @@ class SchemaError(DextraError):
 
 
 class MissingField(SchemaError):
-    """A required field is absent or empty."""
-
-
-class CyclicTree(SchemaError):
-    """Link graph is not a tree rooted at a single wrist link."""
-
-
-class UnknownFingertipLink(SchemaError):
-    """A declared fingertip link does not exist or is not a leaf."""
-
-
-class BadLimits(SchemaError):
-    """Joint limits are inverted, or a rest or estimated angle falls outside them."""
+    """A required field checked outside a document is absent or empty."""
 
 
 class EmptyMesh(DextraError):
@@ -75,27 +65,19 @@ class WrongFrame(DextraError):
 
 
 class StageError(DextraError):
-    """A pipeline stage failed; names the stage and chains the cause."""
+    """An exception from outside the package escaped a pipeline stage; names
+    the stage and chains the cause."""
 
     def __init__(self, stage, cause):
         self.stage = stage
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 
-def raise_schema(violations, where: str = ""):
-    """Raise the most specific schema error covering `violations`.
-
-    Each violation is a (kind, message) pair.  A single kind raises that
-    kind's exception; mixed kinds raise the plain SchemaError.  All
-    messages are always attached, each prefixed with `where` if given.
-    """
-    if not violations:
-        return
-    kinds = {kind for kind, _ in violations}
-    messages = [f"{where}: {msg}" if where else msg for _, msg in violations]
-    if len(kinds) == 1:
-        raise kinds.pop()(messages)
-    raise SchemaError(messages)
+def raise_schema(messages, where: str = ""):
+    """Raise one SchemaError naming every message, in order, each prefixed
+    with `where` if given; nothing if there are none."""
+    if messages:
+        raise SchemaError([f"{where}: {msg}" if where else msg for msg in messages])
 
 
 def number(v) -> bool:
@@ -150,17 +132,17 @@ def check_document(doc, schema: dict, path: str = "") -> tuple:
     `schema` maps each key to a rule entry.  `accepts` is a predicate or a
     one-schema list (a list of records).  An absent or rejected key reads as
     its default (None if it has none or is REQUIRED), and a key not in
-    `schema` is a violation.  Violations are (kind, message) pairs for
-    `raise_schema`, naming keys by their path.
+    `schema` is a violation.  Violations are messages for `raise_schema`,
+    naming keys by their path.
     """
     if not isinstance(doc, dict):
         return check_document({}, schema, path)[0], [
-            (SchemaError, f"{path or 'the document'} must be a JSON object")]
+            f"{path or 'the document'} must be a JSON object"]
     prefix = f"{path}." if path else ""
     values, bad = {}, []
     for key, value in doc.items():
         if key not in schema:
-            bad.append((SchemaError, f"unknown key '{prefix}{key}'"))
+            bad.append(f"unknown key '{prefix}{key}'")
             continue
         accepts, rule = schema[key][:2]
         name, more = prefix + key, []
@@ -168,13 +150,13 @@ def check_document(doc, schema: dict, path: str = "") -> tuple:
             rows = [check_document(row, accepts[0], f"{name}[{i}]") for i, row in enumerate(value)]
             value, more = [row for row, _ in rows], [b for _, found in rows for b in found]
         elif isinstance(accepts, list) or not accepts(value):
-            more = [(SchemaError, f"{name} {rule}")]
+            more = [f"{name} {rule}"]
         bad += more
         if not more:
             values[key] = value
     for key, (_, _, *default) in schema.items():
         if key not in values:
             if default == [REQUIRED] and key not in doc:
-                bad.append((MissingField, f"missing '{prefix}{key}'"))
+                bad.append(f"missing '{prefix}{key}'")
             values[key] = default[0] if default and default[0] is not REQUIRED else None
     return values, bad

@@ -49,12 +49,8 @@ from .errors import (
     POSE,
     REQUIRED,
     TEXT,
-    BadLimits,
-    CyclicTree,
     DimensionMismatch,
     FixtureMissing,
-    SchemaError,
-    UnknownFingertipLink,
     check_document,
     number,
     numbers,
@@ -213,12 +209,12 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     joint_index = {n: j for j, n in enumerate(joint_names)}
     for kind, names, index in (("link", link_names, link_index), ("joint", joint_names, joint_index)):
         if len(index) != len(names):
-            bad.append((SchemaError, f"duplicate {kind} names"))
+            bad.append(f"duplicate {kind} names")
 
     parents = [ld["parent"] for ld in links_doc]
     for i, p in enumerate(parents):
         if p >= len(links_doc):
-            bad.append((SchemaError, f"link '{link_names[i]}': bad parent index {p}"))
+            bad.append(f"link '{link_names[i]}': bad parent index {p}")
     roots = [i for i, p in enumerate(parents) if p == -1]
     # breadth first from the root: a link on a cycle (its own parent, say), or
     # below one, is never reached
@@ -226,10 +222,10 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     for i in topo:
         topo += [c for c, p in enumerate(parents) if p == i]
     if len(roots) != 1:
-        bad.append((CyclicTree, f"tree must have exactly one root, found {len(roots)}"))
+        bad.append(f"tree must have exactly one root, found {len(roots)}")
     elif len(topo) != len(links_doc):
-        bad.append((CyclicTree, "links unreachable from the root (cycle or orphan): "
-                    + ", ".join(n for i, n in enumerate(link_names) if i not in topo)))
+        bad.append("links unreachable from the root (cycle or orphan): "
+                   + ", ".join(n for i, n in enumerate(link_names) if i not in topo))
 
     joints = []
     joint_of_link = [-1] * len(links_doc)
@@ -237,19 +233,19 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
         name, child = jd["name"], jd["child_link"]
         child_id = link_index.get(child, -1)
         if child_id < 0:
-            bad.append((SchemaError, f"joint '{name}': unknown child link '{child}'"))
+            bad.append(f"joint '{name}': unknown child link '{child}'")
         elif roots and child_id == roots[0]:
-            bad.append((SchemaError, f"joint '{name}': cannot actuate the root link"))
+            bad.append(f"joint '{name}': cannot actuate the root link")
         elif joint_of_link[child_id] != -1:
-            bad.append((SchemaError, f"link '{child}': more than one joint attached"))
+            bad.append(f"link '{child}': more than one joint attached")
         else:
             joint_of_link[child_id] = j
         lo, hi = (float(v) for v in jd["limits"])
         rest = float(jd["rest"])
         if lo > hi:
-            bad.append((BadLimits, f"joint '{name}': limits inverted ({lo} > {hi})"))
+            bad.append(f"joint '{name}': limits inverted ({lo} > {hi})")
         elif not (lo <= rest <= hi):
-            bad.append((BadLimits, f"joint '{name}': rest {rest} outside [{lo}, {hi}]"))
+            bad.append(f"joint '{name}': rest {rest} outside [{lo}, {hi}]")
         joints.append(Joint(name=name, child_link=max(child_id, 0),
                             axis=_unit(jd["axis"]), limits=(lo, hi), rest=rest))
 
@@ -257,47 +253,46 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
     for md in doc["mimics"]:
         jn, dn = md["joint"], md["driver"]
         if jn not in joint_index or dn not in joint_index:
-            bad.append((SchemaError, f"mimic '{jn}' of '{dn}': unknown joint"))
+            bad.append(f"mimic '{jn}' of '{dn}': unknown joint")
         elif jn == dn:
-            bad.append((SchemaError, f"mimic '{jn}' cannot drive itself"))
+            bad.append(f"mimic '{jn}' cannot drive itself")
         elif joint_index[jn] in mimics:
-            bad.append((SchemaError, f"joint '{jn}' mimicked twice"))
+            bad.append(f"joint '{jn}' mimicked twice")
         else:
             mimics[joint_index[jn]] = (joint_index[dn], float(md["ratio"]))
     for d, _ in mimics.values():
         if d in mimics:
-            bad.append((SchemaError,
-                        f"mimic chain: driver '{joint_names[d]}' is itself a mimic"))
+            bad.append(f"mimic chain: driver '{joint_names[d]}' is itself a mimic")
 
     tips = tuple(doc["fingertip_links"])
     if not (2 <= len(tips) <= 5):
-        bad.append((SchemaError, f"fingertip count {len(tips)} outside 2..5"))
+        bad.append(f"fingertip count {len(tips)} outside 2..5")
     for t in tips:
         if t not in link_index:
-            bad.append((UnknownFingertipLink, f"fingertip link '{t}' does not exist"))
+            bad.append(f"fingertip link '{t}' does not exist")
         elif link_index[t] in parents:
-            bad.append((UnknownFingertipLink, f"fingertip link '{t}' is not a leaf"))
+            bad.append(f"fingertip link '{t}' is not a leaf")
 
     jmap = []
     for hname, mname in doc["human_joint_map"]:
         if mname not in joint_index:
-            bad.append((SchemaError, f"human_joint_map: unknown model joint '{mname}'"))
+            bad.append(f"human_joint_map: unknown model joint '{mname}'")
         elif hname in (h for h, _ in jmap):
-            bad.append((SchemaError, f"human_joint_map: '{hname}' mapped twice"))
+            bad.append(f"human_joint_map: '{hname}' mapped twice")
         else:
             jmap.append((hname, mname))
 
     drivers = tuple(doc["finger_drivers"])
     if drivers and len(drivers) != len(tips):
-        bad.append((SchemaError, "finger_drivers must list one joint per fingertip"))
+        bad.append("finger_drivers must list one joint per fingertip")
     for dn in drivers:
         if dn not in joint_index:
-            bad.append((SchemaError, f"finger_drivers: unknown joint '{dn}'"))
+            bad.append(f"finger_drivers: unknown joint '{dn}'")
 
     human_tips = doc["human_fingertip_indices"]
     human_tips = tuple(range(len(tips)) if human_tips is None else human_tips)
     if len(human_tips) != len(tips):
-        bad.append((SchemaError, "human_fingertip_indices must give one index per fingertip"))
+        bad.append("human_fingertip_indices must give one index per fingertip")
 
     raise_schema(bad, where)
     model = KinematicHandModel(
@@ -327,8 +322,7 @@ def load_hand_model(doc: dict, where: str = "hand model") -> KinematicHandModel:
         # the tips of the driver's column and of every mimic folded onto it
         moved = {t for j in np.flatnonzero(fold[:, joint_index[dn]]) for t in columns[3 + j][2]}
         for t in sorted(moved - {k}):
-            bad.append((SchemaError, f"finger driver '{dn}' of '{tips[k]}' "
-                                     f"also moves fingertip '{tips[t]}'"))
+            bad.append(f"finger driver '{dn}' of '{tips[k]}' also moves fingertip '{tips[t]}'")
     raise_schema(bad, where)
     return model
 

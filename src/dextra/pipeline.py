@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     DextraError,
     MissingField,
-    SchemaError,
     StageError,
     WrongFrame,
     check_document,
@@ -457,9 +456,9 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     A stage calls a module-level function with keyword arguments and digests
     them as its input, an earlier stage's output (or a tuple element or
     dataclass field of one) as a reference to that output's digest.  Errors
-    raised by a stage carry a `stage` attribute naming it.  A schema error
-    (a malformed fixture file) and anything that is not already a
-    descriptive error is wrapped in StageError, with the cause chained.
+    raised by a stage carry a `stage` attribute naming it: a DextraError
+    carries it itself, and any other exception is wrapped in StageError,
+    with the cause chained.
     """
     if not isinstance(scene, SceneFixture):
         scene = SceneFixture(scene)
@@ -476,9 +475,6 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
         """fn(*args, **kwargs), with any error it raises naming stage `name`."""
         try:
             return fn(*args, **kwargs)
-        except SchemaError as exc:
-            # the violations name the fixture file; the wrapper names the stage
-            raise StageError(name, exc) from exc
         except DextraError as exc:
             if getattr(exc, "stage", None) is None:
                 exc.stage = name

@@ -28,7 +28,6 @@ from .errors import (
     POSE,
     REQUIRED,
     TEXT,
-    BadLimits,
     DimensionMismatch,
     EmptyContactSet,
     FixtureMissing,
@@ -175,7 +174,7 @@ def read_force_table(path) -> dict:
     accepts, rule = _FORCE_TABLE
     table = read_json(path)
     if not accepts(table):
-        raise_schema([(SchemaError, f"the force table {rule}")], path.name)
+        raise_schema([f"the force table {rule}"], path.name)
     return _fold_names(table)
 
 
@@ -198,14 +197,14 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
         k = human.fingertip_count
         for key, got, want in (("joint_angles", angles, human.dof), ("fingertip_points", tips, k)):
             if got is not None and len(got) != want:
-                bad.append((SchemaError, f"{key} needs {want} entries for '{human.name}'"))
+                bad.append(f"{key} needs {want} entries for '{human.name}'")
         if angles is not None and len(angles) == human.dof:
-            bad += [(BadLimits, f"joint_angles[{i}]: joint '{joint.name}' at {angle!r} "
-                                f"outside [{joint.limits[0]}, {joint.limits[1]}]")
+            bad += [f"joint_angles[{i}]: joint '{joint.name}' at {angle!r} "
+                    f"outside [{joint.limits[0]}, {joint.limits[1]}]"
                     for i, (angle, joint) in enumerate(zip(angles, human.joints))
                     if not joint.limits[0] <= angle <= joint.limits[1]]
-        bad += [(SchemaError, f"scene.json contact_fingers names finger {i}, "
-                              f"but the estimate has {k} fingertips")
+        bad += [f"scene.json contact_fingers names finger {i}, "
+                f"but the estimate has {k} fingertips"
                 for i in contact_fingers or () if i >= k]
     raise_schema(bad, path.name)
     config = HandConfiguration(pose_from_record(v["root_pose"]), np.asarray(angles, dtype=float))
@@ -287,14 +286,14 @@ class SceneFixture:
         self._force_table = {**_load_force_table(), **_fold_names(v["force_table"])}
         for key, kind in (("region_mask", "visual-region"), ("demo_image", "demo-image")):
             if v[key] is not None and self.prompt_kind != kind:
-                bad.append((SchemaError, f"{key} only applies to a {kind} prompt"))
+                bad.append(f"{key} only applies to a {kind} prompt")
         if not bad:
             try:  # the prompt's own requirements, before any stage runs
                 build_prompt(self.object_name, self.intent, self.prompt_kind,
                              region_ref=self.region_ref, demo_ref=self.demo_ref)
                 self.predict_force(self.object_name)
             except (MissingField, FixtureMissing) as exc:
-                bad.append((SchemaError, str(exc)))
+                bad.append(str(exc))
         raise_schema(bad, path.name)
 
     def effective_hand(self, setting: str | None) -> tuple:

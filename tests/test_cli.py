@@ -328,13 +328,20 @@ def test_a_scene_name_that_is_not_one_path_component_is_refused(fragile_dir, tmp
     code, stdout, _ = _run(capsys, "validate", str(root / "s"))
     assert code == 1
     assert "scene.json: name must be one path component" in stdout
-    for command, target in (("run", root / "s"), ("batch", root)):
-        out = tmp_path / "runs" / "out"
-        code, stdout, stderr = _run(capsys, command, str(target), "--out", str(out))
-        assert code == 2, stdout + stderr
-        assert "name must be one path component" in stderr
-        assert stdout == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenes"]
+    out = tmp_path / "runs" / "out"
+    code, stdout, stderr = _run(capsys, "run", str(root / "s"), "--out", str(out))
+    assert code == 2, stdout + stderr
+    assert "name must be one path component" in stderr
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenes"]
+    # batch makes the refused scene.json its directory's error row, and
+    # writes its summaries only
+    code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(out))
+    assert code == 1, stdout + stderr
+    assert stdout.startswith("s: error: scene.json: name must be one path component")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs", "scenes"]
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in (tmp_path / "runs").rglob("*"))
+    assert written == ["runs/out", "runs/out/summary.csv", "runs/out/summary.json"]
 
 
 def test_a_scene_without_a_name_is_named_by_its_resolved_directory(fragile_dir, tmp_path,
@@ -352,14 +359,47 @@ def test_a_scene_without_a_name_is_named_by_its_resolved_directory(fragile_dir, 
     assert sorted(p.name for p in out.iterdir()) == ["fragile-unnamed"]
 
 
-def test_batch_refuses_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
+def test_batch_records_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path, capsys):
+    # the refused scene.json is its directory's error row, with no stage, and
+    # the other scenes run
     root = tmp_path / "scenes"
-    shutil.copytree(fragile_dir / "fragile-01", root / "fragile-01")
-    shutil.copytree(fragile_dir / "fragile-02", root / "fragile-02")
+    for name in ("fragile-01", "fragile-02", "fragile-03"):
+        shutil.copytree(fragile_dir / name, root / name)
     (root / "fragile-02" / "scene.json").write_text("[]")
-    code, _, stderr = _run(capsys, "batch", str(root), "--out", str(tmp_path / "out"))
-    assert code == 2, stderr
-    assert "scene.json: the document must be a JSON object" in stderr
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(out))
+    assert code == 1, stderr
+    message = "scene.json: the document must be a JSON object"
+    assert stdout.splitlines()[:3] == ["fragile-01: stable", f"fragile-02: error: {message}",
+                                       "fragile-03: stable"]
+    assert sorted(p.parent.name for p in out.glob("*/report.json")) == ["fragile-01",
+                                                                         "fragile-03"]
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["scenes"][1] == {"scene": "fragile-02", "stage": None, "error": "SchemaError",
+                                "message": message}
+    assert (doc["scene_count"], doc["stable_count"]) == (3, 2)
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[2] == f"fragile-02,,,,,,,,,SchemaError,{message}"
+
+    # repeated names are refused before any scene runs, over the scenes
+    # whose scene.json loads
+    shutil.copytree(fragile_dir / "fragile-01", root / "nested" / "fragile-01")
+    code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(tmp_path / "dup"))
+    assert (code, stdout) == (2, ""), stderr
+    assert "duplicate scene names: fragile-01" in stderr
+    assert not (tmp_path / "dup").exists()
+
+
+def test_batch_order_does_not_depend_on_the_filesystem(tmp_path, monkeypatch):
+    # two directories named cup under different parents: ordered by path
+    found = [tmp_path / "b" / "cup" / "scene.json", tmp_path / "mug" / "scene.json",
+             tmp_path / "a" / "cup" / "scene.json"]
+    orders = []
+    for listing in (found, found[::-1]):
+        monkeypatch.setattr(Path, "rglob", lambda self, pattern: iter(listing))
+        orders.append(cli._discover_scenes(tmp_path))
+    assert orders[0] == orders[1] == [tmp_path / "a" / "cup", tmp_path / "b" / "cup",
+                                      tmp_path / "mug"]
 
 
 def test_batch_empty_or_missing_roots_are_usage_errors(tmp_path, capsys):

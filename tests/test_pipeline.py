@@ -12,7 +12,7 @@ import pytest
 import oracles
 from conftest import MODELS_DIR, SCENES_DIR
 from cases import box_mesh, pose_to_matrix, replay_scene, rest_configuration
-from dextra import geometry, pipeline
+from dextra import cli, geometry, pipeline
 from dextra.errors import (
     DimensionMismatch,
     FixtureMissing,
@@ -839,8 +839,10 @@ def test_pipeline_stage_errors_name_their_stage(mug_scene, tmp_path):
     doc = json.loads((broken / "hand_estimate.json").read_text())
     doc["joint_angles"] = "bogus"
     (broken / "hand_estimate.json").write_text(json.dumps(doc))
-    with pytest.raises(StageError) as err:
+    # a package error carries its stage itself: StageError wraps only others
+    with pytest.raises(SchemaError, match="hand_estimate.json: joint_angles") as err:
         run_pipeline(broken)
+    assert type(err.value) is SchemaError
     assert err.value.stage == "providers"
 
     # the providers input digest hashes the replayed files, but leaves a
@@ -858,6 +860,25 @@ def test_pipeline_stage_errors_name_their_stage(mug_scene, tmp_path):
     with pytest.raises(FixtureMissing) as err:
         run_pipeline(nocontact)
     assert err.value.stage == "execute"
+
+
+def _two_stage_that_fails(grasp, model):
+    # a stage function that fails with an exception from outside the package
+    raise ValueError("no plan for this grasp")
+
+
+def test_foreign_stage_errors_are_wrapped_in_a_stage_error(mug_scene, tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(pipeline, "plan_two_stage", _two_stage_that_fails)
+    with pytest.raises(StageError) as err:
+        run_pipeline(mug_scene)
+    assert err.value.stage == "two-stage"
+    assert type(err.value.__cause__) is ValueError
+    assert str(err.value.__cause__) == "no plan for this grasp"
+
+    code = cli.main(["run", str(mug_scene), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: stage 'two-stage': no plan for this grasp\n"
 
 
 def test_pipeline_export_writes_stage_geometry(mug_scene, tmp_path):

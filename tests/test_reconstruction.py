@@ -17,6 +17,7 @@ from dextra.errors import (
     FixtureMissing,
     MissingField,
     NoConvergence,
+    SchemaError,
 )
 from dextra.geometry import (
     identity_pose,
@@ -125,8 +126,9 @@ def test_fixture_requires_object_name(tmp_path):
     scene_dir = tmp_path / "anon"
     scene_dir.mkdir()
     (scene_dir / "scene.json").write_text('{"intent": "grab"}', encoding="utf-8")
-    with pytest.raises(MissingField, match="object_name"):
+    with pytest.raises(SchemaError, match="scene.json: missing 'object_name'") as err:
         SceneFixture(scene_dir)
+    assert type(err.value) is SchemaError
 
 
 @pytest.mark.parametrize("name, edit, finding", [
