@@ -171,15 +171,18 @@ def cmd_batch(args) -> int:
     scene_dirs = _discover_scenes(root)
     if not scene_dirs:
         return _fail(f"error: no scenes under {root}", _USAGE_ERROR)
-    # a scene.json that is refused is its directory's error row
+    # a scene.json that is refused is an error row named by its directory's
+    # path under the batch root, which is its name in a flat batch
     scenes = []
     for scene_dir in scene_dirs:
         try:
             scenes.append(SceneFixture(scene_dir))
         except DextraError as exc:
-            scenes.append((scene_dir.name, exc))
-    # each scene writes to --out/<its scene.json name>, so names must not repeat
-    names = [scene.name for scene in scenes if isinstance(scene, SceneFixture)]
+            where = scene_dir.relative_to(root).as_posix() if scene_dir != root else root.name
+            scenes.append((where, exc))
+    # each scene writes to --out/<its scene.json name>, and each row names
+    # one scene, so names must not repeat
+    names = [scene.name if isinstance(scene, SceneFixture) else scene[0] for scene in scenes]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         return _fail(f"error: duplicate scene names: {', '.join(dupes)}", _USAGE_ERROR)

@@ -554,6 +554,12 @@ def sq_distance_floor(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     return np.maximum(gap[:, 0] - slack, 0.0) / (1.0 + _CULL_REL)
 
 
+def floor_slack(mesh: TriangleMesh) -> float:
+    """The computed squared gap to the mesh's bounding box up to which
+    `sq_distance_floor` reads 0."""
+    return _triangle_bounds(mesh)[3]
+
+
 # ---- pseudonormals for the inside/outside sign ----
 
 def _scatter_add(idx, rows, n):
@@ -778,13 +784,20 @@ def _unclosed(mesh: TriangleMesh) -> list:
     one face, and no directed edge is walked twice (an edge of two or more
     faces then has both walks).  Only such a mesh has an inside, and its
     faces face out when its signed volume is positive.
+
+    One sort each way decides a mesh that passes: its sorted directed edges
+    are its sorted reversed edges, and none repeats (`TriangleMesh` has
+    refused a face with a repeated corner, whose edge a->a is its own
+    reverse).  Only a mesh that fails counts its lone and repeated edges.
     """
     n = len(mesh.vertices)
     start, end = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
-    faces = np.unique(np.minimum(start, end) * n + np.maximum(start, end), return_counts=True)[1]
-    walks = np.unique(start * n + end, return_counts=True)[1]
-    lone, same = np.count_nonzero(faces == 1), np.count_nonzero(walks > 1)
-    if lone or same:
+    walks = np.sort(start * n + end)
+    if not (np.array_equal(walks, np.sort(end * n + start)) and (walks[1:] != walks[:-1]).all()):
+        faces = np.unique(np.minimum(start, end) * n + np.maximum(start, end),
+                          return_counts=True)[1]
+        lone = np.count_nonzero(faces == 1)
+        same = np.count_nonzero(np.unique(walks, return_counts=True)[1] > 1)
         return ([f"{lone} edges belong to one face"] if lone else []) + (
             [f"{same} edges are walked the same way by two faces"] if same else [])
     tri = _triangle_bounds(mesh)[0]    # the corners every surface query reads

@@ -9,8 +9,9 @@ of the episode.  Closing force is therefore bounded near the target
 instead of running to the end on rigid objects.  `run_grasp` is the whole
 controller: one loop over per-finger Python floats (positions, setpoints,
 latch flags, last error).  Each step is one pass over the fingers that
-senses, latches, commands and advances each in turn and appends one row;
-the `ExecutionTrace` is built from those rows once, at the end.
+senses, latches, commands and advances each in turn and appends its values
+to one flat list; the `ExecutionTrace` table is built from that list once,
+at the end.  The final reading is one more such pass.
 
 Contact is simulated by a one-sided linear spring per finger: zero force
 until the closing coordinate passes the engagement position, then force
@@ -105,6 +106,12 @@ def run_grasp(start, end, contact: ContactModel, f_target: float,
     least MIN_STABLE_FINGERS fingers ended inside STABILITY_BAND around
     `f_target`; unstable otherwise.  With `lock_enabled` False the force
     latch is bypassed and fingers drive all the way to `end`.
+
+    Every step appends its positions, forces, commands and latch flags to
+    one flat list, and the (T, 4K) table is built once.  The final reading
+    runs the step's own pass over the fingers once more and keeps only the
+    forces it senses and the positions it reads; the latch flags reported
+    are the last step's.
     """
     if not 0.0 < f_target < math.inf:
         raise ValueError(f"target force must be positive and finite, got {f_target}")
@@ -124,34 +131,33 @@ def run_grasp(start, end, contact: ContactModel, f_target: float,
              if contact.noise_sigma > 0.0 else None)
     stiffness = contact.stiffness.tolist()
     engagement = contact.engagement.tolist()
-
-    def sense(pos, reading):
-        """Spring force per finger; clipped at zero like a real normal force."""
-        f = [s * max(0.0, p - e) for s, p, e in zip(stiffness, pos, engagement)]
-        if noise is not None:
-            f = [max(0.0, v + n) for v, n in zip(f, noise[reading])]
-        return f
-
     latch_threshold = f_target if lock_enabled else math.inf
     positions = start.tolist()
     # the end until a finger latches, then the position it latched at
     setpoints = end.tolist()
     locked = [False] * k
     error = [0.0] * k    # each finger's error at the last step
-    rows = []
+    # every step's positions, forces, commands and latch flags, in turn
+    flat = []
     # the gains as locals, read K times per step
     kp, kd, dt = DEFAULT_KP, DEFAULT_KD, DEFAULT_DT
     fingers = range(k)
-    for step in range(DEFAULT_MAX_STEPS):
-        # one pass over the fingers: sense as `sense` does, latch, command
-        # and advance
+    final = False
+    for step in range(DEFAULT_MAX_STEPS + 1):
+        # one pass over the fingers: sense (a spring force, clipped at zero
+        # like a real normal force), latch, command and advance.  The pass
+        # after the last step is the final reading, which keeps its forces
+        # and the positions it read and drops the rest
         draws = noise[step] if noise is not None else None
         forces, command, advanced = [], [], []
         for i in fingers:
             p = positions[i]
-            f = stiffness[i] * max(0.0, p - engagement[i])
+            # max(0.0, x) as a conditional, which costs no call
+            f = p - engagement[i]
+            f = stiffness[i] * f if f > 0.0 else 0.0
             if draws is not None:
-                f = max(0.0, f + draws[i])
+                f += draws[i]
+                f = f if f > 0.0 else 0.0
             if f >= latch_threshold and not locked[i]:
                 locked[i] = True
                 setpoints[i] = p
@@ -164,17 +170,21 @@ def run_grasp(start, end, contact: ContactModel, f_target: float,
             forces.append(f)
             command.append(c)
             advanced.append(p + c * dt)
-        rows.append([*positions, *forces, *command, *locked])
+        if final:
+            break
+        flat += positions
+        flat += forces
+        flat += command
+        flat += locked
         positions = advanced
         # settling covers the all-locked case too: the latch flips the
         # setpoint, and the PD needs a few more steps to absorb the
         # derivative transient and hold the locked position
-        if max(map(abs, command)) < _COMMAND_EPS:
-            break
+        final = max(map(abs, command)) < _COMMAND_EPS or step == DEFAULT_MAX_STEPS - 1
 
-    final_forces = np.array(sense(positions, len(rows)))
+    final_forces = np.array(forces)
     # (T, 4K): positions, forces, commands, latch flags as 1.0 or 0.0
-    table = np.array(rows, dtype=float)
+    table = np.array(flat, dtype=float).reshape(-1, 4 * k)
     trace = ExecutionTrace(positions=table[:, :k], forces=table[:, k:2 * k],
                            commands=table[:, 2 * k:3 * k], locked=table[:, 3 * k:] == 1.0)
     peak_forces = np.vstack([trace.forces, final_forces]).max(axis=0)
@@ -191,10 +201,10 @@ def run_grasp(start, end, contact: ContactModel, f_target: float,
         final_forces=final_forces,
         peak_forces=peak_forces,
         peak_commands=np.abs(trace.commands).max(axis=0),
-        locked=np.array(locked),
+        locked=trace.locked[-1].copy(),
         final_positions=np.array(positions),
         f_target=float(f_target),
-        steps=len(rows),
+        steps=len(table),
         trace=trace)
 
 
@@ -210,4 +220,5 @@ def trace_csv(result: GraspExecutionResult) -> str:
                                 for i in range(k)])
     row = ",".join(["%d"] + ["%.9g"] * (3 * k) + ["%d"] * k)
     table = np.column_stack([np.arange(steps), t.positions, t.forces, t.commands, t.locked])
-    return "\n".join([head] + [row % tuple(values) for values in table.tolist()]) + "\n"
+    # the whole table in one `%`
+    return "\n".join([head] + [row] * steps) % tuple(table.ravel().tolist()) + "\n"

@@ -31,6 +31,11 @@ singularity-free for the small increments a solver takes.  The fingertip
 jacobian is geometric: its columns are read off the one FK sweep in closed
 form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.  A
 solve that holds the wrist still asks for the joint columns alone.
+
+`fingertip_rows` sweeps many joint rows under one root pose, and
+`tip_speed_bounds` bounds how fast each fingertip moves per radian of its
+finger's driver, which lets the contact-onset search skip the rows whose
+fingertips cannot reach the object.
 """
 
 from __future__ import annotations
@@ -374,7 +379,8 @@ def _effective(model: KinematicHandModel, joint_angles) -> list:
 
 
 def _check_dof(model: KinematicHandModel, angles: np.ndarray) -> None:
-    if angles.shape != (model.dof,):
+    """`angles` is one joint vector, or one per row."""
+    if angles.ndim not in (1, 2) or angles.shape[-1:] != (model.dof,):
         raise DimensionMismatch(
             f"model '{model.name}' has {model.dof} joints, got {angles.shape}")
 
@@ -479,9 +485,59 @@ def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> 
     return np.array([ts[i] for i in model.fingertip_link_ids]), qs, ts
 
 
+def fingertip_rows(model: KinematicHandModel, root_pose: SE3Pose, joint_rows) -> np.ndarray:
+    """(R, K, 3) fingertip positions of (R, J) joint vectors, or of one (J,)
+    vector as one row, under one root pose: one FK sweep per row, each mimic
+    resolved from its driver as `_effective` does, with no
+    `HandConfiguration` per row."""
+    rows = np.asarray(joint_rows, dtype=float)
+    _check_dof(model, rows)
+    root_q, root_t = root_pose.rotation.tolist(), root_pose.translation.tolist()
+    mimics, tip_ids = tuple(model.mimics.items()), model.fingertip_link_ids
+    tips = []
+    for eff in rows.reshape(-1, model.dof).tolist():
+        for j, (driver, ratio) in mimics:
+            eff[j] = ratio * eff[driver]
+        ts = _raw_fk(model, root_q, root_t, eff)[1]
+        tips += [ts[i] for i in tip_ids]
+    return np.array(tips).reshape(-1, len(tip_ids), 3)
+
+
 def fingertip_positions(model: KinematicHandModel, config: HandConfiguration) -> np.ndarray:
-    """(K, 3) fingertip positions of one `forward_kinematics` sweep."""
-    return forward_kinematics(model, config)[0]
+    """(K, 3) fingertip positions of `config`: `fingertip_rows` of one row."""
+    return fingertip_rows(model, config.root_pose, config.joint_angles)[0]
+
+
+def tip_speed_bounds(model: KinematicHandModel) -> np.ndarray:
+    """(K,) bound on each fingertip's speed, in length per radian of its
+    finger's driver, while the driver and its mimics move and every other
+    joint holds still; built once per model.
+
+    A joint turning at rate w about a unit axis through its child link's
+    origin moves the tip at |w| times the tip's distance from that origin,
+    which is at most the summed offset-translation norms of the links below
+    the child link down to the tip.  The bound sums that length times
+    |ratio| over the driver (ratio 1) and its mimics (conservative
+    advancement, Mirtich 1996).
+    """
+    cache = model._cache
+    if "speed" not in cache:
+        bounds = []
+        for tip, name in zip(model.fingertip_link_ids, model.finger_drivers):
+            driver = model.joint_index[name]
+            ratios = {driver: 1.0} | {j: r for j, (d, r) in model.mimics.items() if d == driver}
+            # walk up from the tip: `below` is the chain length from link i's
+            # origin down to the tip
+            below, bound, i = 0.0, 0.0, tip
+            while i >= 0:
+                j = model.joint_of_link[i]
+                if j in ratios:
+                    bound += abs(ratios[j]) * below
+                below += math.hypot(*model.links[i].offset.translation.tolist())
+                i = model.links[i].parent
+            bounds.append(bound)
+        cache["speed"] = _frozen(np.array(bounds))
+    return cache["speed"]
 
 
 def perturb_root(pose: SE3Pose, twist: np.ndarray) -> SE3Pose:

@@ -41,6 +41,7 @@ from .geometry import (
     SE3Pose,
     TriangleMesh,
     compose,
+    floor_slack,
     invert,
     pose_to_record,
     save_obj,
@@ -61,7 +62,9 @@ from .kinematics import (
     KinematicHandModel,
     bundled_model,
     fingertip_positions,
+    fingertip_rows,
     is_robot_hand,
+    tip_speed_bounds,
 )
 from .reconstruction import (
     ROBOT_HAND_RULE,
@@ -106,6 +109,9 @@ _ENGAGEMENT_SAMPLES = 33
 # ITP truncation: a step in bracket [a, b] of grid bracket [a0, b0] moves
 # toward the midpoint by _ITP_KAPPA * (b - a)**2 / (b0 - a0)
 _ITP_KAPPA = 0.02
+# the onset grid's row skipping leaves this margin, relative to the
+# coordinates, for the rounding of FK and of its own bound
+_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -295,9 +301,11 @@ class ClosingPath:
     squeeze: HandConfiguration
 
     def joint_angles(self, coords) -> np.ndarray:
-        """The full joint vector with the drivers at (K,) closing coordinates."""
-        angles = np.array(self.squeeze.joint_angles)
-        angles[self.drivers] = coords
+        """The full joint vector with the drivers at (K,) closing coordinates,
+        or one vector per row of (R, K) ones."""
+        coords = np.asarray(coords)
+        angles = np.tile(self.squeeze.joint_angles, coords.shape[:-1] + (1,))
+        angles[..., self.drivers] = coords
         return angles
 
 
@@ -336,7 +344,7 @@ def derive_engagement(model: KinematicHandModel, path: ClosingPath,
     FK sweep already lands in the object frame and the grasps keep their
     own frame.
 
-    All fingers are searched in lockstep: each grid sample is one FK sweep
+    All fingers are searched in lockstep: each grid row is one FK sweep
     with every driver at its own angle, the grid is one surface query, and
     every ITP step is one FK sweep and one query for the fingers still open.
     `load_hand_model` guarantees that a driver, with its mimic joints,
@@ -349,22 +357,40 @@ def derive_engagement(model: KinematicHandModel, path: ClosingPath,
     0), the sample before each of them, and a finger that does not close at
     its start alone.  Every other sample lies outside the box of a closed
     mesh, so outside the mesh, and the onsets keep the bits of a query of
-    the whole grid.
+    the whole grid.  Nor does the grid sweep every row: row 0 is swept
+    first, and a tip that starts a gap g outside the box cannot reach it
+    while its driver turns less than g / `tip_speed_bounds` (conservative
+    advancement), with the gap taken from the floor less its slack and a
+    rounding margin.  The rows after row 0 whose every closing tip is so
+    certified outside the box, and whose successor is too, are never asked
+    and are not swept; the other rows are swept in one call.
     """
     root = compose(invert(pose), path.squeeze.root_pose)
-
-    def tips_at(coords) -> np.ndarray:
-        """(K, 3) fingertips with each finger at its own closing coordinate."""
-        return fingertip_positions(model, HandConfiguration(root, path.joint_angles(coords)))
-
     grid = np.array([np.linspace(a, b, _ENGAGEMENT_SAMPLES) if c
                      else np.full(_ENGAGEMENT_SAMPLES, a)
                      for a, b, c in zip(path.start, path.end, path.closes)]).T
-    tips = np.array([tips_at(row) for row in grid])
+    tips = np.full(grid.shape + (3,), np.nan)
+    in_box = np.zeros(grid.shape, dtype=bool)
+    tips[:1] = fingertip_rows(model, root, path.joint_angles(grid[:1]))
+    floor = sq_distance_floor(mesh, tips[0])
+    in_box[0] = floor == 0.0
+    # each tip's distance to the box at row 0, less the floor's slack and a
+    # margin for the rounding of FK and of this bound (coordinates in metres)
+    gap = (np.sqrt(floor) - math.sqrt(floor_slack(mesh))
+           - _ROUNDING * (1.0 + np.abs(tips[0]).max()))
+    outside = gap > tip_speed_bounds(model) * np.abs(grid - grid[0])
+    outside[:, ~path.closes] = True
+    # rows 1..n are certified outside the box; all but the last of them are
+    # skipped, and that one too when no row after it is left
+    n = int(np.cumprod(outside[1:].all(axis=1)).sum())
+    first = _ENGAGEMENT_SAMPLES if n == _ENGAGEMENT_SAMPLES - 1 else max(n, 1)
+    if first < _ENGAGEMENT_SAMPLES:
+        tips[first:] = fingertip_rows(model, root, path.joint_angles(grid[first:]))
+        in_box[first:] = (sq_distance_floor(mesh, tips[first:].reshape(-1, 3)) == 0.0
+                          ).reshape(-1, grid.shape[1])
     # ask the in-box samples, the sample before each (a bracket's outer end)
     # and a finger that does not close in row 0 alone, as its tip is the
     # same in every row; every other sample reads +inf
-    in_box = (sq_distance_floor(mesh, tips.reshape(-1, 3)) == 0.0).reshape(grid.shape)
     asked = in_box.copy()
     asked[:-1] |= in_box[1:]
     asked[1:, ~path.closes] = False
@@ -398,7 +424,8 @@ def derive_engagement(model: KinematicHandModel, path: ClosingPath,
         radius = bound - 0.5 * (b - a)
         step = np.where(np.abs(step - mid) <= radius, step, mid - toward * radius)
         driver_angles[k] = step
-        d = surface_query(mesh, tips_at(driver_angles)[k[open_]]).distance
+        swept = fingertip_rows(model, root, path.joint_angles(driver_angles[None]))[0]
+        d = surface_query(mesh, swept[k[open_]]).distance
         searched, inner = np.flatnonzero(open_), d <= 0.0
         hit, miss = searched[inner], searched[~inner]
         b[hit], fb[hit] = step[hit], d[inner]

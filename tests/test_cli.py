@@ -381,10 +381,42 @@ def test_batch_records_a_scene_json_that_is_not_an_object(fragile_dir, tmp_path,
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[2] == f"fragile-02,,,,,,,,,SchemaError,{message}"
 
-    # repeated names are refused before any scene runs, over the scenes
-    # whose scene.json loads
+    # repeated names are refused before any scene runs
     shutil.copytree(fragile_dir / "fragile-01", root / "nested" / "fragile-01")
     code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(tmp_path / "dup"))
+    assert (code, stdout) == (2, ""), stderr
+    assert "duplicate scene names: fragile-01" in stderr
+    assert not (tmp_path / "dup").exists()
+
+
+def test_a_refused_scene_json_is_named_by_its_path_under_the_batch(fragile_dir, tmp_path,
+                                                                   capsys):
+    # a refused scene.json's row is named by its directory's path under the
+    # batch root, so it does not take the name of the scene that loads
+    root = tmp_path / "scenes"
+    shutil.copytree(fragile_dir / "fragile-01", root / "x" / "fragile-01")
+    shutil.copytree(fragile_dir / "fragile-01", root / "y" / "fragile-01")
+    (root / "y" / "fragile-01" / "scene.json").write_text("[]")
+    out = tmp_path / "out"
+    code, stdout, stderr = _run(capsys, "batch", str(root), "--out", str(out))
+    assert code == 1, stderr
+    message = "scene.json: the document must be a JSON object"
+    assert stdout.splitlines()[:2] == ["fragile-01: stable", f"y/fragile-01: error: {message}"]
+    doc = json.loads((out / "summary.json").read_text())
+    assert [(r["scene"], r.get("verdict"), r.get("error")) for r in doc["scenes"]] == [
+        ("fragile-01", "stable", None), ("y/fragile-01", None, "SchemaError")]
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["fragile-01", "y/fragile-01"]
+    assert sorted(p.relative_to(out).as_posix() for p in out.glob("**/report.json")) == [
+        "fragile-01/report.json"]
+
+    # the repeated-name check covers every row: a refused flat directory
+    # named like another scene's scene.json is refused before any scene runs
+    flat = tmp_path / "flat"
+    shutil.copytree(fragile_dir / "fragile-01", flat / "a")
+    shutil.copytree(fragile_dir / "fragile-02", flat / "fragile-01")
+    (flat / "fragile-01" / "scene.json").write_text("[]")
+    code, stdout, stderr = _run(capsys, "batch", str(flat), "--out", str(tmp_path / "dup"))
     assert (code, stdout) == (2, ""), stderr
     assert "duplicate scene names: fragile-01" in stderr
     assert not (tmp_path / "dup").exists()

@@ -947,6 +947,26 @@ def test_load_obj_refuses_a_surface_with_no_inside(how, finding, tmp_path):
     _reads_like_the_line_reader(path)
 
 
+def test_load_obj_refuses_an_edge_of_four_faces(tmp_path):
+    # two closed tetrahedra sharing one edge: every directed edge has its
+    # reverse, so only the shared edge walked twice each way, by four
+    # faces, tells that the surface has no inside
+    path = tmp_path / "pair.obj"
+    corners = ["0 0 0", "0 0 1", "1 0 0", "0 1 0", "-1 0 0", "0 -1 0"]
+    faces = ["1 3 2", "1 2 4", "1 4 3", "2 3 4", "1 5 2", "1 2 6", "1 6 5", "2 5 6"]
+    path.write_text("".join([f"v {v}\n" for v in corners] + [f"f {f}\n" for f in faces]),
+                    encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_obj(path)
+    assert err.value.violations == ["pair.obj: 2 edges are walked the same way by two faces"]
+    _reads_like_the_line_reader(path)
+    # either tetrahedron alone is closed and consistently wound
+    for tet in (faces[:4], faces[4:]):
+        path.write_text("".join([f"v {v}\n" for v in corners] + [f"f {f}\n" for f in tet]),
+                        encoding="utf-8")
+        assert geometry._unclosed(load_obj(path)) == []
+
+
 def test_save_points_obj(tmp_path):
     path = tmp_path / "tips.obj"
     save_points_obj(path, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))

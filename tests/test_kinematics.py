@@ -24,10 +24,12 @@ from dextra.kinematics import (
     clamp_to_limits,
     fingertip_jacobian,
     fingertip_positions,
+    fingertip_rows,
     forward_kinematics,
     load_hand_model,
     load_hand_model_file,
     perturb_root,
+    tip_speed_bounds,
 )
 
 BUNDLED = ("human-20dof", "inspire-like-6dof", "leap-like-16dof", "shadow-like-22dof")
@@ -264,6 +266,36 @@ def assert_jacobians_match_the_oracle(doc, model, cfg, sweep):
     assert _same_bits(fingertip_jacobian(model, cfg, sweep, wrist_free=False), full[:, ROOT_DOF:])
 
 
+def assert_rows_and_tip_speeds(model, configs):
+    """`fingertip_rows` gives every row the fingertips of its own FK sweep,
+    bit for bit, and no central difference of a fingertip along its
+    finger's driver, with the driver's mimics following, is faster than
+    `tip_speed_bounds`."""
+    root = configs[-1].root_pose
+    rows = np.array([cfg.joint_angles for cfg in configs])
+    tips = fingertip_rows(model, root, rows)
+    assert tips.shape == (len(rows), model.fingertip_count, 3)
+    for got, angles in zip(tips, rows):
+        assert _same_bits(got, forward_kinematics(model, HandConfiguration(root, angles))[0])
+    bounds = tip_speed_bounds(model)
+    assert bounds.shape == (len(model.finger_drivers),)
+    h = 1e-4
+    for k, name in enumerate(model.finger_drivers):
+        step = np.zeros(model.dof)
+        step[model.joint_index[name]] = h
+        moved = fingertip_rows(model, root, rows + step) - fingertip_rows(model, root, rows - step)
+        speed = np.linalg.norm(moved[:, k], axis=1) / (2.0 * h)
+        assert (speed <= bounds[k] + 1e-9).all(), (name, speed.max(), bounds[k])
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_fingertip_rows_and_tip_speed_bounds(name):
+    model = bundled_model(name)
+    assert_rows_and_tip_speeds(model, bitwise_configurations(model, np.random.default_rng(37), 40))
+    assert fingertip_rows(model, identity_pose(), np.zeros((0, model.dof))).shape == (
+        0, model.fingertip_count, 3)
+
+
 # The bundled hands' axes all lie along e_x or e_z, and all their links but
 # the thumb base have an identity offset rotation, which FK skips the zero
 # products of; the oblique hand has neither, so a change in the order of
@@ -342,10 +374,12 @@ def test_generated_hands_load_and_match_the_oracles_bit_for_bit(doc, config_seed
         assert doc["mimics"] and err.violations
         assert all(_MIMIC_FINDINGS.match(v) for v in err.violations), err.violations
         return
-    for cfg in bitwise_configurations(model, np.random.default_rng(config_seed), 3):
+    configs = bitwise_configurations(model, np.random.default_rng(config_seed), 3)
+    for cfg in configs:
         assert_jacobians_match_the_oracle(doc, model, cfg, assert_fk_matches_the_oracle(doc, model, cfg))
         chain = oracles.chain_fingertips(doc, pose_to_matrix(cfg.root_pose), cfg.joint_angles)
         assert np.allclose(fingertip_positions(model, cfg), chain, rtol=0.0, atol=1e-12)
+    assert_rows_and_tip_speeds(model, configs)
     # the closed-form columns against central differences of the chain, at
     # the last (random) configuration
     jac = fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))

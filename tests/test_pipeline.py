@@ -34,6 +34,7 @@ from dextra.kinematics import (
     HandConfiguration,
     fingertip_positions,
     load_hand_model,
+    tip_speed_bounds,
 )
 from dextra.pipeline import (
     ENGAGEMENT_TOL,
@@ -615,9 +616,10 @@ def test_engagement_matches_per_finger_oracle(monkeypatch, scene_dir, hand):
 
 
 def _grid_queries(args, floor=None):
-    """derive_engagement's onsets, the fingertips its grid took the box floor
-    of and those floors, (S, K, 3) and (S, K), and the points its grid query
-    asked; `floor` stands in for `sq_distance_floor` if given."""
+    """derive_engagement's onsets; the fingertips its grid swept and their
+    box floors, (S, K, 3) and (S, K), NaN in the rows it skipped; and the
+    points its grid query asked.  `floor` stands in for `sq_distance_floor`
+    if given."""
     seen, asked, query = [], [], pipeline.surface_query
     floor = floor or pipeline.sq_distance_floor
 
@@ -633,9 +635,22 @@ def _grid_queries(args, floor=None):
         m.setattr(pipeline, "sq_distance_floor", floored)
         m.setattr(pipeline, "surface_query", recorded)
         onset = _onset(*args)
-    assert len(seen) == 1
-    shape = (_ENGAGEMENT_SAMPLES, len(args[0].finger_drivers))
-    return onset, seen[0][0].reshape(shape + (3,)), seen[0][1].reshape(shape), asked[0]
+    # row 0's floors, then, unless every row after it was skipped, those of
+    # the rows from the first one swept after it to the last
+    k = len(args[0].finger_drivers)
+    assert 1 <= len(seen) <= 2 and len(seen[0][0]) == k
+    tips = np.full((_ENGAGEMENT_SAMPLES, k, 3), np.nan)
+    floors = np.full((_ENGAGEMENT_SAMPLES, k), np.nan)
+    first = _ENGAGEMENT_SAMPLES - sum(len(points) for points, _ in seen[1:]) // k
+    for rows, (points, values) in zip((slice(0, 1), slice(first, None)), seen):
+        tips[rows], floors[rows] = points.reshape(-1, k, 3), values.reshape(-1, k)
+    return onset, tips, floors, asked[0]
+
+
+def _no_floor(mesh, points):
+    """A zero floor rules nothing out: the grid sweeps every row and asks
+    every sample."""
+    return np.zeros(len(points))
 
 
 @pytest.mark.parametrize("hand", [None, "leap-like-16dof", "shadow-like-22dof"])
@@ -643,15 +658,26 @@ def _grid_queries(args, floor=None):
 def test_engagement_grid_asks_only_in_box_samples_and_keeps_full_grid_bits(
         monkeypatch, scene_dir, hand):
     args, engagement = _engagement_inputs(monkeypatch, scene_dir, hand_model=hand)
-    model, pre, squeeze = args[:3]
-    # a zero floor rules nothing out, so the grid asks every sample
-    full, _, _, every = _grid_queries(args, floor=lambda mesh, points: np.zeros(len(points)))
+    model, pre, squeeze, mesh = args[:4]
+    full, grid_tips, _, every = _grid_queries(args, floor=_no_floor)
     assert full.tobytes() == engagement.tobytes()
+    assert not np.isnan(grid_tips).any()
     onset, tips, floors, points = _grid_queries(args)
     assert onset.tobytes() == engagement.tobytes()
+    # the rows it swept have the whole grid's fingertips, and it skipped
+    # rows 1.. of a prefix alone
+    swept = ~np.isnan(floors[:, 0])
+    assert tips[swept].tobytes() == grid_tips[swept].tobytes()
+    assert swept[0] and not (swept[1:-1] & ~swept[2:]).any()
     drivers = _drivers(model)
     closes = squeeze.config.joint_angles[drivers] > pre.config.joint_angles[drivers] + 1e-12
-    in_box = floors == 0.0
+    in_box = (pipeline.sq_distance_floor(mesh, grid_tips.reshape(-1, 3)) == 0.0).reshape(
+        floors.shape)
+    assert np.array_equal(floors[swept] == 0.0, in_box[swept])
+    # no closing tip of a skipped row, or of the row after it, is in the box
+    skipped = ~swept
+    assert not in_box[skipped][:, closes].any()
+    assert not in_box[1:][skipped[:-1]][:, closes].any()
     # a closing finger: its in-box samples and one outer end per in-box run
     # that does not start at row 0; a finger that does not close: row 0 alone
     runs = in_box & ~np.vstack([np.ones_like(in_box[:1]), in_box[:-1]])
@@ -660,7 +686,7 @@ def test_engagement_grid_asks_only_in_box_samples_and_keeps_full_grid_bits(
     ask[:-1] |= in_box[1:]
     ask[1:, ~closes] = False
     assert np.array_equal(ask.sum(axis=0), want)
-    assert points.tobytes() == tips[ask].tobytes()
+    assert points.tobytes() == grid_tips[ask].tobytes()
     assert len(every) == closes.sum() * _ENGAGEMENT_SAMPLES + (~closes).sum()
 
 
@@ -669,9 +695,60 @@ def test_engagement_with_the_mesh_out_of_reach_asks_no_point(monkeypatch, mug_sc
     (model, pre, squeeze, mesh, pose), _ = _engagement_inputs(monkeypatch, mug_scene)
     away = compose(pose_from_rotvec(np.zeros(3), (1.0, 0.0, 0.0)), pose)
     onset, _, floors, points = _grid_queries((model, pre, squeeze, mesh, away))
-    assert (floors > 0.0).all()
+    # no tip can reach the box a metre away: row 0 is the only row swept
+    assert (floors[0] > 0.0).all() and np.isnan(floors[1:]).all()
     assert onset.tolist() == [np.inf] * len(model.finger_drivers)
     assert points.shape == (0, 3)
+
+
+def _one_joint_hand():
+    """Two fingers of one joint about e_z each, the tip 0.1 m out along e_x:
+    each tip turns on a circle at exactly its speed bound."""
+    turned = {"rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.1, 0.0, 0.0]}
+    links, joints = [{"name": "palm", "parent": -1}], []
+    for f, z in enumerate((0.0, 0.5)):
+        links.append({"name": f"base{f}", "parent": 0,
+                      "offset": {"rotation": [1.0, 0.0, 0.0, 0.0], "translation": [0.0, 0.0, z]}})
+        joints.append({"name": f"j{f}", "child_link": f"base{f}", "axis": [0.0, 0.0, 1.0],
+                       "limits": [-1.0, 1.0]})
+        links.append({"name": f"tip{f}", "parent": len(links) - 1, "offset": turned})
+    return load_hand_model({"name": "one-joint", "links": links, "joints": joints,
+                            "fingertip_links": ["tip0", "tip1"], "finger_drivers": ["j0", "j1"]})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("short", [5e-7, 5e-8])
+def test_engagement_keeps_the_row_a_tip_stops_short_of_the_box(short):
+    # finger 0's tip moves 0.2 mm per row, almost straight along +y, and a
+    # box starts `short` (under 1 um) past its row 2 tip.  Row 0's box gap
+    # certifies rows 1 and 2 outside the box when `short` is beyond the
+    # floor's slack, and row 1 alone when it is not, as row 2 then reads in
+    # the box; either way the rows whose successor may be in the box are
+    # swept, and the onset keeps the bits of the whole grid's
+    model = _one_joint_hand()
+    assert tip_speed_bounds(model).tolist() == [0.1, 0.1]
+    h = 1e-3
+
+    def grasp(angle):
+        return GraspAction(hand_model=model.name, frame=FRAME_ROBOT, residual=np.zeros(2),
+                           config=HandConfiguration(identity_pose(), np.array([angle, 0.0])))
+
+    pre, squeeze = grasp(-h), grasp(63 * h)
+    grid = np.linspace(-h, 63 * h, _ENGAGEMENT_SAMPLES)
+    y2 = fingertip_positions(model, grasp(grid[2]).config)[0, 1]
+    box = box_mesh((0.1, 0.02, 0.02))
+    mesh = TriangleMesh(box.vertices + [0.1, y2 + short + 0.01, 0.0], box.triangles)
+    assert mesh.vertices[:, 1].min() - y2 == pytest.approx(short, rel=1e-6)
+    args = (model, pre, squeeze, mesh, identity_pose())
+    full, _, _, _ = _grid_queries(args, floor=_no_floor)
+    onset, _, floors, _ = _grid_queries(args)
+    assert onset.tobytes() == full.tobytes()
+    assert grid[2] < onset[0] < grid[3] and onset[1] == np.inf
+    slack = geometry.floor_slack(mesh)
+    assert (floors[2, 0] == 0.0) == (short ** 2 <= slack)
+    swept = ~np.isnan(floors[:, 0])
+    assert swept[:3].tolist() == ([True, False, True] if short ** 2 > slack else [True] * 3)
+    assert swept[3:].all()
 
 
 def _with_drivers(grasp, model, changes):
@@ -700,22 +777,25 @@ def test_engagement_cases_match_per_finger_oracle(monkeypatch, mug_scene):
 
 def test_engagement_searches_every_finger_in_lockstep(monkeypatch, mug_scene):
     (model, pre, squeeze, mesh, pose), onset = _engagement_inputs(monkeypatch, mug_scene)
-    counts = {"fk": 0, "query": 0}
+    sweeps, queries, sweep, query = [], [], pipeline.fingertip_rows, pipeline.surface_query
 
-    def counted(name, fn):
-        def call(*args):
-            counts[name] += 1
-            return fn(*args)
-        return call
+    def swept(model, root, rows):
+        sweeps.append(len(rows))
+        return sweep(model, root, rows)
 
-    monkeypatch.setattr(pipeline, "fingertip_positions",
-                        counted("fk", pipeline.fingertip_positions))
-    monkeypatch.setattr(pipeline, "surface_query", counted("query", pipeline.surface_query))
+    def queried(mesh, points):
+        queries.append(len(points))
+        return query(mesh, points)
+
+    monkeypatch.setattr(pipeline, "fingertip_rows", swept)
+    monkeypatch.setattr(pipeline, "surface_query", queried)
     assert _onset(model, pre, squeeze, mesh, pose).tobytes() == onset.tobytes()
-    steps = counts["query"] - 1
-    # one FK sweep per grid sample and per ITP step for the whole hand; four
-    # fingers are searched, each alone would take about as many steps
-    assert counts["fk"] == _ENGAGEMENT_SAMPLES + steps
+    steps = len(queries) - 1
+    # row 0, then the grid rows left after the skipped ones in one call, then
+    # one FK sweep per ITP step for the whole hand; four fingers are
+    # searched, each alone would take about as many steps
+    assert sweeps[0] == 1 and 1 <= sweeps[1] < _ENGAGEMENT_SAMPLES - 1
+    assert sweeps[2:] == [1] * steps
     assert 1 <= steps <= 6
 
 
