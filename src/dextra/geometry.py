@@ -33,7 +33,9 @@ Conventions used throughout the package:
     the other points are culled against the cap, leaves first, and walked
     again.  The answer is therefore bit-identical to walking every triangle.
     A vertex or edge normal is built only for a point that lands on that
-    vertex or edge, with the same bits as a per-triangle loop.
+    vertex or edge, with the same bits as a per-triangle loop.  Inside the
+    module, per-point and per-triangle coordinates are axis-major, one row
+    per axis, and every row dot is `_dot`; the public arrays are (n, 3).
     `sq_distance_floor` bounds the squared distances from below by the
     mesh's bounding box alone, so a caller can rule points out unasked.
 
@@ -79,19 +81,20 @@ def _quat_conj(q):
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis of (..., 3) arrays, bit for bit: the same
+    """np.cross of vectors (3,) or axis-major (3, ...), bit for bit: the same
     component products without its per-call axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dots of axis-major (3, n) vectors in one written order, (x0 y0 +
+    x2 y2) + x1 y1, the order einsum sums rows of three in."""
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
 
 
 def _quat_rotate(q, v):
-    """q applied to a vector (3,) or to each row of (n, 3)."""
+    """q applied to a vector (3,) or to each column of (3, n)."""
     # v + 2 w (u x v) + 2 u x (u x v), u = vector part
     u = q[1:]
     t = 2.0 * _cross(u, v)
@@ -157,7 +160,7 @@ def invert(t: SE3Pose) -> SE3Pose:
 
 def transform_points(t: SE3Pose, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    return _quat_rotate(t.rotation, pts) + t.translation[None, :]
+    return (_quat_rotate(t.rotation, pts.T) + t.translation[:, None]).T.copy()
 
 
 def rotate_vector(t: SE3Pose, v) -> np.ndarray:
@@ -196,20 +199,19 @@ def _face_normals(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     below `_DEGENERATE_AREA`, or is not finite because finite but huge
     corners overflow the products, is refused with `_FaceError`; the
     overflow raises no numpy warning.  The normals divide the same cross
-    products by the same norms.
+    products by the same norms, summed as np.linalg.norm sums them.
     """
-    a = v[f[:, 0]]
+    a, b, c = np.take(v.T, f.T, axis=1).swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        n = _cross(v[f[:, 1]] - a, v[f[:, 2]] - a)
-        norm = np.linalg.norm(n, axis=1, keepdims=True)
-    area = 0.5 * norm[:, 0]
+        n = _cross(b - a, c - a)
+        norm = np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+    area = 0.5 * norm
     small = area < _DEGENERATE_AREA
     bad = np.flatnonzero(small | ~np.isfinite(area)).tolist()
     if bad:
         raise _FaceError([(k, "degenerate (zero area)" if small[k] else "area not finite")
                           for k in bad])
-    n /= norm
-    return n
+    return (n / norm).T.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,18 +246,18 @@ def transform_mesh(mesh: TriangleMesh, pose: SE3Pose) -> TriangleMesh:
 # ---- closest point on triangles (voronoi-region walk, vectorized) ----
 
 def _closest_on_matched_triangles(a, b, c, p):
-    """Closest point to p on triangle (a, b, c), all arrays (n, 3)."""
+    """Closest point to p on triangle (a, b, c), all arrays axis-major (3, n)."""
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
     bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
     cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -265,15 +267,12 @@ def _closest_on_matched_triangles(a, b, c, p):
         return num / np.where(den == 0.0, 1.0, den)
 
     # candidates for every region; the masks below pick one per row
-    v_ab = safe_div(d1, d1 - d3)
-    on_ab = a + v_ab[:, None] * ab
-    w_ac = safe_div(d2, d2 - d6)
-    on_ac = a + w_ac[:, None] * ac
+    on_ab = a + safe_div(d1, d1 - d3) * ab
+    on_ac = a + safe_div(d2, d2 - d6) * ac
     d43, d56 = d4 - d3, d5 - d6
-    w_bc = safe_div(d43, d43 + d56)
-    on_bc = b + w_bc[:, None] * (c - b)
+    on_bc = b + safe_div(d43, d43 + d56) * (c - b)
     denom = safe_div(1.0, va + vb + vc)
-    out = a + (vb * denom)[:, None] * ab + (vc * denom)[:, None] * ac
+    out = a + (vb * denom) * ab + (vc * denom) * ac
 
     # lowest-priority regions first so earlier checks win, mirroring the
     # early returns of the scalar algorithm
@@ -283,7 +282,7 @@ def _closest_on_matched_triangles(a, b, c, p):
                        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), on_ab),
                        ((d3 >= 0) & (d4 <= d3), b),
                        ((d1 <= 0) & (d2 <= 0), a)):
-        np.copyto(out, at, where=region[:, None])
+        np.copyto(out, at, where=region)
     return out
 
 
@@ -322,39 +321,33 @@ _CULL_ABS = 1e-12
 
 
 def _triangle_bounds(mesh: TriangleMesh):
-    """Triangle corners (m, 3, 3), box corners lo and hi (3, m), cull slack.
-
-    Built once per mesh; lo and hi are stored one row per axis.
-    """
+    """Triangle corners (3 axes, 3 corners, m), box corners lo and hi (3, m),
+    cull slack.  Built once per mesh, one row per axis throughout."""
     cache = mesh._cache
     if "triangle_bounds" not in cache:
-        tri = mesh.vertices[mesh.triangles]
-        a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+        corners = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
+        a, b, c = corners.swapaxes(0, 1)
         lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-        span = np.maximum(hi.max(axis=0), 0.0) - np.minimum(lo.min(axis=0), 0.0)
-        cache["triangle_bounds"] = (tri, lo.T.copy(), hi.T.copy(),
-                                    _CULL_ABS * float(span @ span))
+        span = np.maximum(hi.max(axis=1), 0.0) - np.minimum(lo.min(axis=1), 0.0)
+        cache["triangle_bounds"] = corners, lo, hi, _CULL_ABS * float(span @ span)
     return cache["triangle_bounds"]
 
 
+# _SPREAD[i] puts bit k of a 10-bit cell i at bit 3k
+_SPREAD = sum((np.arange(1024) >> k & 1) << 3 * k for k in range(10))
+
+
 def _morton_codes(centroids: np.ndarray) -> np.ndarray:
-    """30-bit Z-order codes of points, 10 bits per axis over their extent.
+    """30-bit Z-order codes of points (3, m), 10 bits per axis over their
+    extent, x's above y's above z's.
 
     An axis of zero extent maps every point to cell 0.
     """
-    lo = centroids.min(axis=0)
-    extent = centroids.max(axis=0) - lo
+    lo = centroids.min(axis=1, keepdims=True)
+    extent = centroids.max(axis=1, keepdims=True) - lo
     scale = np.where(extent > 0.0, 1023.0 / np.where(extent > 0.0, extent, 1.0), 0.0)
-    cells = np.minimum(((centroids - lo) * scale).astype(np.int64), 1023)
-    code = np.zeros(len(centroids), dtype=np.int64)
-    for axis in range(3):
-        v = cells[:, axis]
-        v = (v | v << 16) & 0x030000FF
-        v = (v | v << 8) & 0x0300F00F
-        v = (v | v << 4) & 0x030C30C3
-        v = (v | v << 2) & 0x09249249
-        code |= v << (2 - axis)
-    return code
+    x, y, z = _SPREAD[np.minimum(((centroids - lo) * scale).astype(np.int64), 1023)]
+    return x << 2 | y << 1 | z
 
 
 def _leaf_bounds(mesh: TriangleMesh):
@@ -368,12 +361,13 @@ def _leaf_bounds(mesh: TriangleMesh):
     """
     cache = mesh._cache
     if "leaf_bounds" not in cache:
-        tri, lo, hi, _ = _triangle_bounds(mesh)
-        # the centroids' bits are those of tri.mean(axis=1)
-        centroids = (tri[:, 0] + tri[:, 1] + tri[:, 2]) / 3.0
+        corners, lo, hi, _ = _triangle_bounds(mesh)
+        # the centroids' bits are those of the corners' mean
+        centroids = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
         order = np.argsort(_morton_codes(centroids), kind="stable")
         leaves = np.r_[order, np.repeat(order[-1], -len(order) % _LEAF)].reshape(-1, _LEAF)
-        cache["leaf_bounds"] = (lo[:, leaves].min(axis=2), hi[:, leaves].max(axis=2), leaves)
+        cache["leaf_bounds"] = (np.take(lo, leaves, axis=1).min(axis=2),
+                                np.take(hi, leaves, axis=1).max(axis=2), leaves)
     return cache["leaf_bounds"]
 
 
@@ -395,22 +389,24 @@ def _box_bounds(lo, hi, p, cand=None):
     return bound
 
 
-def _walk(tri, cand, p):
-    """Squared distance and closest point from each p to triangle cand."""
-    q = _closest_on_matched_triangles(tri[cand, 0], tri[cand, 1], tri[cand, 2], p)
+def _walk(corners, cand, p):
+    """Squared distance and closest point, (3, n), from each p (3, n) to
+    triangle cand."""
+    q = _closest_on_matched_triangles(*np.take(corners, cand, axis=2).swapaxes(0, 1), p)
     gap = q - p
-    return np.einsum("ij,ij->i", gap, gap), q
+    return _dot(gap, gap), q
 
 
-def _walk_rows(tri, points, row, cand, out):
+def _walk_rows(corners, points, row, cand, out):
     """Walk the (row, triangle) pairs `row`, `cand`; keep each row's best in `out`.
 
-    A row's best is its lowest (squared distance, triangle index) pair among
-    the answer already in `out` and every pair walked for it, so ties go to
-    the lowest index as in a full scan.
+    Points and closest points are axis-major (3, n).  A row's best is its
+    lowest (squared distance, triangle index) pair among the answer already
+    in `out` and every pair walked for it, so ties go to the lowest index as
+    in a full scan.
     """
     out_d2, out_tri, out_q = out
-    d2, q = _walk(tri, cand, points[row])
+    d2, q = _walk(corners, cand, np.take(points, row, axis=1))
     order = np.lexsort((cand, d2, row))
     win = order[np.r_[True, row[order[1:]] != row[order[:-1]]]]
     r = row[win]
@@ -418,7 +414,7 @@ def _walk_rows(tri, points, row, cand, out):
     r, win = r[better], win[better]
     out_d2[r] = d2[win]
     out_tri[r] = cand[win]
-    out_q[r] = q[win]
+    out_q[:, r] = q[:, win]
 
 
 def _lowest(bound, k):
@@ -514,9 +510,8 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     pairs; the walks and the second cull take theirs at once, though the
     cull's leaf bounds grow with redo points x leaves, uncapped.
     """
-    n = len(points)
-    tri, lo, hi, slack = _triangle_bounds(mesh)
-    m = len(tri)
+    n, m = len(points), len(mesh.triangles)
+    corners, lo, hi, slack = _triangle_bounds(mesh)
     k = min(_FIRST_WALK, m)
     leaves = _leaf_bounds(mesh) if m > _FLAT_TRIANGLES else None
     if k < m:
@@ -524,15 +519,16 @@ def _closest_points(mesh: TriangleMesh, points: np.ndarray):
     else:
         first = np.broadcast_to(np.arange(m), (n, m))
         next_bound = np.full(n, np.inf)
-    d2, q = _walk(tri, first.ravel(), np.repeat(points, k, axis=0))
+    d2, q = _walk(corners, first.ravel(), np.repeat(points.T, k, axis=1))
     d2 = d2.reshape(n, k)
-    win = (np.arange(n), np.lexsort((first, d2))[:, 0])
-    out = d2[win], first[win], q.reshape(n, k, 3)[win]
+    # each row's lowest triangle index among its lowest squared distances
+    win = np.arange(n), np.where(d2 == d2.min(axis=1, keepdims=True), first, m).argmin(axis=1)
+    out = d2[win], first[win], q.reshape(3, n, k)[:, win[0], win[1]]
     limit = out[0] * (1.0 + _CULL_REL) + slack
     redo = np.flatnonzero(next_bound <= limit)
     if redo.size:
-        _walk_rows(tri, points, *_culled(lo, hi, leaves, points, redo, limit), out)
-    return out
+        _walk_rows(corners, points.T, *_culled(lo, hi, leaves, points, redo, limit), out)
+    return out[0], out[1], out[2].T.copy()
 
 
 def sq_distance_floor(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
@@ -562,13 +558,6 @@ def floor_slack(mesh: TriangleMesh) -> float:
 
 # ---- pseudonormals for the inside/outside sign ----
 
-def _scatter_add(idx, rows, n):
-    """(n, 3) sums of `rows` grouped by `idx`, one bincount per component:
-    each sum starts at 0.0 and adds in index order, as np.add.at does."""
-    return np.stack([np.bincount(idx, weights=rows[:, c], minlength=n) for c in range(3)],
-                    axis=1)
-
-
 def _pseudonormals(mesh: TriangleMesh, at: np.ndarray, to: np.ndarray = None) -> np.ndarray:
     """Unit pseudonormals of the vertices `at`, or of the edges (at[i], to[i]).
 
@@ -577,10 +566,11 @@ def _pseudonormals(mesh: TriangleMesh, at: np.ndarray, to: np.ndarray = None) ->
     the faces holding both ends.  A sum whose norm is at most 1e-12 is kept
     as it is.  Only the corners at `at` are visited, found through a corner
     index built once per mesh: the corners sorted by vertex, stably, and
-    each vertex's first slot.  Sums run in triangle order and every dot
-    goes through einsum, so the bits match a per-triangle loop doing the
-    same on any BLAS kernel, and an edge's normal does not depend on the
-    order of its ends.
+    each vertex's first slot.  Sums run in triangle order, one bincount per
+    axis that starts at 0.0 and adds in index order as np.add.at does, and
+    every dot goes through `_dot`, so the bits match a per-triangle loop
+    doing the same on any BLAS kernel, and an edge's normal does not depend
+    on the order of its ends.
     """
     flat = mesh.triangles.ravel()
     if "corners" not in mesh._cache:
@@ -593,21 +583,22 @@ def _pseudonormals(mesh: TriangleMesh, at: np.ndarray, to: np.ndarray = None) ->
     row = np.repeat(np.arange(len(at)), count)
     corner = order[np.arange(len(row)) + np.repeat(starts[at] - np.cumsum(count) + count, count)]
     tri, k = np.divmod(corner, 3)
-    terms = mesh.face_normals[tri]
+    terms = np.take(mesh.face_normals.T, tri, axis=1)
     if to is None:
         # the edges from the corner towards corners k + 1 and k + 2
-        here = mesh.vertices[flat[corner]]
-        e1 = mesh.vertices[flat[corner - k + (k + 1) % 3]] - here
-        e2 = mesh.vertices[flat[corner - k + (k + 2) % 3]] - here
-        lengths = np.sqrt(np.einsum("ij,ij->i", e1, e1)) * np.sqrt(np.einsum("ij,ij->i", e2, e2))
-        cosang = np.clip(np.einsum("ij,ij->i", e1, e2) / lengths, -1.0, 1.0)
-        terms = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))[:, None] * terms
+        corners = _triangle_bounds(mesh)[0]
+        here = corners[:, k, tri]
+        e1 = corners[:, (k + 1) % 3, tri] - here
+        e2 = corners[:, (k + 2) % 3, tri] - here
+        lengths = np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))
+        cosang = np.clip(_dot(e1, e2) / lengths, -1.0, 1.0)
+        terms = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang)) * terms
     else:
         held = (mesh.triangles[tri] == to[row, None]).any(axis=1)
-        row, terms = row[held], terms[held]
-    sums = _scatter_add(row, terms, len(at))
-    norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
-    return np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums)
+        row, terms = row[held], terms[:, held]
+    sums = np.array([np.bincount(row, weights=t, minlength=len(at)) for t in terms])
+    norms = np.sqrt(_dot(sums, sums))
+    return np.where(norms > 1e-12, sums / np.where(norms > 1e-12, norms, 1.0), sums).T
 
 
 _FEATURE_EPS = 1e-7
@@ -620,13 +611,13 @@ def _feature_normals(mesh: TriangleMesh, tri_idx: np.ndarray, q: np.ndarray) -> 
     edges that points lie on get a pseudonormal built.
     """
     verts = mesh.triangles[tri_idx]
-    a, b, c = (mesh.vertices[verts[:, k]] for k in range(3))
-    ab, ac, qa = b - a, c - a, q - a
-    d00 = np.einsum("ij,ij->i", ab, ab)
-    d01 = np.einsum("ij,ij->i", ab, ac)
-    d11 = np.einsum("ij,ij->i", ac, ac)
-    d20 = np.einsum("ij,ij->i", qa, ab)
-    d21 = np.einsum("ij,ij->i", qa, ac)
+    a, b, c = np.take(_triangle_bounds(mesh)[0], tri_idx, axis=2).swapaxes(0, 1)
+    ab, ac, qa = b - a, c - a, q.T - a
+    d00 = _dot(ab, ab)
+    d01 = _dot(ab, ac)
+    d11 = _dot(ac, ac)
+    d20 = _dot(qa, ab)
+    d21 = _dot(qa, ac)
     den = d00 * d11 - d01 * d01
     v = (d11 * d20 - d01 * d21) / den
     w = (d00 * d21 - d01 * d20) / den
@@ -669,7 +660,7 @@ class SurfaceProximity:
 
     @cached_property
     def distance(self) -> np.ndarray:
-        outward = np.einsum("ij,ij->i", self._points - self.point, self.normal)
+        outward = _dot((self._points - self.point).T, self.normal.T)
         dist = np.sqrt(self.sq_distance)
         return np.where(outward < 0.0, -dist, dist)
 
@@ -721,8 +712,8 @@ def _read_plain(text: str):
     faces, and corners are bare integers.  One split proves it: the text
     has 4 tokens per line, every line starts with `v ` or `f `, every
     fourth token is `v` up to the first `f` and `f` after it, and every
-    other token converts with `float` or `int`, which neither `v` nor `f`
-    does.  The line heads are then exactly the record tokens, 4 apart, and
+    other token converts with `float` or `int` (numpy converts each str
+    with them), which neither `v` nor `f` does.  The line heads are then exactly the record tokens, 4 apart, and
     vertex k is on line k + 1.  Also None for a corner below 1, which
     `_read_lines` then names.
     """
@@ -736,8 +727,8 @@ def _read_plain(text: str):
     coords, corners = tokens[:4 * nv], tokens[4 * nv:]
     del coords[::4], corners[::4]
     try:
-        v = np.fromiter(map(float, coords), float, len(coords)).reshape(-1, 3)
-        f = np.fromiter(map(int, corners), np.int64, len(corners)).reshape(-1, 3)
+        v = np.array(coords, dtype=float).reshape(-1, 3)
+        f = np.array(corners, dtype=np.int64).reshape(-1, 3)
     except (ValueError, OverflowError):    # OverflowError: an index past int64
         return None
     return None if (f < 1).any() else (v, f, range(1, nv + 1), [])
@@ -800,8 +791,8 @@ def _unclosed(mesh: TriangleMesh) -> list:
         same = np.count_nonzero(np.unique(walks, return_counts=True)[1] > 1)
         return ([f"{lone} edges belong to one face"] if lone else []) + (
             [f"{same} edges are walked the same way by two faces"] if same else [])
-    tri = _triangle_bounds(mesh)[0]    # the corners every surface query reads
-    if np.einsum("ij,ij->", tri[:, 0], _cross(tri[:, 1], tri[:, 2])) <= 0.0:
+    a, b, c = _triangle_bounds(mesh)[0].swapaxes(0, 1)    # the corners every query reads
+    if np.einsum("ij,ij->", a, _cross(b, c)) <= 0.0:
         return ["faces wind inward (signed volume <= 0)"]
     return []
 

@@ -239,8 +239,10 @@ def _safe_div(num, den):
 
 
 def _dot(u, v):
-    # the package's row dot product, so brute-force answers match bit for bit
-    return np.einsum("ij,ij->i", u, v)
+    """Dots over the last axis in the package's written order, (u0 v0 + u2 v2)
+    + u1 v1, one rounded product or sum per element: brute-force answers
+    match the package bit for bit without resting on how numpy sums."""
+    return (u[..., 0] * v[..., 0] + u[..., 2] * v[..., 2]) + u[..., 1] * v[..., 1]
 
 
 def _triangle_closest(a, b, c, pts):
@@ -427,7 +429,8 @@ def pseudonormal_frames(vertices, triangles):
     A vertex normal sums each incident face normal weighted by the face's
     angle at that vertex; an edge normal sums the normals of the faces
     sharing the edge.  Both are normalized unless (near) zero.  Every dot
-    product is an einsum, which gives the same bits under any BLAS kernel.
+    product is `_dot`'s written sum, which gives the same bits under any
+    BLAS kernel.
     """
     v = np.asarray(vertices, dtype=float)
     f = np.asarray(triangles, dtype=int)
@@ -441,15 +444,14 @@ def pseudonormal_frames(vertices, triangles):
         for k in range(3):
             e1 = pts[(k + 1) % 3] - pts[k]
             e2 = pts[(k + 2) % 3] - pts[k]
-            cosang = float(np.einsum("i,i->", e1, e2)) / (
-                math.sqrt(np.einsum("i,i->", e1, e1)) * math.sqrt(np.einsum("i,i->", e2, e2)))
+            cosang = float(_dot(e1, e2)) / (math.sqrt(_dot(e1, e1)) * math.sqrt(_dot(e2, e2)))
             vertex_normals[corners[k]] += math.acos(max(-1.0, min(1.0, cosang))) * fn[t]
         for k in range(3):
             e = (min(corners[k], corners[(k + 1) % 3]), max(corners[k], corners[(k + 1) % 3]))
             edge_sums[e] = edge_sums.get(e, 0.0) + fn[t]
 
     def unit(s):
-        n = math.sqrt(np.einsum("i,i->", s, s))
+        n = math.sqrt(_dot(s, s))
         return s / n if n > 1e-12 else np.array(s)
 
     return (np.array([unit(s) for s in vertex_normals]).reshape(-1, 3),

@@ -455,13 +455,14 @@ def test_query_matches_full_scan_bit_for_bit(name, monkeypatch):
 
 def test_morton_codes_interleave_ten_bits_per_axis():
     # cells span each axis's extent in 1023 steps; x's bits sit above y's
-    # above z's, and an axis of zero extent puts every point in cell 0
+    # above z's, and an axis of zero extent puts every point in cell 0.  The
+    # points are axis-major (3, n), as the leaf level stores its centroids
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0],
-                    [1023, 1023, 1023]], dtype=float)
+                    [1023, 1023, 1023]], dtype=float).T.copy()
     with np.errstate(all="raise"):
         assert geometry._morton_codes(pts).tolist() == [0, 4, 2, 1, 32, 2**30 - 1]
         flat = pts.copy()
-        flat[:, 2] = 0.5
+        flat[2] = 0.5
         assert geometry._morton_codes(flat).tolist() == [0, 4, 2, 0, 32, 2**30 - 1 - 0x9249249]
 
 

@@ -416,7 +416,10 @@ def test_private_cross_matches_numpy_bit_for_bit():
         (axes, tips), (tips, axes), (origins, points - origins),
     ]
     for x, y in pairs:
-        got, want = geometry._cross(x, y), np.cross(x, y)
+        # the helper takes its vectors along the first axis, as the surface
+        # query stores them: (3,), (3, n), (3, K, A)
+        got = geometry._cross(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
+        want = np.moveaxis(np.cross(x, y), -1, 0)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
