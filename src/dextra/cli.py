@@ -227,12 +227,12 @@ def cmd_batch(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _findings(read, path: Path) -> list:
+def _findings(read, path: Path) -> tuple:
+    """What `read(path)` returns, or None, and every violation it raised."""
     try:
-        read(path)
+        return read(path), []
     except DextraError as exc:
-        return getattr(exc, "violations", [str(exc)])
-    return []
+        return None, getattr(exc, "violations", [str(exc)])
 
 
 def _validate_file(path: Path) -> list:
@@ -241,23 +241,23 @@ def _validate_file(path: Path) -> list:
         return [f"{path.name}: not a scene directory, hand model JSON, or OBJ mesh"]
     # the bundled models directory holds the hand models and the force table
     read = read_force_table if path.name == "force_table.json" else readers[path.suffix]
-    return _findings(read, path)
+    return _findings(read, path)[1]
 
 
 def cmd_validate(args) -> int:
     if args.fixture is None and args.settings is None:
         return _fail("error: nothing to validate: give a fixture, --settings FILE, or both",
                      _USAGE_ERROR)
-    findings = []
+    settings, findings = None, []
     if args.settings is not None:
-        settings = Path(args.settings)
-        if not settings.is_file():
-            return _fail(f"error: no settings file at {settings}", _USAGE_ERROR)
-        findings += _findings(settings_from_file, settings)
+        path = Path(args.settings)
+        if not path.is_file():
+            return _fail(f"error: no settings file at {path}", _USAGE_ERROR)
+        settings, findings = _findings(settings_from_file, path)
     if args.fixture is not None:
         path = Path(args.fixture)
         if path.is_dir():
-            findings += check_scene(path)
+            findings += check_scene(path, settings and settings.hand_model)
         elif path.is_file():
             findings += _validate_file(path)
         else:

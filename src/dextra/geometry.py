@@ -792,7 +792,7 @@ def _unclosed(mesh: TriangleMesh) -> list:
         return ([f"{lone} edges belong to one face"] if lone else []) + (
             [f"{same} edges are walked the same way by two faces"] if same else [])
     a, b, c = _triangle_bounds(mesh)[0].swapaxes(0, 1)    # the corners every query reads
-    if np.einsum("ij,ij->", a, _cross(b, c)) <= 0.0:
+    if _dot(a, _cross(b, c)).sum() <= 0.0:
         return ["faces wind inward (signed volume <= 0)"]
     return []
 

@@ -4,8 +4,9 @@ A hand is a tree of links rooted at the wrist.  Every link carries a fixed
 offset pose relative to its parent; a revolute joint, when present, rotates
 the link about a unit axis expressed in the link's own frame after the
 offset.  Linkage-coupled fingers are modeled with mimic joints whose angle
-is a fixed ratio of a driver joint; mimic entries in a configuration vector
-are ignored by kinematics and resolved from their driver instead.
+is a fixed ratio of a driver joint; the FK sweep sets each mimic entry of
+the joint list it is given from its driver before it sweeps, so whatever a
+configuration vector holds there is ignored.
 
 A hand model document is checked against `_HAND_RULES` by
 `errors.check_document`, then for what relates one entry to another.  Each
@@ -29,7 +30,8 @@ The root pose is optimized as a 6-vector twist (rotation vector then
 translation) applied on the body side of the current pose, which stays
 singularity-free for the small increments a solver takes.  The fingertip
 jacobian is geometric: its columns are read off the one FK sweep in closed
-form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step.  A
+form (Murray, Li & Sastry 1994, ch. 3), with no finite-difference step; the
+sweep keeps the root pose at index -1, the root link's parent index.  A
 solve that holds the wrist still asks for the joint columns alone.
 
 `fingertip_rows` sweeps many joint rows under one root pose, and
@@ -369,15 +371,6 @@ def bundled_model(name: str) -> KinematicHandModel:
 # kinematics
 # ---------------------------------------------------------------------------
 
-def _effective(model: KinematicHandModel, joint_angles) -> list:
-    """Joint angles with each mimic joint resolved from its driver, as Python
-    floats, the form FK reads; other entries pass through."""
-    eff = np.asarray(joint_angles, dtype=float).tolist()
-    for j, (driver, ratio) in model.mimics.items():
-        eff[j] = ratio * eff[driver]
-    return eff
-
-
 def _check_dof(model: KinematicHandModel, angles: np.ndarray) -> None:
     """`angles` is one joint vector, or one per row."""
     if angles.ndim not in (1, 2) or angles.shape[-1:] != (model.dof,):
@@ -418,14 +411,17 @@ def _fk_tables(model: KinematicHandModel):
     return cache["fk"]
 
 
-def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
-    """Quaternion/translation tuples per link; fast path shared by callers.
+def _raw_fk(model: KinematicHandModel, root_q, root_t, angles: list):
+    """Quaternion/translation tuples per link, then the root's at index -1,
+    from `angles`, a list of floats whose mimic entries it first sets.
 
     A link with an identity offset rotation takes its parent's rotation as
     is, and a joint about e_x or e_z multiplies by (c, s e_k) with only the
     eight products that are not exact zeros, each sum in the order of the
     general product; any other link runs the general products.
     """
+    for j, (driver, ratio) in model.mimics.items():
+        angles[j] = ratio * angles[driver]
     sin, cos = math.sin, math.cos
     # the root's parent index, -1, reads the root pose from the end of the lists
     qs = [None] * len(model.links) + [tuple(map(float, root_q))]
@@ -453,7 +449,7 @@ def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
         if j < 0:
             qs[i] = (qw, qx, qy, qz)
             continue
-        half = 0.5 * eff[j]
+        half = 0.5 * angles[j]
         s = sin(half)
         c = cos(half)
         if kind == 0:
@@ -466,14 +462,13 @@ def _raw_fk(model: KinematicHandModel, root_q, root_t, eff):
                      qw * jx + qx * c + qy * jz - qz * jy,
                      qw * jy - qx * jz + qy * c + qz * jx,
                      qw * jz + qx * jy - qy * jx + qz * c)
-    qs.pop()
-    ts.pop()
     return qs, ts
 
 
 def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> tuple:
     """One FK sweep: the (K, 3) fingertip positions, then every link's world
-    quaternion and translation as float tuples, in link order.
+    quaternion and translation as float tuples, in link order, each list
+    closed by the root pose's at index -1.
 
     The model's one forward-kinematics entry point.  A caller that keeps the
     sweep hands it to `fingertip_jacobian`, which does not sweep.
@@ -481,24 +476,22 @@ def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> 
     _check_dof(model, config.joint_angles)
     root = config.root_pose
     qs, ts = _raw_fk(model, root.rotation.tolist(), root.translation.tolist(),
-                     _effective(model, config.joint_angles))
+                     config.joint_angles.tolist())
     return np.array([ts[i] for i in model.fingertip_link_ids]), qs, ts
 
 
 def fingertip_rows(model: KinematicHandModel, root_pose: SE3Pose, joint_rows) -> np.ndarray:
     """(R, K, 3) fingertip positions of (R, J) joint vectors, or of one (J,)
-    vector as one row, under one root pose: one FK sweep per row, each mimic
-    resolved from its driver as `_effective` does, with no
+    vector as one row, under one root pose: one FK sweep per row, which
+    resolves the row's mimics as `forward_kinematics` does, with no
     `HandConfiguration` per row."""
     rows = np.asarray(joint_rows, dtype=float)
     _check_dof(model, rows)
     root_q, root_t = root_pose.rotation.tolist(), root_pose.translation.tolist()
-    mimics, tip_ids = tuple(model.mimics.items()), model.fingertip_link_ids
+    tip_ids = model.fingertip_link_ids
     tips = []
-    for eff in rows.reshape(-1, model.dof).tolist():
-        for j, (driver, ratio) in mimics:
-            eff[j] = ratio * eff[driver]
-        ts = _raw_fk(model, root_q, root_t, eff)[1]
+    for angles in rows.reshape(-1, model.dof).tolist():
+        ts = _raw_fk(model, root_q, root_t, angles)[1]
         tips += [ts[i] for i in tip_ids]
     return np.array(tips).reshape(-1, len(tip_ids), 3)
 
@@ -581,8 +574,8 @@ def _jacobian_tables(model: KinematicHandModel):
     return cache["jac"]
 
 
-def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
-                       sweep: tuple, wrist_free: bool = True) -> np.ndarray:
+def fingertip_jacobian(model: KinematicHandModel, sweep: tuple,
+                       wrist_free: bool = True) -> np.ndarray:
     """Geometric jacobian of stacked fingertip positions from one FK sweep.
 
     Columns are ordered [root twist (6), joint angles (J)]; rows stack the
@@ -594,22 +587,20 @@ def fingertip_jacobian(model: KinematicHandModel, config: HandConfiguration,
     (3K, J) joint columns are built, the same bits as the full jacobian's
     `[:, ROOT_DOF:]`.
 
-    `sweep` is `forward_kinematics(model, config)`.  The columns are
-    assembled in Python floats, so the fold of mimic columns onto their
-    drivers (`rows @ fold`) is the only step that goes through BLAS, and the
-    only one whose bits can depend on the BLAS kernel.
+    `sweep` is `forward_kinematics(model, config)`, root pose included.
+    The columns are assembled in Python floats, so the fold of mimic columns
+    onto their drivers (`rows @ fold`) is the only step that goes through
+    BLAS, and the only one whose bits can depend on the BLAS kernel.
     """
     columns, root_at, joint_at, fold = _jacobian_tables(model)
     _, qs, ts = sweep
     tips = [ts[i] for i in model.fingertip_link_ids]
-    if wrist_free:
-        root_q, root_t = config.root_pose.rotation.tolist(), config.root_pose.translation.tolist()
-    else:
+    if not wrist_free:
         columns = columns[3:]
     vals = []
     for frame, (ax, ay, az), moved in columns:
-        w, x, y, z = root_q if frame < 0 else qs[frame]
-        ox, oy, oz = root_t if frame < 0 else ts[frame]
+        w, x, y, z = qs[frame]
+        ox, oy, oz = ts[frame]
         # rotate the axis into the world: v + 2w (u x v) + 2u x (u x v)
         tx = 2.0 * (y * az - z * ay)
         ty = 2.0 * (z * ax - x * az)

@@ -156,7 +156,6 @@ def build_prompt(object_name: str, intent: str, kind: str = "language",
 # scene fixture files: one reader per file
 # ---------------------------------------------------------------------------
 
-_MODEL = (is_bundled_hand, "must name a bundled hand model")
 # the hand a run drives must map the human hand's joints
 ROBOT_HAND_RULE = "must name a bundled hand model that has a human_joint_map"
 _FORCE_TABLE = (lambda t: isinstance(t, dict) and all(map(positive, t.values())),
@@ -185,7 +184,8 @@ def read_hand_estimate(path: Path, contact_fingers=None) -> HandPoseEstimate:
     Without recorded fingertip_points the tips come from the skeleton's FK.
     """
     v, bad = check_document(read_json(path), {
-        "skeleton": (*_MODEL, REQUIRED),
+        "skeleton": (lambda v: is_bundled_hand(v) and not is_robot_hand(v),
+                     "must name a bundled human hand model: one with no human_joint_map", REQUIRED),
         "root_pose": (*POSE, REQUIRED),
         "joint_angles": (numbers, "must be a list of numbers", REQUIRED),
         "fingertip_points": (lambda t: numbers(t, valid=lambda p: numbers(p, 3, length)),
@@ -309,11 +309,12 @@ class SceneFixture:
         return self._force_table[key]
 
 
-def check_scene(scene_dir) -> list:
+def check_scene(scene_dir, hand_model=None) -> list:
     """Every violation a run would meet in one scene's fixture files.
 
     Each file goes through the reader a run uses, and contact.json is
-    checked against the scene's hand; a bad file does not stop the rest.
+    checked against the hand the run drives: `hand_model`, a settings
+    file's, else the scene's own; a bad file does not stop the rest.
     """
     scene_dir, findings = Path(scene_dir), []
 
@@ -324,7 +325,7 @@ def check_scene(scene_dir) -> list:
             findings.extend(getattr(exc, "violations", [str(exc)]))
 
     scene = read(SceneFixture, scene_dir)
-    hand = scene and bundled_model(scene.effective_hand(None)[0])
+    hand = scene and bundled_model(scene.effective_hand(hand_model)[0])
     read(load_obj, scene_dir / "object.obj", scene.mesh_scale if scene else 1.0)
     read(read_hand_estimate, scene_dir / "hand_estimate.json", scene and scene.contact_fingers)
     read(read_poses, scene_dir / "poses.json")

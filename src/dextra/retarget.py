@@ -150,7 +150,7 @@ def refine_retarget(start: HandConfiguration, targets: np.ndarray,
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if gram is None:
-            jac = fingertip_jacobian(model, cfg, sweep, wrist_free=wrist_free)
+            jac = fingertip_jacobian(model, sweep, wrist_free=wrist_free)
             gram = jac.T @ jac
             grad = jac.T @ res_vec
         step = np.linalg.solve(gram + lam * eye, -grad)

@@ -17,7 +17,7 @@ from conftest import MODELS_DIR, SCENES_DIR
 from dextra import cli, pipeline
 from dextra.cli import main
 from dextra.errors import DextraError, SchemaError, StageError
-from dextra.kinematics import load_hand_model, load_hand_model_file
+from dextra.kinematics import bundled_model, load_hand_model, load_hand_model_file
 
 
 def _run(capsys, *argv):
@@ -485,6 +485,12 @@ def _misspell_stiffness(doc):
     doc["stifness"] = doc.pop("stiffness")
 
 
+def _robot_skeleton(doc):
+    # a robot hand's angles fit its joints, but it maps no human joints
+    doc["skeleton"] = "inspire-like-6dof"
+    doc["joint_angles"] = [j.rest for j in bundled_model("inspire-like-6dof").joints]
+
+
 def _first_vertex_reads(value):
     def edit(text):
         lines = text.splitlines(keepends=True)
@@ -499,6 +505,7 @@ def _first_vertex_reads(value):
 BROKEN_FIXTURES = [
     pytest.param("contact.json", {"noise_sigma": -0.5}, id="negative-noise"),
     pytest.param("hand_estimate.json", _drop_last_joint_angle, id="joint-angles-short"),
+    pytest.param("hand_estimate.json", _robot_skeleton, id="robot-skeleton"),
     pytest.param("hand_estimate.json", _first_joint_angle_reads(1e308),
                  id="joint-angle-past-limit"),
     pytest.param("contact.json", {"yield_force": -1}, id="negative-yield-force"),
@@ -843,6 +850,25 @@ def test_validate_settings_file(mug_scene, tmp_path, capsys):
     assert (code, stdout) == (0, "ok\n")
     code, stdout, _ = _run(capsys, "validate", str(mug_scene), "--settings", str(settings))
     assert (code, stdout) == (0, "ok\n")
+
+
+def test_validate_checks_the_scene_against_the_settings_hand(mug_scene, tmp_path, capsys):
+    # five stiffnesses suit the scene's own five-finger hand, not the
+    # four-finger hand the settings name
+    scene = tmp_path / "mug-01"
+    shutil.copytree(mug_scene, scene)
+    contact = json.loads((scene / "contact.json").read_text())
+    (scene / "contact.json").write_text(json.dumps(contact | {"stiffness": [60] * 5}))
+    settings = tmp_path / "leap.json"
+    settings.write_text(json.dumps({"hand_model": "leap-like-16dof"}))
+    assert _run(capsys, "validate", str(scene))[:2] == (0, "ok\n")
+
+    finding = "contact.json: stiffness must be a positive number or a list of 4 of them"
+    code, stdout, _ = _run(capsys, "validate", str(scene), "--settings", str(settings))
+    assert (code, stdout) == (1, f"{finding}\n1 problem(s) found\n")
+    code, _, stderr = _run(capsys, "run", str(scene), "--settings", str(settings),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2 and finding in stderr
 
 
 def test_validate_without_a_fixture_or_settings_is_usage_error(tmp_path, capsys):

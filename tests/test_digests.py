@@ -104,10 +104,12 @@ def recorded_run(scene_dir, hand) -> dict:
                             grasp.objective_trace))
         return grasp
 
-    def recorded_raw_fk(model, root_q, root_t, eff):
+    def recorded_raw_fk(model, root_q, root_t, angles):
+        # recorded after the sweep, which sets the mimic entries of `angles`
+        swept = raw_fk(model, root_q, root_t, angles)
         if in_retarget[0]:
-            retarget_sweeps.append(np.concatenate([root_q, root_t, eff]).tobytes())
-        return raw_fk(model, root_q, root_t, eff)
+            retarget_sweeps.append(np.concatenate([root_q, root_t, angles]).tobytes())
+        return swept
 
     # the pipeline checks a stage's function by its unwrapped code
     @functools.wraps(stage)

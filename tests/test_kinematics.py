@@ -132,17 +132,6 @@ def test_rest_configuration(robot_model):
                           [j.rest for j in robot_model.joints])
 
 
-def test_effective_angles_resolve_mimics(robot_model):
-    angles = np.zeros(robot_model.dof)
-    i_driver = robot_model.joint_index["index_bend"]
-    i_mimic = robot_model.joint_index["index_inter_bend"]
-    angles[i_driver] = 0.4
-    angles[i_mimic] = 9.9  # ignored: the driver owns this joint
-    eff = kinematics._effective(robot_model, angles)
-    assert np.isclose(eff[i_mimic], 1.1 * 0.4)
-    assert np.isclose(eff[i_driver], 0.4)
-
-
 def test_fk_does_not_clamp(robot_model, robot_doc):
     # out-of-limit angles are evaluated as given; clamping is the caller's job
     angles = robot_model.upper_limits + 0.7
@@ -191,7 +180,7 @@ def test_jacobian_directional_derivative(robot_model):
         rng.uniform(robot_model.lower_limits + 0.1, robot_model.upper_limits - 0.1))
     root = pose_from_rotvec((0.1, -0.2, 0.3), (0.02, 0.0, -0.01))
     cfg = HandConfiguration(root, angles)
-    jac = fingertip_jacobian(robot_model, cfg, forward_kinematics(robot_model, cfg))
+    jac = fingertip_jacobian(robot_model, forward_kinematics(robot_model, cfg))
     assert jac.shape == (3 * robot_model.fingertip_count, 6 + robot_model.dof)
 
     h = 1e-5
@@ -217,7 +206,7 @@ def test_jacobian_matches_central_difference_oracle(name):
         angles = rng.uniform(model.lower_limits, model.upper_limits)
         root = pose_from_rotvec(rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.1, 3))
         cfg = HandConfiguration(root, angles)
-        jac = fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))
+        jac = fingertip_jacobian(model, forward_kinematics(model, cfg))
         expected = oracles.chain_jacobian(doc, pose_to_matrix(root), angles)
         assert np.abs(jac - expected).max() <= 1e-8
 
@@ -235,8 +224,8 @@ def test_jacobian_is_one_fk_sweep(monkeypatch):
         return raw_fk(*args)
 
     monkeypatch.setattr(kinematics, "_raw_fk", counted)
-    fingertip_jacobian(model, cfg, sweep)
-    fingertip_jacobian(model, cfg, sweep)
+    fingertip_jacobian(model, sweep)
+    fingertip_jacobian(model, sweep)
     assert sweeps == []
 
 
@@ -246,13 +235,20 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def oracle_sweep(doc, cfg) -> tuple:
+    """`oracles.sweep_fk` of `cfg`, each link list closed by the root pose at
+    index -1, as `forward_kinematics` closes its own."""
+    root = cfg.root_pose
+    tips, quats, trans = oracles.sweep_fk(doc, root.rotation, root.translation, cfg.joint_angles)
+    return tips, [*quats, tuple(root.rotation.tolist())], [*trans, tuple(root.translation.tolist())]
+
+
 def assert_fk_matches_the_oracle(doc, model, cfg) -> tuple:
     """The sweep of `cfg`, after checking that it equals `oracles.sweep_fk`
-    bit for bit: the fingertips and every link's quaternion and translation."""
+    bit for bit: the fingertips, every link's quaternion and translation and
+    the root's."""
     sweep = forward_kinematics(model, cfg)
-    want = oracles.sweep_fk(doc, cfg.root_pose.rotation, cfg.root_pose.translation,
-                            cfg.joint_angles)
-    for got, expected in zip(sweep, want):
+    for got, expected in zip(sweep, oracle_sweep(doc, cfg)):
         assert _same_bits(got, expected)
     return sweep
 
@@ -260,10 +256,10 @@ def assert_fk_matches_the_oracle(doc, model, cfg) -> tuple:
 def assert_jacobians_match_the_oracle(doc, model, cfg, sweep):
     """The full jacobian equals `oracles.sweep_jacobian` bit for bit, and the
     joint-only one the full one's joint columns."""
-    full = fingertip_jacobian(model, cfg, sweep)
+    full = fingertip_jacobian(model, sweep)
     assert _same_bits(full, oracles.sweep_jacobian(
         doc, cfg.root_pose.rotation, cfg.root_pose.translation, sweep[1], sweep[2]))
-    assert _same_bits(fingertip_jacobian(model, cfg, sweep, wrist_free=False), full[:, ROOT_DOF:])
+    assert _same_bits(fingertip_jacobian(model, sweep, wrist_free=False), full[:, ROOT_DOF:])
 
 
 def assert_rows_and_tip_speeds(model, configs):
@@ -286,6 +282,37 @@ def assert_rows_and_tip_speeds(model, configs):
         moved = fingertip_rows(model, root, rows + step) - fingertip_rows(model, root, rows - step)
         speed = np.linalg.norm(moved[:, k], axis=1) / (2.0 * h)
         assert (speed <= bounds[k] + 1e-9).all(), (name, speed.max(), bounds[k])
+
+
+def assert_mimic_entries_are_ignored(model, configs, rng):
+    """Whatever a configuration holds in its mimic entries, NaN included,
+    the sweep sets them from their drivers: `_raw_fk` itself, the FK sweep,
+    `fingertip_rows` and both jacobians give the bits they give with those
+    entries at 0."""
+    mimic = list(model.mimics)
+    odd = np.array([np.nan, -0.0, 1e3, -7.5, 2 * np.pi])
+
+    def outputs(root, angles):
+        sweep = forward_kinematics(model, HandConfiguration(root, angles))
+        raw = kinematics._raw_fk(model, root.rotation.tolist(), root.translation.tolist(),
+                                 angles.tolist())
+        return [*sweep, *raw, fingertip_rows(model, root, angles),
+                fingertip_jacobian(model, sweep), fingertip_jacobian(model, sweep, wrist_free=False)]
+
+    for cfg in configs:
+        zero, junk = cfg.joint_angles.copy(), cfg.joint_angles.copy()
+        zero[mimic] = 0.0
+        junk[mimic] = np.where(rng.random(len(mimic)) < 0.5, rng.choice(odd, len(mimic)),
+                               rng.uniform(-10.0, 10.0, len(mimic)))
+        for got, want in zip(outputs(cfg.root_pose, junk), outputs(cfg.root_pose, zero)):
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED if bundled_model(n).mimics] + ["oblique"])
+def test_mimic_entries_never_reach_the_sweep(name):
+    model = load_hand_model(oblique_doc() if name == "oblique" else bundled_doc(name))
+    rng = np.random.default_rng(41)
+    assert_mimic_entries_are_ignored(model, bitwise_configurations(model, rng, 40), rng)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -334,11 +361,10 @@ def test_fk_zero_signs_move_only_inside_link_rotations(name):
         cfg = HandConfiguration(SE3Pose(roots[rng.integers(len(roots))], np.zeros(3)),
                                 angles[rng.integers(len(angles), size=model.dof)])
         sweep = forward_kinematics(model, cfg)
-        tips, quats, trans = oracles.sweep_fk(doc, cfg.root_pose.rotation,
-                                              cfg.root_pose.translation, cfg.joint_angles)
+        tips, quats, trans = oracle_sweep(doc, cfg)
         assert _same_bits(sweep[0], tips) and _same_bits(sweep[2], trans)
         assert np.array_equal(sweep[1], quats)
-        assert _same_bits(fingertip_jacobian(model, cfg, sweep), oracles.sweep_jacobian(
+        assert _same_bits(fingertip_jacobian(model, sweep), oracles.sweep_jacobian(
             doc, cfg.root_pose.rotation, cfg.root_pose.translation, quats, trans))
 
 
@@ -380,9 +406,10 @@ def test_generated_hands_load_and_match_the_oracles_bit_for_bit(doc, config_seed
         chain = oracles.chain_fingertips(doc, pose_to_matrix(cfg.root_pose), cfg.joint_angles)
         assert np.allclose(fingertip_positions(model, cfg), chain, rtol=0.0, atol=1e-12)
     assert_rows_and_tip_speeds(model, configs)
+    assert_mimic_entries_are_ignored(model, configs, np.random.default_rng(config_seed))
     # the closed-form columns against central differences of the chain, at
     # the last (random) configuration
-    jac = fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))
+    jac = fingertip_jacobian(model, forward_kinematics(model, cfg))
     expected = oracles.chain_jacobian(doc, pose_to_matrix(cfg.root_pose), cfg.joint_angles)
     assert np.abs(jac - expected).max() <= 1e-8
     # a finger driver, with its mimics, moves its own fingertip alone: the
@@ -426,7 +453,7 @@ def test_private_cross_matches_numpy_bit_for_bit():
 
 def test_jacobian_mimic_columns_zero(robot_model):
     cfg = rest_configuration(robot_model)
-    jac = fingertip_jacobian(robot_model, cfg, forward_kinematics(robot_model, cfg))
+    jac = fingertip_jacobian(robot_model, forward_kinematics(robot_model, cfg))
     for mimic_idx in robot_model.mimics:
         assert np.array_equal(jac[:, 6 + mimic_idx], np.zeros(jac.shape[0]))
 
@@ -714,7 +741,7 @@ def test_bundled_model_loads_once_with_read_only_arrays():
     model = bundled_model("inspire-like-6dof")
     assert bundled_model("inspire-like-6dof") is model
     cfg = rest_configuration(model)
-    fingertip_jacobian(model, cfg, forward_kinematics(model, cfg))    # fills the cached tables
+    fingertip_jacobian(model, forward_kinematics(model, cfg))    # fills the cached tables
     columns, root_at, joint_at, fold = model._cache["jac"]
     arrays = [model.approach_axis, model.lower_limits, model.upper_limits,
               *(j.axis for j in model.joints), root_at, joint_at, fold]

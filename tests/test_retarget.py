@@ -156,9 +156,11 @@ def test_refine_sweeps_no_configuration_twice(name, wrist_free, monkeypatch):
     swept = []
     raw_fk = kinematics._raw_fk
 
-    def recorded(model, root_q, root_t, eff):
-        swept.append(np.concatenate([root_q, root_t, eff]).tobytes())
-        return raw_fk(model, root_q, root_t, eff)
+    def recorded(model, root_q, root_t, angles):
+        # recorded after the sweep, which sets the mimic entries of `angles`
+        result = raw_fk(model, root_q, root_t, angles)
+        swept.append(np.concatenate([root_q, root_t, angles]).tobytes())
+        return result
 
     monkeypatch.setattr(kinematics, "_raw_fk", recorded)
     out = refine_retarget(seed, targets, model, wrist_free=wrist_free)
