@@ -38,6 +38,9 @@ Conventions used throughout the package:
     per axis, and every row dot is `_dot`; the public arrays are (n, 3).
     `sq_distance_floor` bounds the squared distances from below by the
     mesh's bounding box alone, so a caller can rule points out unasked.
+    `line_sq_distance_argmin` minimizes summed squared distances along a
+    line in closed form, from the distance's pieces along it (one quadratic
+    per corner, edge and face), with no query at all.
 
     A run keeps one mesh: the object-frame mesh `load_obj` returns.  Every
     surface query is asked in the object frame, so a caller holding points
@@ -245,6 +248,11 @@ def transform_mesh(mesh: TriangleMesh, pose: SE3Pose) -> TriangleMesh:
 
 # ---- closest point on triangles (voronoi-region walk, vectorized) ----
 
+def _safe_div(num, den):
+    """num / den, with a zero divisor read as 1."""
+    return num / np.where(den == 0.0, 1.0, den)
+
+
 def _closest_on_matched_triangles(a, b, c, p):
     """Closest point to p on triangle (a, b, c), all arrays axis-major (3, n)."""
     ab = b - a
@@ -263,15 +271,12 @@ def _closest_on_matched_triangles(a, b, c, p):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    def safe_div(num, den):
-        return num / np.where(den == 0.0, 1.0, den)
-
     # candidates for every region; the masks below pick one per row
-    on_ab = a + safe_div(d1, d1 - d3) * ab
-    on_ac = a + safe_div(d2, d2 - d6) * ac
+    on_ab = a + _safe_div(d1, d1 - d3) * ab
+    on_ac = a + _safe_div(d2, d2 - d6) * ac
     d43, d56 = d4 - d3, d5 - d6
-    on_bc = b + safe_div(d43, d43 + d56) * (c - b)
-    denom = safe_div(1.0, va + vb + vc)
+    on_bc = b + _safe_div(d43, d43 + d56) * (c - b)
+    denom = _safe_div(1.0, va + vb + vc)
     out = a + (vb * denom) * ab + (vc * denom) * ac
 
     # lowest-priority regions first so earlier checks win, mirroring the
@@ -554,6 +559,142 @@ def floor_slack(mesh: TriangleMesh) -> float:
     """The computed squared gap to the mesh's bounding box up to which
     `sq_distance_floor` reads 0."""
     return _triangle_bounds(mesh)[3]
+
+
+# ---- squared distance along a line, as pieces of quadratics ----
+
+def _band(alpha, beta, low, high, lo, hi):
+    """Where alpha + s * beta lies in [low, high], for s in [lo, hi]: the
+    interval (start, end), empty when start > end.  beta == 0 is guarded."""
+    flat = beta == 0.0
+    den = np.where(flat, 1.0, beta)
+    s1, s2 = (low - alpha) / den, (high - alpha) / den
+    start = np.where(flat, np.where((low <= alpha) & (alpha <= high), lo, np.inf),
+                     np.minimum(s1, s2))
+    return np.maximum(start, lo), np.minimum(np.where(flat, hi, np.maximum(s1, s2)), hi)
+
+
+def _line_pieces(mesh: TriangleMesh, starts: np.ndarray, direction: np.ndarray,
+                lo: float, hi: float, bound: float):
+    """The squared distance to the mesh along lines, as quadratic pieces.
+
+    Point i moves on starts[i] + s * direction, s in [lo, hi]; `starts` is
+    (k, 3) and `direction` a unit 3-vector.  Piece j reads |x_j + s y_j|^2
+    for point tip[j] on [start_j, end_j] and is the squared distance to one
+    point of one triangle there: to a corner (anywhere), to the foot on an
+    edge's line (where that foot is on the edge) or to the foot on a face's
+    plane (where that foot is inside the face, all three barycentrics >= 0).
+    The closest point of a triangle is one of these, so a point's lowest
+    piece at s is its squared distance to the mesh (Ericson, Real-Time
+    Collision Detection, 2004, 5.1.5).
+
+    Only pieces that can come within `bound` are kept, with the cull limit
+    of `_closest_points` over it: a triangle whose box is farther than the
+    limit from the box of a point's whole segment gives that point no
+    pieces, and a piece whose minimum on its interval is above the limit is
+    dropped.  So wherever a point's squared distance is at most `bound`,
+    its lowest kept piece is that distance.  Returns tip (n,), x and y
+    (3, n), start and end (n,); every row dot is `_dot`.
+    """
+    corners, box_lo, box_hi, slack = _triangle_bounds(mesh)
+    limit = bound * (1.0 + _CULL_REL) + slack
+    p = np.asarray(starts, dtype=float).T
+    u = np.asarray(direction, dtype=float).reshape(3, 1)
+    seg_lo, seg_hi = np.minimum(p + lo * u, p + hi * u), np.maximum(p + lo * u, p + hi * u)
+    gap = 0.0
+    for axis in range(3):
+        g = np.maximum(np.maximum(box_lo[axis] - seg_hi[axis, :, None],
+                                  seg_lo[axis, :, None] - box_hi[axis]), 0.0)
+        gap = gap + g * g
+    tip, tri = np.nonzero(gap <= limit)
+    n = len(tip)
+    # one column per (point, triangle) pair, one middle row per corner k and
+    # per edge k, from corner k to corner k + 1
+    corner = np.take(corners, tri, axis=2)
+    edge = corner[:, [1, 2, 0]] - corner
+    w = p[:, None, tip] - corner
+    u = u[:, :, None]
+    ee, we, ue = _dot(edge, edge), _dot(w, edge), _dot(u, edge)
+    normal = np.take(mesh.face_normals.T, tri, axis=1)
+    inward = _cross(normal[:, None], edge)
+    side = _band(_dot(w, inward), _dot(u, inward), 0.0, np.inf, lo, hi)
+    every = np.full(3 * n, float(lo)), np.full(3 * n, float(hi))
+    x = np.concatenate([w.reshape(3, -1), (w - (we / ee) * edge).reshape(3, -1),
+                        _dot(normal, w[:, 0]) * normal], axis=1)
+    y = np.concatenate([np.broadcast_to(u[:, 0], (3, 3 * n)),
+                        (u - (ue / ee) * edge).reshape(3, -1),
+                        _dot(normal, u[:, 0]) * normal], axis=1)
+    start, end = (np.concatenate([e, b.ravel(), f]) for e, b, f in zip(
+        every, _band(we, ue, 0.0, ee, lo, hi), (side[0].max(axis=0), side[1].min(axis=0))))
+    # the lowest value on the interval: at the vertex of the parabola, clipped
+    yy = _dot(y, y)
+    held = start <= end
+    at = np.where(held, np.clip(-_dot(x, y) / np.where(yy > 0.0, yy, 1.0), start, end), lo)
+    low = x + at * y
+    keep = held & (_dot(low, low) <= limit)
+    return np.tile(tip, 7)[keep], x[:, keep], y[:, keep], start[keep], end[keep]
+
+
+# a divisor near 0 (an edge or face nearly parallel to the line) may overflow
+# to +-inf, which every interval and cell bound clips; one of exactly 0 is
+# replaced
+@np.errstate(over="ignore")
+def line_sq_distance_argmin(mesh: TriangleMesh, starts: np.ndarray, direction: np.ndarray,
+                            lo: float, hi: float, bound: float):
+    """The shift s in [lo, hi] of least summed squared distance to the mesh
+    of the points starts + s * direction, `starts` (k, 3) and `direction` a
+    unit 3-vector: exact wherever that least sum is at most `bound`.  None
+    where `_line_pieces` leaves a point no piece.
+
+    Each point's squared distance is the lower envelope of its pieces
+    (Sharir & Agarwal, Davenport-Schinzel Sequences and Their Geometric
+    Applications, 1995).  The window is cut at every piece's interval ends
+    and at every crossing of two pieces of one point; within a cell each
+    point's lowest piece at the cell's midpoint is its lowest throughout,
+    so the sum is one quadratic there.  Its minimum on the closed cell is
+    taken in closed form, and the lowest cell wins, the first on a tie.
+    A sum is read as the squared norms of x + s y, not from the expanded
+    coefficients, so it keeps the precision of the pieces.
+    """
+    tip, x, y, start, end = _line_pieces(mesh, starts, direction, lo, hi, bound)
+    count = np.bincount(tip, minlength=len(starts))
+    if not count.all():
+        return None
+    order = np.argsort(tip, kind="stable")
+    tip, x, y, start, end = tip[order], x[:, order], y[:, order], start[order], end[order]
+    a, b, c = _dot(y, y), _dot(x, y), _dot(x, x)
+    # crossings of two pieces of one point where both hold: the roots of
+    # da s^2 + 2 db s + dc, the stable pair where the quadratic term is not 0
+    i, j = np.nonzero(np.triu(tip[:, None] == tip, 1))
+    da, db, dc = a[i] - a[j], b[i] - b[j], c[i] - c[j]
+    disc = db * db - da * dc
+    q = -(db + np.copysign(np.sqrt(np.maximum(disc, 0.0)), db))
+    line = da == 0.0
+    roots = np.concatenate([np.where(line, _safe_div(-dc, 2.0 * db), _safe_div(q, da)),
+                            _safe_div(dc, q)])
+    found = np.concatenate([np.where(line, db != 0.0, disc >= 0.0),
+                            ~line & (disc >= 0.0) & (q != 0.0)])
+    both = np.tile(np.maximum(start[i], start[j]), 2), np.tile(np.minimum(end[i], end[j]), 2)
+    found &= (both[0] <= roots) & (roots <= both[1])
+    # sorted, repeats dropped: np.unique would import numpy.ma on first use
+    cuts = np.sort(np.concatenate([[lo, hi], start, end, roots[found]]))
+    cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
+    cell_lo, cell_hi = (cuts, cuts) if len(cuts) == 1 else (cuts[:-1], cuts[1:])
+    mid = 0.5 * (cell_lo + cell_hi)
+    at = x[:, :, None] + mid * y[:, :, None]
+    values = np.where((start[:, None] <= mid) & (mid <= end[:, None]), _dot(at, at), np.inf)
+    # each point's pieces in a row of its own, padded with +inf
+    first = np.cumsum(count) - count
+    padded = np.full((len(count), count.max(), len(mid)), np.inf)
+    padded[tip, np.arange(len(tip)) - first[tip]] = values
+    active = first[:, None] + padded.argmin(axis=1)
+    held = np.isfinite(padded.min(axis=1)).all(axis=0)
+    sa, sb = a[active].sum(axis=0), b[active].sum(axis=0)
+    s = np.clip(np.where(sa > 0.0, _safe_div(-sb, sa), cell_lo), cell_lo, cell_hi)
+    at = x[:, active] + s * y[:, active]
+    total = np.where(held, _dot(at, at).sum(axis=0), np.inf)
+    win = int(np.argmin(total))
+    return float(s[win]) if held[win] else None
 
 
 # ---- pseudonormals for the inside/outside sign ----

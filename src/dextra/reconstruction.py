@@ -47,8 +47,10 @@ from .geometry import (
     TriangleMesh,
     compose,
     invert,
+    line_sq_distance_argmin,
     load_obj,
     pose_from_record,
+    rotate_vector,
     sq_distance_floor,
     surface_query,
     transform_points,
@@ -84,10 +86,10 @@ DEFAULT_HAND_MODEL = "inspire-like-6dof"
 
 # fingers this close to the surface (m) count as intended contacts
 CONTACT_SELECT_RADIUS = 0.03
-# depth alignment searches shifts within +-DEPTH_SEARCH_HALF_RANGE (m) and
-# stops after the first grid whose spacing is at most DEPTH_SEARCH_TOL (m)
+# depth alignment searches shifts within +-DEPTH_SEARCH_HALF_RANGE (m): a
+# first grid of 61 shifts picks the basin, and the minimum along the depth
+# line within it is taken exactly, in closed form (see align_depth)
 DEPTH_SEARCH_HALF_RANGE = 0.15
-DEPTH_SEARCH_TOL = 1e-5
 # the first grid's objective is flat when it varies by less than this; it is
 # also the margin above the bound within which a first-grid shift is asked
 _FLAT = 1e-12
@@ -395,12 +397,11 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     Slides the whole hand along the camera depth axis (z of the estimate's
     frame) within +-DEPTH_SEARCH_HALF_RANGE and keeps the shift that
     minimizes the sum of squared fingertip-to-surface distances over the
-    `contact_fingers`.  The search is a grid of 61 shifts over the range,
-    then grids of 21 shifts, each ten times finer than the last and centred
-    on the best shift so far, until the spacing is at most DEPTH_SEARCH_TOL.
-    `mesh` is the object-frame mesh and `pose` the object's pose in the
-    estimate's camera: the shifted fingertips are mapped into the object
-    frame for every query, and no surface is built in the camera frame.
+    `contact_fingers`: the exact minimum, up to rounding, in the basin of
+    the best of a first grid of 61 shifts over the range.  `mesh` is the
+    object-frame mesh and `pose` the object's pose in the estimate's
+    camera: the shifted fingertips are mapped into the object frame, and no
+    surface is built in the camera frame.
 
     The first grid asks the surface only for the shifts it cannot rule out.
     A shift's floor, from the mesh's bounding box, is at most its objective,
@@ -410,11 +411,24 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     batched query; any other can neither win nor tie, so it reads +inf and
     the best shift, first on a tie, is the one a query of every shift
     finds.  A shift ruled out also proves the objective varies by more than
-    `_FLAT`, so the flatness test agrees with asking every shift too.  A
-    finer grid asks every shift but its centre, the last grid's best, whose
-    objective is known: a query's rows do not depend on its batch.
-    Only the root translation z changes; the returned estimate never has a
-    worse objective than the input, whose shift 0 is on the first grid.
+    `_FLAT`, so the flatness test agrees with asking every shift too.
+
+    The grid's best objective U bounds the minimum.  Each fingertip's
+    distance is 1-Lipschitz in the shift, so the square root of the
+    objective is sqrt(k)-Lipschitz over k fingers, and a first-grid shift g
+    rules out every shift within (sqrt F(g) - sqrt U) / sqrt k of it, F(g)
+    its objective, or its floor where it was not asked.  The window is the
+    interval these leave around the best shift, clipped to the range.  On
+    it each fingertip moves along one line in the object frame, and its
+    squared distance is the lower envelope of quadratics in the shift, one
+    for each corner, edge and face that can come within U, each on the
+    interval where its foot lies on the triangle (`line_sq_distance_argmin`).
+    Between the envelopes' breaks the objective is one quadratic, so its
+    minimum over the window is found in closed form: no grid spacing limits
+    it.  One query at that shift confirms it, and it replaces the grid's
+    best only if its objective is no higher, so the returned estimate is
+    never worse than the first grid's best, nor than the input, whose
+    shift 0 is on that grid.  Only the root translation z changes.
     """
     contact_fingers = tuple(int(i) for i in contact_fingers)
     if len(contact_fingers) == 0:
@@ -425,9 +439,6 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     pts = hand.fingertip_points[list(contact_fingers)]
     to_mesh = invert(pose)
 
-    # nested grids: the objective is only piecewise-smooth, so the first grid
-    # pins down the basin; each later one is centred on the best shift so
-    # far, which is one of its shifts, so the objective never rises
     step = DEPTH_SEARCH_HALF_RANGE / 30
     deltas = step * np.arange(-30, 31)
     # a row's floor is at most its squared distance and rows sum in the
@@ -442,13 +453,18 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
     if float(objs.max() - objs.min()) < _FLAT:
         raise NoConvergence("depth objective is flat over the search range")
-    delta = float(deltas[int(np.argmin(objs))])
-    while step > DEPTH_SEARCH_TOL:
-        step /= 10
-        deltas = delta + step * np.arange(-10, 11)
-        objs = np.insert(_depth_objective(mesh, pts, np.delete(deltas, 10), to_mesh),
-                         10, objs.min())
-        delta = float(deltas[int(np.argmin(objs))])
+    best = int(np.argmin(objs))
+    bound, delta = float(objs[best]), float(deltas[best])
+    # the window around the best shift: shift g rules out every s with
+    # |s - g| < (sqrt F(g) - sqrt bound) / sqrt k
+    known = np.where(np.isfinite(objs), objs, floors)
+    reach = (np.sqrt(known) - math.sqrt(bound)) / math.sqrt(len(pts))
+    lo = max(-DEPTH_SEARCH_HALF_RANGE, min(delta, (deltas + reach)[:best].max(initial=-np.inf)))
+    hi = min(DEPTH_SEARCH_HALF_RANGE, max(delta, (deltas - reach)[best + 1:].min(initial=np.inf)))
+    found = line_sq_distance_argmin(mesh, transform_points(to_mesh, pts),
+                                    rotate_vector(to_mesh, (0.0, 0.0, 1.0)), lo, hi, bound)
+    if found is not None and _depth_objective(mesh, pts, np.array([found]), to_mesh)[0] <= bound:
+        delta = found
 
     root = hand.config.root_pose
     new_root = SE3Pose(root.rotation, root.translation + np.array([0.0, 0.0, delta]))

@@ -6,6 +6,7 @@ own oracle.  Keep these slow and obvious; never import them back into the
 package.
 """
 
+import functools
 import math
 import os
 from collections import Counter
@@ -246,8 +247,9 @@ def _dot(u, v):
 
 
 def _triangle_closest(a, b, c, pts):
-    """Closest point on triangle abc for every row of pts."""
-    a, b, c = (np.tile(corner, (len(pts), 1)) for corner in (a, b, c))
+    """Closest point on triangle abc for every row of pts; the corners are
+    3-vectors, or one row per point."""
+    a, b, c = (np.broadcast_to(corner, pts.shape) for corner in (a, b, c))
     ab = b - a
     ac = c - a
     ap = pts - a
@@ -505,8 +507,116 @@ def depth_grid_argmin(vertices, triangles, pts, half_range=0.15,
     return float(fine[int(np.argmin(objective(fine)))])
 
 
+class BallCulledSurface:
+    """Squared distances to a triangle surface by brute force over the
+    triangles a bounding-ball test cannot rule out.
+
+    A triangle lies in the ball around its centroid through its farthest
+    corner, so no point of it is closer to p than |p - centroid| - radius.
+    The triangle whose ball comes closest gives an upper bound, so one whose
+    ball is farther than that cannot be nearest.  Every other triangle is
+    tried with the region walk of `mesh_closest`.  Both distances in the
+    test move by at most d when p moves by d.
+    """
+
+    def __init__(self, vertices, triangles):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.triangles = np.asarray(triangles, dtype=int)
+        self.corners = self.vertices[self.triangles]
+        self.centre = self.corners.mean(axis=1)
+        gap = self.corners - self.centre[:, None]
+        self.radius = np.sqrt(_dot(gap, gap)).max(axis=1)
+
+    def _sqdist(self, pts, row, tri):
+        q = _triangle_closest(*self.corners[tri].swapaxes(0, 1), pts[row])
+        return _dot(q - pts[row], q - pts[row])
+
+    def candidates(self, pts, margin=0.0):
+        """(row, triangle) pairs: for every row of (n, 3) points, the
+        triangles that can be nearest to a point within `margin` of it."""
+        near = np.sqrt(_dot(pts[:, None] - self.centre, pts[:, None] - self.centre)) - self.radius
+        rows = np.arange(len(pts))
+        bound = np.sqrt(self._sqdist(pts, rows, near.argmin(axis=1))) + 2.0 * margin
+        return np.nonzero(near <= bound[:, None] * (1.0 + 1e-9) + 1e-12)
+
+    def near(self, pts, margin):
+        """The surface of the triangles that can be nearest to some point
+        within `margin` of a row of `pts`."""
+        return BallCulledSurface(self.vertices, self.triangles[
+            np.unique(self.candidates(pts, margin)[1])])
+
+    def sqdist(self, pts, cull=True, pairs=1 << 16):
+        """Squared distance to the surface for every row of (n, 3) points, in
+        blocks of about `pairs` point-triangle pairs; without `cull`, every
+        triangle is tried."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.full(len(pts), np.inf)
+        block = max(1, pairs // len(self.triangles))
+        for s in range(0, len(pts), block):
+            p = pts[s:s + block]
+            row, tri = (self.candidates(p) if cull
+                        else np.divmod(np.arange(len(p) * len(self.triangles)), len(self.triangles)))
+            np.minimum.at(out, s + row, self._sqdist(p, row, tri))
+        return out
+
+
+def depth_line_argmin(vertices, triangles, pts, direction, half_range=0.15,
+                      samples=81, tol=1e-12, flat=1e-12):
+    """The shift s of least summed squared distance to the mesh of the
+    points pts + s * direction, in the basin the first depth grid picks, by
+    brute force (`ball_culled_sqdist`).
+
+    The first grid is 61 shifts over +-half_range; None where its objective
+    varies by less than `flat`.  A scan of `samples` shifts over two grid
+    steps either side of its best shift (the first on a tie), within the
+    range, brackets the minimum between the best sample's neighbours, and
+    golden-section search narrows the bracket to `tol`; a range end in the
+    bracket wins where its objective is lower.
+    """
+    pts, direction = np.asarray(pts, dtype=float), np.asarray(direction, dtype=float)
+
+    def objective(surface, shifts, cull=True):
+        moved = pts[None] + np.asarray(shifts, dtype=float)[:, None, None] * direction
+        d2 = surface.sqdist(moved.reshape(-1, 3), cull)
+        return d2.reshape(len(shifts), len(pts)).sum(axis=1)
+
+    mesh = BallCulledSurface(vertices, triangles)
+    step = half_range / 30
+    grid = step * np.arange(-30, 31)
+    objs = objective(mesh, grid)
+    if float(objs.max() - objs.min()) < flat:
+        return None
+    best = float(grid[int(np.argmin(objs))])
+    a, b = max(best - 2 * step, -half_range), min(best + 2 * step, half_range)
+    # the scan, and then the bracket's search, ask only the triangles that
+    # can be nearest within them
+    mesh = mesh.near(pts + 0.5 * (a + b) * direction, 0.5 * (b - a))
+    scan = np.linspace(a, b, samples)
+    i = int(np.argmin(objective(mesh, scan)))
+    a, b = float(scan[max(i - 1, 0)]), float(scan[min(i + 1, samples - 1)])
+    mesh = mesh.near(pts + 0.5 * (a + b) * direction, 0.5 * (b - a))
+    objective = functools.partial(objective, mesh, cull=False)
+    # a range end in the bracket is a candidate too: the minimum may lie on it
+    ends = [e for e in (a, b) if abs(e) == half_range]
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = objective([c, d])
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = objective([c])[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = objective([d])[0]
+    candidates = [0.5 * (a + b), *ends]
+    return candidates[int(np.argmin(objective(candidates)))]
+
+
 def nested_depth_grid(objective, half_range=0.15, tol=1e-5, flat=1e-12):
-    """The nested depth search asking `objective` for every shift of every grid.
+    """The nested depth search of earlier releases, asking `objective` for
+    every shift of every grid.
 
     `objective(deltas)` gives one objective per shift.  The first grid is 61
     shifts over +-half_range, each later one 21 shifts at a tenth of the last

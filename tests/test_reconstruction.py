@@ -2,6 +2,7 @@ import contextlib
 import functools
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from dextra.geometry import (
     invert,
     load_obj,
     pose_from_rotvec,
+    surface_query,
     transform_mesh,
     transform_points,
 )
@@ -271,49 +273,99 @@ def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
     assert np.allclose(got.fingertip_points, want.fingertip_points, atol=1e-9)
 
 
-def _full_grid_shift(hand, mesh, contact_fingers, pose, objective=None):
-    """The shift the nested search settles on when every shift of every grid
-    is asked, or None where it finds the objective flat."""
+def _nested_grid_shift(hand, mesh, contact_fingers, pose):
+    """The shift the nested grids of earlier releases settle on when every
+    shift of every grid is asked, or None where they find the objective flat."""
     pts, to_mesh = hand.fingertip_points[list(contact_fingers)], invert(pose)
-    objective = objective or reconstruction._depth_objective
-    return oracles.nested_depth_grid(lambda deltas: objective(mesh, pts, deltas, to_mesh))
+    return oracles.nested_depth_grid(
+        lambda deltas: reconstruction._depth_objective(mesh, pts, deltas, to_mesh))
 
 
-def _assert_aligns_like_the_full_grid(hand, mesh, contact_fingers, pose):
-    # the same bits as asking every shift, and NoConvergence exactly where
-    # that search finds the objective flat
-    want = _full_grid_shift(hand, mesh, contact_fingers, pose)
+def _surface_objective(mesh, tips, pose):
+    return float(surface_query(mesh, transform_points(invert(pose), tips)).sq_distance.sum())
+
+
+def _assert_aligns_exactly(hand, mesh, contact_fingers, pose):
+    # the shift the brute-force line search finds, within 1e-9 m, or one of
+    # the same objective where the minimum is not unique (a fingertip
+    # sliding along a face parallel to the depth axis); NoConvergence
+    # exactly where its first grid finds the objective flat.  The objective
+    # there is never above the nested grids' beyond rounding where they stay
+    # within the search range.  Squared distances below 1e-30 m^2 are
+    # rounding on a fingertip that lies on the surface
+    to_mesh = np.linalg.inv(pose_to_matrix(pose))
+    tips = hand.fingertip_points[list(contact_fingers)]
+    at_zero, direction = tips @ to_mesh[:3, :3].T + to_mesh[:3, 3], to_mesh[:3, 2]
+    want = oracles.depth_line_argmin(mesh.vertices, mesh.triangles, at_zero, direction)
     if want is None:
         with pytest.raises(NoConvergence, match="flat"):
             align_depth(hand, mesh, contact_fingers, pose)
         return
     got = align_depth(hand, mesh, contact_fingers, pose)
-    shift = np.array([0.0, 0.0, want])
-    assert got.fingertip_points.tobytes() == (hand.fingertip_points + shift).tobytes()
-    assert (got.config.root_pose.translation.tobytes()
-            == (hand.config.root_pose.translation + shift).tobytes())
+    shift = got.fingertip_points[:, 2] - hand.fingertip_points[:, 2]
+    assert np.array_equal(got.fingertip_points[:, :2], hand.fingertip_points[:, :2])
+    if np.abs(shift - want).max() > 1e-9:
+        def brute(s):
+            return oracles.mesh_sqdist(mesh.vertices, mesh.triangles, at_zero + s * direction).sum()
+
+        assert brute(shift[0]) <= brute(want) * (1.0 + 1e-12) + 1e-30
+    # the nested grids could step up to 5.5 mm past the search range
+    nested = _nested_grid_shift(hand, mesh, contact_fingers, pose)
+    if abs(nested) <= reconstruction.DEPTH_SEARCH_HALF_RANGE:
+        grids = _surface_objective(mesh, tips + [0.0, 0.0, nested], pose)
+        assert _surface_objective(mesh, got.fingertip_points[list(contact_fingers)], pose) <= (
+            grids * (1.0 + 1e-12) + 1e-30)
+
+
+def _scene_alignment(scene_dir):
+    """(hand, mesh, contact fingers, object pose) as a run of the scene
+    passes them to align_depth."""
+    bundle = replay_scene(scene_dir)
+    pose = bundle.object_pose_generated
+    fingers = (SceneFixture(scene_dir).contact_fingers
+               or select_contact_fingers(bundle.hand, bundle.mesh, pose))
+    return bundle.hand, bundle.mesh, fingers, pose
+
+
+SCENE_DIRS = sorted(p.parent for p in (MUG_OBJ.parents[1]).rglob("scene.json"))
+
+
+@pytest.mark.parametrize("scene_dir", SCENE_DIRS, ids=lambda p: p.name)
+def test_align_depth_takes_the_exact_minimum_on_bundled_scenes(scene_dir):
+    _assert_aligns_exactly(*_scene_alignment(scene_dir))
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_align_depth_takes_the_exact_minimum_on_subdivided_mug(levels):
+    # 3072 and 12288 triangles: the mesh takes the surface query's leaf level
+    hand, mesh, fingers, pose = _scene_alignment(MUG_OBJ.parent)
+    _assert_aligns_exactly(hand, subdivide(mesh, levels), fingers, pose)
+
+
+@pytest.mark.parametrize("scene_dir", SCENE_DIRS, ids=lambda p: p.name)
+def test_align_depth_undoes_a_depth_error(scene_dir):
+    # the estimate slid along camera z by an error off the first grid's
+    # lattice aligns to the same fingertips: the search takes the minimum,
+    # not a grid point near it
+    hand, mesh, fingers, pose = _scene_alignment(scene_dir)
+    want = align_depth(hand, mesh, fingers, pose).fingertip_points
+    for error in (-0.02713579, -0.00931113, 0.01234567, 0.02876543):
+        moved = replace(hand, fingertip_points=hand.fingertip_points + [0.0, 0.0, error])
+        got = align_depth(moved, mesh, fingers, pose).fingertip_points
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_align_depth_inverts_the_pose_once(monkeypatch):
-    # every depth evaluation maps through one inverse pose; the shifts stay
-    # the objective's third positional argument.  The first grid asks a probe
-    # and then the shifts the floor leaves, fewer than all 61; each finer
-    # grid asks, in one call, the 20 shifts other than its centre, the last
-    # grid's best, of the grid a search asking every shift builds.  No shift
-    # is asked twice: not the probe, and not a finer grid's centre
+    # every depth evaluation maps through one inverse pose, and the shifts
+    # stay the objective's third positional argument.  The first grid asks
+    # a probe, then the shifts its floor leaves, fewer than all 61; the line
+    # search asks the surface nothing, and one shift confirms its answer
     mesh, pts = depth_fixture("sphere")
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
-    grids = []
-    objective = reconstruction._depth_objective
-
-    def every_shift(*args):
-        grids.append(args[2])
-        return objective(*args)
-
-    want = _full_grid_shift(hand, mesh, (0, 1, 2, 3, 4), pose, every_shift)
+    first = reconstruction.DEPTH_SEARCH_HALF_RANGE / 30 * np.arange(-30, 31)
     inverted, asked = [], []
-    invert = reconstruction.invert
+    invert, objective = reconstruction.invert, reconstruction._depth_objective
 
     def counted_invert(p):
         inverted.append(p)
@@ -327,14 +379,12 @@ def test_align_depth_inverts_the_pose_once(monkeypatch):
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
     got = align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
     assert inverted == [pose]
-    assert len(asked) == len(grids) + 1 and len(asked[0]) == 1 and len(asked[1]) < 61
-    for shifts, grid in zip(asked, [grids[0], *grids]):
-        assert np.isin(shifts, grid).all()
+    assert [len(shifts) for shifts in asked[::2]] == [1, 1]
+    assert len(asked) == 3 and 0 < len(asked[1]) < 60
+    assert np.isin(np.concatenate(asked[:2]), first).all()
     assert asked[0][0] not in asked[1]
-    for shifts, grid in zip(asked[2:], grids[1:]):
-        assert np.array_equal(shifts, np.delete(grid, 10))
-    assert got.fingertip_points.tobytes() == (
-        hand.fingertip_points + np.array([0.0, 0.0, want])).tobytes()
+    assert got.fingertip_points[0, 2] - hand.fingertip_points[0, 2] == pytest.approx(
+        asked[2][0], abs=1e-15)
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,8 +434,8 @@ def depth_cases(draw):
 @seed(2301)
 @settings(max_examples=120, deadline=None)
 @given(depth_cases())
-def test_align_depth_matches_the_full_grid(case):
-    _assert_aligns_like_the_full_grid(*case)
+def test_align_depth_takes_the_exact_minimum(case):
+    _assert_aligns_exactly(*case)
 
 
 @pytest.mark.parametrize("tilt, flat", [(1e-10, True), (2.5e-10, False)])
@@ -393,8 +443,9 @@ def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     # a wall tilted by `tilt` rad towards camera z, one fingertip 1 cm off it:
     # over the first grid the objective varies by 0.6e-12 (flat) or 1.5e-12.
     # At 1.5e-12 the floor rules the farthest shifts out, which proves the
-    # objective is not flat, and the search runs as when every shift is asked.
-    # Flat, the first grid asks its 60 shifts other than the probe
+    # objective is not flat, and the search takes the minimum the brute-force
+    # line search finds.  Flat, the first grid asks its 60 shifts other than
+    # the probe
     mesh = box_mesh((0.01, 0.04, 0.4))
     pose = pose_from_rotvec((0.0, tilt, 0.0))
     hand = _estimate(transform_points(pose, np.tile([0.015, 0.0, 0.0], (5, 1))))
@@ -402,7 +453,7 @@ def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     objs = reconstruction._depth_objective(mesh, hand.fingertip_points[:1], deltas, invert(pose))
     assert (objs.max() - objs.min() < 1e-12) == flat
     assert 0.5e-12 < objs.max() - objs.min() < 2e-12
-    _assert_aligns_like_the_full_grid(hand, mesh, (0,), pose)
+    _assert_aligns_exactly(hand, mesh, (0,), pose)
     asked, objective = [], reconstruction._depth_objective
 
     def counted_objective(*args):
