@@ -564,7 +564,7 @@ def depth_line_argmin(vertices, triangles, pts, direction, half_range=0.15,
                       samples=81, tol=1e-12, flat=1e-12):
     """The shift s of least summed squared distance to the mesh of the
     points pts + s * direction, in the basin the first depth grid picks, by
-    brute force (`ball_culled_sqdist`).
+    brute force (`BallCulledSurface`).
 
     The first grid is 61 shifts over +-half_range; None where its objective
     varies by less than `flat`.  A scan of `samples` shifts over two grid
