@@ -376,18 +376,19 @@ def _leaf_bounds(mesh: TriangleMesh):
     return cache["leaf_bounds"]
 
 
-def _box_bounds(lo, hi, p, cand=None):
-    """Squared distance from points to boxes lo and hi, (3, m).
+def _box_bounds(lo, hi, p, cand=None, top=None):
+    """Squared distance from points p (k, 3) to boxes lo and hi, (3, m); or,
+    given `top` (k, 3), from the query boxes p to top.
 
     Every point against every box, (k, m); or, given `cand` (k, j), point i
     against boxes cand[i], (k, j).
     """
+    top = p if top is None else top
     bound = 0.0
     for axis in range(3):
-        x = p[:, axis, None]
         low, high = (lo[axis], hi[axis]) if cand is None else (lo[axis][cand], hi[axis][cand])
-        gap = low - x
-        np.maximum(gap, x - high, out=gap)
+        gap = low - top[:, axis, None]
+        np.maximum(gap, p[:, axis, None] - high, out=gap)
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
         bound = gap if axis == 0 else np.add(bound, gap, out=bound)
@@ -601,12 +602,7 @@ def _line_pieces(mesh: TriangleMesh, starts: np.ndarray, direction: np.ndarray,
     p = np.asarray(starts, dtype=float).T
     u = np.asarray(direction, dtype=float).reshape(3, 1)
     seg_lo, seg_hi = np.minimum(p + lo * u, p + hi * u), np.maximum(p + lo * u, p + hi * u)
-    gap = 0.0
-    for axis in range(3):
-        g = np.maximum(np.maximum(box_lo[axis] - seg_hi[axis, :, None],
-                                  seg_lo[axis, :, None] - box_hi[axis]), 0.0)
-        gap = gap + g * g
-    tip, tri = np.nonzero(gap <= limit)
+    tip, tri = np.nonzero(_box_bounds(box_lo, box_hi, seg_lo.T, top=seg_hi.T) <= limit)
     n = len(tip)
     # one column per (point, triangle) pair, one middle row per corner k and
     # per edge k, from corner k to corner k + 1

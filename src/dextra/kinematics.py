@@ -471,7 +471,10 @@ def forward_kinematics(model: KinematicHandModel, config: HandConfiguration) -> 
     closed by the root pose's at index -1.
 
     The model's one forward-kinematics entry point.  A caller that keeps the
-    sweep hands it to `fingertip_jacobian`, which does not sweep.
+    sweep hands it to `fingertip_jacobian`, which does not sweep.  On
+    degenerate inputs (a root rotation with exact-zero components, -0.0
+    angles) a link rotation can differ from the general per-link product in
+    the sign of a zero component; no caller reads the link rotations.
     """
     _check_dof(model, config.joint_angles)
     root = config.root_pose

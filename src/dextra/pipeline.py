@@ -75,7 +75,6 @@ from .reconstruction import (
     build_prompt,
     gather_reconstruction,
     read_contact,
-    select_contact_fingers,
     to_object_frame,
 )
 from .retarget import (
@@ -439,16 +438,6 @@ def derive_engagement(model: KinematicHandModel, path: ClosingPath,
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def _align(hand, mesh: TriangleMesh, pose: SE3Pose, contact_fingers) -> tuple:
-    """Depth-align on `contact_fingers` (None: those near the surface); returns
-    the aligned estimate, its depth shift and the fingers."""
-    if contact_fingers is None:
-        contact_fingers = select_contact_fingers(hand, mesh, pose)
-    aligned = align_depth(hand, mesh, contact_fingers, pose)
-    shift = float(aligned.config.root_pose.translation[2] - hand.config.root_pose.translation[2])
-    return aligned, shift, contact_fingers
-
-
 def _retarget(hand, model: KinematicHandModel, human_model) -> GraspAction:
     return refine_retarget(initialize_retarget(hand, model, human_model),
                            human_fingertip_targets(hand, model), model, wrist_free=True)
@@ -553,7 +542,7 @@ def run_pipeline(scene, settings: PipelineSettings | None = None,
     # the surface maps its points there through one of the bundle's poses
     mesh, t_gen = bundle.mesh, bundle.object_pose_generated
     hand_aligned, depth_shift, contact_fingers = stage(
-        "align-depth", _align, hand=bundle.hand, mesh=mesh, pose=t_gen,
+        "align-depth", align_depth, hand=bundle.hand, mesh=mesh, pose=t_gen,
         contact_fingers=scene.contact_fingers)
 
     hand_obj = stage("object-frame", to_object_frame, t_o_gen=t_gen, hand=hand_aligned)

@@ -3,7 +3,9 @@
 This module covers the perception-facing half of the transfer: building the
 generation prompt, replaying recorded perception results from scene fixture
 directories, correcting the depth ambiguity of a monocular hand estimate
-against the object mesh, and re-expressing the estimate in the object frame.
+against the object mesh (on the contact fingers a scene names, or else on
+those near the surface at the estimate's own depth), and re-expressing the
+estimate in the object frame.
 
 Generative models and pose estimators are external services; a scene
 fixture records their results, and `gather_reconstruction`, given the paths
@@ -84,7 +86,9 @@ _DEMO_DIRECTIVE = "Follow the grasp shown in the demonstration image."
 # the hand a run uses when neither the settings nor the scene name one
 DEFAULT_HAND_MODEL = "inspire-like-6dof"
 
-# fingers this close to the surface (m) count as intended contacts
+# where no contact fingers are named, align_depth picks the fingertips this
+# close to the surface (m) at the input shift, from the one query whose
+# contact-finger distances also bound its first grid
 CONTACT_SELECT_RADIUS = 0.03
 # depth alignment searches shifts within +-DEPTH_SEARCH_HALF_RANGE (m): a
 # first grid of 61 shifts picks the basin, and the minimum along the depth
@@ -359,17 +363,6 @@ def gather_reconstruction(prompt: PromptBundle, hand_estimate: Path, object_obj:
 # depth alignment and frame transfer
 # ---------------------------------------------------------------------------
 
-def select_contact_fingers(hand: HandPoseEstimate, mesh: TriangleMesh,
-                           pose: SE3Pose) -> tuple:
-    """Fingertips within CONTACT_SELECT_RADIUS of the surface: the intended contacts.
-
-    `mesh` is the object-frame mesh and `pose` the object's pose in the
-    estimate's camera.
-    """
-    d2 = surface_query(mesh, transform_points(invert(pose), hand.fingertip_points)).sq_distance
-    return tuple(int(i) for i in np.nonzero(d2 <= CONTACT_SELECT_RADIUS ** 2)[0])
-
-
 def _mesh_frame_tips(pts: np.ndarray, deltas: np.ndarray, to_mesh: SE3Pose) -> np.ndarray:
     """The camera-frame fingertips `pts` (k, 3) moved along camera z by each
     shift in `deltas`, then mapped by `to_mesh`: k rows per shift, in order."""
@@ -391,7 +384,7 @@ def _depth_objective(mesh: TriangleMesh, pts: np.ndarray, deltas: np.ndarray,
 
 
 def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
-                pose: SE3Pose) -> HandPoseEstimate:
+                pose: SE3Pose) -> tuple:
     """Correct the depth ambiguity of a monocular hand estimate.
 
     Slides the whole hand along the camera depth axis (z of the estimate's
@@ -401,17 +394,22 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     the best of a first grid of 61 shifts over the range.  `mesh` is the
     object-frame mesh and `pose` the object's pose in the estimate's
     camera: the shifted fingertips are mapped into the object frame, and no
-    surface is built in the camera frame.
+    surface is built in the camera frame.  Returns the aligned estimate,
+    its depth shift (root z after minus before) and the contact fingers.
 
-    The first grid asks the surface only for the shifts it cannot rule out.
-    A shift's floor, from the mesh's bounding box, is at most its objective,
-    and the bound is the objective of a probe: one query at the shift of
-    lowest floor (shift 0, the input, on a tie).  Every other shift whose
-    floor is within the bound plus a margin of `_FLAT` is asked in one
-    batched query; any other can neither win nor tie, so it reads +inf and
-    the best shift, first on a tie, is the one a query of every shift
-    finds.  A shift ruled out also proves the objective varies by more than
-    `_FLAT`, so the flatness test agrees with asking every shift too.
+    Every fingertip is asked once, at the input shift 0.  Where
+    `contact_fingers` is None, that answer picks them: the fingertips
+    within CONTACT_SELECT_RADIUS of the surface.  The contact fingers'
+    summed squared distances there are the input shift's objective on the
+    first grid, and its bound: the grid asks the surface only for the
+    shifts it cannot rule out.  A shift's floor, from the mesh's bounding
+    box, is at most its objective, and every other shift whose floor is
+    within the bound plus a margin of `_FLAT` is asked in one batched
+    query.  Any other can neither win nor tie, since the grid's minimum is
+    at most the input shift's objective, so it reads +inf and the best
+    shift, first on a tie, is the one a query of every shift finds.  A
+    shift ruled out also proves the objective varies by more than `_FLAT`,
+    so the flatness test agrees with asking every shift too.
 
     The grid's best objective U bounds the minimum.  Each fingertip's
     distance is 1-Lipschitz in the shift, so the square root of the
@@ -430,14 +428,18 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     never worse than the first grid's best, nor than the input, whose
     shift 0 is on that grid.  Only the root translation z changes.
     """
-    contact_fingers = tuple(int(i) for i in contact_fingers)
+    k = hand.fingertip_points.shape[0]
+    if contact_fingers is not None:
+        contact_fingers = tuple(int(i) for i in contact_fingers)
+        if any(i < 0 or i >= k for i in contact_fingers):
+            raise DimensionMismatch(f"contact finger index outside 0..{k - 1}")
+    to_mesh = invert(pose)
+    d2 = surface_query(mesh, transform_points(to_mesh, hand.fingertip_points)).sq_distance
+    if contact_fingers is None:
+        contact_fingers = tuple(int(i) for i in np.nonzero(d2 <= CONTACT_SELECT_RADIUS ** 2)[0])
     if len(contact_fingers) == 0:
         raise EmptyContactSet("depth alignment needs at least one contact finger")
-    k = hand.fingertip_points.shape[0]
-    if any(i < 0 or i >= k for i in contact_fingers):
-        raise DimensionMismatch(f"contact finger index outside 0..{k - 1}")
     pts = hand.fingertip_points[list(contact_fingers)]
-    to_mesh = invert(pose)
 
     step = DEPTH_SEARCH_HALF_RANGE / 30
     deltas = step * np.arange(-30, 31)
@@ -445,11 +447,11 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
     # objective's order; rounding is monotone, so no floor tops its objective
     floors = sq_distance_floor(mesh, _mesh_frame_tips(pts, deltas, to_mesh))
     floors = floors.reshape(len(deltas), len(pts)).sum(axis=1)
-    probe = 30 if floors[30] == floors.min() else int(np.argmin(floors))
     objs = np.full(len(deltas), np.inf)
-    objs[probe] = _depth_objective(mesh, pts, deltas[probe:probe + 1], to_mesh)[0]
-    ask = floors <= objs[probe] + _FLAT
-    ask[probe] = False
+    # shift 0, the input: the pick's rows, summed in the objective's order
+    objs[30] = d2[list(contact_fingers)].sum()
+    ask = floors <= objs[30] + _FLAT
+    ask[30] = False
     objs[ask] = _depth_objective(mesh, pts, deltas[ask], to_mesh)
     if float(objs.max() - objs.min()) < _FLAT:
         raise NoConvergence("depth objective is flat over the search range")
@@ -468,8 +470,9 @@ def align_depth(hand: HandPoseEstimate, mesh: TriangleMesh, contact_fingers,
 
     root = hand.config.root_pose
     new_root = SE3Pose(root.rotation, root.translation + np.array([0.0, 0.0, delta]))
-    return replace(hand, config=HandConfiguration(new_root, hand.config.joint_angles),
-                   fingertip_points=hand.fingertip_points + np.array([0.0, 0.0, delta]))
+    aligned = replace(hand, config=HandConfiguration(new_root, hand.config.joint_angles),
+                      fingertip_points=hand.fingertip_points + np.array([0.0, 0.0, delta]))
+    return aligned, float(new_root.translation[2] - root.translation[2]), contact_fingers
 
 
 def to_object_frame(t_o_gen: SE3Pose, hand: HandPoseEstimate) -> HandPoseEstimate:

@@ -163,10 +163,8 @@ def test_criterion_4_depth_alignment_recovers_synthetic_shifts():
                 config=HandConfiguration(pose_from_rotvec((0, 0, 0), (0, 0, 0)),
                                          np.zeros(20)),
                 fingertip_points=shifted, skeleton="human-20dof")
-            out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
-                              pose=identity_pose())
-            applied = float(out.config.root_pose.translation[2]
-                            - hand.config.root_pose.translation[2])
+            applied = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                                  pose=identity_pose())[1]
             grid = oracles.depth_grid_argmin(mesh.vertices, mesh.triangles,
                                              shifted)
             worst_recovery = max(worst_recovery, abs(applied + shift))

@@ -37,7 +37,6 @@ from dextra.reconstruction import (
     build_prompt,
     check_scene,
     read_poses,
-    select_contact_fingers,
     to_object_frame,
 )
 
@@ -209,7 +208,7 @@ def test_estimate_hand_fk_fallback(tmp_path, mug_scene, human_model):
 # contact selection and depth alignment
 # ---------------------------------------------------------------------------
 
-def test_select_contact_fingers_radius(monkeypatch):
+def test_align_depth_picks_contact_fingers_within_the_radius(monkeypatch):
     mesh = box_mesh((0.1, 0.1, 0.1))
     tips = np.array([
         [0.0, 0.0, 0.051],   # 1 mm above the top face
@@ -219,19 +218,20 @@ def test_select_contact_fingers_radius(monkeypatch):
         [0.0, 0.0, 0.0],     # dead center: 50 mm from every face
     ])
     hand = _estimate(tips)
-    assert select_contact_fingers(hand, mesh, identity_pose()) == (0, 1, 3)
+    # with no contact fingers named, align_depth picks them at the input shift
+    assert align_depth(hand, mesh, None, identity_pose())[2] == (0, 1, 3)
     monkeypatch.setattr(reconstruction, "CONTACT_SELECT_RADIUS", 0.002)
-    assert select_contact_fingers(hand, mesh, identity_pose()) == (0, 3)
+    assert align_depth(hand, mesh, None, identity_pose())[2] == (0, 3)
 
 
 def test_align_depth_recovers_non_grid_shift():
     mesh, pts = depth_fixture("sphere")
     true_shift = 0.0173
     hand = _estimate(pts + [0.0, 0.0, true_shift])
-    out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
-                      pose=identity_pose())
-    applied = float(out.config.root_pose.translation[2]
-                    - hand.config.root_pose.translation[2])
+    out, applied, fingers = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
+                                        pose=identity_pose())
+    assert fingers == (0, 1, 2, 3, 4)
+    assert applied == out.config.root_pose.translation[2] - hand.config.root_pose.translation[2]
     assert abs(applied + true_shift) < 1e-4
     # the whole hand moves together
     assert np.allclose(out.fingertip_points - hand.fingertip_points,
@@ -248,7 +248,7 @@ def test_align_depth_never_increases_objective():
         shift = rng.uniform(-0.12, 0.12)
         hand = _estimate(pts + [0.0, 0.0, shift])
         out = align_depth(hand, mesh, contact_fingers=(0, 1, 2, 3, 4),
-                          pose=identity_pose())
+                          pose=identity_pose())[0]
         before = oracles.mesh_sqdist(mesh.vertices, mesh.triangles,
                                      hand.fingertip_points).sum()
         after = oracles.mesh_sqdist(mesh.vertices, mesh.triangles,
@@ -264,11 +264,9 @@ def test_align_depth_asks_the_object_frame_mesh_through_its_pose():
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
     moved = transform_mesh(mesh, pose)
-    fingers = select_contact_fingers(hand, mesh, pose)
-    assert fingers == select_contact_fingers(hand, moved, identity_pose()) != ()
-    got = align_depth(hand, mesh, fingers, pose)
-    want = align_depth(hand, moved, fingers, identity_pose())
-    shift = got.config.root_pose.translation[2] - hand.config.root_pose.translation[2]
+    got, shift, fingers = align_depth(hand, mesh, None, pose)
+    want, _, moved_fingers = align_depth(hand, moved, None, identity_pose())
+    assert fingers == moved_fingers != ()
     assert abs(shift + 0.0173) < 1e-4
     assert np.allclose(got.fingertip_points, want.fingertip_points, atol=1e-9)
 
@@ -301,7 +299,7 @@ def _assert_aligns_exactly(hand, mesh, contact_fingers, pose):
         with pytest.raises(NoConvergence, match="flat"):
             align_depth(hand, mesh, contact_fingers, pose)
         return
-    got = align_depth(hand, mesh, contact_fingers, pose)
+    got = align_depth(hand, mesh, contact_fingers, pose)[0]
     shift = got.fingertip_points[:, 2] - hand.fingertip_points[:, 2]
     assert np.array_equal(got.fingertip_points[:, :2], hand.fingertip_points[:, :2])
     if np.abs(shift - want).max() > 1e-9:
@@ -319,11 +317,12 @@ def _assert_aligns_exactly(hand, mesh, contact_fingers, pose):
 
 def _scene_alignment(scene_dir):
     """(hand, mesh, contact fingers, object pose) as a run of the scene
-    passes them to align_depth."""
+    passes them to align_depth, with the fingers align_depth picks where the
+    scene names none."""
     bundle = replay_scene(scene_dir)
     pose = bundle.object_pose_generated
     fingers = (SceneFixture(scene_dir).contact_fingers
-               or select_contact_fingers(bundle.hand, bundle.mesh, pose))
+               or align_depth(bundle.hand, bundle.mesh, None, pose)[2])
     return bundle.hand, bundle.mesh, fingers, pose
 
 
@@ -333,6 +332,23 @@ SCENE_DIRS = sorted(p.parent for p in (MUG_OBJ.parents[1]).rglob("scene.json"))
 @pytest.mark.parametrize("scene_dir", SCENE_DIRS, ids=lambda p: p.name)
 def test_align_depth_takes_the_exact_minimum_on_bundled_scenes(scene_dir):
     _assert_aligns_exactly(*_scene_alignment(scene_dir))
+
+
+@pytest.mark.parametrize("scene_dir", SCENE_DIRS, ids=lambda p: p.name)
+def test_align_depth_finds_no_lower_shift_over_the_whole_range(scene_dir):
+    # the search visits only the window around the first grid's best shift:
+    # no shift of a dense brute-force scan of the whole range is lower, up
+    # to rounding, so no basin the grid's bounds leave is missed
+    hand, mesh, fingers, pose = _scene_alignment(scene_dir)
+    shift = align_depth(hand, mesh, fingers, pose)[1]
+    to_mesh = np.linalg.inv(pose_to_matrix(pose))
+    tips = hand.fingertip_points[list(fingers)] @ to_mesh[:3, :3].T + to_mesh[:3, 3]
+    half = reconstruction.DEPTH_SEARCH_HALF_RANGE
+    shifts = np.append(np.linspace(-half, half, 601), shift)
+    moved = tips[None] + shifts[:, None, None] * to_mesh[:3, 2]
+    objs = oracles.mesh_sqdist(mesh.vertices, mesh.triangles, moved.reshape(-1, 3))
+    objs = objs.reshape(len(shifts), len(tips)).sum(axis=1)
+    assert objs[-1] <= objs[:-1].min() * (1.0 + 1e-12) + 1e-30
 
 
 @pytest.mark.parametrize("levels", [2, 3])
@@ -348,24 +364,27 @@ def test_align_depth_undoes_a_depth_error(scene_dir):
     # lattice aligns to the same fingertips: the search takes the minimum,
     # not a grid point near it
     hand, mesh, fingers, pose = _scene_alignment(scene_dir)
-    want = align_depth(hand, mesh, fingers, pose).fingertip_points
+    want = align_depth(hand, mesh, fingers, pose)[0].fingertip_points
     for error in (-0.02713579, -0.00931113, 0.01234567, 0.02876543):
         moved = replace(hand, fingertip_points=hand.fingertip_points + [0.0, 0.0, error])
-        got = align_depth(moved, mesh, fingers, pose).fingertip_points
+        got = align_depth(moved, mesh, fingers, pose)[0].fingertip_points
         assert np.abs(got - want).max() <= 1e-12
 
 
 def test_align_depth_inverts_the_pose_once(monkeypatch):
     # every depth evaluation maps through one inverse pose, and the shifts
-    # stay the objective's third positional argument.  The first grid asks
-    # a probe, then the shifts its floor leaves, fewer than all 61; the line
-    # search asks the surface nothing, and one shift confirms its answer
+    # stay the objective's third positional argument.  The surface is asked
+    # three times: every fingertip at the input shift, whose contact-finger
+    # distances are that shift's objective and bound the first grid; the
+    # other grid shifts that bound leaves, fewer than 60; and the one shift
+    # that confirms the line search
     mesh, pts = depth_fixture("sphere")
     pose = pose_from_rotvec((0.3, -0.2, 0.5), (0.1, -0.05, 0.6))
     hand = _estimate(transform_points(pose, pts) + [0.0, 0.0, 0.0173])
     first = reconstruction.DEPTH_SEARCH_HALF_RANGE / 30 * np.arange(-30, 31)
-    inverted, asked = [], []
+    inverted, asked, queried = [], [], []
     invert, objective = reconstruction.invert, reconstruction._depth_objective
+    query = reconstruction.surface_query
 
     def counted_invert(p):
         inverted.append(p)
@@ -375,16 +394,21 @@ def test_align_depth_inverts_the_pose_once(monkeypatch):
         asked.append(args[2])
         return objective(*args)
 
+    def counted_query(mesh, points):
+        queried.append(len(points))
+        return query(mesh, points)
+
     monkeypatch.setattr(reconstruction, "invert", counted_invert)
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
-    got = align_depth(hand, mesh, (0, 1, 2, 3, 4), pose)
-    assert inverted == [pose]
-    assert [len(shifts) for shifts in asked[::2]] == [1, 1]
-    assert len(asked) == 3 and 0 < len(asked[1]) < 60
-    assert np.isin(np.concatenate(asked[:2]), first).all()
-    assert asked[0][0] not in asked[1]
-    assert got.fingertip_points[0, 2] - hand.fingertip_points[0, 2] == pytest.approx(
-        asked[2][0], abs=1e-15)
+    monkeypatch.setattr(reconstruction, "surface_query", counted_query)
+    got, shift, fingers = align_depth(hand, mesh, (0, 2, 4), pose)
+    assert inverted == [pose] and fingers == (0, 2, 4)
+    assert [len(shifts) for shifts in asked] == [len(asked[0]), 1]
+    assert 0 < len(asked[0]) < 60 and np.isin(asked[0], first).all()
+    assert 0.0 not in asked[0]
+    assert queried == [5, 3 * len(asked[0]), 3]
+    assert shift == pytest.approx(asked[1][0], abs=1e-15)
+    assert np.array_equal(got.fingertip_points - [0.0, 0.0, shift], hand.fingertip_points)
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,21 +462,21 @@ def test_align_depth_takes_the_exact_minimum(case):
     _assert_aligns_exactly(*case)
 
 
-@pytest.mark.parametrize("tilt, flat", [(1e-10, True), (2.5e-10, False)])
+@pytest.mark.parametrize("tilt, flat", [(1e-10, True), (5e-10, False)])
 def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     # a wall tilted by `tilt` rad towards camera z, one fingertip 1 cm off it:
-    # over the first grid the objective varies by 0.6e-12 (flat) or 1.5e-12.
-    # At 1.5e-12 the floor rules the farthest shifts out, which proves the
-    # objective is not flat, and the search takes the minimum the brute-force
-    # line search finds.  Flat, the first grid asks its 60 shifts other than
-    # the probe
+    # over the first grid the objective varies by 0.6e-12 (flat) or 3e-12.
+    # At 3e-12 the floor rules out the shifts farthest below the input
+    # shift, which sits mid-range, and that proves the objective is not
+    # flat; the search takes the minimum the brute-force line search finds.
+    # Flat, the first grid asks its 60 shifts other than the input shift
     mesh = box_mesh((0.01, 0.04, 0.4))
     pose = pose_from_rotvec((0.0, tilt, 0.0))
     hand = _estimate(transform_points(pose, np.tile([0.015, 0.0, 0.0], (5, 1))))
     deltas = reconstruction.DEPTH_SEARCH_HALF_RANGE / 30 * np.arange(-30, 31)
     objs = reconstruction._depth_objective(mesh, hand.fingertip_points[:1], deltas, invert(pose))
     assert (objs.max() - objs.min() < 1e-12) == flat
-    assert 0.5e-12 < objs.max() - objs.min() < 2e-12
+    assert 0.5e-12 < objs.max() - objs.min() < 4e-12
     _assert_aligns_exactly(hand, mesh, (0,), pose)
     asked, objective = [], reconstruction._depth_objective
 
@@ -463,16 +487,15 @@ def test_align_depth_near_flat_objective(tilt, flat, monkeypatch):
     monkeypatch.setattr(reconstruction, "_depth_objective", counted_objective)
     with contextlib.suppress(NoConvergence):
         align_depth(hand, mesh, (0,), pose)
-    assert (asked[1] < 60) == (not flat)
+    assert (asked[0] < 60) == (not flat)
 
 
 def test_align_depth_needs_contacts():
     mesh = box_mesh((0.1, 0.1, 0.1))
     hand = _estimate(np.full((5, 3), 5.0))  # nowhere near the box
-    fingers = select_contact_fingers(hand, mesh, identity_pose())
-    assert fingers == ()
-    with pytest.raises(EmptyContactSet):
-        align_depth(hand, mesh, fingers, identity_pose())
+    for fingers in (None, ()):
+        with pytest.raises(EmptyContactSet):
+            align_depth(hand, mesh, fingers, identity_pose())
 
 
 def test_align_depth_rejects_bad_finger_index():
